@@ -145,9 +145,7 @@ class TokenizedLabelSet:
     """Per-candidate token-id sequences padded to a common width.
 
     ``token_ids`` has shape (candidates, positions); the final position
-    of every sequence is the pause token.  ``one_hot()`` flattens the
-    table into the (candidates * positions) x vocab indicator matrix
-    used as the cross-entropy target.
+    of every sequence is the pause token.
     """
 
     token_ids: np.ndarray
@@ -169,12 +167,6 @@ class TokenizedLabelSet:
     @property
     def width(self) -> int:
         return self.token_ids.shape[1]
-
-    def one_hot(self) -> np.ndarray:
-        flat = self.token_ids.ravel()
-        matrix = np.zeros((flat.size, self.vocab_size), dtype=np.float64)
-        matrix[np.arange(flat.size), flat] = 1.0
-        return matrix
 
 
 def tokenize_labels(vocab: Vocabulary, labels, max_tokens: int = None) -> TokenizedLabelSet:

@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--theta-ds", type=float)
     run.add_argument("--theta-di", type=float)
     run.add_argument("--log-base", type=float)
-    run.add_argument("--recompute", choices=("per-task", "per-epoch"))
     run.add_argument(
         "--oracle-accuracy", type=float,
         help="use a noisy-oracle general teacher with this accuracy",
@@ -119,7 +118,6 @@ def _run_overrides(args) -> dict:
         "weights.theta_ds": args.theta_ds,
         "weights.theta_di": args.theta_di,
         "weights.log_base": args.log_base,
-        "weights.recompute": args.recompute,
     }
     overrides = {k: v for k, v in pairs.items() if v is not None}
     teacher_flags = [
@@ -266,3 +264,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

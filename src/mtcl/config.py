@@ -10,7 +10,7 @@ engine:
   alpha = 1 with both blend shares zero.
 * ``lwf``: previous-model distillation only; the general teacher's
   weight is pinned to zero.
-* ``ours``: both teachers, weights recomputed from measurements.
+* ``ours``: both teachers, weights computed per task from measurements.
 
 Validation reports every violated constraint at once, not just the
 first.
@@ -35,7 +35,6 @@ _WEIGHT_DEFAULTS = {
     "theta_ds": 0.4,
     "theta_di": 0.4,
     "log_base": None,
-    "recompute": "per-task",
 }
 _OPTIMIZER_DEFAULTS = {
     "learning_rate": 0.05,
@@ -80,7 +79,6 @@ class RunConfig:
             theta_ds=self.weights["theta_ds"],
             theta_di=self.weights["theta_di"],
             log_base=self.weights["log_base"],
-            recompute=self.weights["recompute"],
         )
 
     def resolved_output_dir(self) -> Path:

@@ -1,6 +1,6 @@
 """Sequential training engine: student model, task loop, evaluation.
 
-The student is a small two-hidden-layer tanh network over precomputed
+The student is a small two-hidden-layer tanh network over pre-extracted
 image features concatenated with a bag-of-tokens question encoding.
 Everything is float64 numpy with hand-written backprop, which keeps
 runs bit-reproducible across repeats and makes the whole loss
@@ -32,7 +32,13 @@ import numpy as np
 from .bridge import SPACE_TOKEN, Vocabulary
 from .errors import ConfigError, DataError, NumericError
 from .losses import combine_losses, hard_label_loss, kd_loss
-from .taskstream import ImbalanceLedger, StreamManifest, TaskDataset, load_task
+from .taskstream import (
+    ImbalanceLedger,
+    LabelClass,
+    StreamManifest,
+    TaskDataset,
+    load_task,
+)
 from .teachers import Teacher
 from .weights import (
     WeightConfig,
@@ -147,7 +153,14 @@ class StudentModel:
 
     @property
     def n_params(self) -> int:
-        return sum(arr.size for _, arr in self.param_items())
+        return self.count_params(self.feature_length + self.question_length,
+                                 self.hidden1, self.hidden2, self.n_classes)
+
+    @staticmethod
+    def count_params(input_width: int, hidden1: int, hidden2: int, n_classes: int) -> int:
+        """Weights plus biases of a student with these layer widths."""
+        return ((input_width + 1) * hidden1 + (hidden1 + 1) * hidden2
+                + (hidden2 + 1) * n_classes)
 
     def param_items(self):
         return [
@@ -230,44 +243,36 @@ class StudentModel:
 
 
 class PrevModelTeacher(Teacher):
-    """Frozen snapshot of the student, serving logits for its own classes."""
+    """Frozen snapshot of the student, serving logits for its own classes.
+
+    A score table is one batched forward pass over the samples.
+    """
 
     def __init__(self, model: StudentModel, vocab: Vocabulary):
         super().__init__()
         self.model = model
         self.vocab = vocab
-        self.set_label_space(model.class_names)
+
+    @property
+    def class_names(self) -> tuple:
+        return tuple(self.model.class_names)
+
+    def score_table(self, samples, mask_names) -> np.ndarray:
+        table = self._logits(samples, tuple(mask_names))
+        self.query_count += len(samples)
+        return table
 
     def _score(self, sample, mask_names):
+        return self._logits([sample], mask_names)[0]
+
+    def _logits(self, samples, mask_names) -> np.ndarray:
         position = {name: i for i, name in enumerate(self.model.class_names)}
         unknown = [n for n in mask_names if n not in position]
         if unknown:
             raise DataError(f"previous model does not know classes {unknown}")
-        x = np.concatenate(
-            [sample.features, encode_question(sample.question, self.vocab)]
-        )
-        logits = self.model.forward(x[None])[0]
-        return logits[[position[n] for n in mask_names]]
-
-
-class _TeacherLogitsCache:
-    """One query per (teacher, sample) per task; filled lazily.
-
-    Laziness matters: when a term's weight is exactly zero its teacher
-    must never be queried, and the query counters prove it.
-    """
-
-    def __init__(self, teacher: Teacher, mask_names):
-        self.teacher = teacher
-        self.mask_names = tuple(mask_names)
-        self._logits = {}
-
-    def get(self, sample) -> np.ndarray:
-        cached = self._logits.get(sample.id)
-        if cached is None:
-            cached = self.teacher.query(sample, self.mask_names)
-            self._logits[sample.id] = cached
-        return cached
+        inputs = encode_inputs(samples, self.vocab, self.model.feature_length)
+        logits = self.model.forward(inputs)
+        return logits[:, [position[n] for n in mask_names]]
 
 
 def _resolve_weights(
@@ -280,26 +285,46 @@ def _resolve_weights(
     ledger: ImbalanceLedger,
     prev_mask_names,
     llm_mask_names,
+    labels: np.ndarray,
 ):
-    """Pick the (alpha, beta, chi) triple for this task or epoch."""
+    """Pick the task's (alpha, beta, chi) triple and score its samples.
+
+    Returns (triple, breakdown, prev table, llm table).  Each teacher
+    that can get a non-zero weight scores the training samples once,
+    into a table that both measures its accuracy and supplies the
+    distillation targets; a table is None when its term's weight is
+    zero.
+    """
     if t == 1 or settings.mode == "ft":
-        return WeightTriple(1.0, 0.0, 0.0), None
+        return WeightTriple(1.0, 0.0, 0.0), None, None, None
     if settings.mode == "lwf":
         if prev_teacher is None:
             raise ConfigError("single-teacher distillation needs a previous model")
-        return WeightTriple(weight_cfg.alpha, 1.0 - weight_cfg.alpha, 0.0), None
+        triple = WeightTriple(weight_cfg.alpha, 1.0 - weight_cfg.alpha, 0.0)
+        prev_table = None
+        if triple.beta > 0.0:
+            prev_table = prev_teacher.score_table(task.samples, prev_mask_names)
+        return triple, None, prev_table, None
     if prev_teacher is None or llm_teacher is None:
         raise ConfigError(
             "adaptive weighting needs both a previous model and a general teacher"
         )
-    acc_prev = measure_teacher_accuracy(prev_teacher, task, prev_mask_names)
-    acc_llm = measure_teacher_accuracy(llm_teacher, task, llm_mask_names)
-    return assemble_weights(
+    prev_table = prev_teacher.score_table(task.samples, prev_mask_names)
+    llm_table = llm_teacher.score_table(task.samples, llm_mask_names)
+    prev_column = {name: i for i, name in enumerate(prev_mask_names)}
+    prev_truth = [prev_column.get(s.answer_name, -1) for s in task.samples]
+    triple, breakdown = assemble_weights(
         weight_cfg,
-        acc_prev,
-        acc_llm,
+        measure_teacher_accuracy(prev_table, prev_truth),
+        measure_teacher_accuracy(llm_table, labels),
         ledger.imbalance_ratio,
         class_count=ledger.class_count,
+    )
+    return (
+        triple,
+        breakdown,
+        prev_table if triple.beta > 0.0 else None,
+        llm_table if triple.chi > 0.0 else None,
     )
 
 
@@ -318,6 +343,7 @@ def train_task(
 ) -> StudentModel:
     """Mini-batch gradient descent on the weighted three-term loss.
 
+    The weights are set once per task, from one score table per teacher.
     Teachers whose weight is zero are never queried.  A teacher failure
     or a non-finite loss aborts the run; terms are never dropped
     silently.  ``observer``, if given, is called once per batch with the
@@ -331,7 +357,7 @@ def train_task(
         if name not in vocab_positions:
             raise DataError(f"student head is missing class {name!r}; grow it first")
 
-    prev_mask_names = tuple(prev_teacher.label_space) if prev_teacher else ()
+    prev_mask_names = prev_teacher.class_names if prev_teacher else ()
     llm_mask_names = tuple(student.class_names)
     prev_mask = np.array(
         [vocab_positions[n] for n in prev_mask_names], dtype=np.int64
@@ -343,31 +369,21 @@ def train_task(
         [vocab_positions[s.answer_name] for s in task.samples], dtype=np.int64
     )
 
-    prev_cache = (
-        _TeacherLogitsCache(prev_teacher, prev_mask_names) if prev_teacher else None
+    weights, breakdown, prev_table, llm_table = _resolve_weights(
+        settings, weight_cfg, t, prev_teacher, llm_teacher, task, ledger,
+        prev_mask_names, llm_mask_names, labels,
     )
-    llm_cache = (
-        _TeacherLogitsCache(llm_teacher, llm_mask_names) if llm_teacher else None
-    )
+    trace.record(t, 0, weights, breakdown)
 
     shuffle_rng = np.random.default_rng([settings.seed, 2, int(t)])
     n = len(task.samples)
-    weights = None
-    breakdown_wb = None
     for epoch in range(settings.epochs):
-        recompute = epoch == 0 or weight_cfg.recompute == "per-epoch"
-        if recompute:
-            weights, breakdown_wb = _resolve_weights(
-                settings, weight_cfg, t, prev_teacher, llm_teacher, task, ledger,
-                prev_mask_names, llm_mask_names,
-            )
-            trace.record(t, epoch, weights, breakdown_wb)
         order = shuffle_rng.permutation(n)
         for start in range(0, n, settings.batch_size):
             batch_idx = order[start : start + settings.batch_size]
             _train_batch(
                 student, task, inputs, labels, batch_idx, weights,
-                prev_cache, llm_cache, prev_mask, llm_mask, settings,
+                prev_table, llm_table, prev_mask, llm_mask, settings,
                 observer, t, epoch, start // settings.batch_size,
             )
     return student
@@ -375,12 +391,11 @@ def train_task(
 
 def _train_batch(
     student, task, inputs, labels, batch_idx, weights,
-    prev_cache, llm_cache, prev_mask, llm_mask, settings,
+    prev_table, llm_table, prev_mask, llm_mask, settings,
     observer, t, epoch, batch_number,
 ):
     x = inputs[batch_idx]
     y = labels[batch_idx]
-    batch_samples = [task.samples[int(i)] for i in batch_idx]
     logits, cache = student.forward(x, want_cache=True)
     b = len(batch_idx)
     delta = settings.temperature
@@ -389,23 +404,19 @@ def _train_batch(
     hard_total = 0.0
     prev_total = 0.0
     llm_total = 0.0
-    prev_rows = [] if (weights.beta > 0.0 and prev_cache) else None
-    llm_rows = [] if (weights.chi > 0.0 and llm_cache) else None
+    prev_rows = None if prev_table is None else prev_table[batch_idx]
+    llm_rows = None if llm_table is None else llm_table[batch_idx]
     for i in range(b):
         loss_i, grad_i = hard_label_loss(logits[i], int(y[i]))
         hard_total += loss_i
         if weights.alpha > 0.0:
             dz[i] += weights.alpha * grad_i / b
         if prev_rows is not None:
-            t_logits = prev_cache.get(batch_samples[i])
-            prev_rows.append(t_logits)
-            loss_p, grad_p = kd_loss(t_logits, logits[i], delta, prev_mask)
+            loss_p, grad_p = kd_loss(prev_rows[i], logits[i], delta, prev_mask)
             prev_total += loss_p
             dz[i] += weights.beta * grad_p / b
         if llm_rows is not None:
-            t_logits = llm_cache.get(batch_samples[i])
-            llm_rows.append(t_logits)
-            loss_l, grad_l = kd_loss(t_logits, logits[i], delta, llm_mask)
+            loss_l, grad_l = kd_loss(llm_rows[i], logits[i], delta, llm_mask)
             llm_total += loss_l
             dz[i] += weights.chi * grad_l / b
     breakdown = combine_losses(
@@ -422,11 +433,11 @@ def _train_batch(
                 "t": t,
                 "epoch": epoch,
                 "batch": batch_number,
-                "sample_ids": [s.id for s in batch_samples],
+                "sample_ids": [task.samples[int(i)].id for i in batch_idx],
                 "labels": y.copy(),
                 "student_logits": logits.copy(),
-                "prev_logits": np.array(prev_rows) if prev_rows is not None else None,
-                "llm_logits": np.array(llm_rows) if llm_rows is not None else None,
+                "prev_logits": prev_rows,
+                "llm_logits": llm_rows,
                 "prev_mask": None if prev_mask is None else prev_mask.copy(),
                 "llm_mask": llm_mask.copy(),
                 "weights": weights,
@@ -506,8 +517,6 @@ def run_continual(
     checkpoints, the metrics table, and the weight trace are written
     there.
     """
-    if llm_teacher is not None:
-        llm_teacher.set_label_space([c.name for c in manifest.labels])
     student = None
     prev_teacher = None
     ledger = ImbalanceLedger()
@@ -633,34 +642,50 @@ def save_checkpoint(path, model: StudentModel, task_index: int,
 
 
 def load_checkpoint(path):
-    """Restore (model, header) from a checkpoint file."""
+    """Restore (model, header) from a checkpoint file.
+
+    The file is read whole, so no length field in it can make the reader
+    allocate more than the file holds, and the parameter count must match
+    the header's architecture before a model is built.
+    """
     with open(path, "rb") as fh:
-        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise DataError(f"{path} is not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<H", fh.read(2))
+        data = fh.read()
+    if not data.startswith(CHECKPOINT_MAGIC):
+        raise DataError(f"{path} is not a checkpoint file (bad magic)")
+    try:
+        version, header_len = struct.unpack_from("<HI", data, len(CHECKPOINT_MAGIC))
         if version != CHECKPOINT_VERSION:
             raise DataError(f"unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataError(f"checkpoint header is corrupt: {exc}") from exc
-        (count,) = struct.unpack("<Q", fh.read(8))
-        blob = fh.read(8 * count)
+        offset = len(CHECKPOINT_MAGIC) + struct.calcsize("<HI")
+        header = json.loads(data[offset : offset + header_len].decode("utf-8"))
+        offset += header_len
+        (count,) = struct.unpack_from("<Q", data, offset)
+        seed, *widths = (
+            int(header[key]) for key in
+            ("seed", "feature_length", "question_length", "hidden1", "hidden2")
+        )
+        classes = [
+            LabelClass(int(cid), str(name), ())
+            for cid, name in zip(header["class_ids"], header["class_names"], strict=True)
+        ]
+        feature_length, question_length, hidden1, hidden2 = widths
+        expected = StudentModel.count_params(
+            feature_length + question_length, hidden1, hidden2, len(classes)
+        )
+        if min(widths) < 1 or count != expected:
+            raise DataError(
+                f"checkpoint header (layer widths {widths}, {len(classes)} classes) "
+                f"does not describe its {count} parameters"
+            )
+        blob = data[offset + 8 : offset + 8 + 8 * count]
         if len(blob) != 8 * count:
             raise DataError("checkpoint truncated inside the parameter blob")
-    model = StudentModel(
-        header["seed"],
-        header["feature_length"],
-        header["question_length"],
-        header["hidden1"],
-        header["hidden2"],
-    )
-    fake_classes = [
-        type("C", (), {"id": cid, "name": name})()
-        for cid, name in zip(header["class_ids"], header["class_names"])
-    ]
-    model.grow_head(fake_classes)
-    flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-    model.set_flat(flat)
+        model = StudentModel(seed, *widths).grow_head(classes)
+    except struct.error as exc:
+        raise DataError(f"checkpoint truncated before the parameter blob: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"checkpoint header is corrupt: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint header is malformed: {exc!r}") from exc
+    model.set_flat(np.frombuffer(blob, dtype="<f8").astype(np.float64))
     return model, header

@@ -156,14 +156,6 @@ class StreamManifest:
                 return entry
         raise DataError(f"manifest has no task with index {t}")
 
-    def classes_up_to(self, t: int) -> list:
-        """Labels of every task with index <= t, in id order."""
-        names = set()
-        for entry in self.tasks:
-            if entry.index <= t:
-                names.update(entry.class_names)
-        return [c for c in self.labels if c.name in names]
-
 
 def load_manifest(path) -> StreamManifest:
     path = Path(path)

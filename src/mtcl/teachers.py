@@ -14,8 +14,10 @@ vector over the candidates.  Backends:
   true label with a configurable rate.  Used by the synthetic pipeline
   where no real teacher exists.
 
-All teachers count their queries so runs that claim not to consult a
-teacher can prove it.
+The trainer asks each teacher once per task for a score table over the
+task's training samples (``score_table``); the base implementation
+queries sample by sample.  All teachers count their queries so runs that
+claim not to consult a teacher can prove it.
 """
 
 from __future__ import annotations
@@ -43,11 +45,12 @@ class Teacher:
 
     def __init__(self):
         self.query_count = 0
-        self.label_space = None
 
-    def set_label_space(self, names) -> None:
-        """Announce the full candidate inventory before any queries."""
-        self.label_space = tuple(names)
+    def score_table(self, samples, mask_names) -> np.ndarray:
+        """Logits over ``mask_names`` for every sample, shape (n, k)."""
+        mask_names = tuple(mask_names)
+        rows = [self.query(sample, mask_names) for sample in samples]
+        return np.array(rows, dtype=np.float64).reshape(len(rows), len(mask_names))
 
     def query(self, sample, mask_names) -> np.ndarray:
         mask_names = tuple(mask_names)
@@ -66,18 +69,13 @@ class Teacher:
 
 
 class FixtureTeacher(Teacher):
-    """Replays recorded score tensors keyed by sample id.
-
-    Transformed logits are memoized per (sample id, candidate set), so
-    repeating a query is free and changing the candidate set recomputes.
-    """
+    """Replays recorded score tensors keyed by sample id."""
 
     def __init__(self, fixture_path, vocab: Vocabulary):
         super().__init__()
         self.records = read_fixture(fixture_path)
         self.vocab = vocab
         self._tables = {}
-        self._memo = {}
 
     def _table(self, mask_names):
         if mask_names not in self._tables:
@@ -85,10 +83,6 @@ class FixtureTeacher(Teacher):
         return self._tables[mask_names]
 
     def _score(self, sample, mask_names):
-        key = (sample.id, mask_names)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
         tensor = self.records.get(sample.id)
         if tensor is None:
             raise DataError(f"fixture has no score tensor for sample {sample.id!r}")
@@ -103,9 +97,7 @@ class FixtureTeacher(Teacher):
                 f"fixture tensor shape {tensor.shape} does not fit "
                 f"{table.width} token positions over a vocabulary of {len(self.vocab)}"
             )
-        logits = scores_to_logits(tensor, table)
-        self._memo[key] = logits
-        return logits
+        return scores_to_logits(tensor, table)
 
 
 class ServiceTeacher(Teacher):

@@ -3,8 +3,8 @@
 The trainer mixes three loss terms: hard labels, distillation from the
 previous-step model, and distillation from a general-knowledge teacher.
 The mixing weights (alpha, beta, chi) sum to one.  alpha is a fixed
-hyperparameter; beta and chi are recomputed from two measurements on the
-current training set:
+hyperparameter; beta and chi are computed once per task from two
+measurements on that task's training set:
 
 * the two teachers' classification accuracies (how familiar each teacher
   is with the incoming data), and
@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .errors import ConfigError
 
 WEIGHT_SUM_TOL = 1e-9
-
-RECOMPUTE_MODES = ("per-task", "per-epoch")
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class WeightConfig:
     theta_ds: float
     theta_di: float
     log_base: Optional[float] = None
-    recompute: str = "per-task"
 
     def __post_init__(self):
         problems = []
@@ -60,10 +59,6 @@ class WeightConfig:
             )
         if self.log_base is not None and self.log_base <= 1.0:
             problems.append(f"log_base must be > 1, got {self.log_base}")
-        if self.recompute not in RECOMPUTE_MODES:
-            problems.append(
-                f"recompute must be one of {RECOMPUTE_MODES}, got {self.recompute!r}"
-            )
         if problems:
             raise ConfigError(problems)
 
@@ -164,31 +159,25 @@ def assemble_weights(
     return triple, breakdown
 
 
-def measure_teacher_accuracy(teacher, task, mask_names: Sequence[str]) -> float:
-    """Top-1 accuracy of a teacher on one task's training samples.
+def measure_teacher_accuracy(scores, truth) -> float:
+    """Top-1 accuracy of a teacher from its score table on one task.
 
-    The teacher only competes over ``mask_names``; samples whose true
-    label falls outside the mask count as wrong (the teacher cannot
-    possibly get them right).
+    ``scores`` holds one row of candidate logits per training sample;
+    ``truth`` holds each sample's true column, or -1 when the true label
+    is not a candidate (the teacher cannot possibly get it right, so the
+    sample counts as wrong).
     """
-    if not mask_names:
-        raise ValueError("teacher accuracy needs a non-empty class mask")
-    if not task.samples:
-        raise ValueError("teacher accuracy needs a non-empty task")
-    mask_names = list(mask_names)
-    name_by_id = {c.id: c.name for c in task.classes}
-    correct = 0
-    for sample in task.samples:
-        truth_name = name_by_id.get(sample.answer)
-        if truth_name is None or truth_name not in mask_names:
-            continue
-        logits = teacher.query(sample, mask_names)
-        if mask_names[int(logits.argmax())] == truth_name:
-            correct += 1
-    return correct / len(task.samples)
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or 0 in scores.shape:
+        raise ValueError(
+            f"teacher accuracy needs a non-empty score table, got shape {scores.shape}"
+        )
+    truth = np.asarray(truth, dtype=np.int64)
+    correct = (truth >= 0) & (scores.argmax(axis=1) == truth)
+    return int(correct.sum()) / len(truth)
 
 
-# One row per recompute event; serialized as CSV alongside the metrics.
+# One row per task; the epoch column is always 0.
 TRACE_COLUMNS = (
     "t",
     "epoch",
@@ -207,7 +196,7 @@ TRACE_COLUMNS = (
 
 @dataclass
 class WeightTrace:
-    """Accumulates one row per weight-recompute event."""
+    """Accumulates one row per weight assignment."""
 
     rows: list = field(default_factory=list)
 
@@ -229,12 +218,6 @@ class WeightTrace:
             "beta": triple.beta,
             "chi": triple.chi,
         })
-
-    def latest_triple(self) -> WeightTriple:
-        if not self.rows:
-            raise ValueError("weight trace is empty")
-        row = self.rows[-1]
-        return WeightTriple(row["alpha"], row["beta"], row["chi"])
 
     def write_csv(self, path) -> None:
         import csv

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import classes_up_to
 
 from mtcl.bridge import (
     SCORE_EPS,
@@ -249,7 +250,7 @@ def test_criterion_4_lwf_reduction(tmp_path):
     ft_student = StudentModel(
         ft_settings.seed, manifest.feature_length, len(manifest.vocab) + 1,
         ft_settings.hidden1, ft_settings.hidden2,
-    ).grow_head(manifest.classes_up_to(2))
+    ).grow_head(classes_up_to(manifest, 2))
     idle_prev = PrevModelTeacher(student.clone(), manifest.vocab)
     idle_llm = NoisyOracleTeacher(seed=1, accuracy=0.9)
     train_task(

@@ -1,10 +1,16 @@
 """Run configuration, overrides, presets, CLI commands, exit codes."""
 
 import json
+import os
 import socket
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mtcl
 from mtcl.cli import main
 from mtcl.config import (
     OUTPUT_ROOT_ENV,
@@ -12,7 +18,7 @@ from mtcl.config import (
     build_run_config,
     load_run_config,
 )
-from mtcl.engine import read_metrics_csv
+from mtcl.engine import StudentModel, read_metrics_csv, save_checkpoint
 from mtcl.errors import (
     ConfigError,
     DataError,
@@ -23,7 +29,8 @@ from mtcl.errors import (
     TeacherTimeoutError,
     exit_code_for,
 )
-from mtcl.taskstream import GeneratorConfig, generate_synthetic_stream
+from mtcl.taskstream import GeneratorConfig, LabelClass, generate_synthetic_stream
+from mtcl.weights import WeightTrace
 
 
 def base_payload(**extra):
@@ -62,6 +69,10 @@ class TestBuildRunConfig:
     def test_unknown_section_key_rejected(self):
         with pytest.raises(ConfigError, match="optimizer.momentum"):
             build_run_config(base_payload(optimizer={"momentum": 0.9}))
+        for value in ("per-task", "per-epoch"):
+            with pytest.raises(ConfigError, match="weights.recompute") as info:
+                build_run_config(base_payload(weights={"recompute": value}))
+            assert exit_code_for(info.value) == 2
 
     def test_manifest_required(self):
         payload = base_payload()
@@ -415,22 +426,46 @@ class TestCliEval:
         assert "accuracy=" in printed
 
     def test_corrupt_checkpoint_exits_3(self, cli_workspace, tmp_path, capsys):
-        bad = tmp_path / "bad.bin"
-        bad.write_bytes(b"garbage")
-        code = main(
-            [
-                "eval", "--checkpoint", str(bad),
-                "--manifest", str(cli_workspace / "stream/manifest.json"),
-                "--task", "1",
-            ]
+        good = tmp_path / "good.bin"
+        model = StudentModel(0, 4, 6, 8, 8).grow_head(
+            [LabelClass(id=0, name="cut", tokens=())]
         )
-        assert code == 3
+        save_checkpoint(good, model, 1, WeightTrace())
+        data = good.read_bytes()
+        (header_len,) = struct.unpack_from("<I", data, 6)
+        count_at = 10 + header_len
+        huge_count = (
+            data[:count_at] + struct.pack("<Q", 2**40) + data[count_at + 8:]
+        )
+        for contents in (b"garbage", data[:9], huge_count):
+            bad = tmp_path / "bad.bin"
+            bad.write_bytes(contents)
+            code = main(
+                [
+                    "eval", "--checkpoint", str(bad),
+                    "--manifest", str(cli_workspace / "stream/manifest.json"),
+                    "--task", "1",
+                ]
+            )
+            assert code == 3
 
 
 class TestCliTopLevel:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "mtcl" in capsys.readouterr().out
+
+    def test_python_dash_m_entry_point(self):
+        src = Path(mtcl.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        ))
+        done = subprocess.run(
+            [sys.executable, "-m", "mtcl", "--version"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0
+        assert "mtcl" in done.stdout
 
     def test_unknown_command_exits_nonzero(self, capsys):
         assert main(["conjure"]) == 2

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import classes_up_to, latest_triple
 
 from mtcl.bridge import build_vocabulary
 from mtcl.engine import (
@@ -230,6 +231,27 @@ class TestPrevModelTeacher:
         with pytest.raises(DataError):
             teacher.query(self.sample(), ("cut", "phantom"))
 
+    def test_score_table_is_one_batched_forward(self):
+        model, vocab = self.make_model()
+        teacher = PrevModelTeacher(model, vocab)
+        rng = np.random.default_rng(4)
+        samples = [
+            Sample(id=f"s{i}", features=rng.normal(size=2), question=q,
+                   answer=0, answer_name="cut")
+            for i, q in enumerate(["what", "which tool", "", "cut it", "idle?"])
+        ]
+        mask = ("grasp", "cut")
+        table = teacher.score_table(samples, mask)
+        assert teacher.query_count == len(samples)
+        stacked = np.array([
+            np.concatenate([s.features, encode_question(s.question, vocab)])
+            for s in samples
+        ])
+        np.testing.assert_array_equal(table, model.forward(stacked)[:, [2, 0]])
+        # One-row and many-row BLAS products may round the last bit apart.
+        queried = np.array([teacher.query(s, mask) for s in samples])
+        np.testing.assert_allclose(table, queried, rtol=0.0, atol=1e-12)
+
     def test_snapshot_does_not_track_live_model(self):
         model, vocab = self.make_model()
         teacher = PrevModelTeacher(model.clone(), vocab)
@@ -312,8 +334,8 @@ class TestTrainTask:
             ImbalanceLedger().update(task), settings, standard_weights(),
             mini_stream.vocab, 1, trace,
         )
-        assert trace.latest_triple().alpha == 1.0
-        assert trace.latest_triple().beta == 0.0
+        assert latest_triple(trace).alpha == 1.0
+        assert latest_triple(trace).beta == 0.0
         assert len(trace.rows) == 1
 
     def continue_to_second_task(self, mini_stream, settings, weight_cfg, trace):
@@ -330,7 +352,6 @@ class TestTrainTask:
         )
         prev = PrevModelTeacher(student.clone(), mini_stream.vocab)
         llm = NoisyOracleTeacher(seed=2, accuracy=0.8)
-        llm.set_label_space([c.name for c in mini_stream.labels])
         known = set(student.class_ids)
         student.grow_head([c for c in task2.classes if c.id not in known])
         ledger.update(task2)
@@ -352,18 +373,8 @@ class TestTrainTask:
         assert 0.0 <= row["acc_llm"] <= 1.0
         assert row["ir"] > 1.0
         assert row["alpha"] == pytest.approx(0.2)
-        assert prev.query_count > 0
-        assert llm.query_count > 0
-
-    def test_per_epoch_recompute_traces_every_epoch(self, mini_stream):
-        settings = TrainSettings(seed=5, mode="ours", **FAST)
-        weight_cfg = WeightConfig(
-            alpha=0.2, theta_ds=0.4, theta_di=0.4, recompute="per-epoch"
-        )
-        trace = WeightTrace()
-        self.continue_to_second_task(mini_stream, settings, weight_cfg, trace)
-        assert len(trace.rows) == settings.epochs
-        assert [r["epoch"] for r in trace.rows] == list(range(settings.epochs))
+        task2 = load_task(mini_stream, 2)
+        assert llm.query_count == prev.query_count == len(task2.samples)
 
     def test_single_teacher_mode_never_touches_general_teacher(self, mini_stream):
         settings = TrainSettings(seed=5, mode="lwf", **FAST)
@@ -373,7 +384,7 @@ class TestTrainTask:
         )
         assert llm.query_count == 0
         assert prev.query_count > 0
-        triple = trace.latest_triple()
+        triple = latest_triple(trace)
         assert triple.beta == pytest.approx(0.8)
         assert triple.chi == 0.0
 
@@ -383,7 +394,7 @@ class TestTrainTask:
         student = StudentModel(
             settings.seed, mini_stream.feature_length, len(mini_stream.vocab) + 1,
             settings.hidden1, settings.hidden2,
-        ).grow_head(mini_stream.classes_up_to(2))
+        ).grow_head(classes_up_to(mini_stream, 2))
         ledger = ImbalanceLedger().update(task2)
         with pytest.raises(ConfigError):
             train_task(

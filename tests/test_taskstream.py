@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import classes_up_to
 
 from mtcl.bridge import build_vocabulary
 from mtcl.errors import ConfigError, DataError
@@ -193,8 +194,8 @@ class TestManifestRoundtrip:
 
     def test_classes_up_to_is_cumulative_in_id_order(self, tmp_path):
         manifest = load_manifest(write_stream(tmp_path))
-        assert [c.name for c in manifest.classes_up_to(1)] == ["cut", "idle"]
-        assert [c.name for c in manifest.classes_up_to(2)] == list(STREAM_NAMES)
+        assert [c.name for c in classes_up_to(manifest, 1)] == ["cut", "idle"]
+        assert [c.name for c in classes_up_to(manifest, 2)] == list(STREAM_NAMES)
 
     def test_unknown_task_index(self, tmp_path):
         manifest = load_manifest(write_stream(tmp_path))

@@ -5,12 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from conftest import latest_triple
 from hypothesis import given, strategies as st
 
-from mtcl.bridge import build_vocabulary
 from mtcl.errors import ConfigError
-from mtcl.taskstream import LabelClass, Sample, TaskDataset
-from mtcl.teachers import Teacher
 from mtcl.weights import (
     TRACE_COLUMNS,
     WeightConfig,
@@ -105,7 +103,7 @@ class TestDiShares:
 class TestWeightConfig:
     def test_valid_config(self):
         cfg = WeightConfig(alpha=0.2, theta_ds=0.4, theta_di=0.4)
-        assert cfg.recompute == "per-task"
+        assert cfg.log_base is None
 
     def test_theta_constraint_enforced(self):
         with pytest.raises(ConfigError, match="1 - alpha"):
@@ -114,11 +112,10 @@ class TestWeightConfig:
     def test_all_violations_collected(self):
         with pytest.raises(ConfigError) as info:
             WeightConfig(
-                alpha=1.5, theta_ds=-0.1, theta_di=0.4,
-                log_base=1.0, recompute="sometimes",
+                alpha=1.5, theta_ds=-0.1, theta_di=0.4, log_base=1.0,
             )
         message = str(info.value)
-        for fragment in ("alpha", "theta_ds", "log_base", "recompute"):
+        for fragment in ("alpha", "theta_ds", "log_base"):
             assert fragment in message
 
     def test_resolve_log_base_prefers_explicit_value(self):
@@ -212,64 +209,34 @@ class TestAssembleWeights:
         assert values[-1] > values[0]
 
 
-class _ScriptedTeacher(Teacher):
-    """Always answers with a fixed label name when it is in the mask."""
-
-    def __init__(self, answer):
-        super().__init__()
-        self.answer = answer
-
-    def _score(self, sample, mask_names):
-        logits = np.zeros(len(mask_names))
-        if self.answer in mask_names:
-            logits[mask_names.index(self.answer)] = 1.0
-        return logits
-
-
-def accuracy_task(names, labels_per_sample):
-    vocab = build_vocabulary(names)
-    classes = [
-        LabelClass(id=i, name=n, tokens=tuple(vocab.encode(n)))
-        for i, n in enumerate(names)
-    ]
-    by_name = {c.name: c for c in classes}
-    samples = [
-        Sample(
-            id=f"s-{i}",
-            features=np.zeros(2),
-            question="q",
-            answer=by_name[name].id,
-            answer_name=name,
-        )
-        for i, name in enumerate(labels_per_sample)
-    ]
-    return TaskDataset(task_index=1, samples=samples, classes=classes)
+def constant_answer_table(answer, mask_names, n):
+    """Score table of a teacher that always picks ``answer`` when it is a candidate."""
+    scores = np.zeros((n, len(mask_names)))
+    if answer in mask_names:
+        scores[:, mask_names.index(answer)] = 1.0
+    return scores
 
 
 class TestMeasureTeacherAccuracy:
     def test_constant_teacher_scores_label_frequency(self):
-        task = accuracy_task(("cut", "idle"), ["cut", "cut", "cut", "idle"])
-        teacher = _ScriptedTeacher("cut")
-        assert measure_teacher_accuracy(teacher, task, ("cut", "idle")) == 0.75
+        # True labels cut, cut, cut, idle over candidates (cut, idle).
+        scores = constant_answer_table("cut", ("cut", "idle"), 4)
+        assert measure_teacher_accuracy(scores, [0, 0, 0, 1]) == 0.75
 
     def test_truth_outside_mask_counts_as_wrong_without_querying(self):
-        task = accuracy_task(("cut", "idle"), ["cut", "idle", "idle", "idle"])
-        teacher = _ScriptedTeacher("cut")
-        acc = measure_teacher_accuracy(teacher, task, ("cut",))
-        assert acc == 0.25
-        assert teacher.query_count == 1
+        # True labels cut, idle, idle, idle; only cut is a candidate.
+        scores = constant_answer_table("cut", ("cut",), 4)
+        assert measure_teacher_accuracy(scores, [0, -1, -1, -1]) == 0.25
 
     def test_perfect_teacher(self):
-        task = accuracy_task(("cut", "idle"), ["idle", "idle"])
-        assert measure_teacher_accuracy(_ScriptedTeacher("idle"), task, ("cut", "idle")) == 1.0
+        scores = constant_answer_table("idle", ("cut", "idle"), 2)
+        assert measure_teacher_accuracy(scores, [1, 1]) == 1.0
 
     def test_empty_inputs_rejected(self):
-        task = accuracy_task(("cut",), ["cut"])
         with pytest.raises(ValueError):
-            measure_teacher_accuracy(_ScriptedTeacher("cut"), task, ())
-        empty = accuracy_task(("cut",), [])
+            measure_teacher_accuracy(np.zeros((1, 0)), [0])
         with pytest.raises(ValueError):
-            measure_teacher_accuracy(_ScriptedTeacher("cut"), empty, ("cut",))
+            measure_teacher_accuracy(np.zeros((0, 1)), [])
 
 
 class TestWeightTrace:
@@ -279,14 +246,14 @@ class TestWeightTrace:
         cfg = WeightConfig(alpha=0.2, theta_ds=0.4, theta_di=0.4, log_base=10.0)
         triple, breakdown = assemble_weights(cfg, 0.75, 0.25, 10.0)
         trace.record(2, 0, triple, breakdown)
-        latest = trace.latest_triple()
-        assert latest == triple
+        assert latest_triple(trace) == triple
         assert math.isnan(trace.rows[0]["acc_prev"])
         assert trace.rows[1]["acc_prev"] == 0.75
 
-    def test_empty_trace_has_no_latest(self):
-        with pytest.raises(ValueError):
-            WeightTrace().latest_triple()
+    def test_empty_trace_has_no_latest(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        WeightTrace().write_csv(path)
+        assert path.read_text().splitlines() == [",".join(TRACE_COLUMNS)]
 
     def test_csv_roundtrip_preserves_floats_exactly(self, tmp_path):
         trace = WeightTrace()
