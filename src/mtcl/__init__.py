@@ -29,7 +29,14 @@ from .errors import (
     NumericError,
     TeacherQueryError,
 )
-from .losses import combine_losses, cross_entropy, grad_check, kd_loss, softened_softmax
+from .losses import (
+    batch_loss,
+    combine_losses,
+    cross_entropy,
+    grad_check,
+    kd_loss,
+    softened_softmax,
+)
 from .taskstream import (
     GeneratorConfig,
     ImbalanceLedger,
@@ -62,6 +69,7 @@ __all__ = [
     "MtclError",
     "NumericError",
     "TeacherQueryError",
+    "batch_loss",
     "combine_losses",
     "cross_entropy",
     "grad_check",

@@ -31,7 +31,7 @@ import numpy as np
 
 from .bridge import SPACE_TOKEN, Vocabulary
 from .errors import ConfigError, DataError, NumericError
-from .losses import combine_losses, hard_label_loss, kd_loss
+from .losses import batch_loss
 from .taskstream import (
     ImbalanceLedger,
     LabelClass,
@@ -78,14 +78,21 @@ def encode_question(question: str, vocab: Vocabulary) -> np.ndarray:
 
 
 def encode_inputs(samples, vocab: Vocabulary, feature_length: int) -> np.ndarray:
-    """Stack feature vectors and question encodings into a design matrix."""
+    """Stack feature vectors and question encodings into a design matrix.
+
+    Each distinct question text is encoded once per call.
+    """
+    encoded = {}
     rows = []
     for s in samples:
         if s.features.shape != (feature_length,):
             raise DataError(
                 f"sample {s.id!r} has {s.features.shape} features, expected {feature_length}"
             )
-        rows.append(np.concatenate([s.features, encode_question(s.question, vocab)]))
+        question = encoded.get(s.question)
+        if question is None:
+            question = encoded[s.question] = encode_question(s.question, vocab)
+        rows.append(np.concatenate([s.features, question]))
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -397,33 +404,11 @@ def _train_batch(
     x = inputs[batch_idx]
     y = labels[batch_idx]
     logits, cache = student.forward(x, want_cache=True)
-    b = len(batch_idx)
     delta = settings.temperature
-
-    dz = np.zeros_like(logits)
-    hard_total = 0.0
-    prev_total = 0.0
-    llm_total = 0.0
     prev_rows = None if prev_table is None else prev_table[batch_idx]
     llm_rows = None if llm_table is None else llm_table[batch_idx]
-    for i in range(b):
-        loss_i, grad_i = hard_label_loss(logits[i], int(y[i]))
-        hard_total += loss_i
-        if weights.alpha > 0.0:
-            dz[i] += weights.alpha * grad_i / b
-        if prev_rows is not None:
-            loss_p, grad_p = kd_loss(prev_rows[i], logits[i], delta, prev_mask)
-            prev_total += loss_p
-            dz[i] += weights.beta * grad_p / b
-        if llm_rows is not None:
-            loss_l, grad_l = kd_loss(llm_rows[i], logits[i], delta, llm_mask)
-            llm_total += loss_l
-            dz[i] += weights.chi * grad_l / b
-    breakdown = combine_losses(
-        weights,
-        hard_total / b,
-        prev_total / b if prev_rows is not None else float("nan"),
-        llm_total / b if llm_rows is not None else float("nan"),
+    breakdown, dz = batch_loss(
+        logits, y, weights, delta, prev_rows, prev_mask, llm_rows, llm_mask
     )
     grads = student.backward(cache, dz)
     student.apply_gradients(grads, settings.learning_rate)

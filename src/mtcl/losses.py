@@ -1,9 +1,23 @@
-"""Loss terms for the three-signal training objective.
+"""Loss terms for the three-signal training objective, over whole batches.
 
-All losses operate on raw logits.  Distillation compares temperature-
-softened distributions of teacher and student; the teacher distribution
-is the target of the cross entropy and receives no gradient.  No
-temperature-squared rescaling is applied to the distillation gradient.
+All losses operate on raw logits, one row per sample: a batch of ``b``
+samples over ``k`` student classes is a ``(b, k)`` logit matrix with a
+``(b,)`` vector of label indices, and a teacher scoring ``m`` masked
+classes supplies a ``(b, m)`` logit matrix plus the length-``m`` index
+mask that places its columns among the student's.  Each term returns
+its ``(b,)`` per-row losses and the ``(b, k)`` gradient of those losses
+at the student logits.
+
+Distillation compares temperature-softened distributions of teacher and
+student; the teacher distribution is the target of the cross entropy
+and receives no gradient.  No temperature-squared rescaling is applied
+to the distillation gradient.
+
+``batch_loss`` combines the three terms into the batch-mean objective.
+Its logit gradient starts at zeros and accumulates ``(w * g) / b`` for
+each active term, hard labels first, then the previous model, then the
+general teacher; each addition is done elementwise in exactly that
+order, so the result is bit-identical to summing the terms row by row.
 """
 
 from __future__ import annotations
@@ -24,11 +38,13 @@ def softened_softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray
     """Softmax of logits / temperature along the last axis.
 
     Numerically stabilized by max subtraction; temperature 1 is the
-    plain softmax.
+    plain softmax.  The input is made C-contiguous first, so each row of
+    a matrix is summed in the same order as the same row on its own
+    (a column-gathered matrix such as ``x[:, mask]`` is column-major).
     """
     if temperature <= 0.0:
         raise NumericError(f"temperature must be > 0, got {temperature}")
-    z = np.asarray(logits, dtype=np.float64) / temperature
+    z = np.ascontiguousarray(logits, dtype=np.float64) / temperature
     if not np.all(np.isfinite(z)):
         raise NumericError("softmax input contains non-finite values")
     z = z - z.max(axis=-1, keepdims=True)
@@ -36,34 +52,49 @@ def softened_softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(target: np.ndarray, prediction: np.ndarray) -> float:
-    """-sum(target * log(prediction)) with the probability floor applied."""
+def cross_entropy(target: np.ndarray, prediction: np.ndarray) -> np.ndarray:
+    """-sum(target * log(prediction)) along the last axis, with the
+    probability floor applied; one value per row."""
     target = np.asarray(target, dtype=np.float64)
     prediction = np.asarray(prediction, dtype=np.float64)
     if target.shape != prediction.shape:
         raise DimensionMismatchError(
             f"target shape {target.shape} != prediction shape {prediction.shape}"
         )
-    return float(-(target * np.log(np.maximum(prediction, PROB_EPS))).sum())
+    return -(target * np.log(np.maximum(prediction, PROB_EPS))).sum(axis=-1)
 
 
-def hard_label_loss(logits: np.ndarray, label_index: int) -> tuple[float, np.ndarray]:
-    """Cross entropy against a one-hot label, with its logit gradient.
-
-    Returns ``(loss, dloss/dlogits)``.
-    """
+def _logit_matrix(logits) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise DimensionMismatchError(f"expected a logit vector, got shape {logits.shape}")
-    if not 0 <= label_index < logits.shape[0]:
+    if logits.ndim != 2 or logits.shape[0] == 0:
         raise DimensionMismatchError(
-            f"label index {label_index} out of range for {logits.shape[0]} classes"
+            f"expected a non-empty (batch, classes) logit matrix, got shape {logits.shape}"
         )
+    return logits
+
+
+def hard_label_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cross entropy of each row against its one-hot label.
+
+    ``logits`` is ``(b, k)`` and ``labels`` holds ``b`` class indices.
+    Returns ``(losses, dlosses/dlogits)`` with shapes ``(b,)`` and
+    ``(b, k)``.
+    """
+    logits = _logit_matrix(logits)
+    labels = np.asarray(labels, dtype=np.int64)
+    b, k = logits.shape
+    if labels.shape != (b,):
+        raise DimensionMismatchError(f"{labels.shape} labels for a batch of {b} rows")
+    if labels.min() < 0 or labels.max() >= k:
+        raise DimensionMismatchError(
+            f"label indices {labels.min()}..{labels.max()} out of range for {k} classes"
+        )
+    rows = np.arange(b)
     probs = softened_softmax(logits, 1.0)
-    loss = float(-np.log(max(probs[label_index], PROB_EPS)))
+    losses = -np.log(np.maximum(probs[rows, labels], PROB_EPS))
     grad = probs.copy()
-    grad[label_index] -= 1.0
-    return loss, grad
+    grad[rows, labels] -= 1.0
+    return losses, grad
 
 
 def kd_loss(
@@ -71,39 +102,36 @@ def kd_loss(
     student_logits: np.ndarray,
     temperature: float,
     mask: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Distillation cross entropy restricted to the masked classes.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distillation cross entropy of each row, restricted to the masked classes.
 
     ``mask`` selects the class indices both parties score (the teacher's
-    known label space).  The returned gradient has the student's full
-    length with zeros outside the mask.  The gradient omits any
+    known label space), so ``teacher_logits`` is ``(b, mask.size)`` and
+    ``student_logits`` is ``(b, k)``.  The returned gradient has the
+    student's shape with zeros outside the mask.  The gradient omits any
     temperature-squared rescaling, so it is the exact derivative of the
-    returned loss divided by nothing: d/ds CE = (softmax(s/T) -
-    softmax(t/T)) / T on the masked entries.
+    returned losses: d/ds CE = (softmax(s/T) - softmax(t/T)) / T on the
+    masked entries.
     """
     teacher_logits = np.asarray(teacher_logits, dtype=np.float64)
-    student_logits = np.asarray(student_logits, dtype=np.float64)
+    student_logits = _logit_matrix(student_logits)
     mask = np.asarray(mask, dtype=np.int64)
     if mask.ndim != 1 or mask.size == 0:
         raise DimensionMismatchError("class mask must be a non-empty index vector")
-    if student_logits.ndim != 1:
+    b, k = student_logits.shape
+    if mask.min() < 0 or mask.max() >= k:
+        raise DimensionMismatchError(f"mask indices out of range for {k} student classes")
+    if teacher_logits.shape != (b, mask.size):
         raise DimensionMismatchError(
-            f"expected a student logit vector, got shape {student_logits.shape}"
-        )
-    if mask.min() < 0 or mask.max() >= student_logits.shape[0]:
-        raise DimensionMismatchError(
-            f"mask indices out of range for {student_logits.shape[0]} student classes"
-        )
-    if teacher_logits.shape != (mask.size,):
-        raise DimensionMismatchError(
-            f"teacher produced {teacher_logits.shape} logits for a mask of {mask.size}"
+            f"teacher produced {teacher_logits.shape} logits for {b} rows "
+            f"and a mask of {mask.size}"
         )
     t_probs = softened_softmax(teacher_logits, temperature)
-    s_probs = softened_softmax(student_logits[mask], temperature)
-    loss = cross_entropy(t_probs, s_probs)
+    s_probs = softened_softmax(student_logits[:, mask], temperature)
+    losses = cross_entropy(t_probs, s_probs)
     grad = np.zeros_like(student_logits)
-    grad[mask] = (s_probs - t_probs) / temperature
-    return loss, grad
+    grad[:, mask] = (s_probs - t_probs) / temperature
+    return losses, grad
 
 
 @dataclass(frozen=True)
@@ -135,6 +163,43 @@ def combine_losses(
         weights.chi, kd_llm
     )
     return LossBreakdown(hard=hard, kd_prev=kd_prev, kd_llm=kd_llm, total=total)
+
+
+def batch_loss(
+    logits: np.ndarray,
+    labels: np.ndarray,
+    weights: WeightTriple,
+    temperature: float,
+    prev_rows,
+    prev_mask,
+    llm_rows,
+    llm_mask,
+) -> tuple[LossBreakdown, np.ndarray]:
+    """The weighted three-term objective of one batch and its logit gradient.
+
+    Every term is the mean over the batch's rows.  The hard-label term
+    is always evaluated (it is reported even under zero weight) but adds
+    to the gradient only when alpha > 0; a teacher term is evaluated only
+    when its rows are given and its weight is non-zero, and is nan in
+    the breakdown otherwise.  Returns ``(breakdown, dloss/dlogits)``.
+    """
+    hard, grad = hard_label_loss(logits, labels)
+    b = grad.shape[0]
+    dz = np.zeros_like(grad)
+    if weights.alpha > 0.0:
+        dz += weights.alpha * grad / b
+    kd = []
+    for w, rows, mask in (
+        (weights.beta, prev_rows, prev_mask),
+        (weights.chi, llm_rows, llm_mask),
+    ):
+        if rows is None or w == 0.0:
+            kd.append(float("nan"))
+            continue
+        losses, grad = kd_loss(rows, logits, temperature, mask)
+        dz += w * grad / b
+        kd.append(float(losses.sum()) / b)
+    return combine_losses(weights, float(hard.sum()) / b, *kd), dz
 
 
 def grad_check(loss_and_grad, params: np.ndarray, step: float = 1e-4) -> float:

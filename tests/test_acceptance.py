@@ -30,16 +30,11 @@ from mtcl.engine import (
     read_metrics_csv,
     train_task,
 )
-from mtcl.losses import (
-    combine_losses,
-    grad_check,
-    hard_label_loss,
-    kd_loss,
-    softened_softmax,
-)
+from mtcl.losses import batch_loss, grad_check, softened_softmax
 from mtcl.taskstream import (
     GeneratorConfig,
     ImbalanceLedger,
+    LabelClass,
     Sample,
     generate_synthetic_stream,
     load_manifest,
@@ -136,9 +131,7 @@ def test_criterion_2_transform_oracle():
 @criterion("3: combined-loss gradient check")
 def test_criterion_3_gradient_check():
     model = StudentModel(21, 3, 4, 8, 8)
-    model.grow_head(
-        [type("C", (), {"id": i, "name": f"k{i}"})() for i in range(4)]
-    )
+    model.grow_head([LabelClass(i, f"k{i}", ()) for i in range(4)])
     assert model.n_params <= 1000
     rng = np.random.default_rng(1003)
     x = rng.normal(size=(3, 7))
@@ -149,24 +142,14 @@ def test_criterion_3_gradient_check():
     llm_teacher_logits = rng.normal(size=(3, 4))
     weights = WeightTriple(0.3, 0.4, 0.3)
     delta = 2.0
-    b = 3
 
     def loss_and_grad(flat):
         model.set_flat(flat)
         logits, cache = model.forward(x, want_cache=True)
-        dz = np.zeros_like(logits)
-        hard = prev = llm = 0.0
-        for i in range(b):
-            loss_h, grad_h = hard_label_loss(logits[i], labels[i])
-            hard += loss_h
-            dz[i] += weights.alpha * grad_h / b
-            loss_p, grad_p = kd_loss(prev_teacher_logits[i], logits[i], delta, prev_mask)
-            prev += loss_p
-            dz[i] += weights.beta * grad_p / b
-            loss_l, grad_l = kd_loss(llm_teacher_logits[i], logits[i], delta, llm_mask)
-            llm += loss_l
-            dz[i] += weights.chi * grad_l / b
-        breakdown = combine_losses(weights, hard / b, prev / b, llm / b)
+        breakdown, dz = batch_loss(
+            logits, labels, weights, delta,
+            prev_teacher_logits, prev_mask, llm_teacher_logits, llm_mask,
+        )
         grads = model.backward(cache, dz)
         flat_grad = np.concatenate(
             [grads[name].ravel() for name, _ in model.param_items()]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import socket
 import struct
 import subprocess
@@ -327,6 +328,34 @@ class TestCliRun:
         )
         assert code == 4
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("features", 5),
+            ("features", ["a", "a", "a", "a"]),
+            ("answer", [1]),
+            ("features", [None, 0.0, 0.0, 0.0]),
+        ],
+    )
+    def test_malformed_task_record_exits_3(self, cli_workspace, tmp_path, capsys,
+                                           field, value):
+        stream = tmp_path / "stream"
+        shutil.copytree(cli_workspace / "stream", stream)
+        train_file = stream / "task1.train.jsonl"
+        first, *rest = train_file.read_text().splitlines()
+        record = json.loads(first)
+        record[field] = value
+        train_file.write_text("\n".join([json.dumps(record), *rest]) + "\n")
+        code = main(
+            [
+                "run", str(cli_workspace / "run.json"),
+                "--manifest", str(stream / "manifest.json"),
+                "--epochs", "1", "--output-dir", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 3
+        assert "task1.train.jsonl:1:" in capsys.readouterr().err
 
 
 class TestCliGenerate:

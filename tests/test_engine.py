@@ -35,7 +35,7 @@ from mtcl.taskstream import (
     load_task,
 )
 from mtcl.teachers import NoisyOracleTeacher
-from mtcl.weights import WeightConfig, WeightTrace
+from mtcl.weights import WeightConfig, WeightTrace, WeightTriple
 
 MINI_CFG = GeneratorConfig(
     tasks=3,
@@ -165,25 +165,27 @@ class TestStudentModel:
         assert twin.class_ids == [0]
 
     def test_backward_matches_central_differences(self):
-        from mtcl.losses import hard_label_loss
+        from mtcl.losses import batch_loss
 
         model = StudentModel(7, 3, 4, 5, 4).grow_head([toy_label(0), toy_label(1), toy_label(2)])
         rng = np.random.default_rng(2)
         x = rng.normal(size=(4, 7))
         y = np.array([0, 2, 1, 0])
+        hard_only = WeightTriple(1.0, 0.0, 0.0)
+        llm_mask = np.arange(3)
+
+        def loss_and_dz(logits):
+            breakdown, dz = batch_loss(logits, y, hard_only, 1.0, None, None, None, llm_mask)
+            return breakdown.total, dz
 
         def loss_at(flat):
             model.set_flat(flat)
-            logits = model.forward(x)
-            return sum(hard_label_loss(logits[i], int(y[i]))[0] for i in range(4)) / 4.0
+            return loss_and_dz(model.forward(x))[0]
 
         flat0 = model.get_flat().copy()
         model.set_flat(flat0)
         logits, cache = model.forward(x, want_cache=True)
-        dz = np.zeros_like(logits)
-        for i in range(4):
-            dz[i] = hard_label_loss(logits[i], int(y[i]))[1] / 4.0
-        grads = model.backward(cache, dz)
+        grads = model.backward(cache, loss_and_dz(logits)[1])
         analytic = np.concatenate(
             [grads[name].ravel() for name, _ in model.param_items()]
         )
@@ -595,8 +597,6 @@ class TestCheckpointFormat:
         model = StudentModel(3, 4, 6, 8, 8).grow_head([toy_label(0), toy_label(1)])
         model.w1 += 0.123456789
         trace = WeightTrace()
-        from mtcl.weights import WeightTriple
-
         trace.record(1, 0, WeightTriple(1.0, 0.0, 0.0))
         path = tmp_path / "ck.bin"
         save_checkpoint(path, model, 1, trace, "digest")

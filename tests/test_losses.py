@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from mtcl.errors import DimensionMismatchError, NumericError
 from mtcl.losses import (
     PROB_EPS,
+    batch_loss,
     combine_losses,
     cross_entropy,
     grad_check,
@@ -156,32 +157,45 @@ class TestCrossEntropy:
 class TestHardLabelLoss:
     def test_matches_ce_of_softmax(self):
         rng = np.random.default_rng(1020)
+        rows, labels = [], []
         for _ in range(50):
-            z = rng.normal(0.0, 2.0, size=5)
-            label = int(rng.integers(5))
-            loss, _ = hard_label_loss(z, label)
-            probs = softmax_oracle(z, 1.0)
-            expected = ce_oracle(np.eye(5)[label], probs)
+            rows.append(rng.normal(0.0, 2.0, size=5))
+            labels.append(int(rng.integers(5)))
+        losses, _ = hard_label_loss(np.array(rows), labels)
+        assert losses.shape == (50,)
+        for z, label, loss in zip(rows, labels, losses):
+            expected = ce_oracle(np.eye(5)[label], softmax_oracle(z, 1.0))
             assert abs(loss - expected) <= 1e-12
 
     def test_gradient_matches_central_difference(self):
         rng = np.random.default_rng(1021)
-        z = rng.normal(size=4)
-        label = 2
-        _, grad = hard_label_loss(z, label)
+        z = np.vstack([rng.normal(size=4), rng.normal(size=(2, 4))])
+        labels = np.array([2, 0, 3])
+        losses, grad = hard_label_loss(z, labels)
         step = 1e-6
-        for i in range(4):
-            probe = z.copy()
-            probe[i] += step
-            plus, _ = hard_label_loss(probe, label)
-            probe[i] -= 2 * step
-            minus, _ = hard_label_loss(probe, label)
-            numeric = (plus - minus) / (2 * step)
-            assert abs(grad[i] - numeric) <= 1e-8
+        for r in range(3):
+            for i in range(4):
+                probe = z.copy()
+                probe[r, i] += step
+                plus, _ = hard_label_loss(probe, labels)
+                probe[r, i] -= 2 * step
+                minus, _ = hard_label_loss(probe, labels)
+                numeric = (plus[r] - minus[r]) / (2 * step)
+                assert abs(grad[r, i] - numeric) <= 1e-8
+                others = np.arange(3) != r
+                np.testing.assert_array_equal(plus[others], losses[others])
 
     def test_bad_label_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            hard_label_loss(np.zeros(3), 3)
+            hard_label_loss(np.zeros((1, 3)), [3])
+        with pytest.raises(DimensionMismatchError):
+            hard_label_loss(np.zeros((2, 3)), [0, -1])
+        with pytest.raises(DimensionMismatchError):
+            hard_label_loss(np.zeros((2, 3)), [0])
+        with pytest.raises(DimensionMismatchError):
+            hard_label_loss(np.zeros(3), [0])
+        with pytest.raises(DimensionMismatchError):
+            hard_label_loss(np.zeros((0, 3)), [])
 
 
 def kd_oracle(teacher, student_masked, delta):
@@ -193,9 +207,9 @@ def kd_oracle(teacher, student_masked, delta):
 
 class TestKdLoss:
     def test_self_distillation_gives_entropy(self):
-        z = np.array([0.0, 0.0])
-        loss, _ = kd_loss(z, z, 1.0, np.array([0, 1]))
-        assert abs(loss - math.log(2.0)) <= 1e-12
+        z = np.array([[0.0, 0.0]])
+        losses, _ = kd_loss(z, z, 1.0, np.array([0, 1]))
+        assert abs(losses[0] - math.log(2.0)) <= 1e-12
 
     def test_matches_oracle_with_mask(self):
         rng = np.random.default_rng(1030)
@@ -203,71 +217,77 @@ class TestKdLoss:
             n_student = int(rng.integers(3, 8))
             mask_size = int(rng.integers(2, n_student + 1))
             mask = rng.choice(n_student, size=mask_size, replace=False)
-            teacher = rng.normal(0.0, 2.0, size=mask_size)
-            student = rng.normal(0.0, 2.0, size=n_student)
+            b = int(rng.integers(1, 5))
+            teacher = rng.normal(0.0, 2.0, size=(b, mask_size))
+            student = rng.normal(0.0, 2.0, size=(b, n_student))
             delta = float(rng.uniform(0.5, 5.0))
-            loss, _ = kd_loss(teacher, student, delta, mask)
-            assert abs(loss - kd_oracle(teacher, student[mask], delta)) <= 1e-12
+            losses, _ = kd_loss(teacher, student, delta, mask)
+            for r in range(b):
+                assert abs(losses[r] - kd_oracle(teacher[r], student[r, mask], delta)) <= 1e-12
 
     def test_high_temperature_approaches_uniform_entropy(self):
-        teacher = np.array([2.0, 0.0, 1.0])
-        student = np.array([0.0, 1.0, 0.0])
+        teacher = np.array([[2.0, 0.0, 1.0]])
+        student = np.array([[0.0, 1.0, 0.0]])
         mask = np.array([0, 1, 2])
         limit = math.log(3.0)
         gaps = []
         for delta in (1.0, 10.0, 100.0):
-            loss, _ = kd_loss(teacher, student, delta, mask)
-            gaps.append(abs(loss - limit))
+            losses, _ = kd_loss(teacher, student, delta, mask)
+            gaps.append(abs(losses[0] - limit))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 1e-3
 
     def test_peaked_teacher_reduces_to_hard_ce(self):
-        student = np.array([0.3, -0.7, 1.1])
-        teacher = np.array([1000.0, 0.0, 0.0])
+        student = np.array([[0.3, -0.7, 1.1]])
+        teacher = np.array([[1000.0, 0.0, 0.0]])
         mask = np.array([0, 1, 2])
-        loss, _ = kd_loss(teacher, student, 1.0, mask)
-        expected = ce_oracle([1.0, 0.0, 0.0], softmax_oracle(student, 1.0))
-        assert abs(loss - expected) <= 1e-6
+        losses, _ = kd_loss(teacher, student, 1.0, mask)
+        expected = ce_oracle([1.0, 0.0, 0.0], softmax_oracle(student[0], 1.0))
+        assert abs(losses[0] - expected) <= 1e-6
 
     def test_gibbs_lower_bound(self):
         rng = np.random.default_rng(1031)
         for _ in range(100):
-            teacher = rng.normal(0.0, 2.0, size=4)
-            student = rng.normal(0.0, 2.0, size=4)
+            teacher = rng.normal(0.0, 2.0, size=(3, 4))
+            student = rng.normal(0.0, 2.0, size=(3, 4))
             delta = float(rng.uniform(0.5, 4.0))
-            loss, _ = kd_loss(teacher, student, delta, np.arange(4))
-            entropy = ce_oracle(
-                softmax_oracle(teacher, delta), softmax_oracle(teacher, delta)
-            )
-            assert loss >= entropy - 1e-12
+            losses, _ = kd_loss(teacher, student, delta, np.arange(4))
+            for r in range(3):
+                t_probs = softmax_oracle(teacher[r], delta)
+                assert losses[r] >= ce_oracle(t_probs, t_probs) - 1e-12
 
     def test_gradient_matches_central_difference(self):
         rng = np.random.default_rng(1032)
-        student = rng.normal(size=5)
-        teacher = rng.normal(size=3)
+        student = rng.normal(size=(2, 5))
+        teacher = rng.normal(size=(2, 3))
         mask = np.array([0, 2, 4])
         delta = 2.0
         _, grad = kd_loss(teacher, student, delta, mask)
-        assert grad[1] == 0.0 and grad[3] == 0.0
+        assert (grad[:, 1] == 0.0).all() and (grad[:, 3] == 0.0).all()
         step = 1e-6
-        for i in range(5):
-            probe = student.copy()
-            probe[i] += step
-            plus, _ = kd_loss(teacher, probe, delta, mask)
-            probe[i] -= 2 * step
-            minus, _ = kd_loss(teacher, probe, delta, mask)
-            numeric = (plus - minus) / (2 * step)
-            assert abs(grad[i] - numeric) <= 1e-8
+        for r in range(2):
+            for i in range(5):
+                probe = student.copy()
+                probe[r, i] += step
+                plus, _ = kd_loss(teacher, probe, delta, mask)
+                probe[r, i] -= 2 * step
+                minus, _ = kd_loss(teacher, probe, delta, mask)
+                numeric = (plus[r] - minus[r]) / (2 * step)
+                assert abs(grad[r, i] - numeric) <= 1e-8
 
     def test_empty_mask_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            kd_loss(np.array([]), np.array([1.0, 2.0]), 1.0, np.array([], dtype=int))
+            kd_loss(np.zeros((1, 0)), np.array([[1.0, 2.0]]), 1.0, np.array([], dtype=int))
 
     def test_coverage_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            kd_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]), 1.0, np.array([0]))
+            kd_loss(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0, 3.0]]), 1.0, np.array([0]))
         with pytest.raises(DimensionMismatchError):
-            kd_loss(np.array([1.0]), np.array([1.0, 2.0]), 1.0, np.array([5]))
+            kd_loss(np.array([[1.0]]), np.array([[1.0, 2.0]]), 1.0, np.array([5]))
+        with pytest.raises(DimensionMismatchError):
+            kd_loss(np.array([[1.0], [2.0]]), np.array([[1.0, 2.0]]), 1.0, np.array([0]))
+        with pytest.raises(DimensionMismatchError):
+            kd_loss(np.array([1.0]), np.array([1.0, 2.0]), 1.0, np.array([0]))
 
 
 class TestCombineLosses:
@@ -297,6 +317,152 @@ class TestCombineLosses:
     def test_nonzero_weight_rejects_nonfinite_term(self):
         with pytest.raises(NumericError):
             combine_losses(WeightTriple(0.2, 0.8, 0.0), 1.0, float("nan"), 0.0)
+
+
+def row_hard_label_loss(logits, label_index):
+    """Per-row reference: the hard-label term of one logit vector."""
+    probs = softened_softmax(logits, 1.0)
+    loss = float(-np.log(max(probs[label_index], PROB_EPS)))
+    grad = probs.copy()
+    grad[label_index] -= 1.0
+    return loss, grad
+
+
+def row_kd_loss(teacher_logits, student_logits, temperature, mask):
+    """Per-row reference: the distillation term of one logit vector."""
+    t_probs = softened_softmax(teacher_logits, temperature)
+    s_probs = softened_softmax(student_logits[mask], temperature)
+    loss = float(-(t_probs * np.log(np.maximum(s_probs, PROB_EPS))).sum())
+    grad = np.zeros_like(student_logits)
+    grad[mask] = (s_probs - t_probs) / temperature
+    return loss, grad
+
+
+def row_loop_loss(logits, labels, weights, delta, prev_rows, prev_mask, llm_rows, llm_mask):
+    """The trainer's former one-row-at-a-time loss loop, kept as the
+    reference that ``batch_loss`` must reproduce bit for bit."""
+    b = len(labels)
+    dz = np.zeros_like(logits)
+    hard_total = prev_total = llm_total = 0.0
+    for i in range(b):
+        loss_i, grad_i = row_hard_label_loss(logits[i], int(labels[i]))
+        hard_total += loss_i
+        if weights.alpha > 0.0:
+            dz[i] += weights.alpha * grad_i / b
+        if prev_rows is not None:
+            loss_p, grad_p = row_kd_loss(prev_rows[i], logits[i], delta, prev_mask)
+            prev_total += loss_p
+            dz[i] += weights.beta * grad_p / b
+        if llm_rows is not None:
+            loss_l, grad_l = row_kd_loss(llm_rows[i], logits[i], delta, llm_mask)
+            llm_total += loss_l
+            dz[i] += weights.chi * grad_l / b
+    breakdown = combine_losses(
+        weights,
+        hard_total / b,
+        prev_total / b if prev_rows is not None else float("nan"),
+        llm_total / b if llm_rows is not None else float("nan"),
+    )
+    return breakdown, dz
+
+
+@st.composite
+def loss_batches(draw):
+    """One trainer-shaped batch: labels, logits, teacher rows and weights.
+
+    The previous model's mask is a strict subset of the student's classes
+    with a gap in it, listed in any order.  Any of the three weights may
+    be exactly zero, and a zero-weight teacher's table may be absent.
+    """
+    b = draw(st.integers(1, 33))
+    k = draw(st.integers(3, 9))
+    hole = draw(st.integers(1, k - 2))
+    low = draw(st.integers(0, hole - 1))
+    high = draw(st.integers(hole + 1, k - 1))
+    extra = draw(st.sets(st.sampled_from([c for c in range(k) if c != hole])))
+    prev_mask = np.array(draw(st.permutations(sorted({low, high} | extra))), dtype=np.int64)
+    zero = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()).filter(lambda z: not all(z)))
+    raw = [0.0 if z else draw(st.floats(0.05, 1.0)) for z in zero]
+    weights = WeightTriple(*(r / sum(raw) for r in raw))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.1, 1.0, 4.0, 30.0]))
+    logits = rng.normal(0.0, scale, size=(b, k))
+    labels = rng.integers(0, k, size=b)
+    # As in the trainer, a teacher with non-zero weight always has a table.
+    prev_rows = llm_rows = None
+    if weights.beta > 0.0 or draw(st.booleans()):
+        prev_rows = rng.normal(0.0, scale, size=(b, prev_mask.size))
+    if weights.chi > 0.0 or draw(st.booleans()):
+        llm_rows = rng.normal(0.0, scale, size=(b, k))
+    if prev_rows is not None and draw(st.booleans()):
+        # the previous model's table is a column gather, hence column-major
+        prev_rows = np.asfortranarray(prev_rows)
+    delta = draw(st.sampled_from([0.5, 1.0, 2.0, 3.7]))
+    return logits, labels, weights, delta, prev_rows, prev_mask, llm_rows, np.arange(k)
+
+
+class TestBatchLoss:
+    @given(loss_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_row_loop(self, batch):
+        logits, labels, weights, delta, prev_rows, prev_mask, llm_rows, llm_mask = batch
+        got, dz = batch_loss(*batch)
+        want, want_dz = row_loop_loss(*batch)
+        np.testing.assert_array_equal(dz, want_dz)
+        assert dz.tobytes() == want_dz.tobytes()
+        assert abs(got.hard - want.hard) <= 1e-12
+        assert abs(got.total - want.total) <= 1e-12
+        for value, expected, rows, w in (
+            (got.kd_prev, want.kd_prev, prev_rows, weights.beta),
+            (got.kd_llm, want.kd_llm, llm_rows, weights.chi),
+        ):
+            if rows is None or w == 0.0:
+                assert math.isnan(value)
+            else:
+                assert abs(value - expected) <= 1e-12
+
+    def test_breakdown_matches_per_term_means(self):
+        rng = np.random.default_rng(1050)
+        logits = rng.normal(size=(6, 4))
+        labels = np.array([0, 1, 2, 3, 0, 1])
+        prev_mask = np.array([3, 1])
+        prev_rows = rng.normal(size=(6, 2))
+        llm_rows = rng.normal(size=(6, 4))
+        weights = WeightTriple(0.2, 0.5, 0.3)
+        out, _ = batch_loss(logits, labels, weights, 2.0, prev_rows, prev_mask,
+                            llm_rows, np.arange(4))
+        hard = np.mean([
+            ce_oracle(np.eye(4)[y], softmax_oracle(z, 1.0)) for z, y in zip(logits, labels)
+        ])
+        prev = np.mean([kd_oracle(t, z[prev_mask], 2.0) for t, z in zip(prev_rows, logits)])
+        llm = np.mean([kd_oracle(t, z, 2.0) for t, z in zip(llm_rows, logits)])
+        assert abs(out.hard - hard) <= 1e-12
+        assert abs(out.kd_prev - prev) <= 1e-12
+        assert abs(out.kd_llm - llm) <= 1e-12
+        assert abs(out.total - (0.2 * hard + 0.5 * prev + 0.3 * llm)) <= 1e-12
+
+    def test_nonfinite_input_rejected(self):
+        logits = np.zeros((2, 3))
+        weights = WeightTriple(0.5, 0.0, 0.5)
+        bad = np.array([[0.0, np.nan, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(NumericError):
+            batch_loss(bad, [0, 1], weights, 2.0, None, None, logits, np.arange(3))
+        with pytest.raises(NumericError):
+            batch_loss(logits, [0, 1], weights, 2.0, None, None, bad, np.arange(3))
+
+    def test_missing_table_under_nonzero_weight_rejected(self):
+        with pytest.raises(NumericError):
+            batch_loss(np.zeros((2, 3)), [0, 1], WeightTriple(0.5, 0.5, 0.0), 2.0,
+                       None, np.array([0, 2]), None, np.arange(3))
+
+    def test_teacher_width_and_empty_mask_rejected(self):
+        weights = WeightTriple(0.5, 0.5, 0.0)
+        with pytest.raises(DimensionMismatchError):
+            batch_loss(np.zeros((2, 3)), [0, 1], weights, 2.0,
+                       np.zeros((2, 3)), np.array([0, 2]), None, np.arange(3))
+        with pytest.raises(DimensionMismatchError):
+            batch_loss(np.zeros((2, 3)), [0, 1], weights, 2.0,
+                       np.zeros((2, 0)), np.array([], dtype=np.int64), None, np.arange(3))
 
 
 class TestGradCheck:
