@@ -33,7 +33,6 @@ from .losses import (
     batch_loss,
     combine_losses,
     cross_entropy,
-    grad_check,
     kd_loss,
     softened_softmax,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "batch_loss",
     "combine_losses",
     "cross_entropy",
-    "grad_check",
     "kd_loss",
     "softened_softmax",
     "GeneratorConfig",

@@ -22,6 +22,8 @@ fixture format used to replay recorded score tensors offline.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -45,8 +47,8 @@ class Vocabulary:
     """Character-level token inventory, pause token at id 0.
 
     Spaces inside a label map to a dedicated separator token, so
-    encoding is reversible: ``decode(encode(s)) == s`` for any label
-    whose characters are all in the inventory.
+    encoding is reversible for any label whose characters are all in
+    the inventory.
     """
 
     tokens: tuple
@@ -76,17 +78,6 @@ class Vocabulary:
                 raise DataError(f"label {label!r} uses unknown token {tok!r}")
             ids.append(idx[tok])
         return ids
-
-    def decode(self, ids) -> str:
-        chars = []
-        for i in ids:
-            if not 0 <= i < len(self.tokens):
-                raise DataError(f"token id {i} out of range")
-            tok = self.tokens[i]
-            if tok == PAUSE_TOKEN:
-                continue
-            chars.append(" " if tok == SPACE_TOKEN else tok)
-        return "".join(chars)
 
     def to_text(self) -> str:
         """One ``token<TAB>id`` line per token, in id order."""
@@ -122,7 +113,7 @@ class Vocabulary:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return cls.from_text(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read vocabulary file {path}: {exc}") from exc
 
 
@@ -169,40 +160,30 @@ class TokenizedLabelSet:
         return self.token_ids.shape[1]
 
 
-def tokenize_labels(vocab: Vocabulary, labels, max_tokens: int = None) -> TokenizedLabelSet:
+def tokenize_labels(vocab: Vocabulary, labels) -> TokenizedLabelSet:
     """Encode candidate labels into a padded token-id table.
 
-    ``max_tokens`` caps the unpadded sequence length; omitted, it is the
-    longest encoding among the labels.  Sequences are padded with the
-    pause token to max_tokens + 1 so the final position is always pause.
+    Sequences are padded with the pause token to the longest encoding
+    plus one, so the final position is always pause.
     """
     labels = list(labels)
     if not labels:
         raise DataError("cannot tokenize an empty label list")
     encoded = [vocab.encode(label) for label in labels]
     longest = max(len(e) for e in encoded)
-    if max_tokens is None:
-        max_tokens = longest
-    elif longest > max_tokens:
-        offender = labels[[len(e) for e in encoded].index(longest)]
-        raise DataError(
-            f"label {offender!r} needs {longest} tokens, cap is {max_tokens}"
-        )
-    table = np.full((len(encoded), max_tokens + 1), PAUSE_ID, dtype=np.int64)
+    table = np.full((len(encoded), longest + 1), PAUSE_ID, dtype=np.int64)
     for row, ids in enumerate(encoded):
         table[row, : len(ids)] = ids
     return TokenizedLabelSet(token_ids=table, vocab_size=len(vocab))
 
 
-def scores_to_logits(
-    scores: np.ndarray, labels: TokenizedLabelSet, eps: float = SCORE_EPS
-) -> np.ndarray:
+def scores_to_logits(scores: np.ndarray, labels: TokenizedLabelSet) -> np.ndarray:
     """Collapse a (candidates, positions, vocab) score tensor into logits.
 
     Each (candidate, position) row pays ``logsumexp(row) - row[target]``,
     the cross entropy of its target token under the row's softmax.  The
     per-position charges of one candidate are summed and the sum is
-    inverted through ``1 / max(sum, eps)``, so a confidently spelled
+    inverted through ``1 / max(sum, SCORE_EPS)``, so a confidently spelled
     candidate gets a large positive logit.  (Negating the sum instead of
     inverting it would also order candidates correctly, but inversion is
     the implemented contract.)
@@ -220,14 +201,12 @@ def scores_to_logits(
         )
     if not np.all(np.isfinite(scores)):
         raise NumericError("score tensor contains non-finite values")
-    if eps <= 0.0:
-        raise NumericError(f"inversion floor must be > 0, got {eps}")
     flat = scores.reshape(n * width, vocab_size)
     peak = flat.max(axis=1)
     lse = peak + np.log(np.exp(flat - peak[:, None]).sum(axis=1))
     nll = lse - flat[np.arange(flat.shape[0]), labels.token_ids.ravel()]
     badness = nll.reshape(n, width).sum(axis=1)
-    return 1.0 / np.maximum(badness, eps)
+    return 1.0 / np.maximum(badness, SCORE_EPS)
 
 
 def write_fixture(path, records) -> None:
@@ -258,34 +237,39 @@ def write_fixture(path, records) -> None:
 def read_fixture(path) -> dict:
     """Load a fixture file back into an id-to-tensor mapping.
 
-    Tensors come back as float32 exactly as stored.
+    Tensors come back as float32 exactly as stored.  Every length is
+    checked against the bytes left in the file before it is read, so a
+    corrupt or truncated file is a DataError, never a huge allocation.
     """
-    def take(fh, n, what):
-        data = fh.read(n)
-        if len(data) != n:
-            raise DataError(f"fixture file truncated while reading {what}")
-        return data
-
     records = {}
-    with open(path, "rb") as fh:
-        if fh.read(len(FIXTURE_MAGIC)) != FIXTURE_MAGIC:
-            raise DataError(f"{path} is not a score-fixture file (bad magic)")
-        (version,) = struct.unpack("<H", take(fh, 2, "version"))
-        if version != FIXTURE_VERSION:
-            raise DataError(f"unsupported fixture version {version}")
-        while True:
-            head = fh.read(2)
-            if not head:
-                break
-            if len(head) != 2:
-                raise DataError("fixture file truncated while reading record header")
-            (id_len,) = struct.unpack("<H", head)
-            sample_id = take(fh, id_len, "sample id").decode("utf-8")
-            n, width, vocab_size = struct.unpack("<III", take(fh, 12, "tensor shape"))
-            count = n * width * vocab_size
-            raw = take(fh, 4 * count, f"tensor data for {sample_id!r}")
-            tensor = np.frombuffer(raw, dtype="<f4").reshape(n, width, vocab_size)
-            if sample_id in records:
-                raise DataError(f"duplicate sample id {sample_id!r} in fixture")
-            records[sample_id] = tensor.copy()
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+
+            def take(n, what):
+                data = fh.read(n) if n <= size - fh.tell() else b""
+                if len(data) != n:
+                    raise DataError(f"fixture file {path} truncated while reading {what}")
+                return data
+
+            if fh.read(len(FIXTURE_MAGIC)) != FIXTURE_MAGIC:
+                raise DataError(f"{path} is not a score-fixture file (bad magic)")
+            (version,) = struct.unpack("<H", take(2, "version"))
+            if version != FIXTURE_VERSION:
+                raise DataError(f"unsupported fixture version {version}")
+            while fh.tell() < size:
+                (id_len,) = struct.unpack("<H", take(2, "record header"))
+                sample_id = take(id_len, "sample id").decode("utf-8")
+                shape = struct.unpack("<III", take(12, "tensor shape"))
+                raw = take(4 * math.prod(shape), f"tensor data for {sample_id!r}")
+                tensor = np.frombuffer(raw, dtype="<f4").reshape(shape)
+                if sample_id in records:
+                    raise DataError(f"duplicate sample id {sample_id!r} in fixture")
+                records[sample_id] = tensor.copy()
+    except OSError as exc:
+        raise DataError(f"cannot read fixture file {path}: {exc}") from exc
+    except ValueError as exc:
+        # A sample id that is not UTF-8, or an empty tensor whose other
+        # dimensions overflow numpy's size limit.
+        raise DataError(f"fixture file {path} is corrupt: {exc}") from exc
     return records

@@ -20,12 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
 from .config import load_run_config
-from .engine import evaluate, load_checkpoint, run_continual
+from .engine import MODES, evaluate, load_checkpoint, run_continual
 from .errors import ConfigError, MtclError, exit_code_for
 from .taskstream import GeneratorConfig, generate_synthetic_stream, load_manifest, load_task
 from .teachers import teacher_from_config
@@ -45,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--manifest", help="override the stream manifest path")
     run.add_argument("--output-dir", help="override the output directory")
     run.add_argument("--seed", type=int, help="override the run seed")
-    run.add_argument("--mode", choices=("ours", "ft", "lwf"), help="override the mode")
+    run.add_argument("--mode", choices=MODES, help="override the mode")
     run.add_argument("--epochs", type=int)
     run.add_argument("--batch-size", type=int)
     run.add_argument("--learning-rate", type=float)
@@ -68,14 +69,14 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="write a synthetic task stream")
     gen.add_argument("--out", required=True, help="output directory")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--tasks", type=int, default=3)
-    gen.add_argument("--classes-per-task", type=int, default=6)
-    gen.add_argument("--features", type=int, default=16)
-    gen.add_argument("--samples-per-task", type=int, default=1200)
-    gen.add_argument("--imbalance", type=float, default=1.0)
-    gen.add_argument("--overlap", type=float, default=0.5)
-    gen.add_argument("--shift", type=float, default=4.0)
-    gen.add_argument("--cluster-std", type=float, default=1.0)
+    gen.add_argument("--tasks", type=int)
+    gen.add_argument("--classes-per-task", type=int)
+    gen.add_argument("--features", type=int, dest="feature_length")
+    gen.add_argument("--samples-per-task", type=int)
+    gen.add_argument("--imbalance", type=float)
+    gen.add_argument("--overlap", type=float)
+    gen.add_argument("--shift", type=float)
+    gen.add_argument("--cluster-std", type=float)
 
     insp = sub.add_parser(
         "inspect-weights", help="print the weight assignment for given measurements"
@@ -83,9 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     insp.add_argument("--acc-prev", type=float, required=True)
     insp.add_argument("--acc-llm", type=float, required=True)
     insp.add_argument("--ir", type=float, default=1.0)
-    insp.add_argument("--alpha", type=float, default=0.2)
-    insp.add_argument("--theta-ds", type=float, default=0.4)
-    insp.add_argument("--theta-di", type=float, default=0.4)
+    insp.add_argument("--alpha", type=float)
+    insp.add_argument("--theta-ds", type=float)
+    insp.add_argument("--theta-di", type=float)
     insp.add_argument("--log-base", type=float)
     insp.add_argument(
         "--class-count", type=int,
@@ -102,6 +103,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--task", type=int, required=True)
     ev.add_argument("--split", choices=("train", "test"), default="test")
     return parser
+
+
+def _given_fields(args, config_class) -> dict:
+    """The flags named after ``config_class``'s fields that were set; an
+    omitted flag leaves that field's default in place."""
+    names = (f.name for f in fields(config_class))
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
 
 
 def _run_overrides(args) -> dict:
@@ -143,7 +151,7 @@ def cmd_run(args) -> int:
     cfg = load_run_config(args.config, _run_overrides(args))
     manifest = load_manifest(cfg.manifest)
     llm = None
-    if cfg.llm_teacher is not None:
+    if cfg.mode == "ours":
         llm = teacher_from_config(
             cfg.llm_teacher, vocab=manifest.vocab, default_seed=cfg.seed
         )
@@ -183,28 +191,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg = GeneratorConfig(
-        tasks=args.tasks,
-        classes_per_task=args.classes_per_task,
-        feature_length=args.features,
-        samples_per_task=args.samples_per_task,
-        imbalance=args.imbalance,
-        overlap=args.overlap,
-        shift=args.shift,
-        cluster_std=args.cluster_std,
-    )
+    cfg = GeneratorConfig(**_given_fields(args, GeneratorConfig))
     manifest_path = generate_synthetic_stream(cfg, args.seed, args.out)
     print(manifest_path)
     return 0
 
 
 def cmd_inspect_weights(args) -> int:
-    cfg = WeightConfig(
-        alpha=args.alpha,
-        theta_ds=args.theta_ds,
-        theta_di=args.theta_di,
-        log_base=args.log_base,
-    )
+    cfg = WeightConfig(**_given_fields(args, WeightConfig))
     if args.sweep_ir:
         try:
             start, stop, count = args.sweep_ir.split(":")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .engine import TrainSettings
@@ -30,21 +30,18 @@ from .weights import WeightConfig
 
 OUTPUT_ROOT_ENV = "MTCL_OUTPUT_ROOT"
 
-_WEIGHT_DEFAULTS = {
-    "alpha": 0.2,
-    "theta_ds": 0.4,
-    "theta_di": 0.4,
-    "log_base": None,
-}
-_OPTIMIZER_DEFAULTS = {
-    "learning_rate": 0.05,
-    "epochs": 30,
-    "batch_size": 32,
-}
-_MODEL_DEFAULTS = {
-    "hidden1": 32,
-    "hidden2": 32,
-}
+
+def _defaults(cls, names) -> dict:
+    """Field defaults of a settings dataclass, keyed in the given order."""
+    found = {f.name: f.default for f in fields(cls)}
+    return {name: found[name] for name in names}
+
+
+# Each name tuple fixes the key order of its section in resolved_config.json.
+_WEIGHT_DEFAULTS = _defaults(WeightConfig, ("alpha", "theta_ds", "theta_di", "log_base"))
+_OPTIMIZER_DEFAULTS = _defaults(TrainSettings, ("learning_rate", "epochs", "batch_size"))
+_MODEL_DEFAULTS = _defaults(TrainSettings, ("hidden1", "hidden2"))
+_RUN_DEFAULTS = _defaults(TrainSettings, ("mode", "seed", "temperature"))
 
 
 @dataclass(frozen=True)
@@ -52,14 +49,14 @@ class RunConfig:
     """Validated, fully resolved settings for one run."""
 
     manifest: str
-    mode: str = "ours"
-    seed: int = 0
-    output_dir: str = "runs/run"
-    temperature: float = 2.0
-    weights: dict = field(default_factory=dict)
-    optimizer: dict = field(default_factory=dict)
-    model: dict = field(default_factory=dict)
-    llm_teacher: dict = None
+    mode: str
+    seed: int
+    output_dir: str
+    temperature: float
+    weights: dict
+    optimizer: dict
+    model: dict
+    llm_teacher: dict
 
     def train_settings(self) -> TrainSettings:
         return TrainSettings(
@@ -161,7 +158,7 @@ def build_run_config(payload: dict, overrides: dict = None) -> RunConfig:
     if not manifest or not isinstance(manifest, str):
         problems.append("manifest path is required")
         manifest = ""
-    mode = merged.get("mode", "ours")
+    mode = merged.get("mode", _RUN_DEFAULTS["mode"])
     weights = _merged(_WEIGHT_DEFAULTS, merged.get("weights"), "weights", problems)
     optimizer = _merged(
         _OPTIMIZER_DEFAULTS, merged.get("optimizer"), "optimizer", problems
@@ -183,9 +180,9 @@ def build_run_config(payload: dict, overrides: dict = None) -> RunConfig:
     cfg = RunConfig(
         manifest=str(manifest),
         mode=str(mode),
-        seed=int(merged.get("seed", 0)),
+        seed=int(merged.get("seed", _RUN_DEFAULTS["seed"])),
         output_dir=str(merged.get("output_dir", "runs/run")),
-        temperature=float(merged.get("temperature", 2.0)),
+        temperature=float(merged.get("temperature", _RUN_DEFAULTS["temperature"])),
         weights=weights,
         optimizer=optimizer,
         model=model,
@@ -212,7 +209,7 @@ def load_run_config(path, overrides: dict = None) -> RunConfig:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc

@@ -137,7 +137,7 @@ class StudentModel:
     """
 
     def __init__(self, seed: int, feature_length: int, question_length: int,
-                 hidden1: int = 32, hidden2: int = 32):
+                 hidden1: int, hidden2: int):
         self.seed = int(seed)
         self.feature_length = int(feature_length)
         self.question_length = int(question_length)
@@ -380,7 +380,7 @@ def train_task(
         settings, weight_cfg, t, prev_teacher, llm_teacher, task, ledger,
         prev_mask_names, llm_mask_names, labels,
     )
-    trace.record(t, 0, weights, breakdown)
+    trace.record(t, weights, breakdown)
 
     shuffle_rng = np.random.default_rng([settings.seed, 2, int(t)])
     n = len(task.samples)
@@ -574,24 +574,6 @@ def write_metrics_csv(path, rows) -> None:
             writer.writerow([row.t, row.dataset, repr(row.accuracy), repr(row.macro_f1)])
 
 
-def read_metrics_csv(path) -> list:
-    import csv
-
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for record in reader:
-            rows.append(
-                MetricsRow(
-                    t=int(record["t"]),
-                    dataset=record["dataset"],
-                    accuracy=float(record["accuracy"]),
-                    macro_f1=float(record["macro_f1"]),
-                )
-            )
-    return rows
-
-
 def save_checkpoint(path, model: StudentModel, task_index: int,
                     trace: WeightTrace, config_digest: str = "") -> None:
     """Versioned binary checkpoint, written atomically.
@@ -633,8 +615,11 @@ def load_checkpoint(path):
     allocate more than the file holds, and the parameter count must match
     the header's architecture before a model is built.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     if not data.startswith(CHECKPOINT_MAGIC):
         raise DataError(f"{path} is not a checkpoint file (bad magic)")
     try:

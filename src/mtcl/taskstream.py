@@ -65,8 +65,7 @@ class TaskDataset:
     task_index: int
     samples: list
     classes: list
-    class_counts: dict = field(default_factory=dict)
-    split: str = "train"
+    class_counts: dict = field(init=False)
 
     def __post_init__(self):
         if self.task_index < 1:
@@ -75,20 +74,14 @@ class TaskDataset:
         if len(set(names)) != len(names):
             raise DataError(f"duplicate class names in task {self.task_index}")
         known = {c.id for c in self.classes}
-        recount = {}
+        self.class_counts = {}
         for s in self.samples:
             if s.answer not in known:
                 raise DataError(
                     f"sample {s.id!r} answers class id {s.answer}, "
                     f"not in task {self.task_index}'s class set"
                 )
-            recount[s.answer] = recount.get(s.answer, 0) + 1
-        if not self.class_counts:
-            self.class_counts = recount
-        elif self.class_counts != recount:
-            raise DataError(
-                f"declared class counts disagree with a recount in task {self.task_index}"
-            )
+            self.class_counts[s.answer] = self.class_counts.get(s.answer, 0) + 1
 
     @property
     def class_names(self) -> list:
@@ -161,10 +154,17 @@ def load_manifest(path) -> StreamManifest:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"manifest {path} is not valid JSON: {exc}") from exc
+    try:
+        return _parse_manifest(path, payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"manifest {path} is malformed: {exc!r}") from exc
+
+
+def _parse_manifest(path: Path, payload) -> StreamManifest:
     for key in ("format_version", "feature_length", "vocab_file", "labels", "tasks"):
         if key not in payload:
             raise DataError(f"manifest {path} is missing {key!r}")
@@ -204,6 +204,11 @@ def load_manifest(path) -> StreamManifest:
                 raise DataError(
                     f"task {index} declares unknown class {name!r} (manifest drift)"
                 )
+        for key in ("train_file", "test_file"):
+            if not isinstance(entry[key], str):
+                raise DataError(
+                    f"manifest {path}: task {index} {key} must be a string, got {entry[key]!r}"
+                )
         tasks.append(
             TaskEntry(
                 index=index,
@@ -236,7 +241,7 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
     linenos = []
     try:
         lines = file_path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read task file {file_path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -284,7 +289,7 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
             lineno = linenos[int(np.argmin(finite))]
             raise DataError(f"{file_path}:{lineno}: non-finite or null feature value")
     classes = [by_name[name] for name in entry.class_names]
-    return TaskDataset(task_index=t, samples=samples, classes=classes, split=split)
+    return TaskDataset(task_index=t, samples=samples, classes=classes)
 
 
 def write_task(path, samples) -> None:

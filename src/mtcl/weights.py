@@ -39,9 +39,9 @@ class WeightConfig:
     step" (never below 2).
     """
 
-    alpha: float
-    theta_ds: float
-    theta_di: float
+    alpha: float = 0.2
+    theta_ds: float = 0.4
+    theta_di: float = 0.4
     log_base: Optional[float] = None
 
     def __post_init__(self):
@@ -200,13 +200,13 @@ class WeightTrace:
 
     rows: list = field(default_factory=list)
 
-    def record(self, t: int, epoch: int, triple: WeightTriple,
+    def record(self, t: int, triple: WeightTriple,
                breakdown: Optional[WeightBreakdown] = None) -> None:
         nan = float("nan")
         bd = breakdown
         self.rows.append({
             "t": t,
-            "epoch": epoch,
+            "epoch": 0,
             "acc_prev": bd.acc_prev if bd else nan,
             "acc_llm": bd.acc_llm if bd else nan,
             "ir": bd.ir if bd else nan,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import classes_up_to
+from conftest import classes_up_to, grad_check, read_metrics_csv
 
 from mtcl.bridge import (
     SCORE_EPS,
@@ -27,10 +27,9 @@ from mtcl.engine import (
     PrevModelTeacher,
     StudentModel,
     TrainSettings,
-    read_metrics_csv,
     train_task,
 )
-from mtcl.losses import batch_loss, grad_check, softened_softmax
+from mtcl.losses import batch_loss, softened_softmax
 from mtcl.taskstream import (
     GeneratorConfig,
     ImbalanceLedger,

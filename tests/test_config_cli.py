@@ -10,8 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import read_metrics_csv
 
 import mtcl
+from mtcl.bridge import FIXTURE_MAGIC, FIXTURE_VERSION
 from mtcl.cli import main
 from mtcl.config import (
     OUTPUT_ROOT_ENV,
@@ -19,7 +21,7 @@ from mtcl.config import (
     build_run_config,
     load_run_config,
 )
-from mtcl.engine import StudentModel, read_metrics_csv, save_checkpoint
+from mtcl.engine import StudentModel, save_checkpoint
 from mtcl.errors import (
     ConfigError,
     DataError,
@@ -226,6 +228,14 @@ def cli_workspace(tmp_path_factory):
     return root
 
 
+def fixture_record(sample_id: bytes, shape) -> bytes:
+    """A one-record fixture whose header declares ``shape`` over 16 data bytes."""
+    return (
+        FIXTURE_MAGIC + struct.pack("<HH", FIXTURE_VERSION, len(sample_id)) + sample_id
+        + struct.pack("<III", *shape) + bytes(16)
+    )
+
+
 class TestCliRun:
     def test_full_run_writes_artifacts(self, cli_workspace, tmp_path, capsys):
         out = tmp_path / "ours"
@@ -357,6 +367,97 @@ class TestCliRun:
         assert code == 3
         assert "task1.train.jsonl:1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "contents",
+        [
+            None,
+            fixture_record(b"\xff\xfe", (1, 1, 1)),
+            fixture_record(b"t2-00000", (2**31, 2**31, 4)),
+            fixture_record(b"t2-00000", (2**16, 2**16, 2**6)),
+        ],
+        ids=["missing", "non-utf8-id", "overflowing-shape", "1-tib-shape"],
+    )
+    def test_corrupt_fixture_exits_3(self, cli_workspace, tmp_path, capsys, contents):
+        fixture = tmp_path / "scores.bin"
+        if contents is not None:
+            fixture.write_bytes(contents)
+        code = main(
+            [
+                "run", str(cli_workspace / "run.json"), "--fixture", str(fixture),
+                "--epochs", "1", "--output-dir", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 3
+        assert str(fixture) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda m: m.update(feature_length="abc"),
+            lambda m: m["labels"][0].pop("id"),
+            lambda m: m["tasks"][0].update(index=None),
+            lambda m: m.update(labels=5),
+            lambda m: m["tasks"][0].update(train_file=5),
+        ],
+        ids=[
+            "text-feature-length", "label-without-id", "null-task-index",
+            "labels-not-a-list", "numeric-file-name",
+        ],
+    )
+    def test_ill_typed_manifest_exits_3(self, cli_workspace, tmp_path, capsys, mutate):
+        stream = tmp_path / "stream"
+        shutil.copytree(cli_workspace / "stream", stream)
+        manifest = stream / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        mutate(payload)
+        manifest.write_text(json.dumps(payload))
+        code = main(
+            [
+                "run", str(cli_workspace / "run.json"), "--manifest", str(manifest),
+                "--mode", "ft", "--epochs", "1", "--output-dir", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 3
+        assert str(manifest) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("run.json", 2),
+            ("stream/manifest.json", 3),
+            ("stream/vocab.txt", 3),
+            ("stream/task1.train.jsonl", 3),
+        ],
+    )
+    def test_non_utf8_text_file_exits_2_or_3(self, cli_workspace, tmp_path, capsys,
+                                              name, expected):
+        shutil.copytree(cli_workspace / "stream", tmp_path / "stream")
+        shutil.copy(cli_workspace / "run.json", tmp_path / "run.json")
+        target = tmp_path / name
+        target.write_bytes(b"\xff" + target.read_bytes())
+        code = main(
+            [
+                "run", str(tmp_path / "run.json"),
+                "--epochs", "1", "--output-dir", str(tmp_path / "x"),
+            ]
+        )
+        assert code == expected
+        assert str(target) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["ft", "lwf"])
+    def test_general_teacher_unused_outside_ours(self, cli_workspace, tmp_path, mode):
+        out = tmp_path / mode
+        missing = tmp_path / "no-such-scores.bin"
+        code = main(
+            [
+                "run", str(cli_workspace / "run.json"), "--mode", mode,
+                "--fixture", str(missing), "--epochs", "1", "--output-dir", str(out),
+            ]
+        )
+        assert code == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["llm_teacher"] == {"kind": "fixture", "path": str(missing)}
+
 
 class TestCliGenerate:
     def test_writes_stream_and_prints_manifest_path(self, tmp_path, capsys):
@@ -477,6 +578,13 @@ class TestCliEval:
                 ]
             )
             assert code == 3
+        bad.unlink()
+        assert main(
+            [
+                "eval", "--checkpoint", str(bad),
+                "--manifest", str(cli_workspace / "stream/manifest.json"), "--task", "1",
+            ]
+        ) == 3
 
 
 class TestCliTopLevel:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import classes_up_to, latest_triple
+from conftest import classes_up_to, latest_triple, read_metrics_csv
 
 from mtcl.bridge import build_vocabulary
 from mtcl.engine import (
@@ -17,7 +17,6 @@ from mtcl.engine import (
     encode_question,
     evaluate,
     load_checkpoint,
-    read_metrics_csv,
     run_continual,
     save_checkpoint,
     train_task,
@@ -597,7 +596,7 @@ class TestCheckpointFormat:
         model = StudentModel(3, 4, 6, 8, 8).grow_head([toy_label(0), toy_label(1)])
         model.w1 += 0.123456789
         trace = WeightTrace()
-        trace.record(1, 0, WeightTriple(1.0, 0.0, 0.0))
+        trace.record(1, WeightTriple(1.0, 0.0, 0.0))
         path = tmp_path / "ck.bin"
         save_checkpoint(path, model, 1, trace, "digest")
         restored, header = load_checkpoint(path)

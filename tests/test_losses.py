@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import grad_check
 
 from mtcl.errors import DimensionMismatchError, NumericError
 from mtcl.losses import (
@@ -18,7 +19,6 @@ from mtcl.losses import (
     batch_loss,
     combine_losses,
     cross_entropy,
-    grad_check,
     hard_label_loss,
     kd_loss,
     softened_softmax,

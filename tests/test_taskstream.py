@@ -56,14 +56,6 @@ class TestTaskDataset:
         assert task.class_counts == {0: 4, 1: 2, 2: 8}
         assert task.class_names == list(STREAM_NAMES)
 
-    def test_declared_counts_must_match_recount(self):
-        classes = toy_classes(STREAM_NAMES)
-        samples = toy_task({0: 3}, classes).samples
-        with pytest.raises(DataError):
-            TaskDataset(
-                task_index=1, samples=samples, classes=classes, class_counts={0: 99}
-            )
-
     def test_sample_outside_class_set_rejected(self):
         classes = toy_classes(("cut", "idle"))
         stray = Sample(id="x", features=np.zeros(2), question="q", answer=5, answer_name="?")
@@ -184,7 +176,6 @@ class TestManifestRoundtrip:
         assert [c.name for c in manifest.labels] == list(STREAM_NAMES)
         assert manifest.task_entry(2).class_names == ("idle", "grasp")
         task = load_task(manifest, 1, split="train")
-        assert task.split == "train"
         assert [s.id for s in task.samples] == ["t1-0", "t1-1", "t1-2"]
         assert [s.answer_name for s in task.samples] == ["cut", "idle", "cut"]
         assert task.class_counts == {0: 2, 1: 1}

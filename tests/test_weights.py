@@ -242,10 +242,10 @@ class TestMeasureTeacherAccuracy:
 class TestWeightTrace:
     def test_record_and_latest(self):
         trace = WeightTrace()
-        trace.record(1, 0, WeightTriple(1.0, 0.0, 0.0))
+        trace.record(1, WeightTriple(1.0, 0.0, 0.0))
         cfg = WeightConfig(alpha=0.2, theta_ds=0.4, theta_di=0.4, log_base=10.0)
         triple, breakdown = assemble_weights(cfg, 0.75, 0.25, 10.0)
-        trace.record(2, 0, triple, breakdown)
+        trace.record(2, triple, breakdown)
         assert latest_triple(trace) == triple
         assert math.isnan(trace.rows[0]["acc_prev"])
         assert trace.rows[1]["acc_prev"] == 0.75
@@ -259,8 +259,8 @@ class TestWeightTrace:
         trace = WeightTrace()
         cfg = WeightConfig(alpha=0.2, theta_ds=0.4, theta_di=0.4, log_base=10.0)
         triple, breakdown = assemble_weights(cfg, 1.0 / 3.0, 0.1, 7.3)
-        trace.record(1, 0, WeightTriple(1.0, 0.0, 0.0))
-        trace.record(2, 3, triple, breakdown)
+        trace.record(1, WeightTriple(1.0, 0.0, 0.0))
+        trace.record(2, triple, breakdown)
         path = tmp_path / "trace.csv"
         trace.write_csv(path)
         with open(path, newline="") as fh:
@@ -270,4 +270,4 @@ class TestWeightTrace:
         assert float(rows[1]["acc_prev"]) == 1.0 / 3.0
         assert math.isnan(float(rows[0]["ir"]))
         assert rows[1]["t"] == "2"
-        assert rows[1]["epoch"] == "3"
+        assert rows[1]["epoch"] == "0"
