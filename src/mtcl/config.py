@@ -176,13 +176,19 @@ def build_run_config(payload: dict, overrides: dict = None) -> RunConfig:
         llm_teacher = None
     if mode == "ours" and llm_teacher is None:
         problems.append("mode 'ours' needs an llm_teacher entry")
+    numbers = dict(_RUN_DEFAULTS)
+    for name, kind in (("seed", int), ("temperature", float)):
+        try:
+            numbers[name] = kind(merged.get(name, numbers[name]))
+        except (TypeError, ValueError, OverflowError):
+            problems.append(f"{name} must be {kind.__name__}, got {merged[name]!r}")
 
     cfg = RunConfig(
         manifest=str(manifest),
         mode=str(mode),
-        seed=int(merged.get("seed", _RUN_DEFAULTS["seed"])),
+        seed=numbers["seed"],
         output_dir=str(merged.get("output_dir", "runs/run")),
-        temperature=float(merged.get("temperature", _RUN_DEFAULTS["temperature"])),
+        temperature=numbers["temperature"],
         weights=weights,
         optimizer=optimizer,
         model=model,

@@ -250,7 +250,7 @@ class StudentModel:
 
 
 class PrevModelTeacher(Teacher):
-    """Frozen snapshot of the student, serving logits for its own classes.
+    """Frozen snapshot of the student, serving logits for its whole head.
 
     A score table is one batched forward pass over the samples.
     """
@@ -265,7 +265,7 @@ class PrevModelTeacher(Teacher):
         return tuple(self.model.class_names)
 
     def score_table(self, samples, mask_names) -> np.ndarray:
-        table = self._logits(samples, tuple(mask_names))
+        table = self._logits(samples, mask_names)
         self.query_count += len(samples)
         return table
 
@@ -273,13 +273,13 @@ class PrevModelTeacher(Teacher):
         return self._logits([sample], mask_names)[0]
 
     def _logits(self, samples, mask_names) -> np.ndarray:
-        position = {name: i for i, name in enumerate(self.model.class_names)}
-        unknown = [n for n in mask_names if n not in position]
-        if unknown:
-            raise DataError(f"previous model does not know classes {unknown}")
+        if tuple(mask_names) != self.class_names:
+            raise DataError(
+                f"previous model scores its head {list(self.class_names)} in order, "
+                f"not {list(mask_names)}"
+            )
         inputs = encode_inputs(samples, self.vocab, self.model.feature_length)
-        logits = self.model.forward(inputs)
-        return logits[:, [position[n] for n in mask_names]]
+        return self.model.forward(inputs)
 
 
 def _resolve_weights(
@@ -290,8 +290,7 @@ def _resolve_weights(
     llm_teacher,
     task: TaskDataset,
     ledger: ImbalanceLedger,
-    prev_mask_names,
-    llm_mask_names,
+    head_names: tuple,
     labels: np.ndarray,
 ):
     """Pick the task's (alpha, beta, chi) triple and score its samples.
@@ -310,16 +309,15 @@ def _resolve_weights(
         triple = WeightTriple(weight_cfg.alpha, 1.0 - weight_cfg.alpha, 0.0)
         prev_table = None
         if triple.beta > 0.0:
-            prev_table = prev_teacher.score_table(task.samples, prev_mask_names)
+            prev_table = prev_teacher.score_table(task.samples, prev_teacher.class_names)
         return triple, None, prev_table, None
     if prev_teacher is None or llm_teacher is None:
         raise ConfigError(
             "adaptive weighting needs both a previous model and a general teacher"
         )
-    prev_table = prev_teacher.score_table(task.samples, prev_mask_names)
-    llm_table = llm_teacher.score_table(task.samples, llm_mask_names)
-    prev_column = {name: i for i, name in enumerate(prev_mask_names)}
-    prev_truth = [prev_column.get(s.answer_name, -1) for s in task.samples]
+    prev_table = prev_teacher.score_table(task.samples, prev_teacher.class_names)
+    llm_table = llm_teacher.score_table(task.samples, head_names)
+    prev_truth = np.where(labels < prev_table.shape[1], labels, -1)
     triple, breakdown = assemble_weights(
         weight_cfg,
         measure_teacher_accuracy(prev_table, prev_truth),
@@ -353,9 +351,13 @@ def train_task(
     The weights are set once per task, from one score table per teacher.
     Teachers whose weight is zero are never queried.  A teacher failure
     or a non-finite loss aborts the run; terms are never dropped
-    silently.  ``observer``, if given, is called once per batch with the
-    raw ingredients of that batch's loss (for side-by-side recomputation
-    in tests).
+    silently.  The previous model's head must be a prefix of the
+    student's: its table of width ``m`` covers the first ``m`` columns.
+    ``observer``, if given, is called once per batch with a dict of that
+    batch's loss ingredients (for side-by-side recomputation in tests):
+    ``t``, ``epoch``, ``batch``, ``sample_ids``, ``labels``,
+    ``student_logits``, ``prev_logits``, ``llm_logits`` (teacher rows or
+    None), ``weights``, ``temperature`` and ``breakdown``.
     """
     if not task.samples:
         raise DataError(f"task {t} has no training samples")
@@ -363,13 +365,13 @@ def train_task(
     for name in task.class_names:
         if name not in vocab_positions:
             raise DataError(f"student head is missing class {name!r}; grow it first")
-
-    prev_mask_names = prev_teacher.class_names if prev_teacher else ()
-    llm_mask_names = tuple(student.class_names)
-    prev_mask = np.array(
-        [vocab_positions[n] for n in prev_mask_names], dtype=np.int64
-    ) if prev_mask_names else None
-    llm_mask = np.arange(student.n_classes, dtype=np.int64)
+    head_names = tuple(student.class_names)
+    prev_names = prev_teacher.class_names if prev_teacher else ()
+    if head_names[: len(prev_names)] != prev_names:
+        raise DataError(
+            f"student head {list(head_names)} does not extend the previous model's "
+            f"head {list(prev_names)}"
+        )
 
     inputs = encode_inputs(task.samples, vocab, student.feature_length)
     labels = np.array(
@@ -378,7 +380,7 @@ def train_task(
 
     weights, breakdown, prev_table, llm_table = _resolve_weights(
         settings, weight_cfg, t, prev_teacher, llm_teacher, task, ledger,
-        prev_mask_names, llm_mask_names, labels,
+        head_names, labels,
     )
     trace.record(t, weights, breakdown)
 
@@ -390,7 +392,7 @@ def train_task(
             batch_idx = order[start : start + settings.batch_size]
             _train_batch(
                 student, task, inputs, labels, batch_idx, weights,
-                prev_table, llm_table, prev_mask, llm_mask, settings,
+                prev_table, llm_table, settings,
                 observer, t, epoch, start // settings.batch_size,
             )
     return student
@@ -398,7 +400,7 @@ def train_task(
 
 def _train_batch(
     student, task, inputs, labels, batch_idx, weights,
-    prev_table, llm_table, prev_mask, llm_mask, settings,
+    prev_table, llm_table, settings,
     observer, t, epoch, batch_number,
 ):
     x = inputs[batch_idx]
@@ -407,9 +409,7 @@ def _train_batch(
     delta = settings.temperature
     prev_rows = None if prev_table is None else prev_table[batch_idx]
     llm_rows = None if llm_table is None else llm_table[batch_idx]
-    breakdown, dz = batch_loss(
-        logits, y, weights, delta, prev_rows, prev_mask, llm_rows, llm_mask
-    )
+    breakdown, dz = batch_loss(logits, y, weights, delta, prev_rows, llm_rows)
     grads = student.backward(cache, dz)
     student.apply_gradients(grads, settings.learning_rate)
     if observer is not None:
@@ -423,8 +423,6 @@ def _train_batch(
                 "student_logits": logits.copy(),
                 "prev_logits": prev_rows,
                 "llm_logits": llm_rows,
-                "prev_mask": None if prev_mask is None else prev_mask.copy(),
-                "llm_mask": llm_mask.copy(),
                 "weights": weights,
                 "temperature": delta,
                 "breakdown": breakdown,

@@ -2,11 +2,10 @@
 
 All losses operate on raw logits, one row per sample: a batch of ``b``
 samples over ``k`` student classes is a ``(b, k)`` logit matrix with a
-``(b,)`` vector of label indices, and a teacher scoring ``m`` masked
-classes supplies a ``(b, m)`` logit matrix plus the length-``m`` index
-mask that places its columns among the student's.  Each term returns
-its ``(b,)`` per-row losses and the ``(b, k)`` gradient of those losses
-at the student logits.
+``(b,)`` vector of label indices.  A teacher's ``(b, m)`` logit matrix
+scores the first ``m`` student classes in head order (the head only
+grows by appending).  Each term returns its ``(b,)`` per-row losses and
+the ``(b, k)`` gradient of those losses at the student logits.
 
 Distillation compares temperature-softened distributions of teacher and
 student; the teacher distribution is the target of the cross entropy
@@ -40,7 +39,8 @@ def softened_softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray
     Numerically stabilized by max subtraction; temperature 1 is the
     plain softmax.  The input is made C-contiguous first, so each row of
     a matrix is summed in the same order as the same row on its own
-    (a column-gathered matrix such as ``x[:, mask]`` is column-major).
+    (a prefix view ``x[:, :m]`` is strided; a teacher table may be
+    column-major).
     """
     if temperature <= 0.0:
         raise NumericError(f"temperature must be > 0, got {temperature}")
@@ -101,36 +101,30 @@ def kd_loss(
     teacher_logits: np.ndarray,
     student_logits: np.ndarray,
     temperature: float,
-    mask: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distillation cross entropy of each row, restricted to the masked classes.
+    """Distillation cross entropy of each row over the teacher's classes.
 
-    ``mask`` selects the class indices both parties score (the teacher's
-    known label space), so ``teacher_logits`` is ``(b, mask.size)`` and
-    ``student_logits`` is ``(b, k)``.  The returned gradient has the
-    student's shape with zeros outside the mask.  The gradient omits any
-    temperature-squared rescaling, so it is the exact derivative of the
-    returned losses: d/ds CE = (softmax(s/T) - softmax(t/T)) / T on the
-    masked entries.
+    ``teacher_logits`` is ``(b, m)`` and scores the first ``m`` of the
+    ``k`` classes of the ``(b, k)`` ``student_logits``, so ``0 < m <= k``.
+    The returned gradient has the student's shape with zeros past column
+    ``m``.  It omits any temperature-squared rescaling, so it is the
+    exact derivative of the returned losses: d/ds CE = (softmax(s/T) -
+    softmax(t/T)) / T on the first ``m`` entries.
     """
     teacher_logits = np.asarray(teacher_logits, dtype=np.float64)
     student_logits = _logit_matrix(student_logits)
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.ndim != 1 or mask.size == 0:
-        raise DimensionMismatchError("class mask must be a non-empty index vector")
     b, k = student_logits.shape
-    if mask.min() < 0 or mask.max() >= k:
-        raise DimensionMismatchError(f"mask indices out of range for {k} student classes")
-    if teacher_logits.shape != (b, mask.size):
+    m = teacher_logits.shape[-1] if teacher_logits.ndim == 2 else 0
+    if teacher_logits.shape != (b, m) or not 0 < m <= k:
         raise DimensionMismatchError(
             f"teacher produced {teacher_logits.shape} logits for {b} rows "
-            f"and a mask of {mask.size}"
+            f"over {k} student classes"
         )
     t_probs = softened_softmax(teacher_logits, temperature)
-    s_probs = softened_softmax(student_logits[:, mask], temperature)
+    s_probs = softened_softmax(student_logits[:, :m], temperature)
     losses = cross_entropy(t_probs, s_probs)
     grad = np.zeros_like(student_logits)
-    grad[:, mask] = (s_probs - t_probs) / temperature
+    grad[:, :m] = (s_probs - t_probs) / temperature
     return losses, grad
 
 
@@ -171,9 +165,7 @@ def batch_loss(
     weights: WeightTriple,
     temperature: float,
     prev_rows,
-    prev_mask,
     llm_rows,
-    llm_mask,
 ) -> tuple[LossBreakdown, np.ndarray]:
     """The weighted three-term objective of one batch and its logit gradient.
 
@@ -189,14 +181,11 @@ def batch_loss(
     if weights.alpha > 0.0:
         dz += weights.alpha * grad / b
     kd = []
-    for w, rows, mask in (
-        (weights.beta, prev_rows, prev_mask),
-        (weights.chi, llm_rows, llm_mask),
-    ):
+    for w, rows in ((weights.beta, prev_rows), (weights.chi, llm_rows)):
         if rows is None or w == 0.0:
             kd.append(float("nan"))
             continue
-        losses, grad = kd_loss(rows, logits, temperature, mask)
+        losses, grad = kd_loss(rows, logits, temperature)
         dz += w * grad / b
         kd.append(float(losses.sum()) / b)
     return combine_losses(weights, float(hard.sum()) / b, *kd), dz

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import math
+import os
 import uuid
 
 import numpy as np
@@ -38,6 +40,17 @@ from .errors import (
 
 # Pre-softmax margin the oracle puts on its chosen label.
 ORACLE_MARGIN = 2.0
+
+
+def _checked(name: str, value, kind, valid, wanted: str):
+    """``kind(value)`` if it converts and is ``valid``, else DataError naming the field."""
+    try:
+        converted = kind(value)
+        if valid(converted):
+            return converted
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DataError(f"teacher field {name!r} must be {wanted}, got {value!r}")
 
 
 class Teacher:
@@ -73,6 +86,8 @@ class FixtureTeacher(Teacher):
 
     def __init__(self, fixture_path, vocab: Vocabulary):
         super().__init__()
+        if not isinstance(fixture_path, (str, os.PathLike)):
+            raise DataError(f"teacher field 'path' must be a file path, got {fixture_path!r}")
         self.records = read_fixture(fixture_path)
         self.vocab = vocab
         self._tables = {}
@@ -122,6 +137,11 @@ class ServiceTeacher(Teacher):
             raise DataError(f"want must be 'embeddings' or 'logits', got {want!r}")
         if want == "embeddings" and vocab is None:
             raise DataError("embeddings mode needs a vocabulary for the token targets")
+        if not isinstance(base_url, str) or not base_url.startswith(("http://", "https://")):
+            raise DataError(f"teacher field 'base_url' must be an http(s) URL, got {base_url!r}")
+        timeout = _checked("timeout", timeout, float, lambda v: 0.0 < v < math.inf,
+                           "a finite number of seconds > 0")
+        retries = _checked("retries", retries, int, lambda v: v >= 0, "an integer >= 0")
         if session is None:
             import requests
 
@@ -216,10 +236,9 @@ class NoisyOracleTeacher(Teacher):
 
     def __init__(self, seed: int, accuracy: float):
         super().__init__()
-        if not 0.0 < accuracy <= 1.0:
-            raise DataError(f"oracle accuracy must be in (0, 1], got {accuracy}")
-        self.seed = int(seed)
-        self.accuracy = accuracy
+        self.accuracy = _checked("accuracy", accuracy, float, lambda v: 0.0 < v <= 1.0,
+                                 "a number in (0, 1]")
+        self.seed = _checked("seed", seed, int, lambda v: True, "an integer")
 
     def _draws(self, sample_id: str) -> tuple[float, int]:
         digest = hashlib.sha256(f"{self.seed}:{sample_id}".encode("utf-8")).digest()
@@ -250,33 +269,20 @@ def teacher_from_config(
     """Build a teacher from its JSON description.
 
     ``spec["kind"]`` selects the backend: ``fixture`` (path), ``service``
-    (base_url, want, timeout, retries), or ``noisy-oracle`` (accuracy,
-    optional seed falling back to ``default_seed``).
+    (base_url, optional want, timeout, retries), or ``noisy-oracle``
+    (accuracy, optional seed falling back to ``default_seed``).  A
+    missing or ill-typed field is a DataError naming it.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise DataError(f"teacher description must be an object with a 'kind': {spec!r}")
     kind = spec["kind"]
     if kind == "fixture":
-        if "path" not in spec:
-            raise DataError("fixture teacher needs a 'path'")
         if vocab is None:
             raise DataError("fixture teacher needs a vocabulary")
-        return FixtureTeacher(spec["path"], vocab)
+        return FixtureTeacher(spec.get("path"), vocab)
     if kind == "service":
-        if "base_url" not in spec:
-            raise DataError("service teacher needs a 'base_url'")
-        return ServiceTeacher(
-            spec["base_url"],
-            vocab=vocab,
-            want=spec.get("want", "embeddings"),
-            timeout=float(spec.get("timeout", 10.0)),
-            retries=int(spec.get("retries", 2)),
-        )
+        options = {key: spec[key] for key in ("want", "timeout", "retries") if key in spec}
+        return ServiceTeacher(spec.get("base_url"), vocab=vocab, **options)
     if kind == "noisy-oracle":
-        if "accuracy" not in spec:
-            raise DataError("noisy-oracle teacher needs an 'accuracy'")
-        seed = spec.get("seed", default_seed)
-        if seed is None:
-            raise DataError("noisy-oracle teacher needs a 'seed'")
-        return NoisyOracleTeacher(int(seed), float(spec["accuracy"]))
+        return NoisyOracleTeacher(spec.get("seed", default_seed), spec.get("accuracy"))
     raise DataError(f"unknown teacher kind {kind!r}")

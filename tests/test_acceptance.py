@@ -135,8 +135,6 @@ def test_criterion_3_gradient_check():
     rng = np.random.default_rng(1003)
     x = rng.normal(size=(3, 7))
     labels = [0, 2, 1]
-    prev_mask = np.array([0, 1], dtype=np.int64)
-    llm_mask = np.arange(4, dtype=np.int64)
     prev_teacher_logits = rng.normal(size=(3, 2))
     llm_teacher_logits = rng.normal(size=(3, 4))
     weights = WeightTriple(0.3, 0.4, 0.3)
@@ -146,8 +144,7 @@ def test_criterion_3_gradient_check():
         model.set_flat(flat)
         logits, cache = model.forward(x, want_cache=True)
         breakdown, dz = batch_loss(
-            logits, labels, weights, delta,
-            prev_teacher_logits, prev_mask, llm_teacher_logits, llm_mask,
+            logits, labels, weights, delta, prev_teacher_logits, llm_teacher_logits,
         )
         grads = model.backward(cache, dz)
         flat_grad = np.concatenate(
@@ -216,7 +213,7 @@ def test_criterion_4_lwf_reduction(tmp_path):
             teacher_probs = _plain_softmax(
                 [float(v) for v in ctx["prev_logits"][i]], ctx["temperature"]
             )
-            student_masked = [row[int(j)] for j in ctx["prev_mask"]]
+            student_masked = row[: len(ctx["prev_logits"][i])]
             student_probs = _plain_softmax(student_masked, ctx["temperature"])
             kd += -sum(
                 tp * math.log(sp) for tp, sp in zip(teacher_probs, student_probs)

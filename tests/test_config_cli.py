@@ -444,6 +444,53 @@ class TestCliRun:
         assert code == expected
         assert str(target) in capsys.readouterr().err
 
+    def write_config(self, cli_workspace, tmp_path, **changes):
+        config = json.loads((cli_workspace / "run.json").read_text())
+        config["manifest"] = str(cli_workspace / "stream" / "manifest.json")
+        config.update(changes)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", "abc"), ("seed", [1]), ("seed", float("inf")),
+         ("temperature", None), ("temperature", "hot")],
+        ids=["seed-text", "seed-list", "seed-infinite", "temperature-null",
+             "temperature-text"],
+    )
+    def test_ill_typed_run_value_exits_2(self, cli_workspace, tmp_path, capsys,
+                                         field, value):
+        config = self.write_config(cli_workspace, tmp_path, **{field: value})
+        code = main(["run", str(config), "--output-dir", str(tmp_path / "x")])
+        assert code == 2
+        assert f"{field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"kind": "service", "base_url": "http://127.0.0.1:1", "timeout": "x"}, "timeout"),
+            ({"kind": "service", "base_url": "http://127.0.0.1:1", "timeout": 0}, "timeout"),
+            ({"kind": "service", "base_url": 5}, "base_url"),
+            ({"kind": "service", "base_url": "http://127.0.0.1:1", "retries": -1}, "retries"),
+            ({"kind": "noisy-oracle", "accuracy": "high"}, "accuracy"),
+            ({"kind": "noisy-oracle", "accuracy": 0.7, "seed": "s"}, "seed"),
+            ({"kind": "fixture", "path": 5}, "path"),
+        ],
+        ids=["timeout-text", "timeout-zero", "base-url-number", "retries-negative",
+             "accuracy-text", "seed-text", "path-number"],
+    )
+    def test_ill_typed_teacher_field_exits_3(self, cli_workspace, tmp_path, capsys,
+                                             monkeypatch, spec, field):
+        def no_file(path):
+            raise AssertionError(f"fixture {path!r} was opened")
+
+        monkeypatch.setattr("mtcl.teachers.read_fixture", no_file)
+        config = self.write_config(cli_workspace, tmp_path, llm_teacher=spec)
+        code = main(["run", str(config), "--output-dir", str(tmp_path / "x")])
+        assert code == 3
+        assert f"teacher field '{field}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", ["ft", "lwf"])
     def test_general_teacher_unused_outside_ours(self, cli_workspace, tmp_path, mode):
         out = tmp_path / mode

@@ -171,10 +171,9 @@ class TestStudentModel:
         x = rng.normal(size=(4, 7))
         y = np.array([0, 2, 1, 0])
         hard_only = WeightTriple(1.0, 0.0, 0.0)
-        llm_mask = np.arange(3)
 
         def loss_and_dz(logits):
-            breakdown, dz = batch_loss(logits, y, hard_only, 1.0, None, None, None, llm_mask)
+            breakdown, dz = batch_loss(logits, y, hard_only, 1.0, None, None)
             return breakdown.total, dz
 
         def loss_at(flat):
@@ -223,14 +222,25 @@ class TestPrevModelTeacher:
         s = self.sample()
         x = np.concatenate([s.features, encode_question(s.question, vocab)])
         full = model.forward(x[None])[0]
-        out = teacher.query(s, ("grasp", "cut"))
-        np.testing.assert_array_equal(out, full[[2, 0]])
+        out = teacher.query(s, ("cut", "idle", "grasp"))
+        np.testing.assert_array_equal(out, full)
 
     def test_unknown_class_rejected(self):
         model, vocab = self.make_model()
         teacher = PrevModelTeacher(model, vocab)
-        with pytest.raises(DataError):
-            teacher.query(self.sample(), ("cut", "phantom"))
+        # It serves its whole head in head order, nothing else.
+        for mask in (
+            ("cut", "phantom"),
+            ("grasp", "cut"),
+            ("cut", "grasp", "idle"),
+            ("cut", "idle"),
+            ("idle", "grasp"),
+            ("cut", "idle", "grasp", "phantom"),
+        ):
+            with pytest.raises(DataError):
+                teacher.query(self.sample(), mask)
+            with pytest.raises(DataError):
+                teacher.score_table([self.sample()], mask)
 
     def test_score_table_is_one_batched_forward(self):
         model, vocab = self.make_model()
@@ -241,14 +251,14 @@ class TestPrevModelTeacher:
                    answer=0, answer_name="cut")
             for i, q in enumerate(["what", "which tool", "", "cut it", "idle?"])
         ]
-        mask = ("grasp", "cut")
+        mask = ("cut", "idle", "grasp")
         table = teacher.score_table(samples, mask)
         assert teacher.query_count == len(samples)
         stacked = np.array([
             np.concatenate([s.features, encode_question(s.question, vocab)])
             for s in samples
         ])
-        np.testing.assert_array_equal(table, model.forward(stacked)[:, [2, 0]])
+        np.testing.assert_array_equal(table, model.forward(stacked))
         # One-row and many-row BLAS products may round the last bit apart.
         queried = np.array([teacher.query(s, mask) for s in samples])
         np.testing.assert_allclose(table, queried, rtol=0.0, atol=1e-12)
@@ -415,6 +425,29 @@ class TestTrainTask:
                 student, None, None, task, ImbalanceLedger().update(task),
                 settings, standard_weights(), mini_stream.vocab, 1, WeightTrace(),
             )
+
+    def test_head_must_extend_previous_model_head(self, mini_stream):
+        settings = TrainSettings(seed=5, mode="ours", **FAST)
+        task1 = load_task(mini_stream, 1)
+        task2 = load_task(mini_stream, 2)
+        old = StudentModel(
+            settings.seed, mini_stream.feature_length, len(mini_stream.vocab) + 1,
+            settings.hidden1, settings.hidden2,
+        ).grow_head(task1.classes)
+        prev = PrevModelTeacher(old, mini_stream.vocab)
+        llm = NoisyOracleTeacher(seed=2, accuracy=0.8)
+        # Every class is in the head, but the previous model's are not its prefix.
+        student = StudentModel(
+            settings.seed, mini_stream.feature_length, len(mini_stream.vocab) + 1,
+            settings.hidden1, settings.hidden2,
+        ).grow_head(list(reversed(classes_up_to(mini_stream, 2))))
+        ledger = ImbalanceLedger().update(task1).update(task2)
+        with pytest.raises(DataError, match="does not extend"):
+            train_task(
+                student, prev, llm, task2, ledger, settings, standard_weights(),
+                mini_stream.vocab, 2, WeightTrace(),
+            )
+        assert prev.query_count == llm.query_count == 0
 
     def test_observer_sees_every_batch(self, mini_stream):
         task = load_task(mini_stream, 1)

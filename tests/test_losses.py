@@ -208,31 +208,29 @@ def kd_oracle(teacher, student_masked, delta):
 class TestKdLoss:
     def test_self_distillation_gives_entropy(self):
         z = np.array([[0.0, 0.0]])
-        losses, _ = kd_loss(z, z, 1.0, np.array([0, 1]))
+        losses, _ = kd_loss(z, z, 1.0)
         assert abs(losses[0] - math.log(2.0)) <= 1e-12
 
     def test_matches_oracle_with_mask(self):
         rng = np.random.default_rng(1030)
         for _ in range(100):
             n_student = int(rng.integers(3, 8))
-            mask_size = int(rng.integers(2, n_student + 1))
-            mask = rng.choice(n_student, size=mask_size, replace=False)
+            m = int(rng.integers(1, n_student + 1))
             b = int(rng.integers(1, 5))
-            teacher = rng.normal(0.0, 2.0, size=(b, mask_size))
+            teacher = rng.normal(0.0, 2.0, size=(b, m))
             student = rng.normal(0.0, 2.0, size=(b, n_student))
             delta = float(rng.uniform(0.5, 5.0))
-            losses, _ = kd_loss(teacher, student, delta, mask)
+            losses, _ = kd_loss(teacher, student, delta)
             for r in range(b):
-                assert abs(losses[r] - kd_oracle(teacher[r], student[r, mask], delta)) <= 1e-12
+                assert abs(losses[r] - kd_oracle(teacher[r], student[r, :m], delta)) <= 1e-12
 
     def test_high_temperature_approaches_uniform_entropy(self):
         teacher = np.array([[2.0, 0.0, 1.0]])
         student = np.array([[0.0, 1.0, 0.0]])
-        mask = np.array([0, 1, 2])
         limit = math.log(3.0)
         gaps = []
         for delta in (1.0, 10.0, 100.0):
-            losses, _ = kd_loss(teacher, student, delta, mask)
+            losses, _ = kd_loss(teacher, student, delta)
             gaps.append(abs(losses[0] - limit))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 1e-3
@@ -240,8 +238,7 @@ class TestKdLoss:
     def test_peaked_teacher_reduces_to_hard_ce(self):
         student = np.array([[0.3, -0.7, 1.1]])
         teacher = np.array([[1000.0, 0.0, 0.0]])
-        mask = np.array([0, 1, 2])
-        losses, _ = kd_loss(teacher, student, 1.0, mask)
+        losses, _ = kd_loss(teacher, student, 1.0)
         expected = ce_oracle([1.0, 0.0, 0.0], softmax_oracle(student[0], 1.0))
         assert abs(losses[0] - expected) <= 1e-6
 
@@ -251,7 +248,7 @@ class TestKdLoss:
             teacher = rng.normal(0.0, 2.0, size=(3, 4))
             student = rng.normal(0.0, 2.0, size=(3, 4))
             delta = float(rng.uniform(0.5, 4.0))
-            losses, _ = kd_loss(teacher, student, delta, np.arange(4))
+            losses, _ = kd_loss(teacher, student, delta)
             for r in range(3):
                 t_probs = softmax_oracle(teacher[r], delta)
                 assert losses[r] >= ce_oracle(t_probs, t_probs) - 1e-12
@@ -260,34 +257,33 @@ class TestKdLoss:
         rng = np.random.default_rng(1032)
         student = rng.normal(size=(2, 5))
         teacher = rng.normal(size=(2, 3))
-        mask = np.array([0, 2, 4])
         delta = 2.0
-        _, grad = kd_loss(teacher, student, delta, mask)
-        assert (grad[:, 1] == 0.0).all() and (grad[:, 3] == 0.0).all()
+        _, grad = kd_loss(teacher, student, delta)
+        assert (grad[:, 3:] == 0.0).all()
         step = 1e-6
         for r in range(2):
             for i in range(5):
                 probe = student.copy()
                 probe[r, i] += step
-                plus, _ = kd_loss(teacher, probe, delta, mask)
+                plus, _ = kd_loss(teacher, probe, delta)
                 probe[r, i] -= 2 * step
-                minus, _ = kd_loss(teacher, probe, delta, mask)
+                minus, _ = kd_loss(teacher, probe, delta)
                 numeric = (plus[r] - minus[r]) / (2 * step)
                 assert abs(grad[r, i] - numeric) <= 1e-8
 
     def test_empty_mask_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            kd_loss(np.zeros((1, 0)), np.array([[1.0, 2.0]]), 1.0, np.array([], dtype=int))
+            kd_loss(np.zeros((1, 0)), np.array([[1.0, 2.0]]), 1.0)
 
     def test_coverage_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
-            kd_loss(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0, 3.0]]), 1.0, np.array([0]))
+            kd_loss(np.array([[1.0, 2.0, 3.0]]), np.array([[1.0, 2.0]]), 1.0)
         with pytest.raises(DimensionMismatchError):
-            kd_loss(np.array([[1.0]]), np.array([[1.0, 2.0]]), 1.0, np.array([5]))
+            kd_loss(np.array([[1.0], [2.0]]), np.array([[1.0, 2.0]]), 1.0)
         with pytest.raises(DimensionMismatchError):
-            kd_loss(np.array([[1.0], [2.0]]), np.array([[1.0, 2.0]]), 1.0, np.array([0]))
+            kd_loss(np.array([1.0]), np.array([[1.0, 2.0]]), 1.0)
         with pytest.raises(DimensionMismatchError):
-            kd_loss(np.array([1.0]), np.array([1.0, 2.0]), 1.0, np.array([0]))
+            kd_loss(np.array([1.0]), np.array([1.0, 2.0]), 1.0)
 
 
 class TestCombineLosses:
@@ -338,10 +334,14 @@ def row_kd_loss(teacher_logits, student_logits, temperature, mask):
     return loss, grad
 
 
-def row_loop_loss(logits, labels, weights, delta, prev_rows, prev_mask, llm_rows, llm_mask):
+def row_loop_loss(logits, labels, weights, delta, prev_rows, llm_rows):
     """The trainer's former one-row-at-a-time loss loop, kept as the
-    reference that ``batch_loss`` must reproduce bit for bit."""
+    reference that ``batch_loss`` must reproduce bit for bit.  Each
+    teacher's classes are gathered by index, independently of the
+    prefix slice ``batch_loss`` takes."""
     b = len(labels)
+    prev_mask = None if prev_rows is None else np.arange(prev_rows.shape[1])
+    llm_mask = None if llm_rows is None else np.arange(llm_rows.shape[1])
     dz = np.zeros_like(logits)
     hard_total = prev_total = llm_total = 0.0
     for i in range(b):
@@ -370,17 +370,14 @@ def row_loop_loss(logits, labels, weights, delta, prev_rows, prev_mask, llm_rows
 def loss_batches(draw):
     """One trainer-shaped batch: labels, logits, teacher rows and weights.
 
-    The previous model's mask is a strict subset of the student's classes
-    with a gap in it, listed in any order.  Any of the three weights may
-    be exactly zero, and a zero-weight teacher's table may be absent.
+    The previous model scores the first ``m`` of the student's ``k``
+    classes, half the time all of them and otherwise a strict prefix.
+    Any of the three weights may be exactly zero, and a zero-weight
+    teacher's table may be absent.
     """
     b = draw(st.integers(1, 33))
-    k = draw(st.integers(3, 9))
-    hole = draw(st.integers(1, k - 2))
-    low = draw(st.integers(0, hole - 1))
-    high = draw(st.integers(hole + 1, k - 1))
-    extra = draw(st.sets(st.sampled_from([c for c in range(k) if c != hole])))
-    prev_mask = np.array(draw(st.permutations(sorted({low, high} | extra))), dtype=np.int64)
+    k = draw(st.integers(2, 9))
+    m = k if draw(st.booleans()) else draw(st.integers(1, k - 1))
     zero = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()).filter(lambda z: not all(z)))
     raw = [0.0 if z else draw(st.floats(0.05, 1.0)) for z in zero]
     weights = WeightTriple(*(r / sum(raw) for r in raw))
@@ -391,21 +388,21 @@ def loss_batches(draw):
     # As in the trainer, a teacher with non-zero weight always has a table.
     prev_rows = llm_rows = None
     if weights.beta > 0.0 or draw(st.booleans()):
-        prev_rows = rng.normal(0.0, scale, size=(b, prev_mask.size))
+        prev_rows = rng.normal(0.0, scale, size=(b, m))
     if weights.chi > 0.0 or draw(st.booleans()):
         llm_rows = rng.normal(0.0, scale, size=(b, k))
     if prev_rows is not None and draw(st.booleans()):
-        # the previous model's table is a column gather, hence column-major
+        # a column-major table sums its rows in another order unless copied
         prev_rows = np.asfortranarray(prev_rows)
     delta = draw(st.sampled_from([0.5, 1.0, 2.0, 3.7]))
-    return logits, labels, weights, delta, prev_rows, prev_mask, llm_rows, np.arange(k)
+    return logits, labels, weights, delta, prev_rows, llm_rows
 
 
 class TestBatchLoss:
     @given(loss_batches())
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_row_loop(self, batch):
-        logits, labels, weights, delta, prev_rows, prev_mask, llm_rows, llm_mask = batch
+        logits, labels, weights, delta, prev_rows, llm_rows = batch
         got, dz = batch_loss(*batch)
         want, want_dz = row_loop_loss(*batch)
         np.testing.assert_array_equal(dz, want_dz)
@@ -425,16 +422,14 @@ class TestBatchLoss:
         rng = np.random.default_rng(1050)
         logits = rng.normal(size=(6, 4))
         labels = np.array([0, 1, 2, 3, 0, 1])
-        prev_mask = np.array([3, 1])
         prev_rows = rng.normal(size=(6, 2))
         llm_rows = rng.normal(size=(6, 4))
         weights = WeightTriple(0.2, 0.5, 0.3)
-        out, _ = batch_loss(logits, labels, weights, 2.0, prev_rows, prev_mask,
-                            llm_rows, np.arange(4))
+        out, _ = batch_loss(logits, labels, weights, 2.0, prev_rows, llm_rows)
         hard = np.mean([
             ce_oracle(np.eye(4)[y], softmax_oracle(z, 1.0)) for z, y in zip(logits, labels)
         ])
-        prev = np.mean([kd_oracle(t, z[prev_mask], 2.0) for t, z in zip(prev_rows, logits)])
+        prev = np.mean([kd_oracle(t, z[:2], 2.0) for t, z in zip(prev_rows, logits)])
         llm = np.mean([kd_oracle(t, z, 2.0) for t, z in zip(llm_rows, logits)])
         assert abs(out.hard - hard) <= 1e-12
         assert abs(out.kd_prev - prev) <= 1e-12
@@ -446,23 +441,21 @@ class TestBatchLoss:
         weights = WeightTriple(0.5, 0.0, 0.5)
         bad = np.array([[0.0, np.nan, 0.0], [0.0, 0.0, 0.0]])
         with pytest.raises(NumericError):
-            batch_loss(bad, [0, 1], weights, 2.0, None, None, logits, np.arange(3))
+            batch_loss(bad, [0, 1], weights, 2.0, None, logits)
         with pytest.raises(NumericError):
-            batch_loss(logits, [0, 1], weights, 2.0, None, None, bad, np.arange(3))
+            batch_loss(logits, [0, 1], weights, 2.0, None, bad)
 
     def test_missing_table_under_nonzero_weight_rejected(self):
         with pytest.raises(NumericError):
             batch_loss(np.zeros((2, 3)), [0, 1], WeightTriple(0.5, 0.5, 0.0), 2.0,
-                       None, np.array([0, 2]), None, np.arange(3))
+                       None, None)
 
     def test_teacher_width_and_empty_mask_rejected(self):
         weights = WeightTriple(0.5, 0.5, 0.0)
         with pytest.raises(DimensionMismatchError):
-            batch_loss(np.zeros((2, 3)), [0, 1], weights, 2.0,
-                       np.zeros((2, 3)), np.array([0, 2]), None, np.arange(3))
+            batch_loss(np.zeros((2, 3)), [0, 1], weights, 2.0, np.zeros((2, 4)), None)
         with pytest.raises(DimensionMismatchError):
-            batch_loss(np.zeros((2, 3)), [0, 1], weights, 2.0,
-                       np.zeros((2, 0)), np.array([], dtype=np.int64), None, np.arange(3))
+            batch_loss(np.zeros((2, 3)), [0, 1], weights, 2.0, np.zeros((2, 0)), None)
 
 
 class TestGradCheck:

@@ -371,7 +371,7 @@ class TestTeacherFromConfig:
         )
         assert oracle.seed == 4
 
-    def test_bad_specs_rejected(self):
+    def test_bad_specs_rejected(self, monkeypatch):
         with pytest.raises(DataError):
             teacher_from_config({"kind": "mystery"})
         with pytest.raises(DataError):
@@ -380,3 +380,26 @@ class TestTeacherFromConfig:
             teacher_from_config({"kind": "fixture"})
         with pytest.raises(DataError):
             teacher_from_config("not an object")
+
+        def no_file(path):
+            raise AssertionError(f"fixture {path!r} was opened")
+
+        monkeypatch.setattr("mtcl.teachers.read_fixture", no_file)
+        vocab = build_vocabulary(LABELS)
+        service = {"kind": "service", "base_url": "http://127.0.0.1:1"}
+        oracle = {"kind": "noisy-oracle", "accuracy": 0.7, "seed": 1}
+        # Each ill-typed field is named before any file or socket is used.
+        for spec, field in (
+            ({**service, "timeout": "x"}, "timeout"),
+            ({**service, "timeout": 0}, "timeout"),
+            ({**service, "timeout": float("nan")}, "timeout"),
+            ({**service, "base_url": 5}, "base_url"),
+            ({**service, "base_url": "127.0.0.1:1"}, "base_url"),
+            ({**service, "retries": -1}, "retries"),
+            ({**service, "retries": "x"}, "retries"),
+            ({**oracle, "accuracy": "high"}, "accuracy"),
+            ({**oracle, "seed": "s"}, "seed"),
+            ({"kind": "fixture", "path": 5}, "path"),
+        ):
+            with pytest.raises(DataError, match=f"'{field}'"):
+                teacher_from_config(spec, vocab)
