@@ -23,6 +23,7 @@ its teacher is never queried.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -111,16 +112,14 @@ class TrainSettings:
 
     def __post_init__(self):
         problems = []
-        if self.learning_rate <= 0.0:
-            problems.append(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            problems.append(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            problems.append(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.temperature <= 0.0:
-            problems.append(f"temperature must be > 0, got {self.temperature}")
-        if self.hidden1 < 1 or self.hidden2 < 1:
-            problems.append("hidden layer widths must be >= 1")
+        for name in ("learning_rate", "temperature"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                problems.append(f"{name} must be a finite number > 0, got {value}")
+        for name in ("epochs", "batch_size", "hidden1", "hidden2"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                problems.append(f"{name} must be an integer >= 1, got {value!r}")
         if self.mode not in MODES:
             problems.append(f"mode must be one of {MODES}, got {self.mode!r}")
         if problems:

@@ -7,8 +7,9 @@ vector over the candidates.  Backends:
 * ``FixtureTeacher`` replays token-level score tensors recorded to a
   binary fixture file, pushing them through the embedding-to-logits
   bridge.  Used for offline runs and reproducible tests.
-* ``ServiceTeacher`` queries an HTTP endpoint, with idempotent retries
-  on timeouts.
+* ``ServiceTeacher`` queries an HTTP endpoint over one persistent
+  connection, with idempotent retries on timeouts and connection
+  failures.
 * ``NoisyOracleTeacher`` is a synthetic stand-in whose per-sample
   correctness is a deterministic hash of (seed, sample id); it hits the
   true label with a configurable rate.  Used by the synthetic pipeline
@@ -24,9 +25,11 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import json
 import math
 import os
 import uuid
+from urllib.parse import quote, urlsplit
 
 import numpy as np
 
@@ -40,6 +43,8 @@ from .errors import (
 
 # Pre-softmax margin the oracle puts on its chosen label.
 ORACLE_MARGIN = 2.0
+
+_JSON_HEADERS = {"Content-Type": "application/json"}
 
 
 def _checked(name: str, value, kind, valid, wanted: str):
@@ -81,46 +86,79 @@ class Teacher:
         raise NotImplementedError
 
 
-class FixtureTeacher(Teacher):
-    """Replays recorded score tensors keyed by sample id."""
+class _TokenScoreTeacher(Teacher):
+    """Base for teachers that answer with token-score tensors, which go
+    through the bridge; each candidate tuple is tokenized once."""
 
-    def __init__(self, fixture_path, vocab: Vocabulary):
+    def __init__(self, vocab: Vocabulary):
         super().__init__()
-        if not isinstance(fixture_path, (str, os.PathLike)):
-            raise DataError(f"teacher field 'path' must be a file path, got {fixture_path!r}")
-        self.records = read_fixture(fixture_path)
         self.vocab = vocab
         self._tables = {}
 
-    def _table(self, mask_names):
-        if mask_names not in self._tables:
-            self._tables[mask_names] = tokenize_labels(self.vocab, mask_names)
-        return self._tables[mask_names]
+    def _bridge(self, values: np.ndarray, shape, mask_names, source: str) -> np.ndarray:
+        """Logits from ``values`` of ``shape``, which must be (k, width, |vocab|)."""
+        table = self._tables.get(mask_names)
+        if table is None:
+            table = self._tables[mask_names] = tokenize_labels(self.vocab, mask_names)
+        expected = (len(mask_names), table.width, len(self.vocab))
+        if tuple(shape) != expected:
+            raise TeacherDimensionError(
+                f"{source} has shape {tuple(shape)}, expected {expected} "
+                "(candidates, token positions, vocabulary)"
+            )
+        return scores_to_logits(np.reshape(values, expected), table)
+
+
+class FixtureTeacher(_TokenScoreTeacher):
+    """Replays recorded score tensors keyed by sample id."""
+
+    def __init__(self, fixture_path, vocab: Vocabulary):
+        super().__init__(vocab)
+        if not isinstance(fixture_path, (str, os.PathLike)):
+            raise DataError(f"teacher field 'path' must be a file path, got {fixture_path!r}")
+        self.records = read_fixture(fixture_path)
 
     def _score(self, sample, mask_names):
         tensor = self.records.get(sample.id)
         if tensor is None:
             raise DataError(f"fixture has no score tensor for sample {sample.id!r}")
-        table = self._table(mask_names)
-        if tensor.shape[0] != len(mask_names):
-            raise TeacherDimensionError(
-                f"fixture tensor for {sample.id!r} covers {tensor.shape[0]} labels, "
-                f"query asked about {len(mask_names)}"
-            )
-        if tensor.shape[1] != table.width or tensor.shape[2] != len(self.vocab):
-            raise TeacherDimensionError(
-                f"fixture tensor shape {tensor.shape} does not fit "
-                f"{table.width} token positions over a vocabulary of {len(self.vocab)}"
-            )
-        return scores_to_logits(tensor, table)
+        return self._bridge(tensor, tensor.shape, mask_names,
+                            f"fixture tensor for {sample.id!r}")
 
 
-class ServiceTeacher(Teacher):
-    """Talks to a scoring service over HTTP.
+def _endpoint(base_url, timeout: float):
+    """The unopened connection and the request path for ``base_url``: an
+    http(s) URL with a host, optional port and path prefix, and no user
+    info, query or fragment (else DataError)."""
+    # Imported here and in _post: http.client loads ssl, about 6 MB of
+    # resident memory that runs without a service teacher need not carry.
+    from http.client import HTTPConnection, HTTPSConnection, InvalidURL
+
+    if not isinstance(base_url, str) or not base_url.startswith(("http://", "https://")):
+        raise DataError(f"teacher field 'base_url' must be an http(s) URL, got {base_url!r}")
+    try:
+        parts = urlsplit(base_url)
+        kind = HTTPSConnection if parts.scheme == "https" else HTTPConnection
+        # An explicit port keeps http.client from reading one out of an IPv6 host.
+        port = kind.default_port if parts.port is None else parts.port
+        if not parts.hostname or "@" in parts.netloc or "?" in base_url or "#" in base_url:
+            raise ValueError("it needs a host and no user, query or fragment part")
+        connection = kind(parts.hostname, port, timeout=timeout)
+    except (ValueError, InvalidURL) as exc:
+        raise DataError(
+            f"teacher field 'base_url' is not a usable URL ({exc}): {base_url!r}"
+        ) from exc
+    path = quote(parts.path.rstrip("/") + "/teacher/query", safe="/%:@!$&'()*+,;=~")
+    return connection, path
+
+
+class ServiceTeacher(_TokenScoreTeacher):
+    """Talks to a scoring service over one persistent HTTP connection.
 
     One logical query keeps its request id across retries so the server
-    can deduplicate.  Only timeouts and connection failures are retried;
-    a malformed response is an error the caller must see.
+    can deduplicate.  Only timeouts and connection failures are retried,
+    each on a fresh connection; a malformed response is an error the
+    caller must see.  ``retry_count`` counts the retries of all queries.
     """
 
     def __init__(
@@ -130,47 +168,62 @@ class ServiceTeacher(Teacher):
         want: str = "embeddings",
         timeout: float = 10.0,
         retries: int = 2,
-        session=None,
     ):
-        super().__init__()
+        super().__init__(vocab)
         if want not in ("embeddings", "logits"):
             raise DataError(f"want must be 'embeddings' or 'logits', got {want!r}")
         if want == "embeddings" and vocab is None:
             raise DataError("embeddings mode needs a vocabulary for the token targets")
-        if not isinstance(base_url, str) or not base_url.startswith(("http://", "https://")):
-            raise DataError(f"teacher field 'base_url' must be an http(s) URL, got {base_url!r}")
         timeout = _checked("timeout", timeout, float, lambda v: 0.0 < v < math.inf,
                            "a finite number of seconds > 0")
-        retries = _checked("retries", retries, int, lambda v: v >= 0, "an integer >= 0")
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self.base_url = base_url.rstrip("/")
-        self.vocab = vocab
+        self.retries = _checked("retries", retries, int, lambda v: v >= 0, "an integer >= 0")
         self.want = want
-        self.timeout = timeout
-        self.retries = retries
-        self.session = session
-        self._tables = {}
+        self._connection, self._path = _endpoint(base_url, timeout)
+        self.retry_count = 0
+
+    def _exchange(self, data: bytes) -> tuple[int, bytes]:
+        """Send one request and read its reply.
+
+        A keep-alive connection that the server closed while idle fails
+        before any reply arrives; the request then goes out once more on
+        a fresh connection, which does not count as a retry.
+        """
+        reused = self._connection.sock is not None
+        try:
+            self._connection.request("POST", self._path, data, _JSON_HEADERS)
+            response = self._connection.getresponse()
+        except (BrokenPipeError, ConnectionResetError):
+            if not reused:
+                raise
+            self._connection.close()
+            self._connection.request("POST", self._path, data, _JSON_HEADERS)
+            response = self._connection.getresponse()
+        return response.status, response.read()
 
     def _post(self, body) -> dict:
-        import requests
+        from http.client import HTTPException
 
-        url = self.base_url + "/teacher/query"
+        data = json.dumps(body).encode("utf-8")
         last = None
-        for _ in range(self.retries + 1):
+        for attempt in range(self.retries + 1):
+            if attempt:
+                self.retry_count += 1
             try:
-                resp = self.session.post(url, json=body, timeout=self.timeout)
-            except (requests.Timeout, requests.ConnectionError) as exc:
+                status, reply = self._exchange(data)
+            except OSError as exc:
+                # Timeouts and refused or dropped connections, RemoteDisconnected included.
+                self._connection.close()
                 last = exc
                 continue
-            if resp.status_code != 200:
+            except HTTPException as exc:
+                self._connection.close()
                 raise TeacherProtocolError(
-                    f"teacher endpoint returned HTTP {resp.status_code}"
-                )
+                    f"teacher endpoint sent a malformed reply: {exc!r}"
+                ) from exc
+            if status != 200:
+                raise TeacherProtocolError(f"teacher endpoint returned HTTP {status}")
             try:
-                return resp.json()
+                return json.loads(reply)
             except ValueError as exc:
                 raise TeacherProtocolError(
                     f"teacher endpoint returned invalid JSON: {exc}"
@@ -214,16 +267,7 @@ class ServiceTeacher(Teacher):
                     f"logits dims {dims} do not match {len(mask_names)} candidates"
                 )
             return values
-        table = self._tables.get(mask_names)
-        if table is None:
-            table = tokenize_labels(self.vocab, mask_names)
-            self._tables[mask_names] = table
-        expected = [len(mask_names), table.width, len(self.vocab)]
-        if dims != expected:
-            raise TeacherDimensionError(
-                f"embedding dims {dims} do not match expected {expected}"
-            )
-        return scores_to_logits(values.reshape(dims), table)
+        return self._bridge(values, dims, mask_names, "service embedding payload")
 
 
 class NoisyOracleTeacher(Teacher):

@@ -48,17 +48,17 @@ class WeightConfig:
         problems = []
         if not 0.0 <= self.alpha <= 1.0:
             problems.append(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.theta_ds < 0.0:
-            problems.append(f"theta_ds must be >= 0, got {self.theta_ds}")
-        if self.theta_di < 0.0:
-            problems.append(f"theta_di must be >= 0, got {self.theta_di}")
+        for name in ("theta_ds", "theta_di"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                problems.append(f"{name} must be a finite number >= 0, got {value}")
         if abs(self.theta_ds + self.theta_di - (1.0 - self.alpha)) > WEIGHT_SUM_TOL:
             problems.append(
                 "theta_ds + theta_di must equal 1 - alpha "
                 f"(got {self.theta_ds} + {self.theta_di} != 1 - {self.alpha})"
             )
-        if self.log_base is not None and self.log_base <= 1.0:
-            problems.append(f"log_base must be > 1, got {self.log_base}")
+        if self.log_base is not None and not 1.0 < self.log_base < math.inf:
+            problems.append(f"log_base must be a finite number > 1, got {self.log_base}")
         if problems:
             raise ConfigError(problems)
 

@@ -1,8 +1,11 @@
 """Teacher backend tests: fixture replay, HTTP service, noisy oracle."""
 
 import base64
+import contextlib
+import http.client
 import json
 import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -139,18 +142,74 @@ class _QuietServer(ThreadingHTTPServer):
         pass
 
 
-@pytest.fixture
-def mock_server():
-    server = _QuietServer(("127.0.0.1", 0), _Handler)
+class _IdleCloseHandler(_Handler):
+    """Replies as a keep-alive HTTP/1.1 server, then closes the connection
+    the way a server drops an idle client."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        super().do_POST()
+        self.server.peers.append(self.client_address)
+        self.connection.shutdown(socket.SHUT_WR)
+        self.close_connection = True
+
+
+@contextlib.contextmanager
+def serving(handler):
+    server = _QuietServer(("127.0.0.1", 0), handler)
     server.seen = []
+    server.peers = []
     server.behavior = lambda path, body: (500, {})
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
         yield server
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture
+def mock_server():
+    with serving(_Handler) as server:
+        yield server
+
+
+def _read_request(stream) -> dict:
+    """The JSON body of one HTTP request read from a socket file."""
+    stream.readline()
+    headers = http.client.parse_headers(stream)
+    return json.loads(stream.read(int(headers["Content-Length"])))
+
+
+@contextlib.contextmanager
+def raw_reply(reply: bytes):
+    """A TCP server that answers each connection's first request with the
+    raw bytes ``reply`` and closes it; yields its URL and the requests."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    received, stop = [], threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            conn.settimeout(5.0)
+            with conn, conn.makefile("rb") as stream:
+                received.append(_read_request(stream))
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}", received
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)
+        listener.close()
 
 
 def embedding_response(body, tensor):
@@ -161,6 +220,15 @@ def embedding_response(body, tensor):
         "request_id": body["request_id"],
         "dims": list(tensor.shape),
         "payload": payload,
+    }
+
+
+def logits_response(body):
+    values = np.array([0.5, -1.0, 2.0], dtype="<f4")
+    return {
+        "request_id": body["request_id"],
+        "dims": [3],
+        "payload": base64.b64encode(values.tobytes()).decode("ascii"),
     }
 
 
@@ -188,6 +256,7 @@ class TestServiceTeacher:
         assert body["sample_id"] == "s-0"
         assert body["candidate_labels"] == list(LABELS)
         assert body["want"] == "embeddings"
+        assert online.retry_count == 0
 
     def test_direct_logits_mode(self, mock_server):
         values = np.array([0.25, -1.5, 3.0], dtype="<f4")
@@ -286,6 +355,61 @@ class TestServiceTeacher:
         first_id = mock_server.seen[0][1]["request_id"]
         second_id = mock_server.seen[1][1]["request_id"]
         assert first_id == second_id
+        assert teacher.retry_count == 1
+
+    def test_base_url_path_prefix_kept(self, mock_server):
+        mock_server.behavior = lambda path, body: (200, logits_response(body))
+        url = f"http://127.0.0.1:{mock_server.server_address[1]}/scoring/v1/"
+        ServiceTeacher(url, want="logits", timeout=2.0).query(make_sample(), LABELS)
+        assert mock_server.seen[0][0] == "/scoring/v1/teacher/query"
+
+    def test_connection_closed_while_idle_is_resent(self):
+        with serving(_IdleCloseHandler) as server:
+            server.behavior = lambda path, body: (200, logits_response(body))
+            url = f"http://127.0.0.1:{server.server_address[1]}"
+            teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=0)
+            teacher.query(make_sample("s-0"), LABELS)
+            teacher.query(make_sample("s-1"), LABELS)
+            teacher._connection.close()
+        assert [body["sample_id"] for _, body in server.seen] == ["s-0", "s-1"]
+        assert len(set(server.peers)) == 2
+        assert teacher.retry_count == 0
+
+    def test_reply_cut_short_fails_fast(self):
+        reply = (
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Content-Length: 100\r\n\r\n{\"request_id\": "
+        )
+        with raw_reply(reply) as (url, received):
+            teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=2)
+            with pytest.raises(TeacherProtocolError):
+                teacher.query(make_sample(), LABELS)
+        assert len(received) == 1
+
+    def test_malformed_status_line_fails_fast(self):
+        with raw_reply(b"garbage instead of a status line\r\n\r\n") as (url, received):
+            teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=2)
+            with pytest.raises(TeacherProtocolError):
+                teacher.query(make_sample(), LABELS)
+        assert len(received) == 1
+        assert teacher.retry_count == 0
+
+    def test_invalid_base64_payload_rejected(self, mock_server):
+        def behavior(path, body):
+            return 200, {"request_id": body["request_id"], "dims": [3], "payload": "@@@@"}
+
+        mock_server.behavior = behavior
+        url = f"http://127.0.0.1:{mock_server.server_address[1]}"
+        teacher = ServiceTeacher(url, want="logits", timeout=2.0)
+        with pytest.raises(TeacherProtocolError):
+            teacher.query(make_sample(), LABELS)
+
+    def test_works_without_requests_installed(self, mock_server, monkeypatch):
+        monkeypatch.setitem(sys.modules, "requests", None)
+        mock_server.behavior = lambda path, body: (200, logits_response(body))
+        url = f"http://127.0.0.1:{mock_server.server_address[1]}"
+        teacher = ServiceTeacher(url, want="logits", timeout=2.0)
+        np.testing.assert_array_equal(teacher.query(make_sample(), LABELS), [0.5, -1.0, 2.0])
 
 
 class TestNoisyOracle:
