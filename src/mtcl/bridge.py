@@ -199,7 +199,7 @@ def scores_to_logits(scores: np.ndarray, labels: TokenizedLabelSet) -> np.ndarra
             f"score tensor {scores.shape} does not match token table "
             f"({labels.count}, {labels.width}) over vocabulary of {labels.vocab_size}"
         )
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise NumericError("score tensor contains non-finite values")
     flat = scores.reshape(n * width, vocab_size)
     peak = flat.max(axis=1)

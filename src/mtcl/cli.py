@@ -171,14 +171,19 @@ def cmd_run(args) -> int:
         + "\n",
         encoding="utf-8",
     )
-    rows, _, _ = run_continual(
-        manifest,
-        cfg.train_settings(),
-        cfg.weight_config(),
-        llm_teacher=llm,
-        run_dir=str(out),
-        config_digest=cfg.digest(),
-    )
+    try:
+        rows, _, _ = run_continual(
+            manifest,
+            cfg.train_settings(),
+            cfg.weight_config(),
+            llm_teacher=llm,
+            run_dir=str(out),
+            config_digest=cfg.digest(),
+        )
+    finally:
+        # The teacher opens its connection on the first query, inside the run.
+        if llm is not None:
+            llm.close()
     final_t = max(row.t for row in rows)
     print(f"results after task {final_t} (run dir: {out})")
     for row in rows:

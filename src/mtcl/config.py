@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .engine import TrainSettings
 from .errors import ConfigError
-from .weights import WeightConfig
+from .weights import WeightConfig, is_number
 
 OUTPUT_ROOT_ENV = "MTCL_OUTPUT_ROOT"
 
@@ -176,19 +176,22 @@ def build_run_config(payload: dict, overrides: dict = None) -> RunConfig:
         llm_teacher = None
     if mode == "ours" and llm_teacher is None:
         problems.append("mode 'ours' needs an llm_teacher entry")
-    numbers = dict(_RUN_DEFAULTS)
-    for name, kind in (("seed", int), ("temperature", float)):
+    # TrainSettings checks both types; a whole-number temperature is stored
+    # as a float, as it always was, so resolved_config.json and the digest
+    # stay the same.
+    temperature = merged.get("temperature", _RUN_DEFAULTS["temperature"])
+    if is_number(temperature):
         try:
-            numbers[name] = kind(merged.get(name, numbers[name]))
-        except (TypeError, ValueError, OverflowError):
-            problems.append(f"{name} must be {kind.__name__}, got {merged[name]!r}")
+            temperature = float(temperature)
+        except OverflowError:
+            problems.append(f"temperature must be a finite number > 0, got {temperature}")
 
     cfg = RunConfig(
         manifest=str(manifest),
         mode=str(mode),
-        seed=numbers["seed"],
+        seed=merged.get("seed", _RUN_DEFAULTS["seed"]),
         output_dir=str(merged.get("output_dir", "runs/run")),
-        temperature=numbers["temperature"],
+        temperature=temperature,
         weights=weights,
         optimizer=optimizer,
         model=model,

@@ -22,6 +22,7 @@ its teacher is never queried.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -32,7 +33,7 @@ import numpy as np
 
 from .bridge import SPACE_TOKEN, Vocabulary
 from .errors import ConfigError, DataError, NumericError
-from .losses import batch_loss
+from .losses import batch_loss, softened_softmax
 from .taskstream import (
     ImbalanceLedger,
     LabelClass,
@@ -46,6 +47,7 @@ from .weights import (
     WeightTriple,
     WeightTrace,
     assemble_weights,
+    is_number,
     measure_teacher_accuracy,
 )
 
@@ -114,12 +116,13 @@ class TrainSettings:
         problems = []
         for name in ("learning_rate", "temperature"):
             value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                problems.append(f"{name} must be a finite number > 0, got {value}")
-        for name in ("epochs", "batch_size", "hidden1", "hidden2"):
+            if not is_number(value) or not 0.0 < value < math.inf:
+                problems.append(f"{name} must be a finite number > 0, got {value!r}")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("hidden1", 1),
+                          ("hidden2", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                problems.append(f"{name} must be an integer >= 1, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                problems.append(f"{name} must be an integer >= {low}, got {value!r}")
         if self.mode not in MODES:
             problems.append(f"mode must be one of {MODES}, got {self.mode!r}")
         if problems:
@@ -133,6 +136,10 @@ class StudentModel:
     column is seeded from (run seed, class id), so growing the head in
     two steps or one produces identical parameters, and existing class
     logits never move when new classes arrive.
+
+    All parameters live in one contiguous float64 vector in checkpoint
+    order (``w1, b1, w2, b2, w3, b3``); the layer attributes are views
+    into it, so an optimizer step is one vector update.
     """
 
     def __init__(self, seed: int, feature_length: int, question_length: int,
@@ -144,14 +151,25 @@ class StudentModel:
         self.hidden2 = int(hidden2)
         d = self.feature_length + self.question_length
         rng = np.random.default_rng([self.seed, 0])
-        self.w1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, hidden1))
-        self.b1 = np.zeros(hidden1)
-        self.w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden1), size=(hidden1, hidden2))
-        self.b2 = np.zeros(hidden2)
-        self.w3 = np.zeros((hidden2, 0))
-        self.b3 = np.zeros(0)
+        w1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, hidden1))
+        w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden1), size=(hidden1, hidden2))
+        self._adopt(np.concatenate([
+            w1.ravel(), np.zeros(hidden1), w2.ravel(), np.zeros(hidden2),
+        ]), 0)
         self.class_ids = []
         self.class_names = []
+
+    def _adopt(self, flat: np.ndarray, n_classes: int) -> None:
+        """Make ``flat`` the parameter vector of a head of ``n_classes``."""
+        d = self.feature_length + self.question_length
+        h1, h2 = self.hidden1, self.hidden2
+        views, offset = [], 0
+        for shape in ((d, h1), (h1,), (h1, h2), (h2,), (h2, n_classes), (n_classes,)):
+            size = math.prod(shape)
+            views.append(flat[offset : offset + size].reshape(shape))
+            offset += size
+        self._flat = flat
+        self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = views
 
     @property
     def n_classes(self) -> int:
@@ -159,8 +177,7 @@ class StudentModel:
 
     @property
     def n_params(self) -> int:
-        return self.count_params(self.feature_length + self.question_length,
-                                 self.hidden1, self.hidden2, self.n_classes)
+        return self._flat.size
 
     @staticmethod
     def count_params(input_width: int, hidden1: int, hidden2: int, n_classes: int) -> int:
@@ -168,24 +185,28 @@ class StudentModel:
         return ((input_width + 1) * hidden1 + (hidden1 + 1) * hidden2
                 + (hidden2 + 1) * n_classes)
 
-    def param_items(self):
-        return [
-            ("w1", self.w1), ("b1", self.b1),
-            ("w2", self.w2), ("b2", self.b2),
-            ("w3", self.w3), ("b3", self.b3),
-        ]
-
     def grow_head(self, new_classes) -> "StudentModel":
         """Append one seeded small-variance output column per new class."""
+        new_classes = list(new_classes)
+        ids = list(self.class_ids)
         for c in new_classes:
-            if c.id in self.class_ids:
+            if c.id in ids:
                 raise DataError(f"class {c.name!r} (id {c.id}) already in the head")
-            rng = np.random.default_rng([self.seed, 1, int(c.id)])
-            column = rng.normal(0.0, HEAD_INIT_STD, size=self.hidden2)
-            self.w3 = np.concatenate([self.w3, column[:, None]], axis=1)
-            self.b3 = np.append(self.b3, 0.0)
-            self.class_ids.append(int(c.id))
-            self.class_names.append(c.name)
+            ids.append(c.id)
+        if not new_classes:
+            return self
+        columns = [
+            np.random.default_rng([self.seed, 1, int(c.id)]).normal(
+                0.0, HEAD_INIT_STD, size=self.hidden2
+            )
+            for c in new_classes
+        ]
+        w3 = np.concatenate([self.w3, np.stack(columns, axis=1)], axis=1)
+        b3 = np.concatenate([self.b3, np.zeros(len(new_classes))])
+        head = self._flat.size - self.w3.size - self.b3.size
+        self._adopt(np.concatenate([self._flat[:head], w3.ravel(), b3]), len(ids))
+        self.class_ids.extend(int(c.id) for c in new_classes)
+        self.class_names.extend(c.name for c in new_classes)
         return self
 
     def forward(self, x: np.ndarray, want_cache: bool = False):
@@ -194,55 +215,49 @@ class StudentModel:
             raise DataError(
                 f"input shape {x.shape} does not match model input width {self.w1.shape[0]}"
             )
-        h1 = np.tanh(x @ self.w1 + self.b1)
-        h2 = np.tanh(h1 @ self.w2 + self.b2)
-        logits = h2 @ self.w3 + self.b3
-        if not np.all(np.isfinite(logits)):
+        h1 = x @ self.w1
+        h1 += self.b1
+        np.tanh(h1, out=h1)
+        h2 = h1 @ self.w2
+        h2 += self.b2
+        np.tanh(h2, out=h2)
+        logits = h2 @ self.w3
+        logits += self.b3
+        if not np.isfinite(logits).all():
             raise NumericError("student produced non-finite logits")
         if want_cache:
             return logits, (x, h1, h2)
         return logits
 
-    def backward(self, cache, dlogits: np.ndarray) -> dict:
-        """Parameter gradients given the loss gradient at the logits."""
+    def backward(self, cache, dlogits: np.ndarray) -> np.ndarray:
+        """Parameter gradients given the loss gradient at the logits, as
+        one fresh vector in the layout of ``get_flat``."""
         x, h1, h2 = cache
-        dw3 = h2.T @ dlogits
-        db3 = dlogits.sum(axis=0)
-        dh2 = (dlogits @ self.w3.T) * (1.0 - h2 * h2)
-        dw2 = h1.T @ dh2
-        db2 = dh2.sum(axis=0)
-        dh1 = (dh2 @ self.w2.T) * (1.0 - h1 * h1)
-        dw1 = x.T @ dh1
-        db1 = dh1.sum(axis=0)
-        return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2, "w3": dw3, "b3": db3}
+        dh2 = dlogits @ self.w3.T
+        dh2 *= 1.0 - h2 * h2
+        dh1 = dh2 @ self.w2.T
+        dh1 *= 1.0 - h1 * h1
+        return np.concatenate([
+            (x.T @ dh1).ravel(), dh1.sum(axis=0),
+            (h1.T @ dh2).ravel(), dh2.sum(axis=0),
+            (h2.T @ dlogits).ravel(), dlogits.sum(axis=0),
+        ])
 
-    def apply_gradients(self, grads: dict, learning_rate: float) -> None:
-        for name, arr in self.param_items():
-            arr -= learning_rate * grads[name]
+    def apply_gradients(self, grads: np.ndarray, learning_rate: float) -> None:
+        self._flat -= learning_rate * grads
 
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([arr.ravel() for _, arr in self.param_items()])
+        return self._flat.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
         if flat.size != self.n_params:
             raise DataError(f"expected {self.n_params} parameters, got {flat.size}")
-        offset = 0
-        for _, arr in self.param_items():
-            arr[...] = flat[offset : offset + arr.size].reshape(arr.shape)
-            offset += arr.size
+        self._flat[...] = flat.ravel()
 
     def clone(self) -> "StudentModel":
-        twin = StudentModel(
-            self.seed, self.feature_length, self.question_length,
-            self.hidden1, self.hidden2,
-        )
-        twin.w1 = self.w1.copy()
-        twin.b1 = self.b1.copy()
-        twin.w2 = self.w2.copy()
-        twin.b2 = self.b2.copy()
-        twin.w3 = self.w3.copy()
-        twin.b3 = self.b3.copy()
+        twin = copy.copy(self)
+        twin._adopt(self._flat.copy(), self.n_classes)
         twin.class_ids = list(self.class_ids)
         twin.class_names = list(self.class_names)
         return twin
@@ -347,8 +362,11 @@ def train_task(
 ) -> StudentModel:
     """Mini-batch gradient descent on the weighted three-term loss.
 
-    The weights are set once per task, from one score table per teacher.
-    Teachers whose weight is zero are never queried.  A teacher failure
+    The weights are set once per task, from one score table per teacher,
+    and each table kept for training is softened at the temperature once,
+    into the probability rows the distillation terms take; a non-finite
+    table is a NumericError before the first batch.  Teachers whose
+    weight is zero are never queried.  A teacher failure
     or a non-finite loss aborts the run; terms are never dropped
     silently.  The previous model's head must be a prefix of the
     student's: its table of width ``m`` covers the first ``m`` columns.
@@ -382,6 +400,11 @@ def train_task(
         head_names, labels,
     )
     trace.record(t, weights, breakdown)
+    # The teachers are frozen, so each table is softened once per task.
+    prev_probs, llm_probs = (
+        None if table is None else softened_softmax(table, settings.temperature)
+        for table in (prev_table, llm_table)
+    )
 
     shuffle_rng = np.random.default_rng([settings.seed, 2, int(t)])
     n = len(task.samples)
@@ -389,44 +412,34 @@ def train_task(
         order = shuffle_rng.permutation(n)
         for start in range(0, n, settings.batch_size):
             batch_idx = order[start : start + settings.batch_size]
-            _train_batch(
-                student, task, inputs, labels, batch_idx, weights,
-                prev_table, llm_table, settings,
-                observer, t, epoch, start // settings.batch_size,
+            y = labels[batch_idx]
+            logits, cache = student.forward(inputs[batch_idx], want_cache=True)
+            batch_breakdown, dz = batch_loss(
+                logits, y, weights, settings.temperature,
+                _rows(prev_probs, batch_idx), _rows(llm_probs, batch_idx),
             )
+            student.apply_gradients(student.backward(cache, dz), settings.learning_rate)
+            if observer is not None:
+                observer(
+                    {
+                        "t": t,
+                        "epoch": epoch,
+                        "batch": start // settings.batch_size,
+                        "sample_ids": [task.samples[int(i)].id for i in batch_idx],
+                        "labels": y.copy(),
+                        "student_logits": logits.copy(),
+                        "prev_logits": _rows(prev_table, batch_idx),
+                        "llm_logits": _rows(llm_table, batch_idx),
+                        "weights": weights,
+                        "temperature": settings.temperature,
+                        "breakdown": batch_breakdown,
+                    }
+                )
     return student
 
 
-def _train_batch(
-    student, task, inputs, labels, batch_idx, weights,
-    prev_table, llm_table, settings,
-    observer, t, epoch, batch_number,
-):
-    x = inputs[batch_idx]
-    y = labels[batch_idx]
-    logits, cache = student.forward(x, want_cache=True)
-    delta = settings.temperature
-    prev_rows = None if prev_table is None else prev_table[batch_idx]
-    llm_rows = None if llm_table is None else llm_table[batch_idx]
-    breakdown, dz = batch_loss(logits, y, weights, delta, prev_rows, llm_rows)
-    grads = student.backward(cache, dz)
-    student.apply_gradients(grads, settings.learning_rate)
-    if observer is not None:
-        observer(
-            {
-                "t": t,
-                "epoch": epoch,
-                "batch": batch_number,
-                "sample_ids": [task.samples[int(i)].id for i in batch_idx],
-                "labels": y.copy(),
-                "student_logits": logits.copy(),
-                "prev_logits": prev_rows,
-                "llm_logits": llm_rows,
-                "weights": weights,
-                "temperature": delta,
-                "breakdown": breakdown,
-            }
-        )
+def _rows(table, batch_idx):
+    return None if table is None else table[batch_idx]
 
 
 @dataclass(frozen=True)

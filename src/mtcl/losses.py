@@ -1,16 +1,21 @@
 """Loss terms for the three-signal training objective, over whole batches.
 
-All losses operate on raw logits, one row per sample: a batch of ``b``
-samples over ``k`` student classes is a ``(b, k)`` logit matrix with a
-``(b,)`` vector of label indices.  A teacher's ``(b, m)`` logit matrix
-scores the first ``m`` student classes in head order (the head only
-grows by appending).  Each term returns its ``(b,)`` per-row losses and
-the ``(b, k)`` gradient of those losses at the student logits.
+The student side of every loss is raw logits, one row per sample: a
+batch of ``b`` samples over ``k`` student classes is a ``(b, k)`` logit
+matrix with a ``(b,)`` vector of label indices.  Each term returns its
+``(b,)`` per-row losses and the ``(b, k)`` gradient of those losses at
+the student logits.
 
 Distillation compares temperature-softened distributions of teacher and
 student; the teacher distribution is the target of the cross entropy
 and receives no gradient.  No temperature-squared rescaling is applied
-to the distillation gradient.
+to the distillation gradient.  Teachers are frozen within a task, so
+the trainer softens each teacher's score table once per task with
+``softened_softmax`` and the distillation terms take rows of that
+probability table: a teacher's ``(b, m)`` rows cover the first ``m``
+student classes in head order (the head only grows by appending).
+Softmax works row by row, so a row of the softened table is bit for bit
+the softened row.
 
 ``batch_loss`` combines the three terms into the batch-mean objective.
 Its logit gradient starts at zeros and accumulates ``(w * g) / b`` for
@@ -37,19 +42,21 @@ def softened_softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray
     """Softmax of logits / temperature along the last axis.
 
     Numerically stabilized by max subtraction; temperature 1 is the
-    plain softmax.  The input is made C-contiguous first, so each row of
-    a matrix is summed in the same order as the same row on its own
-    (a prefix view ``x[:, :m]`` is strided; a teacher table may be
-    column-major).
+    plain softmax.  The input is copied once into a fresh C-ordered
+    array, which the rest works on in place, so each row of a matrix is
+    summed in the same order as the same row on its own (a prefix view
+    ``x[:, :m]`` is strided; a teacher table may be column-major).
     """
     if temperature <= 0.0:
         raise NumericError(f"temperature must be > 0, got {temperature}")
-    z = np.ascontiguousarray(logits, dtype=np.float64) / temperature
-    if not np.all(np.isfinite(z)):
+    z = np.array(logits, dtype=np.float64, order="C")
+    z /= temperature
+    if not np.isfinite(z).all():
         raise NumericError("softmax input contains non-finite values")
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def cross_entropy(target: np.ndarray, prediction: np.ndarray) -> np.ndarray:
@@ -61,7 +68,9 @@ def cross_entropy(target: np.ndarray, prediction: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"target shape {target.shape} != prediction shape {prediction.shape}"
         )
-    return -(target * np.log(np.maximum(prediction, PROB_EPS))).sum(axis=-1)
+    terms = np.log(np.maximum(prediction, PROB_EPS))
+    terms *= target
+    return -terms.sum(axis=-1)
 
 
 def _logit_matrix(logits) -> np.ndarray:
@@ -90,41 +99,44 @@ def hard_label_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray,
             f"label indices {labels.min()}..{labels.max()} out of range for {k} classes"
         )
     rows = np.arange(b)
-    probs = softened_softmax(logits, 1.0)
-    losses = -np.log(np.maximum(probs[rows, labels], PROB_EPS))
-    grad = probs.copy()
+    grad = softened_softmax(logits, 1.0)
+    losses = -np.log(np.maximum(grad[rows, labels], PROB_EPS))
     grad[rows, labels] -= 1.0
     return losses, grad
 
 
 def kd_loss(
-    teacher_logits: np.ndarray,
+    teacher_probs: np.ndarray,
     student_logits: np.ndarray,
     temperature: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distillation cross entropy of each row over the teacher's classes.
 
-    ``teacher_logits`` is ``(b, m)`` and scores the first ``m`` of the
-    ``k`` classes of the ``(b, k)`` ``student_logits``, so ``0 < m <= k``.
+    ``teacher_probs`` is ``(b, m)``: rows of a teacher table already
+    softened at ``temperature``, covering the first ``m`` of the ``k``
+    classes of the ``(b, k)`` ``student_logits``, so ``0 < m <= k``.
     The returned gradient has the student's shape with zeros past column
     ``m``.  It omits any temperature-squared rescaling, so it is the
     exact derivative of the returned losses: d/ds CE = (softmax(s/T) -
-    softmax(t/T)) / T on the first ``m`` entries.
+    p) / T on the first ``m`` entries, where ``p`` is the teacher row.
     """
-    teacher_logits = np.asarray(teacher_logits, dtype=np.float64)
+    teacher_probs = np.asarray(teacher_probs, dtype=np.float64)
     student_logits = _logit_matrix(student_logits)
     b, k = student_logits.shape
-    m = teacher_logits.shape[-1] if teacher_logits.ndim == 2 else 0
-    if teacher_logits.shape != (b, m) or not 0 < m <= k:
+    m = teacher_probs.shape[-1] if teacher_probs.ndim == 2 else 0
+    if teacher_probs.shape != (b, m) or not 0 < m <= k:
         raise DimensionMismatchError(
-            f"teacher produced {teacher_logits.shape} logits for {b} rows "
+            f"teacher gave {teacher_probs.shape} probabilities for {b} rows "
             f"over {k} student classes"
         )
-    t_probs = softened_softmax(teacher_logits, temperature)
     s_probs = softened_softmax(student_logits[:, :m], temperature)
-    losses = cross_entropy(t_probs, s_probs)
+    losses = cross_entropy(teacher_probs, s_probs)
+    s_probs -= teacher_probs
+    s_probs /= temperature
+    if m == k:
+        return losses, s_probs
     grad = np.zeros_like(student_logits)
-    grad[:, :m] = (s_probs - t_probs) / temperature
+    grad[:, :m] = s_probs
     return losses, grad
 
 
@@ -159,6 +171,13 @@ def combine_losses(
     return LossBreakdown(hard=hard, kd_prev=kd_prev, kd_llm=kd_llm, total=total)
 
 
+def _scaled(grad: np.ndarray, w: float, b: int) -> np.ndarray:
+    """``w * grad / b``, computed in place in that order."""
+    grad *= w
+    grad /= b
+    return grad
+
+
 def batch_loss(
     logits: np.ndarray,
     labels: np.ndarray,
@@ -179,14 +198,14 @@ def batch_loss(
     b = grad.shape[0]
     dz = np.zeros_like(grad)
     if weights.alpha > 0.0:
-        dz += weights.alpha * grad / b
+        dz += _scaled(grad, weights.alpha, b)
     kd = []
     for w, rows in ((weights.beta, prev_rows), (weights.chi, llm_rows)):
         if rows is None or w == 0.0:
             kd.append(float("nan"))
             continue
         losses, grad = kd_loss(rows, logits, temperature)
-        dz += w * grad / b
+        dz += _scaled(grad, w, b)
         kd.append(float(losses.sum()) / b)
     return combine_losses(weights, float(hard.sum()) / b, *kd), dz
 

@@ -85,6 +85,9 @@ class Teacher:
     def _score(self, sample, mask_names):
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the teacher holds open; a no-op unless overridden."""
+
 
 class _TokenScoreTeacher(Teacher):
     """Base for teachers that answer with token-score tensors, which go
@@ -180,6 +183,10 @@ class ServiceTeacher(_TokenScoreTeacher):
         self.want = want
         self._connection, self._path = _endpoint(base_url, timeout)
         self.retry_count = 0
+
+    def close(self) -> None:
+        """Close the connection; a later query opens a fresh one."""
+        self._connection.close()
 
     def _exchange(self, data: bytes) -> tuple[int, bytes]:
         """Send one request and read its reply.

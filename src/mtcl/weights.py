@@ -20,6 +20,7 @@ must satisfy theta_ds + theta_di = 1 - alpha.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,6 +29,11 @@ import numpy as np
 from .errors import ConfigError
 
 WEIGHT_SUM_TOL = 1e-9
+
+
+def is_number(value) -> bool:
+    """True for a real number that is not a bool (JSON ``true`` is no number)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -46,19 +52,24 @@ class WeightConfig:
 
     def __post_init__(self):
         problems = []
-        if not 0.0 <= self.alpha <= 1.0:
-            problems.append(f"alpha must be in [0, 1], got {self.alpha}")
+        if not is_number(self.alpha) or not 0.0 <= self.alpha <= 1.0:
+            problems.append(f"alpha must be a number in [0, 1], got {self.alpha!r}")
         for name in ("theta_ds", "theta_di"):
             value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                problems.append(f"{name} must be a finite number >= 0, got {value}")
-        if abs(self.theta_ds + self.theta_di - (1.0 - self.alpha)) > WEIGHT_SUM_TOL:
+            if not is_number(value) or not 0.0 <= value < math.inf:
+                problems.append(f"{name} must be a finite number >= 0, got {value!r}")
+        shares = (self.alpha, self.theta_ds, self.theta_di)
+        if all(map(is_number, shares)) and (
+            abs(self.theta_ds + self.theta_di - (1.0 - self.alpha)) > WEIGHT_SUM_TOL
+        ):
             problems.append(
                 "theta_ds + theta_di must equal 1 - alpha "
                 f"(got {self.theta_ds} + {self.theta_di} != 1 - {self.alpha})"
             )
-        if self.log_base is not None and not 1.0 < self.log_base < math.inf:
-            problems.append(f"log_base must be a finite number > 1, got {self.log_base}")
+        if self.log_base is not None and (
+            not is_number(self.log_base) or not 1.0 < self.log_base < math.inf
+        ):
+            problems.append(f"log_base must be a finite number > 1, got {self.log_base!r}")
         if problems:
             raise ConfigError(problems)
 

@@ -529,10 +529,19 @@ class TestCliRun:
             ("weights", "theta_di", float("nan")),
             ("weights", "log_base", float("nan")),
             ("weights", "log_base", float("inf")),
+            # A JSON bool is no number, and a seed is a whole number >= 0.
+            (None, "seed", 1.5),
+            (None, "seed", True),
+            (None, "seed", -1),
+            (None, "temperature", True),
+            ("optimizer", "learning_rate", True),
+            ("weights", "alpha", "x"),
         ],
         ids=["epochs-fraction", "batch-size-fraction", "hidden1-fraction",
              "hidden2-float", "learning-rate-nan", "temperature-nan", "theta-ds-nan",
-             "theta-di-nan", "log-base-nan", "log-base-infinite"],
+             "theta-di-nan", "log-base-nan", "log-base-infinite", "seed-fraction",
+             "seed-bool", "seed-negative", "temperature-bool", "learning-rate-bool",
+             "alpha-text"],
     )
     def test_non_integer_or_non_finite_setting_exits_2(
         self, cli_workspace, tmp_path, capsys, section, field, value

@@ -23,6 +23,7 @@ from mtcl.engine import (
     write_metrics_csv,
 )
 from mtcl.errors import ConfigError, DataError, NumericError
+from mtcl.losses import softened_softmax
 from mtcl.taskstream import (
     GeneratorConfig,
     ImbalanceLedger,
@@ -183,10 +184,7 @@ class TestStudentModel:
         flat0 = model.get_flat().copy()
         model.set_flat(flat0)
         logits, cache = model.forward(x, want_cache=True)
-        grads = model.backward(cache, loss_and_dz(logits)[1])
-        analytic = np.concatenate(
-            [grads[name].ravel() for name, _ in model.param_items()]
-        )
+        analytic = model.backward(cache, loss_and_dz(logits)[1])
         step = 1e-5
         for k in rng.choice(flat0.size, size=25, replace=False):
             probe = flat0.copy()
@@ -197,6 +195,141 @@ class TestStudentModel:
             numeric = (up - down) / (2 * step)
             assert analytic[k] == pytest.approx(numeric, abs=1e-7)
         model.set_flat(flat0)
+
+
+class DictStudent:
+    """The former dict-of-arrays student, kept as the reference that the
+    flat-vector ``StudentModel`` must reproduce bit for bit: one array per
+    layer, the head grown one concatenated column per class, a dict of
+    gradients and one update per array."""
+
+    def __init__(self, seed, feature_length, question_length, hidden1, hidden2):
+        self.seed = seed
+        self.feature_length = feature_length
+        self.question_length = question_length
+        self.hidden1 = hidden1
+        self.hidden2 = hidden2
+        d = feature_length + question_length
+        rng = np.random.default_rng([seed, 0])
+        self.w1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, hidden1))
+        self.b1 = np.zeros(hidden1)
+        self.w2 = rng.normal(0.0, 1.0 / np.sqrt(hidden1), size=(hidden1, hidden2))
+        self.b2 = np.zeros(hidden2)
+        self.w3 = np.zeros((hidden2, 0))
+        self.b3 = np.zeros(0)
+        self.class_ids = []
+        self.class_names = []
+
+    NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
+
+    @property
+    def n_params(self):
+        return sum(getattr(self, name).size for name in self.NAMES)
+
+    def grow_head(self, new_classes):
+        for c in new_classes:
+            rng = np.random.default_rng([self.seed, 1, int(c.id)])
+            column = rng.normal(0.0, 0.01, size=self.hidden2)
+            self.w3 = np.concatenate([self.w3, column[:, None]], axis=1)
+            self.b3 = np.append(self.b3, 0.0)
+            self.class_ids.append(int(c.id))
+            self.class_names.append(c.name)
+        return self
+
+    def forward(self, x):
+        h1 = np.tanh(x @ self.w1 + self.b1)
+        h2 = np.tanh(h1 @ self.w2 + self.b2)
+        return h2 @ self.w3 + self.b3, (x, h1, h2)
+
+    def backward(self, cache, dlogits):
+        x, h1, h2 = cache
+        dh2 = (dlogits @ self.w3.T) * (1.0 - h2 * h2)
+        dh1 = (dh2 @ self.w2.T) * (1.0 - h1 * h1)
+        return {
+            "w1": x.T @ dh1, "b1": dh1.sum(axis=0),
+            "w2": h1.T @ dh2, "b2": dh2.sum(axis=0),
+            "w3": h2.T @ dlogits, "b3": dlogits.sum(axis=0),
+        }
+
+    def apply_gradients(self, grads, learning_rate):
+        for name in self.NAMES:
+            arr = getattr(self, name)
+            arr -= learning_rate * grads[name]
+
+    def get_flat(self):
+        return np.concatenate([getattr(self, name).ravel() for name in self.NAMES])
+
+    def clone(self):
+        twin = DictStudent(self.seed, self.feature_length, self.question_length,
+                           self.hidden1, self.hidden2)
+        for name in self.NAMES:
+            setattr(twin, name, getattr(self, name).copy())
+        twin.class_ids = list(self.class_ids)
+        twin.class_names = list(self.class_names)
+        return twin
+
+
+class TestFlatStudentAgainstReference:
+    def steps(self, model, reference, rng, count):
+        """Random SGD steps on both models, comparing every result's bytes."""
+        width = model.feature_length + model.question_length
+        for _ in range(count):
+            x = rng.normal(0.0, 1.5, size=(int(rng.integers(1, 12)), width))
+            logits, cache = model.forward(x, want_cache=True)
+            want_logits, want_cache = reference.forward(x)
+            assert logits.tobytes() == want_logits.tobytes()
+            assert model.forward(x).tobytes() == want_logits.tobytes()
+            dlogits = rng.normal(0.0, 0.3, size=logits.shape)
+            grads = model.backward(cache, dlogits)
+            want = reference.backward(want_cache, dlogits)
+            assert grads.tobytes() == np.concatenate(
+                [want[name].ravel() for name in DictStudent.NAMES]
+            ).tobytes()
+            lr = float(rng.uniform(0.01, 0.2))
+            model.apply_gradients(grads, lr)
+            reference.apply_gradients(want, lr)
+            assert model.get_flat().tobytes() == reference.get_flat().tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_bit_identical_through_growth_steps_and_clones(self, seed, tmp_path):
+        rng = np.random.default_rng(seed)
+        dims = (seed, int(rng.integers(1, 6)), int(rng.integers(1, 6)),
+                int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        model = StudentModel(*dims)
+        reference = DictStudent(*dims)
+        classes = [toy_label(int(i)) for i in rng.permutation(40)[:9]]
+        # The first task's classes in one step, later ones in several.
+        model.grow_head(classes[:4])
+        reference.grow_head(classes[:4])
+        self.steps(model, reference, rng, 6)
+        for group in (classes[4:5], classes[5:9]):
+            frozen, frozen_reference = model.clone(), reference.clone()
+            for c in group:
+                model.grow_head([c])
+            reference.grow_head(group)
+            assert model.class_ids == reference.class_ids
+            self.steps(model, reference, rng, 6)
+            self.steps(frozen, frozen_reference, rng, 2)
+        trace = WeightTrace()
+        save_checkpoint(tmp_path / "flat.bin", model, 3, trace, "d")
+        save_checkpoint(tmp_path / "dict.bin", reference, 3, trace, "d")
+        assert (tmp_path / "flat.bin").read_bytes() == (tmp_path / "dict.bin").read_bytes()
+        restored, _ = load_checkpoint(tmp_path / "flat.bin")
+        assert restored.get_flat().tobytes() == reference.get_flat().tobytes()
+
+    def test_backward_results_never_alias(self):
+        model = StudentModel(3, 4, 6, 8, 8).grow_head([toy_label(0), toy_label(1)])
+        x = np.random.default_rng(5).normal(size=(4, 10))
+        logits, cache = model.forward(x, want_cache=True)
+        first = model.backward(cache, np.ones_like(logits))
+        assert first.shape == (model.n_params,)
+        kept = first.copy()
+        second = model.backward(cache, -np.ones_like(logits))
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, model.w1)
+        np.testing.assert_array_equal(first, kept)
+        model.apply_gradients(second, 0.1)
+        np.testing.assert_array_equal(first, kept)
 
 
 class TestPrevModelTeacher:
@@ -371,6 +504,65 @@ class TestTrainTask:
             mini_stream.vocab, 2, trace,
         )
         return student, prev, llm
+
+    @pytest.mark.parametrize("mode, per_batch, tables",
+                             [("ours", 3, 2), ("lwf", 2, 1), ("ft", 1, 0)])
+    def test_softmax_runs_per_batch_and_once_per_kept_table(
+        self, mini_stream, monkeypatch, mode, per_batch, tables
+    ):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return softened_softmax(*args, **kwargs)
+
+        monkeypatch.setattr("mtcl.losses.softened_softmax", counting)
+        monkeypatch.setattr("mtcl.engine.softened_softmax", counting, raising=False)
+        settings = TrainSettings(seed=5, mode=mode, **FAST)
+        trace = WeightTrace()
+        self.continue_to_second_task(mini_stream, settings, standard_weights(), trace)
+        weights = latest_triple(trace)
+        assert (weights.beta > 0.0) + (weights.chi > 0.0) == tables
+        batches = [
+            settings.epochs * math.ceil(len(load_task(mini_stream, t).samples)
+                                        / settings.batch_size)
+            for t in (1, 2)
+        ]
+        # Task 1 trains on hard labels alone: one softmax per batch.
+        assert len(calls) == batches[0] + per_batch * batches[1] + tables
+
+    def test_non_finite_teacher_table_stops_before_the_first_batch(self, mini_stream):
+        class Broken(NoisyOracleTeacher):
+            def _score(self, sample, mask_names):
+                logits = super()._score(sample, mask_names)
+                if sample.id.endswith("7"):
+                    logits[-1] = np.nan
+                return logits
+
+        settings = TrainSettings(seed=5, mode="ours", **FAST)
+        task1, task2 = load_task(mini_stream, 1), load_task(mini_stream, 2)
+        student = StudentModel(
+            settings.seed, mini_stream.feature_length, len(mini_stream.vocab) + 1,
+            settings.hidden1, settings.hidden2,
+        ).grow_head(classes_up_to(mini_stream, 2))
+        prev = PrevModelTeacher(student.clone(), mini_stream.vocab)
+        steps = []
+        forward = student.forward
+
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return forward(*args, **kwargs)
+
+        student.forward = counted
+        before = student.get_flat()
+        with pytest.raises(NumericError):
+            train_task(
+                student, prev, Broken(seed=2, accuracy=0.8), task2,
+                ImbalanceLedger().update(task1).update(task2), settings,
+                standard_weights(), mini_stream.vocab, 2, WeightTrace(),
+            )
+        assert steps == []
+        np.testing.assert_array_equal(student.get_flat(), before)
 
     def test_adaptive_mode_records_measurements(self, mini_stream):
         settings = TrainSettings(seed=5, mode="ours", **FAST)

@@ -208,7 +208,7 @@ def kd_oracle(teacher, student_masked, delta):
 class TestKdLoss:
     def test_self_distillation_gives_entropy(self):
         z = np.array([[0.0, 0.0]])
-        losses, _ = kd_loss(z, z, 1.0)
+        losses, _ = kd_loss(softened_softmax(z, 1.0), z, 1.0)
         assert abs(losses[0] - math.log(2.0)) <= 1e-12
 
     def test_matches_oracle_with_mask(self):
@@ -220,7 +220,7 @@ class TestKdLoss:
             teacher = rng.normal(0.0, 2.0, size=(b, m))
             student = rng.normal(0.0, 2.0, size=(b, n_student))
             delta = float(rng.uniform(0.5, 5.0))
-            losses, _ = kd_loss(teacher, student, delta)
+            losses, _ = kd_loss(softened_softmax(teacher, delta), student, delta)
             for r in range(b):
                 assert abs(losses[r] - kd_oracle(teacher[r], student[r, :m], delta)) <= 1e-12
 
@@ -230,7 +230,7 @@ class TestKdLoss:
         limit = math.log(3.0)
         gaps = []
         for delta in (1.0, 10.0, 100.0):
-            losses, _ = kd_loss(teacher, student, delta)
+            losses, _ = kd_loss(softened_softmax(teacher, delta), student, delta)
             gaps.append(abs(losses[0] - limit))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 1e-3
@@ -238,7 +238,7 @@ class TestKdLoss:
     def test_peaked_teacher_reduces_to_hard_ce(self):
         student = np.array([[0.3, -0.7, 1.1]])
         teacher = np.array([[1000.0, 0.0, 0.0]])
-        losses, _ = kd_loss(teacher, student, 1.0)
+        losses, _ = kd_loss(softened_softmax(teacher, 1.0), student, 1.0)
         expected = ce_oracle([1.0, 0.0, 0.0], softmax_oracle(student[0], 1.0))
         assert abs(losses[0] - expected) <= 1e-6
 
@@ -248,7 +248,7 @@ class TestKdLoss:
             teacher = rng.normal(0.0, 2.0, size=(3, 4))
             student = rng.normal(0.0, 2.0, size=(3, 4))
             delta = float(rng.uniform(0.5, 4.0))
-            losses, _ = kd_loss(teacher, student, delta)
+            losses, _ = kd_loss(softened_softmax(teacher, delta), student, delta)
             for r in range(3):
                 t_probs = softmax_oracle(teacher[r], delta)
                 assert losses[r] >= ce_oracle(t_probs, t_probs) - 1e-12
@@ -256,7 +256,7 @@ class TestKdLoss:
     def test_gradient_matches_central_difference(self):
         rng = np.random.default_rng(1032)
         student = rng.normal(size=(2, 5))
-        teacher = rng.normal(size=(2, 3))
+        teacher = softened_softmax(rng.normal(size=(2, 3)), 2.0)
         delta = 2.0
         _, grad = kd_loss(teacher, student, delta)
         assert (grad[:, 3:] == 0.0).all()
@@ -403,7 +403,13 @@ class TestBatchLoss:
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_row_loop(self, batch):
         logits, labels, weights, delta, prev_rows, llm_rows = batch
-        got, dz = batch_loss(*batch)
+        # The trainer hands batch_loss rows of tables softened once per
+        # task; the reference softens each logit row on its own.
+        prev_probs, llm_probs = (
+            None if rows is None else softened_softmax(rows, delta)
+            for rows in (prev_rows, llm_rows)
+        )
+        got, dz = batch_loss(logits, labels, weights, delta, prev_probs, llm_probs)
         want, want_dz = row_loop_loss(*batch)
         np.testing.assert_array_equal(dz, want_dz)
         assert dz.tobytes() == want_dz.tobytes()
@@ -425,7 +431,8 @@ class TestBatchLoss:
         prev_rows = rng.normal(size=(6, 2))
         llm_rows = rng.normal(size=(6, 4))
         weights = WeightTriple(0.2, 0.5, 0.3)
-        out, _ = batch_loss(logits, labels, weights, 2.0, prev_rows, llm_rows)
+        out, _ = batch_loss(logits, labels, weights, 2.0,
+                            softened_softmax(prev_rows, 2.0), softened_softmax(llm_rows, 2.0))
         hard = np.mean([
             ce_oracle(np.eye(4)[y], softmax_oracle(z, 1.0)) for z, y in zip(logits, labels)
         ])
@@ -456,6 +463,44 @@ class TestBatchLoss:
             batch_loss(np.zeros((2, 3)), [0, 1], weights, 2.0, np.zeros((2, 4)), None)
         with pytest.raises(DimensionMismatchError):
             batch_loss(np.zeros((2, 3)), [0, 1], weights, 2.0, np.zeros((2, 0)), None)
+
+
+class TestPerTaskTables:
+    @given(
+        st.integers(1, 60),
+        st.integers(1, 40),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.1, 1.0, 4.0, 30.0]),
+        st.sampled_from([0.5, 1.0, 2.0, 3.7]),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_table_rows_bit_identical_to_batch_rows(
+        self, n, width, column_major, seed, scale, delta, data
+    ):
+        """Softening a whole teacher table once gives, row for row, the bits
+        of softening each batch's rows, and kd_loss on those table rows
+        equals the per-batch computation from teacher logits."""
+        rng = np.random.default_rng(seed)
+        table = rng.normal(0.0, scale, size=(n, width))
+        if column_major:
+            table = np.asfortranarray(table)
+        probs = softened_softmax(table, delta)
+        b = data.draw(st.integers(1, n))
+        batch_idx = rng.permutation(n)[:b]
+        batch = softened_softmax(table[batch_idx], delta)
+        assert probs[batch_idx].tobytes() == batch.tobytes()
+
+        k = width + data.draw(st.integers(0, 3))
+        student = rng.normal(0.0, scale, size=(b, k))
+        losses, grad = kd_loss(probs[batch_idx], student, delta)
+        s_probs = softened_softmax(student[:, :width], delta)
+        want_losses = cross_entropy(batch, s_probs)
+        want_grad = np.zeros_like(student)
+        want_grad[:, :width] = (s_probs - batch) / delta
+        assert losses.tobytes() == want_losses.tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 class TestGradCheck:

@@ -15,12 +15,14 @@ import numpy as np
 import pytest
 
 from mtcl.bridge import build_vocabulary, scores_to_logits, tokenize_labels, write_fixture
+from mtcl.cli import main
 from mtcl.errors import (
     DataError,
     TeacherDimensionError,
     TeacherProtocolError,
     TeacherTimeoutError,
 )
+from mtcl.taskstream import GeneratorConfig, generate_synthetic_stream
 from mtcl.teachers import (
     FixtureTeacher,
     NoisyOracleTeacher,
@@ -410,6 +412,74 @@ class TestServiceTeacher:
         url = f"http://127.0.0.1:{mock_server.server_address[1]}"
         teacher = ServiceTeacher(url, want="logits", timeout=2.0)
         np.testing.assert_array_equal(teacher.query(make_sample(), LABELS), [0.5, -1.0, 2.0])
+
+
+class _KeepAliveHandler(_Handler):
+    """Keeps each client connection open between replies (HTTP/1.1)."""
+
+    protocol_version = "HTTP/1.1"
+
+
+class TestServiceTeacherLifetime:
+    def test_close_releases_the_connection(self):
+        with serving(_KeepAliveHandler) as server:
+            server.behavior = lambda path, body: (200, logits_response(body))
+            url = f"http://127.0.0.1:{server.server_address[1]}"
+            teacher = ServiceTeacher(url, want="logits", timeout=2.0)
+            teacher.query(make_sample(), LABELS)
+            assert teacher._connection.sock is not None
+            teacher.close()
+            assert teacher._connection.sock is None
+            # A later query reconnects.
+            teacher.query(make_sample("s-1"), LABELS)
+            teacher.close()
+        Teacher().close()
+
+    @pytest.mark.parametrize("status, expected_code", [(200, 0), (500, 4)],
+                             ids=["finished-run", "failed-run"])
+    def test_cli_run_closes_the_general_teacher(
+        self, tmp_path, monkeypatch, capsys, status, expected_code
+    ):
+        stream = GeneratorConfig(tasks=2, classes_per_task=2, feature_length=3,
+                                 samples_per_task=24, imbalance=2.0)
+        manifest = generate_synthetic_stream(stream, seed=3, out_dir=tmp_path / "stream")
+        built = []
+
+        def recording(*args, **kwargs):
+            built.append(teacher_from_config(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr("mtcl.cli.teacher_from_config", recording)
+
+        def behavior(path, body):
+            n = len(body["candidate_labels"])
+            values = np.linspace(-1.0, 1.0, n).astype("<f4")
+            return status, {
+                "request_id": body["request_id"],
+                "dims": [n],
+                "payload": base64.b64encode(values.tobytes()).decode("ascii"),
+            }
+
+        with serving(_KeepAliveHandler) as server:
+            server.behavior = behavior
+            config = {
+                "manifest": str(manifest),
+                "mode": "ours",
+                "optimizer": {"epochs": 1, "batch_size": 8},
+                "model": {"hidden1": 4, "hidden2": 4},
+                "llm_teacher": {
+                    "kind": "service", "want": "logits", "timeout": 5.0,
+                    "base_url": f"http://127.0.0.1:{server.server_address[1]}",
+                },
+            }
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            code = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+        capsys.readouterr()
+        assert code == expected_code
+        (teacher,) = built
+        assert teacher.query_count > 0
+        assert teacher._connection.sock is None
 
 
 class TestNoisyOracle:
