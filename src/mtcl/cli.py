@@ -150,10 +150,11 @@ def _run_overrides(args) -> dict:
 def cmd_run(args) -> int:
     cfg = load_run_config(args.config, _run_overrides(args))
     manifest = load_manifest(cfg.manifest)
+    settings = cfg.settings
     llm = None
-    if cfg.mode == "ours":
+    if settings.mode == "ours":
         llm = teacher_from_config(
-            cfg.llm_teacher, vocab=manifest.vocab, default_seed=cfg.seed
+            cfg.llm_teacher, vocab=manifest.vocab, default_seed=settings.seed
         )
     out = cfg.resolved_output_dir()
     out.mkdir(parents=True, exist_ok=True)
@@ -162,9 +163,9 @@ def cmd_run(args) -> int:
         json.dumps(
             {
                 "tool_version": __version__,
-                "seed": cfg.seed,
+                "seed": settings.seed,
                 "config_digest": cfg.digest(),
-                "mode": cfg.mode,
+                "mode": settings.mode,
             },
             indent=2,
         )
@@ -174,8 +175,8 @@ def cmd_run(args) -> int:
     try:
         rows, _, _ = run_continual(
             manifest,
-            cfg.train_settings(),
-            cfg.weight_config(),
+            settings,
+            cfg.weights,
             llm_teacher=llm,
             run_dir=str(out),
             config_digest=cfg.digest(),
@@ -204,23 +205,27 @@ def cmd_generate(args) -> int:
 
 def cmd_inspect_weights(args) -> int:
     cfg = WeightConfig(**_given_fields(args, WeightConfig))
+
+    def assemble(ir):
+        try:
+            return assemble_weights(
+                cfg, args.acc_prev, args.acc_llm, ir, class_count=args.class_count
+            )
+        except ValueError as exc:  # a measurement out of its range
+            raise ConfigError(str(exc)) from exc
+
     if args.sweep_ir:
         try:
             start, stop, count = args.sweep_ir.split(":")
             grid = np.linspace(float(start), float(stop), int(count))
         except ValueError as exc:
             raise ConfigError(f"--sweep-ir expects START:STOP:COUNT: {exc}") from exc
+        rows = [(ir, assemble(float(ir))[0]) for ir in grid]
         print("ir beta chi")
-        for ir in grid:
-            triple, _ = assemble_weights(
-                cfg, args.acc_prev, args.acc_llm, float(ir),
-                class_count=args.class_count,
-            )
+        for ir, triple in rows:
             print(f"{ir:.6f} {triple.beta:.6f} {triple.chi:.6f}")
         return 0
-    triple, breakdown = assemble_weights(
-        cfg, args.acc_prev, args.acc_llm, args.ir, class_count=args.class_count
-    )
+    triple, breakdown = assemble(args.ir)
     for name in ("acc_prev", "acc_llm", "ir", "beta_ds", "chi_ds", "beta_di", "chi_di"):
         print(f"{name} = {getattr(breakdown, name):.6f}")
     for name in ("alpha", "beta", "chi"):

@@ -21,27 +21,26 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import TrainSettings
 from .errors import ConfigError
-from .weights import WeightConfig, is_number
+from .weights import WeightConfig
 
 OUTPUT_ROOT_ENV = "MTCL_OUTPUT_ROOT"
 
 
-def _defaults(cls, names) -> dict:
-    """Field defaults of a settings dataclass, keyed in the given order."""
-    found = {f.name: f.default for f in fields(cls)}
-    return {name: found[name] for name in names}
+# Each name tuple lists the keys its section accepts and fixes that
+# section's key order in resolved_config.json.
+_RUN_KEYS = ("mode", "seed", "temperature")
+_WEIGHT_KEYS = ("alpha", "theta_ds", "theta_di", "log_base")
+_OPTIMIZER_KEYS = ("learning_rate", "epochs", "batch_size")
+_MODEL_KEYS = ("hidden1", "hidden2")
 
 
-# Each name tuple fixes the key order of its section in resolved_config.json.
-_WEIGHT_DEFAULTS = _defaults(WeightConfig, ("alpha", "theta_ds", "theta_di", "log_base"))
-_OPTIMIZER_DEFAULTS = _defaults(TrainSettings, ("learning_rate", "epochs", "batch_size"))
-_MODEL_DEFAULTS = _defaults(TrainSettings, ("hidden1", "hidden2"))
-_RUN_DEFAULTS = _defaults(TrainSettings, ("mode", "seed", "temperature"))
+def _pick(settings, names) -> dict:
+    return {name: getattr(settings, name) for name in names}
 
 
 @dataclass(frozen=True)
@@ -49,34 +48,10 @@ class RunConfig:
     """Validated, fully resolved settings for one run."""
 
     manifest: str
-    mode: str
-    seed: int
     output_dir: str
-    temperature: float
-    weights: dict
-    optimizer: dict
-    model: dict
+    settings: TrainSettings
+    weights: WeightConfig
     llm_teacher: dict
-
-    def train_settings(self) -> TrainSettings:
-        return TrainSettings(
-            learning_rate=self.optimizer["learning_rate"],
-            epochs=self.optimizer["epochs"],
-            batch_size=self.optimizer["batch_size"],
-            temperature=self.temperature,
-            seed=self.seed,
-            hidden1=self.model["hidden1"],
-            hidden2=self.model["hidden2"],
-            mode=self.mode,
-        )
-
-    def weight_config(self) -> WeightConfig:
-        return WeightConfig(
-            alpha=self.weights["alpha"],
-            theta_ds=self.weights["theta_ds"],
-            theta_di=self.weights["theta_di"],
-            log_base=self.weights["log_base"],
-        )
 
     def resolved_output_dir(self) -> Path:
         """Honor the output-root environment override, if set."""
@@ -88,13 +63,13 @@ class RunConfig:
     def resolved_dict(self) -> dict:
         return {
             "manifest": self.manifest,
-            "mode": self.mode,
-            "seed": self.seed,
+            "mode": self.settings.mode,
+            "seed": self.settings.seed,
             "output_dir": self.output_dir,
-            "temperature": self.temperature,
-            "weights": dict(self.weights),
-            "optimizer": dict(self.optimizer),
-            "model": dict(self.model),
+            "temperature": self.settings.temperature,
+            "weights": _pick(self.weights, _WEIGHT_KEYS),
+            "optimizer": _pick(self.settings, _OPTIMIZER_KEYS),
+            "model": _pick(self.settings, _MODEL_KEYS),
             "llm_teacher": dict(self.llm_teacher) if self.llm_teacher else None,
         }
 
@@ -111,23 +86,21 @@ class RunConfig:
         )
 
 
-def _merged(defaults: dict, given, where: str, problems: list) -> dict:
-    result = dict(defaults)
-    if given is None:
-        return result
-    if not isinstance(given, dict):
-        problems.append(f"{where} must be an object, got {type(given).__name__}")
-        return result
-    for key, value in given.items():
-        if key not in defaults:
+def _given(section, names, where: str, problems: list) -> dict:
+    """The keys of one section that were set; the dataclass defaults fill the rest."""
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        problems.append(f"{where} must be an object, got {type(section).__name__}")
+        return {}
+    for key in section:
+        if key not in names:
             problems.append(f"unknown key {where}.{key}")
-        else:
-            result[key] = value
-    return result
+    return {key: value for key, value in section.items() if key in names}
 
 
 def build_run_config(payload: dict, overrides: dict = None) -> RunConfig:
-    """Merge defaults, file values, and flag overrides, then validate.
+    """Merge file values and flag overrides over the defaults, then validate.
 
     ``overrides`` uses dotted keys (for example ``weights.alpha``) and
     wins over the file.  Raises ConfigError carrying every violation.
@@ -136,8 +109,8 @@ def build_run_config(payload: dict, overrides: dict = None) -> RunConfig:
     if not isinstance(payload, dict):
         raise ConfigError("run config must be a JSON object")
     known_top = {
-        "manifest", "mode", "seed", "output_dir", "temperature",
-        "weights", "optimizer", "model", "llm_teacher",
+        "manifest", "output_dir", "weights", "optimizer", "model", "llm_teacher",
+        *_RUN_KEYS,
     }
     for key in payload:
         if key not in known_top:
@@ -158,55 +131,38 @@ def build_run_config(payload: dict, overrides: dict = None) -> RunConfig:
     if not manifest or not isinstance(manifest, str):
         problems.append("manifest path is required")
         manifest = ""
-    mode = merged.get("mode", _RUN_DEFAULTS["mode"])
-    weights = _merged(_WEIGHT_DEFAULTS, merged.get("weights"), "weights", problems)
-    optimizer = _merged(
-        _OPTIMIZER_DEFAULTS, merged.get("optimizer"), "optimizer", problems
-    )
-    model = _merged(_MODEL_DEFAULTS, merged.get("model"), "model", problems)
+    settings = {key: merged[key] for key in _RUN_KEYS if key in merged}
+    settings.update(_given(merged.get("optimizer"), _OPTIMIZER_KEYS, "optimizer", problems))
+    settings.update(_given(merged.get("model"), _MODEL_KEYS, "model", problems))
+    weights = _given(merged.get("weights"), _WEIGHT_KEYS, "weights", problems)
+    mode = settings.get("mode", TrainSettings.mode)
     if mode == "ft":
         # Hard labels only; rewrite the weight fields so the blend
         # constraint (share emphases sum to 1 - alpha) stays coherent.
-        weights["alpha"] = 1.0
-        weights["theta_ds"] = 0.0
-        weights["theta_di"] = 0.0
+        weights.update(alpha=1.0, theta_ds=0.0, theta_di=0.0)
     llm_teacher = merged.get("llm_teacher")
     if llm_teacher is not None and not isinstance(llm_teacher, dict):
         problems.append("llm_teacher must be an object or null")
         llm_teacher = None
     if mode == "ours" and llm_teacher is None:
         problems.append("mode 'ours' needs an llm_teacher entry")
-    # TrainSettings checks both types; a whole-number temperature is stored
-    # as a float, as it always was, so resolved_config.json and the digest
-    # stay the same.
-    temperature = merged.get("temperature", _RUN_DEFAULTS["temperature"])
-    if is_number(temperature):
-        try:
-            temperature = float(temperature)
-        except OverflowError:
-            problems.append(f"temperature must be a finite number > 0, got {temperature}")
 
-    cfg = RunConfig(
-        manifest=str(manifest),
-        mode=str(mode),
-        seed=merged.get("seed", _RUN_DEFAULTS["seed"]),
-        output_dir=str(merged.get("output_dir", "runs/run")),
-        temperature=temperature,
-        weights=weights,
-        optimizer=optimizer,
-        model=model,
-        llm_teacher=llm_teacher,
-    )
-    for build in (cfg.train_settings, cfg.weight_config):
+    built = {}
+    for name, settings_class, given in (
+        ("settings", TrainSettings, settings), ("weights", WeightConfig, weights)
+    ):
         try:
-            build()
+            built[name] = settings_class(**given)
         except ConfigError as exc:
             problems.extend(exc.violations)
-        except (TypeError, ValueError) as exc:
-            problems.append(str(exc))
     if problems:
         raise ConfigError(problems)
-    return cfg
+    return RunConfig(
+        manifest=manifest,
+        output_dir=str(merged.get("output_dir", "runs/run")),
+        llm_teacher=llm_teacher,
+        **built,
+    )
 
 
 def load_run_config(path, overrides: dict = None) -> RunConfig:

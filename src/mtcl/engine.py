@@ -47,7 +47,8 @@ from .weights import (
     WeightTriple,
     WeightTrace,
     assemble_weights,
-    is_number,
+    is_finite_number,
+    is_integer,
     measure_teacher_accuracy,
 )
 
@@ -116,17 +117,20 @@ class TrainSettings:
         problems = []
         for name in ("learning_rate", "temperature"):
             value = getattr(self, name)
-            if not is_number(value) or not 0.0 < value < math.inf:
+            if not is_finite_number(value) or value <= 0.0:
                 problems.append(f"{name} must be a finite number > 0, got {value!r}")
         for name, low in (("epochs", 1), ("batch_size", 1), ("hidden1", 1),
                           ("hidden2", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            if not is_integer(value) or value < low:
                 problems.append(f"{name} must be an integer >= {low}, got {value!r}")
         if self.mode not in MODES:
             problems.append(f"mode must be one of {MODES}, got {self.mode!r}")
         if problems:
             raise ConfigError(problems)
+        # A whole-number temperature is kept as a float, so it is written
+        # to resolved_config.json (and digested) the same either way.
+        object.__setattr__(self, "temperature", float(self.temperature))
 
 
 class StudentModel:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import math
 import os
 import uuid
 from urllib.parse import quote, urlsplit
@@ -40,6 +39,7 @@ from .errors import (
     TeacherProtocolError,
     TeacherTimeoutError,
 )
+from .weights import is_finite_number, is_integer, is_number
 
 # Pre-softmax margin the oracle puts on its chosen label.
 ORACLE_MARGIN = 2.0
@@ -47,14 +47,10 @@ ORACLE_MARGIN = 2.0
 _JSON_HEADERS = {"Content-Type": "application/json"}
 
 
-def _checked(name: str, value, kind, valid, wanted: str):
-    """``kind(value)`` if it converts and is ``valid``, else DataError naming the field."""
-    try:
-        converted = kind(value)
-        if valid(converted):
-            return converted
-    except (TypeError, ValueError, OverflowError):
-        pass
+def _checked(name: str, value, valid, wanted: str):
+    """``value`` if it is ``valid``, else DataError naming the field."""
+    if valid(value):
+        return value
     raise DataError(f"teacher field {name!r} must be {wanted}, got {value!r}")
 
 
@@ -177,9 +173,10 @@ class ServiceTeacher(_TokenScoreTeacher):
             raise DataError(f"want must be 'embeddings' or 'logits', got {want!r}")
         if want == "embeddings" and vocab is None:
             raise DataError("embeddings mode needs a vocabulary for the token targets")
-        timeout = _checked("timeout", timeout, float, lambda v: 0.0 < v < math.inf,
+        timeout = _checked("timeout", timeout, lambda v: is_finite_number(v) and v > 0.0,
                            "a finite number of seconds > 0")
-        self.retries = _checked("retries", retries, int, lambda v: v >= 0, "an integer >= 0")
+        self.retries = _checked("retries", retries, lambda v: is_integer(v) and v >= 0,
+                                "an integer >= 0")
         self.want = want
         self._connection, self._path = _endpoint(base_url, timeout)
         self.retry_count = 0
@@ -287,9 +284,10 @@ class NoisyOracleTeacher(Teacher):
 
     def __init__(self, seed: int, accuracy: float):
         super().__init__()
-        self.accuracy = _checked("accuracy", accuracy, float, lambda v: 0.0 < v <= 1.0,
+        self.accuracy = _checked("accuracy", accuracy,
+                                 lambda v: is_number(v) and 0.0 < v <= 1.0,
                                  "a number in (0, 1]")
-        self.seed = _checked("seed", seed, int, lambda v: True, "an integer")
+        self.seed = _checked("seed", seed, is_integer, "an integer")
 
     def _draws(self, sample_id: str) -> tuple[float, int]:
         digest = hashlib.sha256(f"{self.seed}:{sample_id}".encode("utf-8")).digest()

@@ -36,6 +36,20 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def is_integer(value) -> bool:
+    """True for an ``int`` that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """True for a number (see ``is_number``) that a float holds as a finite value;
+    an integer too large for a float is not one."""
+    try:
+        return is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class WeightConfig:
     """Hyperparameters for the weight assignment scheme.
@@ -52,15 +66,16 @@ class WeightConfig:
 
     def __post_init__(self):
         problems = []
-        if not is_number(self.alpha) or not 0.0 <= self.alpha <= 1.0:
+        if not is_finite_number(self.alpha) or not 0.0 <= self.alpha <= 1.0:
             problems.append(f"alpha must be a number in [0, 1], got {self.alpha!r}")
         for name in ("theta_ds", "theta_di"):
             value = getattr(self, name)
-            if not is_number(value) or not 0.0 <= value < math.inf:
+            if not is_finite_number(value) or value < 0.0:
                 problems.append(f"{name} must be a finite number >= 0, got {value!r}")
         shares = (self.alpha, self.theta_ds, self.theta_di)
-        if all(map(is_number, shares)) and (
-            abs(self.theta_ds + self.theta_di - (1.0 - self.alpha)) > WEIGHT_SUM_TOL
+        if all(map(is_finite_number, shares)) and (
+            # float() first: two finite integers may sum past the float range.
+            abs(float(self.theta_ds) + self.theta_di - (1.0 - self.alpha)) > WEIGHT_SUM_TOL
         ):
             problems.append(
                 "theta_ds + theta_di must equal 1 - alpha "
@@ -135,8 +150,8 @@ def di_shares(ir: float, log_base: float) -> tuple[float, float]:
     A balanced history (ir == 1) gives the previous-step teacher the
     whole share; the general teacher's share grows with log_base(ir).
     """
-    if ir < 1.0:
-        raise ValueError(f"imbalance ratio must be >= 1, got {ir}")
+    if not ir >= 1.0:
+        raise ValueError(f"imbalance ratio ir must be >= 1, got {ir}")
     if log_base <= 1.0:
         raise ValueError(f"log_base must be > 1, got {log_base}")
     damped = math.log(ir) / math.log(log_base)

@@ -36,6 +36,9 @@ from mtcl.taskstream import GeneratorConfig, LabelClass, generate_synthetic_stre
 from mtcl.weights import WeightTrace
 
 
+EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
+
+
 def base_payload(**extra):
     payload = {
         "manifest": "stream/manifest.json",
@@ -49,13 +52,12 @@ def base_payload(**extra):
 class TestBuildRunConfig:
     def test_defaults_fill_in(self):
         cfg = build_run_config(base_payload())
-        assert cfg.weights["alpha"] == 0.2
-        assert cfg.optimizer == {"learning_rate": 0.05, "epochs": 30, "batch_size": 32}
-        assert cfg.model == {"hidden1": 32, "hidden2": 32}
-        assert cfg.temperature == 2.0
-        settings = cfg.train_settings()
+        settings = cfg.settings
+        assert cfg.weights.alpha == 0.2
+        assert (settings.learning_rate, settings.epochs, settings.batch_size) == (0.05, 30, 32)
+        assert (settings.hidden1, settings.hidden2) == (32, 32)
+        assert settings.temperature == 2.0
         assert settings.mode == "ours"
-        assert cfg.weight_config().alpha == 0.2
 
     def test_every_violation_reported_at_once(self):
         payload = base_payload(
@@ -90,10 +92,9 @@ class TestBuildRunConfig:
         )
         del payload["llm_teacher"]
         cfg = build_run_config(payload)
-        assert cfg.weights["alpha"] == 1.0
-        assert cfg.weights["theta_ds"] == 0.0
-        assert cfg.weights["theta_di"] == 0.0
-        cfg.weight_config()
+        assert cfg.weights.alpha == 1.0
+        assert cfg.weights.theta_ds == 0.0
+        assert cfg.weights.theta_di == 0.0
 
     def test_single_teacher_preset_needs_no_general_teacher(self):
         payload = base_payload(mode="lwf")
@@ -120,13 +121,41 @@ class TestBuildRunConfig:
             {"seed": 9, "weights.alpha": 0.5, "weights.theta_ds": 0.25,
              "weights.theta_di": 0.25, "optimizer.epochs": 7},
         )
-        assert cfg.seed == 9
-        assert cfg.weights["alpha"] == 0.5
-        assert cfg.optimizer["epochs"] == 7
+        assert cfg.settings.seed == 9
+        assert cfg.weights.alpha == 0.5
+        assert cfg.settings.epochs == 7
 
     def test_too_deep_override_rejected(self):
         with pytest.raises(ConfigError, match="too deep"):
             build_run_config(base_payload(), {"weights.alpha.extra": 1})
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("ours.json", "ed53a6aa467461ac"),
+            ("lwf.json", "bd78defdfb4fe7b5"),
+            ("ft.json", "4fe4ad413c9a5521"),
+            (None, "2f9317af24e25391"),
+        ],
+        ids=["ours", "lwf", "ft", "lwf-all-defaults"],
+    )
+    def test_shipped_configs_keep_digest_and_key_order(self, name, digest):
+        if name is None:
+            payload = {"manifest": "stream/manifest.json", "mode": "lwf"}
+        else:
+            with open(EXPERIMENTS / name, encoding="utf-8") as fh:
+                payload = json.load(fh)
+        cfg = build_run_config(payload)
+        assert cfg.digest() == digest
+        # The digest sorts its keys; this pins the layout of resolved_config.json.
+        resolved = cfg.resolved_dict()
+        assert list(resolved) == [
+            "manifest", "mode", "seed", "output_dir", "temperature",
+            "weights", "optimizer", "model", "llm_teacher",
+        ]
+        assert list(resolved["weights"]) == ["alpha", "theta_ds", "theta_di", "log_base"]
+        assert list(resolved["optimizer"]) == ["learning_rate", "epochs", "batch_size"]
+        assert list(resolved["model"]) == ["hidden1", "hidden2"]
 
 
 class TestDigest:
@@ -536,12 +565,16 @@ class TestCliRun:
             (None, "temperature", True),
             ("optimizer", "learning_rate", True),
             ("weights", "alpha", "x"),
+            # An integer too large for a float is no finite number.
+            ("optimizer", "learning_rate", 10**400),
+            ("weights", "alpha", 10**400),
+            ("weights", "theta_ds", 10**400),
         ],
         ids=["epochs-fraction", "batch-size-fraction", "hidden1-fraction",
              "hidden2-float", "learning-rate-nan", "temperature-nan", "theta-ds-nan",
              "theta-di-nan", "log-base-nan", "log-base-infinite", "seed-fraction",
              "seed-bool", "seed-negative", "temperature-bool", "learning-rate-bool",
-             "alpha-text"],
+             "alpha-text", "learning-rate-huge", "alpha-huge", "theta-ds-huge"],
     )
     def test_non_integer_or_non_finite_setting_exits_2(
         self, cli_workspace, tmp_path, capsys, section, field, value
@@ -650,6 +683,28 @@ class TestCliInspectWeights:
         code = main(["inspect-weights", "--acc-prev", "0.5", "--acc-llm", "0.5", *flags])
         assert code == 2
         assert f"{field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, measurement",
+        [
+            (["--acc-prev", "2", "--acc-llm", "0.5", "--class-count", "6"], "acc_prev"),
+            (["--acc-prev", "nan", "--acc-llm", "0.5", "--log-base", "3"], "acc_prev"),
+            (["--acc-prev", "0.5", "--acc-llm", "0.5", "--ir", "0.5",
+              "--class-count", "6"], "ir"),
+            (["--acc-prev", "0.5", "--acc-llm", "0.5", "--sweep-ir", "0:2:3",
+              "--class-count", "6"], "ir"),
+            (["--acc-prev", "0.5", "--acc-llm", "0.5", "--ir", "nan",
+              "--class-count", "6"], "ir"),
+        ],
+        ids=["acc-prev-above-1", "acc-prev-nan", "ir-below-1", "sweep-ir-below-1",
+             "ir-nan"],
+    )
+    def test_out_of_range_measurement_exits_2(self, capsys, flags, measurement):
+        code = main(["inspect-weights", *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"{measurement} must be" in captured.err
+        assert captured.out == ""
 
     def test_invalid_weight_hyperparameters_exit_2(self, capsys):
         code = main(

@@ -594,6 +594,16 @@ class TestTeacherFromConfig:
             ({**oracle, "accuracy": "high"}, "accuracy"),
             ({**oracle, "seed": "s"}, "seed"),
             ({"kind": "fixture", "path": 5}, "path"),
+            # Numbers are taken as given: no bool, no text, no truncation.
+            ({**oracle, "accuracy": True}, "accuracy"),
+            ({**oracle, "accuracy": "0.7"}, "accuracy"),
+            ({**oracle, "seed": 1.5}, "seed"),
+            ({**oracle, "seed": True}, "seed"),
+            ({**oracle, "seed": "3"}, "seed"),
+            ({**service, "retries": 1.5}, "retries"),
+            ({**service, "retries": True}, "retries"),
+            ({**service, "timeout": True}, "timeout"),
+            ({**service, "timeout": "3"}, "timeout"),
         ):
             with pytest.raises(DataError, match=f"'{field}'"):
                 teacher_from_config(spec, vocab)
