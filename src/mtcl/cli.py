@@ -30,7 +30,10 @@ from .engine import MODES, evaluate, load_checkpoint, run_continual
 from .errors import ConfigError, MtclError, exit_code_for
 from .taskstream import GeneratorConfig, generate_synthetic_stream, load_manifest, load_task
 from .teachers import teacher_from_config
-from .weights import WeightConfig, assemble_weights
+from .weights import WeightConfig, assemble_weights, is_finite_number
+
+# Most grid points ``inspect-weights --sweep-ir`` tabulates.
+MAX_SWEEP_POINTS = 10**6
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -205,6 +208,12 @@ def cmd_generate(args) -> int:
 
 def cmd_inspect_weights(args) -> int:
     cfg = WeightConfig(**_given_fields(args, WeightConfig))
+    if args.class_count is not None and not (
+        is_finite_number(args.class_count) and args.class_count >= 1
+    ):
+        raise ConfigError(
+            f"--class-count must be an integer >= 1 that a float holds, got {args.class_count}"
+        )
 
     def assemble(ir):
         try:
@@ -217,9 +226,14 @@ def cmd_inspect_weights(args) -> int:
     if args.sweep_ir:
         try:
             start, stop, count = args.sweep_ir.split(":")
-            grid = np.linspace(float(start), float(stop), int(count))
+            start, stop, count = float(start), float(stop), int(count)
         except ValueError as exc:
             raise ConfigError(f"--sweep-ir expects START:STOP:COUNT: {exc}") from exc
+        if not 0 <= count <= MAX_SWEEP_POINTS:
+            raise ConfigError(
+                f"--sweep-ir COUNT must be in [0, {MAX_SWEEP_POINTS}], got {count}"
+            )
+        grid = np.linspace(start, stop, count)
         rows = [(ir, assemble(float(ir))[0]) for ir in grid]
         print("ir beta chi")
         for ir, triple in rows:

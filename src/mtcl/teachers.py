@@ -8,8 +8,10 @@ vector over the candidates.  Backends:
   binary fixture file, pushing them through the embedding-to-logits
   bridge.  Used for offline runs and reproducible tests.
 * ``ServiceTeacher`` queries an HTTP endpoint over one persistent
-  connection, with idempotent retries on timeouts and connection
-  failures.
+  connection, one request per sample.  A score table's requests are
+  pipelined, up to ``MAX_IN_FLIGHT`` at once, each written in one piece;
+  timeouts and connection failures resend the unanswered requests with
+  their request ids on a fresh connection.
 * ``NoisyOracleTeacher`` is a synthetic stand-in whose per-sample
   correctness is a deterministic hash of (seed, sample id); it hits the
   true label with a configurable rate.  Used by the synthetic pipeline
@@ -17,7 +19,8 @@ vector over the candidates.  Backends:
 
 The trainer asks each teacher once per task for a score table over the
 task's training samples (``score_table``); the base implementation
-queries sample by sample.  All teachers count their queries so runs that
+queries sample by sample, and the service and previous-model teachers
+override it.  All teachers count their queries so runs that
 claim not to consult a teacher can prove it.
 """
 
@@ -28,6 +31,7 @@ import hashlib
 import json
 import os
 import uuid
+from collections import deque
 from urllib.parse import quote, urlsplit
 
 import numpy as np
@@ -44,7 +48,10 @@ from .weights import is_finite_number, is_integer, is_number
 # Pre-softmax margin the oracle puts on its chosen label.
 ORACLE_MARGIN = 2.0
 
-_JSON_HEADERS = {"Content-Type": "application/json"}
+# Pipelining limits of ServiceTeacher on one connection: requests waiting
+# for a reply, and their bytes (one request alone may exceed that cap).
+MAX_IN_FLIGHT = 8
+MAX_UNANSWERED_BYTES = 64 * 1024
 
 
 def _checked(name: str, value, valid, wanted: str):
@@ -52,6 +59,14 @@ def _checked(name: str, value, valid, wanted: str):
     if valid(value):
         return value
     raise DataError(f"teacher field {name!r} must be {wanted}, got {value!r}")
+
+
+def _candidates(mask_names) -> tuple:
+    """``mask_names`` as a tuple of at least one label (else DataError)."""
+    mask_names = tuple(mask_names)
+    if not mask_names:
+        raise DataError("teacher query needs at least one candidate label")
+    return mask_names
 
 
 class Teacher:
@@ -67,9 +82,7 @@ class Teacher:
         return np.array(rows, dtype=np.float64).reshape(len(rows), len(mask_names))
 
     def query(self, sample, mask_names) -> np.ndarray:
-        mask_names = tuple(mask_names)
-        if not mask_names:
-            raise DataError("teacher query needs at least one candidate label")
+        mask_names = _candidates(mask_names)
         self.query_count += 1
         logits = np.asarray(self._score(sample, mask_names), dtype=np.float64)
         if logits.shape != (len(mask_names),):
@@ -126,10 +139,11 @@ class FixtureTeacher(_TokenScoreTeacher):
 
 
 def _endpoint(base_url, timeout: float):
-    """The unopened connection and the request path for ``base_url``: an
+    """The unopened connection for ``base_url`` and the head of every
+    request to it, up to the Content-Length value: ``base_url`` must be an
     http(s) URL with a host, optional port and path prefix, and no user
     info, query or fragment (else DataError)."""
-    # Imported here and in _post: http.client loads ssl, about 6 MB of
+    # Imported here and in _replies: http.client loads ssl, about 6 MB of
     # resident memory that runs without a service teacher need not carry.
     from http.client import HTTPConnection, HTTPSConnection, InvalidURL
 
@@ -143,21 +157,63 @@ def _endpoint(base_url, timeout: float):
         if not parts.hostname or "@" in parts.netloc or "?" in base_url or "#" in base_url:
             raise ValueError("it needs a host and no user, query or fragment part")
         connection = kind(parts.hostname, port, timeout=timeout)
+        host = parts.hostname.encode("idna").decode("ascii")
     except (ValueError, InvalidURL) as exc:
         raise DataError(
             f"teacher field 'base_url' is not a usable URL ({exc}): {base_url!r}"
         ) from exc
+    if ":" in host:
+        host = f"[{host}]"
+    if port != kind.default_port:
+        host = f"{host}:{port}"
     path = quote(parts.path.rstrip("/") + "/teacher/query", safe="/%:@!$&'()*+,;=~")
-    return connection, path
+    head = (
+        f"POST {path} HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n"
+        "Content-Type: application/json\r\nContent-Length: "
+    )
+    return connection, head.encode("ascii")
+
+
+class _SharedReader:
+    """A connection's one buffered reader, lent to each ``HTTPResponse``.
+
+    A response closes its file once its body is read (and flushes it when
+    it is collected), but the replies to later pipelined requests may
+    already sit in the buffer behind it, so ``close`` and ``flush`` do
+    nothing here; ``release`` closes the reader.
+    """
+
+    def __init__(self, sock):
+        self._file = sock.makefile("rb")
+
+    def makefile(self, mode):
+        return self
+
+    def __getattr__(self, name):
+        return getattr(self._file, name)
+
+    def close(self) -> None:
+        pass
+
+    def flush(self) -> None:
+        pass
+
+    def release(self) -> None:
+        self._file.close()
 
 
 class ServiceTeacher(_TokenScoreTeacher):
     """Talks to a scoring service over one persistent HTTP connection.
 
-    One logical query keeps its request id across retries so the server
-    can deduplicate.  Only timeouts and connection failures are retried,
-    each on a fresh connection; a malformed response is an error the
-    caller must see.  ``retry_count`` counts the retries of all queries.
+    Each sample is one request with its own request id, which the reply
+    must echo.  Requests are pipelined: each goes out in one write, and
+    up to ``MAX_IN_FLIGHT`` of them, of ``MAX_UNANSWERED_BYTES`` in all,
+    wait for their replies at once, but only one until a reply has shown
+    that the connection stays open.  A timeout or connection failure
+    closes the connection and resends every unanswered request, with the
+    same ids, on a fresh one; that counts in ``retry_count`` unless the
+    failed connection had already delivered a reply.  A malformed reply
+    is an error the caller must see.
     """
 
     def __init__(
@@ -178,75 +234,116 @@ class ServiceTeacher(_TokenScoreTeacher):
         self.retries = _checked("retries", retries, lambda v: is_integer(v) and v >= 0,
                                 "an integer >= 0")
         self.want = want
-        self._connection, self._path = _endpoint(base_url, timeout)
+        self._connection, self._head = _endpoint(base_url, timeout)
+        self._reader = None  # the open connection's _SharedReader
+        self._kept_open = False  # the open connection has delivered a reply
         self.retry_count = 0
 
     def close(self) -> None:
         """Close the connection; a later query opens a fresh one."""
+        if self._reader is not None:
+            self._reader.release()
+            self._reader = None
         self._connection.close()
+        self._kept_open = False
 
-    def _exchange(self, data: bytes) -> tuple[int, bytes]:
-        """Send one request and read its reply.
-
-        A keep-alive connection that the server closed while idle fails
-        before any reply arrives; the request then goes out once more on
-        a fresh connection, which does not count as a retry.
-        """
-        reused = self._connection.sock is not None
+    def score_table(self, samples, mask_names) -> np.ndarray:
+        mask_names = _candidates(mask_names)
+        table = np.empty((len(samples), len(mask_names)))
         try:
-            self._connection.request("POST", self._path, data, _JSON_HEADERS)
-            response = self._connection.getresponse()
-        except (BrokenPipeError, ConnectionResetError):
-            if not reused:
-                raise
-            self._connection.close()
-            self._connection.request("POST", self._path, data, _JSON_HEADERS)
-            response = self._connection.getresponse()
-        return response.status, response.read()
+            for i, (request_id, reply) in enumerate(self._replies(samples, mask_names)):
+                table[i] = self._logits(request_id, reply, mask_names)
+        except BaseException:
+            self.close()  # replies to unanswered requests may still arrive on it
+            raise
+        return table
 
-    def _post(self, body) -> dict:
-        from http.client import HTTPException
+    def query(self, sample, mask_names) -> np.ndarray:
+        return self.score_table([sample], mask_names)[0]
 
-        data = json.dumps(body).encode("utf-8")
-        last = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                self.retry_count += 1
-            try:
-                status, reply = self._exchange(data)
-            except OSError as exc:
-                # Timeouts and refused or dropped connections, RemoteDisconnected included.
-                self._connection.close()
-                last = exc
-                continue
-            except HTTPException as exc:
-                self._connection.close()
-                raise TeacherProtocolError(
-                    f"teacher endpoint sent a malformed reply: {exc!r}"
-                ) from exc
-            if status != 200:
-                raise TeacherProtocolError(f"teacher endpoint returned HTTP {status}")
-            try:
-                return json.loads(reply)
-            except ValueError as exc:
-                raise TeacherProtocolError(
-                    f"teacher endpoint returned invalid JSON: {exc}"
-                ) from exc
-        raise TeacherTimeoutError(
-            f"teacher endpoint unreachable after {self.retries + 1} attempts: {last}"
-        )
-
-    def _score(self, sample, mask_names):
+    def _request(self, sample, mask_names) -> tuple[str, bytes]:
+        """A fresh request id and the whole request for ``sample``; counts
+        the query."""
+        self.query_count += 1
         request_id = str(uuid.uuid4())
-        body = {
+        body = json.dumps({
             "request_id": request_id,
             "sample_id": sample.id,
             "question": sample.question,
             "features": np.asarray(sample.features, dtype=np.float64).tolist(),
             "candidate_labels": list(mask_names),
             "want": self.want,
-        }
-        payload = self._post(body)
+        }).encode("utf-8")
+        return request_id, self._head + b"%d\r\n\r\n" % len(body) + body
+
+    def _replies(self, samples, mask_names):
+        """Yield (request id, reply body) for each sample, in order.
+
+        Each request is built when it is first due.  On an error this
+        raises with requests possibly unanswered; the caller closes the
+        connection.
+        """
+        from http.client import HTTPException, HTTPResponse
+
+        waiting = deque()  # built and unanswered (request id, request), oldest first
+        built = sent = unanswered = failures = 0  # sent, unanswered: of waiting, on the wire
+        while waiting or built < len(samples):
+            try:
+                if self._reader is None:
+                    sent = unanswered = 0
+                    self._connection.connect()
+                    self._reader = _SharedReader(self._connection.sock)
+                while True:
+                    if sent == len(waiting):
+                        if built == len(samples):
+                            break
+                        waiting.append(self._request(samples[built], mask_names))
+                        built += 1
+                    request = waiting[sent][1]
+                    if sent and not (self._kept_open and sent < MAX_IN_FLIGHT
+                                     and unanswered + len(request) <= MAX_UNANSWERED_BYTES):
+                        break
+                    self._connection.sock.sendall(request)
+                    sent += 1
+                    unanswered += len(request)
+                response = HTTPResponse(self._reader, method="POST")
+                response.begin()
+                reply = response.read()
+            except OSError as exc:
+                # Timeouts and refused or dropped connections, RemoteDisconnected included.
+                free = self._kept_open
+                self.close()
+                if free:
+                    continue
+                failures += 1
+                if failures > self.retries:
+                    raise TeacherTimeoutError(
+                        f"teacher endpoint unreachable after {failures} attempts: {exc}"
+                    ) from exc
+                self.retry_count += 1
+                continue
+            except HTTPException as exc:
+                raise TeacherProtocolError(
+                    f"teacher endpoint sent a malformed reply: {exc!r}"
+                ) from exc
+            request_id, request = waiting.popleft()
+            sent -= 1
+            unanswered -= len(request)
+            failures = 0
+            if response.will_close:
+                self.close()
+            else:
+                self._kept_open = True
+            if response.status != 200:
+                raise TeacherProtocolError(f"teacher endpoint returned HTTP {response.status}")
+            yield request_id, reply
+
+    def _logits(self, request_id: str, reply: bytes, mask_names) -> np.ndarray:
+        """The candidates' logits in one reply body."""
+        try:
+            payload = json.loads(reply)
+        except ValueError as exc:
+            raise TeacherProtocolError(f"teacher endpoint returned invalid JSON: {exc}") from exc
         try:
             echoed = payload["request_id"]
             dims = [int(d) for d in payload["dims"]]

@@ -706,6 +706,28 @@ class TestCliInspectWeights:
         assert f"{measurement} must be" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("count", [str(10**400), "-5", "0"],
+                             ids=["too-large-for-a-float", "negative", "zero"])
+    def test_bad_class_count_exits_2(self, capsys, count):
+        code = main(["inspect-weights", "--acc-prev", "0.5", "--acc-llm", "0.5",
+                     "--ir", "2", "--class-count", count])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--class-count must be" in captured.err
+        assert captured.out == ""
+
+    def test_sweep_count_is_bounded_before_the_grid_is_built(self, capsys, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was built before its COUNT was checked")
+
+        monkeypatch.setattr("mtcl.cli.np.linspace", no_grid)
+        code = main(["inspect-weights", "--acc-prev", "0.5", "--acc-llm", "0.5",
+                     "--log-base", "4", "--sweep-ir", "1:2:1000000000000000"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--sweep-ir COUNT must be" in captured.err
+        assert captured.out == ""
+
     def test_invalid_weight_hyperparameters_exit_2(self, capsys):
         code = main(
             [

@@ -4,6 +4,7 @@ import base64
 import contextlib
 import http.client
 import json
+import re
 import socket
 import sys
 import threading
@@ -24,6 +25,8 @@ from mtcl.errors import (
 )
 from mtcl.taskstream import GeneratorConfig, generate_synthetic_stream
 from mtcl.teachers import (
+    MAX_IN_FLIGHT,
+    MAX_UNANSWERED_BYTES,
     FixtureTeacher,
     NoisyOracleTeacher,
     ServiceTeacher,
@@ -372,7 +375,7 @@ class TestServiceTeacher:
             teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=0)
             teacher.query(make_sample("s-0"), LABELS)
             teacher.query(make_sample("s-1"), LABELS)
-            teacher._connection.close()
+            teacher.close()
         assert [body["sample_id"] for _, body in server.seen] == ["s-0", "s-1"]
         assert len(set(server.peers)) == 2
         assert teacher.retry_count == 0
@@ -480,6 +483,191 @@ class TestServiceTeacherLifetime:
         (teacher,) = built
         assert teacher.query_count > 0
         assert teacher._connection.sock is None
+
+
+def _split_requests(buffer: bytes) -> tuple[list, bytes]:
+    """The JSON bodies of the complete requests at the front of ``buffer``,
+    and the bytes after them."""
+    bodies = []
+    while (head_end := buffer.find(b"\r\n\r\n")) >= 0:
+        length = int(re.search(rb"(?i)content-length: *(\d+)", buffer[:head_end])[1])
+        end = head_end + 4 + length
+        if len(buffer) < end:
+            break
+        bodies.append(json.loads(buffer[head_end + 4:end]))
+        buffer = buffer[end:]
+    return bodies, buffer
+
+
+@contextlib.contextmanager
+def pipeline_server(version="HTTP/1.1", drop_after=None, chunk=1 << 16, pause=0.0):
+    """A one-thread TCP server that reads pipelined requests itself.
+
+    It answers the oldest unanswered request only after 50 ms without new
+    bytes, so that whatever a client keeps in flight has arrived by then,
+    with ``logits_response``.  It records every connection's request
+    bodies and the most requests it ever held unanswered.  An HTTP/1.0
+    server closes each connection after one reply; ``drop_after`` closes
+    the first connection after that many replies; ``chunk`` bytes per
+    read with a ``pause`` after each make a slow reader.  Yields the URL
+    and the record.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    record = SimpleNamespace(connections=[], most_unanswered=0)
+    stop = threading.Event()
+
+    def serve_connection(conn):
+        bodies, unanswered, buffer, replies = [], [], b"", 0
+        record.connections.append(bodies)
+        while not stop.is_set():
+            try:
+                data = conn.recv(chunk)
+            except TimeoutError:
+                data = None
+            if data == b"":
+                return
+            if data:
+                arrived, buffer = _split_requests(buffer + data)
+                bodies += arrived
+                unanswered += arrived
+                record.most_unanswered = max(record.most_unanswered, len(unanswered))
+                time.sleep(pause)
+            elif unanswered:
+                body = json.dumps(logits_response(unanswered.pop(0))).encode()
+                conn.sendall(
+                    f"{version} 200 OK\r\nContent-Type: application/json\r\n"
+                    f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+                )
+                replies += 1
+                if version == "HTTP/1.0" or (replies == drop_after
+                                             and len(record.connections) == 1):
+                    return
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            conn.settimeout(0.05)
+            with conn:
+                serve_connection(conn)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}", record
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)
+        listener.close()
+
+
+def numbered_samples(n, features=3):
+    return [
+        SimpleNamespace(id=f"s-{i}", features=np.full(features, i / 7.0),
+                        question="what action is shown", answer_name="cut")
+        for i in range(n)
+    ]
+
+
+class TestServiceTeacherPipeline:
+    def test_table_rows_equal_queries_and_fixture_teacher(self, tmp_path):
+        vocab = build_vocabulary(LABELS)
+        rng = np.random.default_rng(3020)
+        samples = numbered_samples(20)
+        records = {s.id: tensor_for(vocab, LABELS, rng) for s in samples}
+        fixture = tmp_path / "scores.bin"
+        write_fixture(fixture, records)
+        offline = FixtureTeacher(fixture, vocab).score_table(samples, LABELS)
+        with serving(_KeepAliveHandler) as server:
+            server.behavior = lambda path, body: (
+                200, embedding_response(body, records[body["sample_id"]])
+            )
+            url = f"http://127.0.0.1:{server.server_address[1]}"
+            teacher = ServiceTeacher(url, vocab=vocab, timeout=2.0)
+            table = teacher.score_table(samples, LABELS)
+            rows = [teacher.query(sample, LABELS) for sample in samples]
+            teacher.close()
+        np.testing.assert_array_equal(table, offline)
+        np.testing.assert_array_equal(table, np.array(rows))
+        assert table.shape == (20, 3)
+        assert teacher.query_count == 40
+        assert len(server.seen) == 40
+        ids = [body["request_id"] for _, body in server.seen]
+        assert len(set(ids)) == 40
+
+    def test_keep_alive_server_sees_requests_in_flight(self):
+        samples = numbered_samples(12)
+        with pipeline_server() as (url, record):
+            teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=0)
+            table = teacher.score_table(samples, LABELS)
+            teacher.close()
+        np.testing.assert_array_equal(table, np.tile([0.5, -1.0, 2.0], (12, 1)))
+        assert 2 <= record.most_unanswered <= MAX_IN_FLIGHT
+        assert [body["sample_id"] for body in record.connections[0]] == [
+            s.id for s in samples
+        ]
+
+    def test_connection_dropped_mid_window_is_resent_free(self):
+        samples = numbered_samples(12)
+        with pipeline_server(drop_after=3) as (url, record):
+            teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=0)
+            table = teacher.score_table(samples, LABELS)
+            teacher.close()
+        assert table.shape == (12, 3)
+        first, second = record.connections
+        answered_first = {body["sample_id"] for body in first[:3]}
+        resent = first[3:]
+        assert resent, "the drop came in the middle of a window"
+        ids = {body["sample_id"]: body["request_id"] for body in first}
+        for body in second:
+            assert body["sample_id"] not in answered_first
+            assert ids.setdefault(body["sample_id"], body["request_id"]) == body["request_id"]
+        assert [body["sample_id"] for body in second][:len(resent)] == [
+            body["sample_id"] for body in resent
+        ]
+        assert sorted(ids) == sorted(s.id for s in samples)
+        assert teacher.retry_count == 0
+        assert teacher.query_count == 12
+
+    def test_http_1_0_server_gets_one_request_per_connection(self):
+        samples = numbered_samples(4)
+        with pipeline_server(version="HTTP/1.0") as (url, record):
+            teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=0)
+            table = teacher.score_table(samples, LABELS)
+        assert table.shape == (4, 3)
+        assert [[body["sample_id"] for body in c] for c in record.connections] == [
+            [s.id] for s in samples
+        ]
+        assert teacher.retry_count == 0
+        assert teacher._reader is None
+
+    def test_large_requests_to_a_slow_reader_go_one_at_a_time(self):
+        samples = numbered_samples(3, features=20_000)
+        with pipeline_server(chunk=16384, pause=0.001) as (url, record):
+            teacher = ServiceTeacher(url, want="logits", timeout=5.0, retries=0)
+            table = teacher.score_table(samples, LABELS)
+            teacher.close()
+        assert table.shape == (3, 3)
+        assert len(json.dumps(record.connections[0][0])) > MAX_UNANSWERED_BYTES
+        assert record.most_unanswered == 1
+
+    def test_error_mid_window_leaves_no_reply_behind(self):
+        samples = numbered_samples(10)
+        with serving(_KeepAliveHandler) as server:
+            server.behavior = lambda path, body: (
+                (503, {}) if body["sample_id"] == "s-4" else (200, logits_response(body))
+            )
+            url = f"http://127.0.0.1:{server.server_address[1]}"
+            teacher = ServiceTeacher(url, want="logits", timeout=2.0)
+            with pytest.raises(TeacherProtocolError):
+                teacher.score_table(samples, LABELS)
+            assert teacher._connection.sock is None
+            table = teacher.score_table(samples[:4], LABELS)
+            teacher.close()
+        np.testing.assert_array_equal(table, np.tile([0.5, -1.0, 2.0], (4, 1)))
 
 
 class TestNoisyOracle:
