@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_run_config
-from .engine import MODES, evaluate, load_checkpoint, run_continual
+from .engine import MODES, encode_inputs, evaluate, load_checkpoint, run_continual
 from .errors import ConfigError, MtclError, exit_code_for
 from .taskstream import GeneratorConfig, generate_synthetic_stream, load_manifest, load_task
 from .teachers import teacher_from_config
@@ -251,7 +251,9 @@ def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
     dataset = load_task(manifest, args.task, args.split)
-    row = evaluate(model, dataset, manifest.vocab)
+    row = evaluate(
+        model, dataset, encode_inputs(dataset.samples, manifest.vocab, model.feature_length)
+    )
     print(
         f"task{args.task} ({args.split})  accuracy={row.accuracy:.4f}  "
         f"macro_f1={row.macro_f1:.4f}"

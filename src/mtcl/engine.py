@@ -82,22 +82,25 @@ def encode_question(question: str, vocab: Vocabulary) -> np.ndarray:
 
 
 def encode_inputs(samples, vocab: Vocabulary, feature_length: int) -> np.ndarray:
-    """Stack feature vectors and question encodings into a design matrix.
+    """Design matrix: each sample's features, then its question encoding.
 
-    Each distinct question text is encoded once per call.
+    The features are copied in as one stacked matrix, and each distinct
+    question text is encoded once and gathered into its rows.
     """
-    encoded = {}
+    slots = {}
     rows = []
     for s in samples:
         if s.features.shape != (feature_length,):
             raise DataError(
                 f"sample {s.id!r} has {s.features.shape} features, expected {feature_length}"
             )
-        question = encoded.get(s.question)
-        if question is None:
-            question = encoded[s.question] = encode_question(s.question, vocab)
-        rows.append(np.concatenate([s.features, question]))
-    return np.asarray(rows, dtype=np.float64)
+        rows.append(slots.setdefault(s.question, len(slots)))
+    inputs = np.empty((len(rows), feature_length + len(vocab) + 1), dtype=np.float64)
+    if rows:
+        np.stack([s.features for s in samples], out=inputs[:, :feature_length])
+        codes = np.stack([encode_question(q, vocab) for q in slots])
+        np.take(codes, rows, axis=0, out=inputs[:, feature_length:])
+    return inputs
 
 
 @dataclass(frozen=True)
@@ -270,7 +273,8 @@ class StudentModel:
 class PrevModelTeacher(Teacher):
     """Frozen snapshot of the student, serving logits for its whole head.
 
-    A score table is one batched forward pass over the samples.
+    A score table is one batched forward pass over the samples' design
+    matrix; ``score_inputs`` takes a matrix the caller already encoded.
     """
 
     def __init__(self, model: StudentModel, vocab: Vocabulary):
@@ -283,21 +287,29 @@ class PrevModelTeacher(Teacher):
         return tuple(self.model.class_names)
 
     def score_table(self, samples, mask_names) -> np.ndarray:
-        table = self._logits(samples, mask_names)
-        self.query_count += len(samples)
+        self._check_mask(mask_names)
+        return self.score_inputs(
+            encode_inputs(samples, self.vocab, self.model.feature_length)
+        )
+
+    def score_inputs(self, inputs: np.ndarray) -> np.ndarray:
+        """Logits over the whole head for each row of a design matrix."""
+        table = self.model.forward(inputs)
+        self.query_count += len(table)
         return table
 
     def _score(self, sample, mask_names):
-        return self._logits([sample], mask_names)[0]
+        self._check_mask(mask_names)
+        return self.model.forward(
+            encode_inputs([sample], self.vocab, self.model.feature_length)
+        )[0]
 
-    def _logits(self, samples, mask_names) -> np.ndarray:
+    def _check_mask(self, mask_names) -> None:
         if tuple(mask_names) != self.class_names:
             raise DataError(
                 f"previous model scores its head {list(self.class_names)} in order, "
                 f"not {list(mask_names)}"
             )
-        inputs = encode_inputs(samples, self.vocab, self.model.feature_length)
-        return self.model.forward(inputs)
 
 
 def _resolve_weights(
@@ -307,6 +319,7 @@ def _resolve_weights(
     prev_teacher,
     llm_teacher,
     task: TaskDataset,
+    inputs: np.ndarray,
     ledger: ImbalanceLedger,
     head_names: tuple,
     labels: np.ndarray,
@@ -317,7 +330,7 @@ def _resolve_weights(
     that can get a non-zero weight scores the training samples once,
     into a table that both measures its accuracy and supplies the
     distillation targets; a table is None when its term's weight is
-    zero.
+    zero.  The previous model scores the task's design matrix ``inputs``.
     """
     if t == 1 or settings.mode == "ft":
         return WeightTriple(1.0, 0.0, 0.0), None, None, None
@@ -327,13 +340,13 @@ def _resolve_weights(
         triple = WeightTriple(weight_cfg.alpha, 1.0 - weight_cfg.alpha, 0.0)
         prev_table = None
         if triple.beta > 0.0:
-            prev_table = prev_teacher.score_table(task.samples, prev_teacher.class_names)
+            prev_table = prev_teacher.score_inputs(inputs)
         return triple, None, prev_table, None
     if prev_teacher is None or llm_teacher is None:
         raise ConfigError(
             "adaptive weighting needs both a previous model and a general teacher"
         )
-    prev_table = prev_teacher.score_table(task.samples, prev_teacher.class_names)
+    prev_table = prev_teacher.score_inputs(inputs)
     llm_table = llm_teacher.score_table(task.samples, head_names)
     prev_truth = np.where(labels < prev_table.shape[1], labels, -1)
     triple, breakdown = assemble_weights(
@@ -370,7 +383,9 @@ def train_task(
     and each table kept for training is softened at the temperature once,
     into the probability rows the distillation terms take; a non-finite
     table is a NumericError before the first batch.  Teachers whose
-    weight is zero are never queried.  A teacher failure
+    weight is zero are never queried.  The task is encoded once, and the
+    previous model (a ``PrevModelTeacher``) scores that design matrix.
+    A teacher failure
     or a non-finite loss aborts the run; terms are never dropped
     silently.  The previous model's head must be a prefix of the
     student's: its table of width ``m`` covers the first ``m`` columns.
@@ -400,7 +415,7 @@ def train_task(
     )
 
     weights, breakdown, prev_table, llm_table = _resolve_weights(
-        settings, weight_cfg, t, prev_teacher, llm_teacher, task, ledger,
+        settings, weight_cfg, t, prev_teacher, llm_teacher, task, inputs, ledger,
         head_names, labels,
     )
     trace.record(t, weights, breakdown)
@@ -456,8 +471,8 @@ class MetricsRow:
     macro_f1: float
 
 
-def evaluate(model: StudentModel, dataset: TaskDataset, vocab: Vocabulary) -> MetricsRow:
-    """Top-1 accuracy and macro F1 on one dataset.
+def evaluate(model: StudentModel, dataset: TaskDataset, inputs: np.ndarray) -> MetricsRow:
+    """Top-1 accuracy and macro F1 on one dataset, given its design matrix.
 
     F1 is averaged over the classes actually present in the dataset;
     each per-class precision, recall, and F1 treats 0/0 as 0.
@@ -468,7 +483,6 @@ def evaluate(model: StudentModel, dataset: TaskDataset, vocab: Vocabulary) -> Me
     missing = [c.name for c in dataset.classes if c.id not in head_ids]
     if missing:
         raise DataError(f"model head does not cover classes {missing}")
-    inputs = encode_inputs(dataset.samples, vocab, model.feature_length)
     logits = model.forward(inputs)
     predicted = np.array(
         [model.class_ids[int(k)] for k in logits.argmax(axis=1)], dtype=np.int64
@@ -511,7 +525,8 @@ def run_continual(
 
     Returns (metrics rows, weight trace, final student).  After task t
     the student is evaluated on the held-out split of every task seen
-    so far plus an average row; the frozen copy of the student becomes
+    so far plus an average row (each held-out split is encoded once, when
+    it is loaded); the frozen copy of the student becomes
     the previous-model teacher for task t + 1.  With ``run_dir`` set,
     checkpoints, the metrics table, and the weight trace are written
     there.
@@ -543,10 +558,14 @@ def run_continual(
             student, prev_teacher, llm_teacher, train_split, ledger,
             settings, weight_cfg, manifest.vocab, t, trace, observer,
         )
-        test_sets[t] = load_task(manifest, t, "test")
+        test = load_task(manifest, t, "test")
+        test_sets[t] = (
+            test, encode_inputs(test.samples, manifest.vocab, manifest.feature_length)
+        )
         step_rows = []
         for seen_t in sorted(test_sets):
-            row = evaluate(student, test_sets[seen_t], manifest.vocab)
+            dataset, inputs = test_sets[seen_t]
+            row = evaluate(student, dataset, inputs)
             step_rows.append(
                 MetricsRow(t=t, dataset=row.dataset,
                            accuracy=row.accuracy, macro_f1=row.macro_f1)

@@ -6,6 +6,13 @@ plus a manifest that pins the feature length, the label inventory with
 token sequences, and the task order.  Labels are identified by name;
 ids are assigned at first appearance and never change.
 
+A split's feature vectors live either in its JSONL records or in a
+feature block the manifest names: raw little-endian float64, row-major,
+one row per record, pinned by its byte length and SHA-256.  A split
+with a block loads its features with one read and one ``frombuffer``,
+and its samples' feature vectors are row views of that one matrix.  The
+generator writes blocks; streams without them load the same values.
+
 The synthetic generator produces streams with two controllable
 stressors: domain shift (classes new to a task get cluster centers
 pushed away from the origin region by a configurable magnitude) and
@@ -15,8 +22,10 @@ largest and smallest class so their ratio hits a target).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -24,11 +33,16 @@ import numpy as np
 
 from .bridge import Vocabulary, build_vocabulary
 from .errors import ConfigError, DataError
+from .weights import is_integer
 
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 VOCAB_NAME = "vocab.txt"
 SIDECAR_NAME = "ground_truth.json"
+
+# A feature block holds float64 in this byte order, row-major.
+BLOCK_DTYPE = np.dtype("<f8")
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 TEST_FRACTION = 0.2
 
@@ -49,7 +63,11 @@ class LabelClass:
 
 @dataclass(frozen=True)
 class Sample:
-    """One record: feature vector, question text, answer label."""
+    """One record: feature vector, question text, answer label.
+
+    A sample loaded from a split with a feature block holds a read-only
+    row view of the block's matrix as ``features``.
+    """
 
     id: str
     features: np.ndarray
@@ -120,6 +138,15 @@ class ImbalanceLedger:
 
 
 @dataclass(frozen=True)
+class FeatureBlock:
+    """Manifest entry of one split's feature block."""
+
+    file: str
+    bytes: int
+    sha256: str
+
+
+@dataclass(frozen=True)
 class TaskEntry:
     """Manifest row describing one task's files and class set."""
 
@@ -127,6 +154,8 @@ class TaskEntry:
     train_file: str
     test_file: str
     class_names: tuple
+    train_features: FeatureBlock | None = None
+    test_features: FeatureBlock | None = None
 
 
 @dataclass(frozen=True)
@@ -170,7 +199,7 @@ def _parse_manifest(path: Path, payload) -> StreamManifest:
             raise DataError(f"manifest {path} is missing {key!r}")
     if payload["format_version"] != MANIFEST_VERSION:
         raise DataError(f"unsupported manifest version {payload['format_version']}")
-    feature_length = int(payload["feature_length"])
+    feature_length = _integer(path, "feature_length", payload["feature_length"])
     if feature_length < 1:
         raise DataError(f"feature length must be >= 1, got {feature_length}")
     root = path.parent
@@ -195,7 +224,7 @@ def _parse_manifest(path: Path, payload) -> StreamManifest:
     tasks = []
     last_index = 0
     for entry in payload["tasks"]:
-        index = int(entry["index"])
+        index = _integer(path, "task index", entry["index"])
         if index <= last_index:
             raise DataError(f"task indices must be strictly increasing, found {index}")
         last_index = index
@@ -205,9 +234,10 @@ def _parse_manifest(path: Path, payload) -> StreamManifest:
                     f"task {index} declares unknown class {name!r} (manifest drift)"
                 )
         for key in ("train_file", "test_file"):
-            if not isinstance(entry[key], str):
+            if not isinstance(entry[key], str) or "\0" in entry[key]:
                 raise DataError(
-                    f"manifest {path}: task {index} {key} must be a string, got {entry[key]!r}"
+                    f"manifest {path}: task {index} {key} must be a file name, "
+                    f"got {entry[key]!r}"
                 )
         tasks.append(
             TaskEntry(
@@ -215,6 +245,8 @@ def _parse_manifest(path: Path, payload) -> StreamManifest:
                 train_file=entry["train_file"],
                 test_file=entry["test_file"],
                 class_names=tuple(entry["classes"]),
+                train_features=_parse_block(path, index, "train_features", entry),
+                test_features=_parse_block(path, index, "test_features", entry),
             )
         )
     if not tasks:
@@ -228,17 +260,86 @@ def _parse_manifest(path: Path, payload) -> StreamManifest:
     )
 
 
+def _integer(path: Path, name: str, value) -> int:
+    """``value`` if it is a JSON integer (not a bool), else DataError."""
+    if not is_integer(value):
+        raise DataError(f"manifest {path}: {name} must be an integer, got {value!r}")
+    return value
+
+
+def _parse_block(path: Path, index: int, key: str, entry: dict) -> FeatureBlock | None:
+    """The task entry's ``key`` block, or None when the entry has none."""
+    if key not in entry:
+        return None
+    spec = entry[key]
+    where = f"task {index} {key}"
+    if not isinstance(spec, dict):
+        raise DataError(f"manifest {path}: {where} must be an object, got {spec!r}")
+    file, size, digest = spec["file"], spec["bytes"], spec["sha256"]
+    if not isinstance(file, str) or not file or "\0" in file:
+        raise DataError(f"manifest {path}: {where} file must be a file name, got {file!r}")
+    if _integer(path, f"{where} bytes", size) < 0:
+        raise DataError(f"manifest {path}: {where} bytes must be >= 0, got {size}")
+    if not isinstance(digest, str) or not _SHA256_HEX.fullmatch(digest):
+        raise DataError(
+            f"manifest {path}: {where} sha256 must be 64 lowercase hex digits, got {digest!r}"
+        )
+    return FeatureBlock(file=file, bytes=size, sha256=digest)
+
+
+def _read_block(root: Path, block: FeatureBlock, rows: int, feature_length: int) -> np.ndarray:
+    """The block's (rows, feature_length) matrix, read-only, after checking
+    its length, digest and shape against the manifest and the records, and
+    that every value is finite.
+
+    The file is read whole, so a declared size never sets an allocation.
+    """
+    path = root / block.file
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read feature block {path}: {exc}") from exc
+    if len(data) != block.bytes:
+        raise DataError(
+            f"feature block {path} holds {len(data)} bytes, the manifest says {block.bytes}"
+        )
+    if hashlib.sha256(data).hexdigest() != block.sha256:
+        raise DataError(f"feature block {path} does not match its SHA-256 digest")
+    expected = rows * feature_length * BLOCK_DTYPE.itemsize
+    if block.bytes != expected:
+        raise DataError(
+            f"feature block {path} holds {block.bytes} bytes; {rows} records of "
+            f"{feature_length} float64 features need {expected}"
+        )
+    matrix = np.frombuffer(data, dtype=BLOCK_DTYPE).reshape(rows, feature_length)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise DataError(
+            f"feature block {path}: row {int(np.argmin(finite)) + 1} holds a "
+            "non-finite value"
+        )
+    return matrix
+
+
 def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDataset:
-    """Read one task split into memory, recounting classes as it goes."""
+    """Read one task split into memory, recounting classes as it goes.
+
+    A split with a feature block reads its features from the block, and
+    its records must not carry any.
+    """
     if split not in ("train", "test"):
         raise DataError(f"split must be 'train' or 'test', got {split!r}")
     entry = manifest.task_entry(t)
-    rel = entry.train_file if split == "train" else entry.test_file
+    if split == "train":
+        rel, block = entry.train_file, entry.train_features
+    else:
+        rel, block = entry.test_file, entry.test_features
     file_path = manifest.root / rel
     by_name = manifest.label_by_name
     allowed = set(entry.class_names)
-    samples = []
+    records = []
     linenos = []
+    vectors = []
     try:
         lines = file_path.read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -249,16 +350,25 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
         try:
             record = json.loads(line)
             sample_id = record["id"]
-            features = np.asarray(record["features"], dtype=np.float64)
+            if block is None:
+                features = np.asarray(record["features"], dtype=np.float64)
             question = record["question"]
             answer_name = record["answer"]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{file_path}:{lineno}: malformed record: {exc}") from exc
-        if features.shape != (manifest.feature_length,):
+        if block is not None:
+            if "features" in record:
+                raise DataError(
+                    f"{file_path}:{lineno}: record carries features, but the "
+                    f"split's features are in the block {block.file!r}"
+                )
+        elif features.shape != (manifest.feature_length,):
             raise DataError(
                 f"{file_path}:{lineno}: features of shape {features.shape}, "
                 f"stream declares {manifest.feature_length}"
             )
+        else:
+            vectors.append(features)
         if not isinstance(answer_name, str):
             raise DataError(f"{file_path}:{lineno}: answer {answer_name!r} is not a class name")
         label = by_name.get(answer_name)
@@ -272,37 +382,48 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
                 f"for task {t}"
             )
         linenos.append(lineno)
-        samples.append(
-            Sample(
-                id=str(sample_id),
-                features=features,
-                question=str(question),
-                answer=label.id,
-                answer_name=answer_name,
-            )
+        records.append((str(sample_id), str(question), label.id, answer_name))
+    if block is not None:
+        vectors = list(
+            _read_block(manifest.root, block, len(records), manifest.feature_length)
         )
-    if samples:
+    elif vectors:
         # Checked once per file: per record, np.isfinite costs about 7% of
         # parsing a 64-feature line.
-        finite = np.isfinite(np.stack([s.features for s in samples])).all(axis=1)
+        finite = np.isfinite(np.stack(vectors)).all(axis=1)
         if not finite.all():
             lineno = linenos[int(np.argmin(finite))]
             raise DataError(f"{file_path}:{lineno}: non-finite or null feature value")
+    samples = [
+        Sample(id=sample_id, features=features, question=question,
+               answer=answer, answer_name=answer_name)
+        for (sample_id, question, answer, answer_name), features in zip(records, vectors)
+    ]
     classes = [by_name[name] for name in entry.class_names]
     return TaskDataset(task_index=t, samples=samples, classes=classes)
 
 
-def write_task(path, samples) -> None:
-    """Emit samples as line-delimited JSON, one record per line."""
+def write_task(path, samples, block_path=None) -> dict | None:
+    """Emit samples as line-delimited JSON, one record per line.
+
+    With ``block_path``, the feature vectors go to that file instead,
+    as a feature block, and the records keep ``id``, ``question`` and
+    ``answer``.  Returns the block's ``bytes`` and ``sha256`` for its
+    manifest entry, or None without a block.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         for s in samples:
-            record = {
-                "id": s.id,
-                "features": [float(x) for x in s.features],
-                "question": s.question,
-                "answer": s.answer_name,
-            }
+            record = {"id": s.id}
+            if block_path is None:
+                record["features"] = [float(x) for x in s.features]
+            record["question"] = s.question
+            record["answer"] = s.answer_name
             fh.write(json.dumps(record) + "\n")
+    if block_path is None:
+        return None
+    data = np.array([s.features for s in samples], dtype=BLOCK_DTYPE).tobytes()
+    Path(block_path).write_bytes(data)
+    return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
 
 
 @dataclass(frozen=True)
@@ -506,18 +627,16 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
     ]
     tasks_json = []
     for t, class_list, train_records, test_records in task_payloads:
-        train_file = f"task{t}.train.jsonl"
-        test_file = f"task{t}.test.jsonl"
-        write_task(out / train_file, train_records)
-        write_task(out / test_file, test_records)
-        tasks_json.append(
-            {
-                "index": t,
-                "train_file": train_file,
-                "test_file": test_file,
-                "classes": list(class_list),
+        entry = {"index": t}
+        for split, records in (("train", train_records), ("test", test_records)):
+            name = f"task{t}.{split}"
+            block = f"{name}.f64"
+            entry[f"{split}_file"] = f"{name}.jsonl"
+            entry[f"{split}_features"] = {
+                "file": block, **write_task(out / f"{name}.jsonl", records, out / block)
             }
-        )
+        entry["classes"] = list(class_list)
+        tasks_json.append(entry)
     manifest_payload = {
         "format_version": MANIFEST_VERSION,
         "feature_length": cfg.feature_length,

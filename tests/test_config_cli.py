@@ -427,10 +427,23 @@ class TestCliRun:
             lambda m: m["tasks"][0].update(index=None),
             lambda m: m.update(labels=5),
             lambda m: m["tasks"][0].update(train_file=5),
+            lambda m: m.update(feature_length=4.9),
+            lambda m: m.update(feature_length="4"),
+            lambda m: m.update(feature_length=4.0),
+            lambda m: m["tasks"][0].update(index=1.5),
+            lambda m: m["tasks"][1].update(index="2"),
+            lambda m: m["tasks"][1].update(index=True),
+            lambda m: m["tasks"][0]["train_features"].update(bytes=float(
+                m["tasks"][0]["train_features"]["bytes"])),
+            lambda m: m["tasks"][0]["test_features"].update(bytes=str(
+                m["tasks"][0]["test_features"]["bytes"])),
         ],
         ids=[
             "text-feature-length", "label-without-id", "null-task-index",
             "labels-not-a-list", "numeric-file-name",
+            "fractional-feature-length", "numeric-text-feature-length",
+            "float-feature-length", "fractional-task-index", "numeric-text-task-index",
+            "bool-task-index", "float-block-bytes", "numeric-text-block-bytes",
         ],
     )
     def test_ill_typed_manifest_exits_3(self, cli_workspace, tmp_path, capsys, mutate):

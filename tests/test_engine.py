@@ -95,6 +95,19 @@ class TestEncodeQuestion:
         with pytest.raises(DataError):
             encode_inputs(samples, self.VOCAB, 7)
 
+    def test_encode_inputs_equals_row_by_row_concatenation(self, mini_stream):
+        vocab = mini_stream.vocab
+        for t in (1, 2, 3):
+            samples = load_task(mini_stream, t).samples
+            rows = np.array([
+                np.concatenate([s.features, encode_question(s.question, vocab)])
+                for s in samples
+            ])
+            design = encode_inputs(samples, vocab, mini_stream.feature_length)
+            assert design.tobytes() == rows.tobytes()
+        empty = encode_inputs([], vocab, mini_stream.feature_length)
+        assert empty.shape == (0, mini_stream.feature_length + len(vocab) + 1)
+
 
 def toy_label(i, name="c"):
     return LabelClass(id=i, name=f"{name}{i}", tokens=())
@@ -396,6 +409,15 @@ class TestPrevModelTeacher:
         queried = np.array([teacher.query(s, mask) for s in samples])
         np.testing.assert_allclose(table, queried, rtol=0.0, atol=1e-12)
 
+    def test_score_inputs_scores_a_design_matrix(self):
+        model, vocab = self.make_model()
+        teacher = PrevModelTeacher(model, vocab)
+        samples = [self.sample(), self.sample()]
+        inputs = encode_inputs(samples, vocab, 2)
+        table = teacher.score_inputs(inputs)
+        assert teacher.query_count == 2
+        np.testing.assert_array_equal(table, teacher.score_table(samples, teacher.class_names))
+
     def test_snapshot_does_not_track_live_model(self):
         model, vocab = self.make_model()
         teacher = PrevModelTeacher(model.clone(), vocab)
@@ -689,6 +711,10 @@ def metrics_oracle(predicted, truth):
     return acc, sum(f1s) / len(f1s)
 
 
+def evaluated(model, dataset, vocab):
+    return evaluate(model, dataset, encode_inputs(dataset.samples, vocab, model.feature_length))
+
+
 class TestEvaluate:
     def test_constant_predictor_on_balanced_pair(self):
         vocab = build_vocabulary(["k0", "k1"])
@@ -699,7 +725,7 @@ class TestEvaluate:
             for i in range(4)
         ]
         dataset = TaskDataset(task_index=1, samples=samples, classes=classes)
-        row = evaluate(model, dataset, vocab)
+        row = evaluated(model, dataset, vocab)
         assert row.accuracy == pytest.approx(0.5)
         assert row.macro_f1 == pytest.approx(1.0 / 3.0)
 
@@ -715,8 +741,8 @@ class TestEvaluate:
             standard_weights(), mini_stream.vocab, 1, WeightTrace(),
         )
         test = load_task(mini_stream, 1, split="test")
-        row = evaluate(student, test, mini_stream.vocab)
         inputs = encode_inputs(test.samples, mini_stream.vocab, mini_stream.feature_length)
+        row = evaluate(student, test, inputs)
         predicted = [
             student.class_ids[int(k)] for k in student.forward(inputs).argmax(axis=1)
         ]
@@ -734,7 +760,7 @@ class TestEvaluate:
             for i in range(3)
         ]
         dataset = TaskDataset(task_index=1, samples=samples, classes=classes)
-        row = evaluate(model, dataset, vocab)
+        row = evaluated(model, dataset, vocab)
         assert row.accuracy == 1.0
         assert row.macro_f1 == 1.0
 
@@ -747,14 +773,14 @@ class TestEvaluate:
         ]
         dataset = TaskDataset(task_index=1, samples=samples, classes=[stranger])
         with pytest.raises(DataError):
-            evaluate(model, dataset, vocab)
+            evaluated(model, dataset, vocab)
 
     def test_empty_dataset_rejected(self):
         vocab = build_vocabulary(["k0"])
         model, classes = rigged_constant_model(1, favored=0, vocab=vocab)
         dataset = TaskDataset(task_index=1, samples=[], classes=classes)
         with pytest.raises(DataError):
-            evaluate(model, dataset, vocab)
+            evaluated(model, dataset, vocab)
 
 
 class TestRunContinual:

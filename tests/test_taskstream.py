@@ -3,11 +3,14 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import classes_up_to
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtcl.bridge import build_vocabulary
 from mtcl.errors import ConfigError, DataError
@@ -115,8 +118,11 @@ class TestImbalanceLedger:
         assert ledger.cumulative_counts == {1: 5}
 
 
-def write_stream(root, mutate=None):
-    """Tiny hand-built 2-task stream; mutate twiddles the manifest payload."""
+def write_stream(root, mutate=None, blocks=False):
+    """Tiny hand-built 2-task stream; mutate twiddles the manifest payload.
+
+    With ``blocks``, every split's features go to a feature block.
+    """
     vocab = build_vocabulary(STREAM_NAMES)
     vocab.save(root / "vocab.txt")
     classes = toy_classes(STREAM_NAMES)
@@ -136,10 +142,20 @@ def write_stream(root, mutate=None):
             )
         return out
 
-    write_task(root / "task1.train.jsonl", rows(1, ["cut", "idle", "cut"]))
-    write_task(root / "task1.test.jsonl", rows(1, ["idle"]))
-    write_task(root / "task2.train.jsonl", rows(2, ["grasp", "idle"]))
-    write_task(root / "task2.test.jsonl", rows(2, ["grasp"]))
+    splits = {
+        (1, "train"): rows(1, ["cut", "idle", "cut"]),
+        (1, "test"): rows(1, ["idle"]),
+        (2, "train"): rows(2, ["grasp", "idle"]),
+        (2, "test"): rows(2, ["grasp"]),
+    }
+    block_entries = []
+    for (task, split), samples in splits.items():
+        name = f"task{task}.{split}"
+        block = write_task(
+            root / f"{name}.jsonl", samples, root / f"{name}.f64" if blocks else None
+        )
+        if blocks:
+            block_entries.append((task, f"{split}_features", {"file": f"{name}.f64", **block}))
     payload = {
         "format_version": 1,
         "feature_length": 2,
@@ -162,6 +178,8 @@ def write_stream(root, mutate=None):
             },
         ],
     }
+    for task, key, entry in block_entries:
+        payload["tasks"][task - 1][key] = entry
     if mutate is not None:
         mutate(payload)
     path = root / "manifest.json"
@@ -252,6 +270,41 @@ class TestManifestValidation:
         with pytest.raises(DataError, match="no tasks"):
             load_manifest(write_stream(tmp_path, clear))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("feature_length", 2.0),
+            ("feature_length", 2.9),
+            ("feature_length", "2"),
+            ("feature_length", True),
+            ("task index", 1.5),
+            ("task index", "1"),
+            ("task index", True),
+            ("task index", None),
+        ],
+    )
+    def test_integer_fields_must_be_json_integers(self, tmp_path, field, value):
+        def retype(payload):
+            if field == "feature_length":
+                payload["feature_length"] = value
+            else:
+                payload["tasks"][0]["index"] = value
+
+        with pytest.raises(DataError, match=f"{field} must be an integer"):
+            load_manifest(write_stream(tmp_path, retype))
+
+    @pytest.mark.parametrize("field", ["train_file", "test_features"])
+    def test_file_names_with_a_null_byte_rejected(self, tmp_path, field):
+        def rename(payload):
+            entry = payload["tasks"][0]
+            if field == "train_file":
+                entry["train_file"] = "task1\0.jsonl"
+            else:
+                entry["test_features"]["file"] = "task1\0.f64"
+
+        with pytest.raises(DataError, match="must be a file name"):
+            load_manifest(write_stream(tmp_path, rename, blocks=True))
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("{ nope", encoding="utf-8")
@@ -312,6 +365,246 @@ class TestLoadTaskErrors:
         (tmp_path / "task1.train.jsonl").unlink()
         with pytest.raises(DataError, match="cannot read"):
             load_task(load_manifest(manifest_path), 1)
+
+
+def load_all(manifest) -> list:
+    """Every split of every task the manifest lists, train before test."""
+    return [
+        load_task(manifest, entry.index, split)
+        for entry in manifest.tasks
+        for split in ("train", "test")
+    ]
+
+
+def contents(tasks) -> list:
+    """What a split holds, with feature vectors compared bit for bit."""
+    return [
+        [(s.id, s.question, s.answer, s.features.tobytes()) for s in task.samples]
+        for task in tasks
+    ]
+
+
+def pin_block(root, task, split, data):
+    """Write ``data`` as a split's block and pin the manifest entry to it."""
+    (root / f"task{task}.{split}.f64").write_bytes(data)
+    path = root / "manifest.json"
+    payload = json.loads(path.read_text())
+    payload["tasks"][task - 1][f"{split}_features"].update(
+        bytes=len(data), sha256=hashlib.sha256(data).hexdigest()
+    )
+    path.write_text(json.dumps(payload))
+
+
+def load_or_data_error(load):
+    """``load()``, or None when it raises DataError.  It must allocate less
+    than 64 KiB: no length that a file declares may set an allocation."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            return load()
+        except DataError:
+            return None
+        finally:
+            assert tracemalloc.get_traced_memory()[1] - before < 64 * 1024
+    finally:
+        tracemalloc.stop()
+
+
+class TestFeatureBlocks:
+    def test_blocks_load_the_same_samples_as_jsonl(self, tmp_path):
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "blocks").mkdir()
+        plain = load_all(load_manifest(write_stream(tmp_path / "plain")))
+        blocked = load_all(load_manifest(write_stream(tmp_path / "blocks", blocks=True)))
+        assert contents(blocked) == contents(plain)
+        assert [t.class_counts for t in blocked] == [t.class_counts for t in plain]
+
+    def test_records_keep_id_question_and_answer_only(self, tmp_path):
+        write_stream(tmp_path, blocks=True)
+        for line in (tmp_path / "task1.train.jsonl").read_text().splitlines():
+            assert list(json.loads(line)) == ["id", "question", "answer"]
+        expected = np.array([[0.0, -1.0], [1.0, -1.0], [2.0, -1.0]], dtype="<f8")
+        assert (tmp_path / "task1.train.f64").read_bytes() == expected.tobytes()
+
+    def test_samples_are_read_only_rows_of_one_matrix(self, tmp_path):
+        task = load_task(load_manifest(write_stream(tmp_path, blocks=True)), 1)
+        first = task.samples[0].features
+        for s in task.samples:
+            assert not s.features.flags.owndata
+            assert not s.features.flags.writeable
+            assert s.features.base is first.base
+        assert np.shares_memory(first, task.samples[-1].features.base)
+
+    def test_generator_writes_a_block_per_split(self, generated):
+        out, manifest, _ = generated
+        for entry in manifest.tasks:
+            for block in (entry.train_features, entry.test_features):
+                data = (out / block.file).read_bytes()
+                assert len(data) == block.bytes
+                assert hashlib.sha256(data).hexdigest() == block.sha256
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda root: (root / "task1.train.f64").unlink(), "cannot read feature block"),
+            (lambda root: (root / "task1.train.f64").write_bytes(
+                (root / "task1.train.f64").read_bytes()[:-8]), "holds 40 bytes"),
+            (lambda root: (root / "task1.train.f64").write_bytes(
+                (root / "task1.train.f64").read_bytes() + bytes(8)), "holds 56 bytes"),
+            (lambda root: (root / "task1.train.f64").write_bytes(
+                np.array([9.0]).tobytes() + (root / "task1.train.f64").read_bytes()[8:]),
+             "SHA-256"),
+            (lambda root: pin_block(root, 1, "train", bytes(56)), "3 records"),
+            (lambda root: pin_block(root, 1, "train", bytes(40)), "3 records"),
+            (lambda root: pin_block(
+                root, 1, "train", np.array([0, 1, 2, 3, np.inf, 5.0]).tobytes()),
+             "row 3 holds a non-finite"),
+            (lambda root: pin_block(
+                root, 1, "train", np.array([0, 1, np.nan, 3, 4, 5.0]).tobytes()),
+             "row 2 holds a non-finite"),
+            (lambda root: (root / "task1.train.jsonl").write_text(
+                (root / "task1.train.jsonl").read_text()
+                + '{"id": "x", "question": "q", "answer": "cut"}\n'), "4 records"),
+            (lambda root: (root / "task1.train.jsonl").write_text(
+                '{"id": "x", "features": [0.0, 0.0], "question": "q", "answer": "cut"}\n'),
+             r"task1\.train\.jsonl:1: record carries features"),
+        ],
+        ids=[
+            "missing", "truncated", "extended", "digest", "extra-row", "missing-row",
+            "infinity", "nan", "extra-record", "record-with-features",
+        ],
+    )
+    def test_mismatches_rejected(self, tmp_path, damage, message):
+        write_stream(tmp_path, blocks=True)
+        damage(tmp_path)
+        with pytest.raises(DataError, match=message):
+            load_task(load_manifest(tmp_path / "manifest.json"), 1)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            (None, "task1.train.f64"),
+            (None, None),
+            (None, [48]),
+            ("file", 5),
+            ("file", ""),
+            ("bytes", -8),
+            ("bytes", 48.0),
+            ("bytes", "48"),
+            ("bytes", True),
+            ("bytes", None),
+            ("sha256", "0" * 63),
+            ("sha256", 5),
+            ("sha256", "upper"),
+        ],
+    )
+    def test_ill_typed_block_entry_rejected(self, tmp_path, key, value):
+        def retype(payload):
+            entry = payload["tasks"][0]
+            if key is None:
+                entry["train_features"] = value
+            elif value == "upper":
+                entry["train_features"][key] = entry["train_features"][key].upper()
+            else:
+                entry["train_features"][key] = value
+
+        path = write_stream(tmp_path, retype, blocks=True)
+        with pytest.raises(DataError, match="task 1 train_features"):
+            load_manifest(path)
+
+    def test_huge_declared_size_allocates_nothing_for_it(self, tmp_path):
+        def inflate(payload):
+            payload["tasks"][0]["train_features"]["bytes"] = 2**62
+
+        path = write_stream(tmp_path, inflate, blocks=True)
+        assert load_or_data_error(lambda: load_all(load_manifest(path))) is None
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(),
+    st.text(max_size=70), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+class TestStreamReaderFuzz:
+    """Every damaged stream file loads or raises DataError, and no length
+    the files declare makes the reader allocate beyond the files' size."""
+
+    @settings(max_examples=2, deadline=None)
+    @given(values=st.lists(FINITE, min_size=6, max_size=6))
+    def test_block_truncation_extension_and_bit_flips(self, tmp_path_factory, values):
+        root = tmp_path_factory.mktemp("block")
+        write_stream(root, blocks=True)
+        whole = np.array(values, dtype="<f8").tobytes()
+        pin_block(root, 1, "train", whole)
+        manifest_path = root / "manifest.json"
+        original = contents([load_task(load_manifest(manifest_path), 1)])
+        variants = [whole[:cut] for cut in range(len(whole))]
+        variants += [whole + whole[:n] for n in (1, 8, 16)]
+        for bit in range(8 * len(whole)):
+            flipped = bytearray(whole)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            variants.append(bytes(flipped))
+        manifest = load_manifest(manifest_path)
+        for i, data in enumerate(variants):
+            # The manifest pins the original block.
+            (root / "task1.train.f64").write_bytes(data)
+            loaded = load_or_data_error(lambda: [load_task(manifest, 1)])
+            assert loaded is None or contents(loaded) == original
+            # The manifest pins the damaged block: only the shape and
+            # finiteness checks stand between it and the trainer.  Of the
+            # bit flips, those in the sign and exponent bytes can make a
+            # value non-finite.
+            flipped_byte = (i - len(whole) - 3) // 8
+            if flipped_byte >= 0 and flipped_byte % 8 < 6:
+                continue
+            pin_block(root, 1, "train", data)
+            loaded = load_or_data_error(lambda: load_task(load_manifest(manifest_path), 1))
+            if loaded is not None:
+                assert b"".join(s.features.tobytes() for s in loaded.samples) == data
+                assert all(np.isfinite(s.features).all() for s in loaded.samples)
+
+    @settings(max_examples=40, deadline=None)
+    @given(key=st.sampled_from([None, "file", "bytes", "sha256"]), value=JSON_VALUES)
+    def test_mutated_block_entry(self, tmp_path_factory, key, value):
+        root = tmp_path_factory.mktemp("entry")
+        manifest_path = write_stream(root, blocks=True)
+        original = contents(load_all(load_manifest(manifest_path)))
+
+        def mutate(payload):
+            entry = payload["tasks"][0]
+            if key is None:
+                entry["train_features"] = value
+            else:
+                entry["train_features"][key] = value
+
+        write_stream(root, mutate, blocks=True)
+        loaded = load_or_data_error(lambda: load_all(load_manifest(manifest_path)))
+        assert loaded is None or contents(loaded) == original
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        blocks=st.booleans(),
+        target=st.sampled_from(["manifest.json", "task1.train.jsonl", "task2.test.jsonl"]),
+        data=st.data(),
+    )
+    def test_truncated_or_bit_flipped_stream_file(self, tmp_path_factory, blocks,
+                                                  target, data):
+        root = tmp_path_factory.mktemp("stream")
+        write_stream(root, blocks=blocks)
+        whole = (root / target).read_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = whole[: data.draw(st.integers(0, len(whole) - 1), label="cut")]
+        else:
+            bit = data.draw(st.integers(0, 8 * len(whole) - 1), label="bit")
+            flipped = bytearray(whole)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            damaged = bytes(flipped)
+        (root / target).write_bytes(damaged)
+        load_or_data_error(lambda: load_all(load_manifest(root / "manifest.json")))
 
 
 class TestGeneratorConfig:
