@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bridge import SPACE_TOKEN, Vocabulary
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, TeacherDimensionError
 from .losses import batch_loss, softened_softmax
 from .taskstream import (
     ImbalanceLedger,
@@ -287,7 +287,11 @@ class PrevModelTeacher(Teacher):
         return tuple(self.model.class_names)
 
     def score_table(self, samples, mask_names) -> np.ndarray:
-        self._check_mask(mask_names)
+        if tuple(mask_names) != self.class_names:
+            raise DataError(
+                f"previous model scores its head {list(self.class_names)} in order, "
+                f"not {list(mask_names)}"
+            )
         return self.score_inputs(
             encode_inputs(samples, self.vocab, self.model.feature_length)
         )
@@ -297,19 +301,6 @@ class PrevModelTeacher(Teacher):
         table = self.model.forward(inputs)
         self.query_count += len(table)
         return table
-
-    def _score(self, sample, mask_names):
-        self._check_mask(mask_names)
-        return self.model.forward(
-            encode_inputs([sample], self.vocab, self.model.feature_length)
-        )[0]
-
-    def _check_mask(self, mask_names) -> None:
-        if tuple(mask_names) != self.class_names:
-            raise DataError(
-                f"previous model scores its head {list(self.class_names)} in order, "
-                f"not {list(mask_names)}"
-            )
 
 
 def _resolve_weights(
@@ -330,7 +321,9 @@ def _resolve_weights(
     that can get a non-zero weight scores the training samples once,
     into a table that both measures its accuracy and supplies the
     distillation targets; a table is None when its term's weight is
-    zero.  The previous model scores the task's design matrix ``inputs``.
+    zero.  The previous model scores the task's design matrix ``inputs``;
+    the general teacher's table must have one row per sample and one
+    column per head class (else TeacherDimensionError).
     """
     if t == 1 or settings.mode == "ft":
         return WeightTriple(1.0, 0.0, 0.0), None, None, None
@@ -348,6 +341,11 @@ def _resolve_weights(
         )
     prev_table = prev_teacher.score_inputs(inputs)
     llm_table = llm_teacher.score_table(task.samples, head_names)
+    if np.shape(llm_table) != (len(task.samples), len(head_names)):
+        raise TeacherDimensionError(
+            f"general teacher scored a table of shape {np.shape(llm_table)}, "
+            f"expected {(len(task.samples), len(head_names))} (samples, head classes)"
+        )
     prev_truth = np.where(labels < prev_table.shape[1], labels, -1)
     triple, breakdown = assemble_weights(
         weight_cfg,

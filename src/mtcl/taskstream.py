@@ -33,7 +33,7 @@ import numpy as np
 
 from .bridge import Vocabulary, build_vocabulary
 from .errors import ConfigError, DataError
-from .weights import is_integer
+from .weights import is_finite_number, is_integer
 
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -321,6 +321,11 @@ def _read_block(root: Path, block: FeatureBlock, rows: int, feature_length: int)
     return matrix
 
 
+# Parsed feature values that may become float64s: not text or booleans
+# (numpy would convert both); null is left to the finite check.
+_FEATURE_TYPES = (int, float, type(None))
+
+
 def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDataset:
     """Read one task split into memory, recounting classes as it goes.
 
@@ -367,6 +372,8 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
                 f"{file_path}:{lineno}: features of shape {features.shape}, "
                 f"stream declares {manifest.feature_length}"
             )
+        elif not all(type(value) in _FEATURE_TYPES for value in record["features"]):
+            raise DataError(f"{file_path}:{lineno}: a feature value is not a number")
         else:
             vectors.append(features)
         if not isinstance(answer_name, str):
@@ -452,14 +459,14 @@ class GeneratorConfig:
                 f"samples_per_task {self.samples_per_task} cannot cover "
                 f"{self.classes_per_task} classes"
             )
-        if self.imbalance < 1.0:
-            problems.append(f"imbalance target must be >= 1, got {self.imbalance}")
+        if not is_finite_number(self.imbalance) or self.imbalance < 1.0:
+            problems.append(f"imbalance must be a finite number >= 1, got {self.imbalance}")
         if not 0.0 <= self.overlap <= 1.0:
             problems.append(f"overlap must be in [0, 1], got {self.overlap}")
-        if self.shift < 0.0:
-            problems.append(f"shift must be >= 0, got {self.shift}")
-        if self.cluster_std <= 0.0:
-            problems.append(f"cluster_std must be > 0, got {self.cluster_std}")
+        if not is_finite_number(self.shift) or self.shift < 0.0:
+            problems.append(f"shift must be a finite number >= 0, got {self.shift}")
+        if not is_finite_number(self.cluster_std) or self.cluster_std <= 0.0:
+            problems.append(f"cluster_std must be a finite number > 0, got {self.cluster_std}")
         if problems:
             raise ConfigError(problems)
 

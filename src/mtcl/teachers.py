@@ -1,8 +1,8 @@
 """Teacher backends that score candidate answer labels for a sample.
 
-Every teacher answers the same question: "given this sample, how do you
-rate each of these candidate labels?"  The return value is a logit
-vector over the candidates.  Backends:
+Every teacher answers the same question: "given these samples, how do
+you rate each of these candidate labels?"  The answer is a score table,
+one logit row per sample over the candidates.  Backends:
 
 * ``FixtureTeacher`` replays token-level score tensors recorded to a
   binary fixture file, pushing them through the embedding-to-logits
@@ -17,11 +17,10 @@ vector over the candidates.  Backends:
   true label with a configurable rate.  Used by the synthetic pipeline
   where no real teacher exists.
 
-The trainer asks each teacher once per task for a score table over the
-task's training samples (``score_table``); the base implementation
-queries sample by sample, and the service and previous-model teachers
-override it.  All teachers count their queries so runs that
-claim not to consult a teacher can prove it.
+Each teacher (``engine.PrevModelTeacher`` too) implements one scoring
+method, ``score_table``, which the trainer calls once per task;
+``query`` is its one-row form.  All teachers count one query per sample
+scored, so runs that claim not to consult a teacher can prove it.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from urllib.parse import quote, urlsplit
 
 import numpy as np
 
-from .bridge import Vocabulary, scores_to_logits, tokenize_labels, read_fixture
+from .bridge import TokenizedLabelSet, Vocabulary, read_fixture, scores_to_logits, tokenize_labels
 from .errors import (
     DataError,
     TeacherDimensionError,
@@ -70,72 +69,57 @@ def _candidates(mask_names) -> tuple:
 
 
 class Teacher:
-    """Base class: query counting plus an overridable scoring hook."""
+    """Base class: ``score_table`` is the one scoring method; the base
+    keeps the query count (one per sample scored) and ``close``."""
 
     def __init__(self):
         self.query_count = 0
 
     def score_table(self, samples, mask_names) -> np.ndarray:
         """Logits over ``mask_names`` for every sample, shape (n, k)."""
-        mask_names = tuple(mask_names)
-        rows = [self.query(sample, mask_names) for sample in samples]
-        return np.array(rows, dtype=np.float64).reshape(len(rows), len(mask_names))
+        raise NotImplementedError
 
     def query(self, sample, mask_names) -> np.ndarray:
-        mask_names = _candidates(mask_names)
-        self.query_count += 1
-        logits = np.asarray(self._score(sample, mask_names), dtype=np.float64)
-        if logits.shape != (len(mask_names),):
-            raise TeacherDimensionError(
-                f"teacher produced {logits.shape} logits for {len(mask_names)} candidates"
-            )
-        return logits
-
-    def _score(self, sample, mask_names):
-        raise NotImplementedError
+        """The one-row form of ``score_table``."""
+        return self.score_table([sample], mask_names)[0]
 
     def close(self) -> None:
         """Release what the teacher holds open; a no-op unless overridden."""
 
 
-class _TokenScoreTeacher(Teacher):
-    """Base for teachers that answer with token-score tensors, which go
-    through the bridge; each candidate tuple is tokenized once."""
-
-    def __init__(self, vocab: Vocabulary):
-        super().__init__()
-        self.vocab = vocab
-        self._tables = {}
-
-    def _bridge(self, values: np.ndarray, shape, mask_names, source: str) -> np.ndarray:
-        """Logits from ``values`` of ``shape``, which must be (k, width, |vocab|)."""
-        table = self._tables.get(mask_names)
-        if table is None:
-            table = self._tables[mask_names] = tokenize_labels(self.vocab, mask_names)
-        expected = (len(mask_names), table.width, len(self.vocab))
-        if tuple(shape) != expected:
-            raise TeacherDimensionError(
-                f"{source} has shape {tuple(shape)}, expected {expected} "
-                "(candidates, token positions, vocabulary)"
-            )
-        return scores_to_logits(np.reshape(values, expected), table)
+def _bridge(values: np.ndarray, shape, labels: TokenizedLabelSet, source: str) -> np.ndarray:
+    """Logits from ``values`` of ``shape``, which must be (k, width, |vocab|)
+    of the tokenized candidates ``labels``."""
+    expected = (labels.count, labels.width, labels.vocab_size)
+    if tuple(shape) != expected:
+        raise TeacherDimensionError(
+            f"{source} has shape {tuple(shape)}, expected {expected} "
+            "(candidates, token positions, vocabulary)"
+        )
+    return scores_to_logits(np.reshape(values, expected), labels)
 
 
-class FixtureTeacher(_TokenScoreTeacher):
+class FixtureTeacher(Teacher):
     """Replays recorded score tensors keyed by sample id."""
 
     def __init__(self, fixture_path, vocab: Vocabulary):
-        super().__init__(vocab)
+        super().__init__()
         if not isinstance(fixture_path, (str, os.PathLike)):
             raise DataError(f"teacher field 'path' must be a file path, got {fixture_path!r}")
+        self.vocab = vocab
         self.records = read_fixture(fixture_path)
 
-    def _score(self, sample, mask_names):
-        tensor = self.records.get(sample.id)
-        if tensor is None:
-            raise DataError(f"fixture has no score tensor for sample {sample.id!r}")
-        return self._bridge(tensor, tensor.shape, mask_names,
-                            f"fixture tensor for {sample.id!r}")
+    def score_table(self, samples, mask_names) -> np.ndarray:
+        labels = tokenize_labels(self.vocab, _candidates(mask_names))
+        table = np.empty((len(samples), labels.count))
+        for i, sample in enumerate(samples):
+            self.query_count += 1
+            tensor = self.records.get(sample.id)
+            if tensor is None:
+                raise DataError(f"fixture has no score tensor for sample {sample.id!r}")
+            table[i] = _bridge(tensor, tensor.shape, labels,
+                               f"fixture tensor for {sample.id!r}")
+        return table
 
 
 def _endpoint(base_url, timeout: float):
@@ -202,7 +186,7 @@ class _SharedReader:
         self._file.close()
 
 
-class ServiceTeacher(_TokenScoreTeacher):
+class ServiceTeacher(Teacher):
     """Talks to a scoring service over one persistent HTTP connection.
 
     Each sample is one request with its own request id, which the reply
@@ -224,7 +208,7 @@ class ServiceTeacher(_TokenScoreTeacher):
         timeout: float = 10.0,
         retries: int = 2,
     ):
-        super().__init__(vocab)
+        super().__init__()
         if want not in ("embeddings", "logits"):
             raise DataError(f"want must be 'embeddings' or 'logits', got {want!r}")
         if want == "embeddings" and vocab is None:
@@ -233,6 +217,7 @@ class ServiceTeacher(_TokenScoreTeacher):
                            "a finite number of seconds > 0")
         self.retries = _checked("retries", retries, lambda v: is_integer(v) and v >= 0,
                                 "an integer >= 0")
+        self.vocab = vocab
         self.want = want
         self._connection, self._head = _endpoint(base_url, timeout)
         self._reader = None  # the open connection's _SharedReader
@@ -249,17 +234,15 @@ class ServiceTeacher(_TokenScoreTeacher):
 
     def score_table(self, samples, mask_names) -> np.ndarray:
         mask_names = _candidates(mask_names)
+        labels = None if self.want == "logits" else tokenize_labels(self.vocab, mask_names)
         table = np.empty((len(samples), len(mask_names)))
         try:
             for i, (request_id, reply) in enumerate(self._replies(samples, mask_names)):
-                table[i] = self._logits(request_id, reply, mask_names)
+                table[i] = self._logits(request_id, reply, mask_names, labels)
         except BaseException:
             self.close()  # replies to unanswered requests may still arrive on it
             raise
         return table
-
-    def query(self, sample, mask_names) -> np.ndarray:
-        return self.score_table([sample], mask_names)[0]
 
     def _request(self, sample, mask_names) -> tuple[str, bytes]:
         """A fresh request id and the whole request for ``sample``; counts
@@ -338,8 +321,9 @@ class ServiceTeacher(_TokenScoreTeacher):
                 raise TeacherProtocolError(f"teacher endpoint returned HTTP {response.status}")
             yield request_id, reply
 
-    def _logits(self, request_id: str, reply: bytes, mask_names) -> np.ndarray:
-        """The candidates' logits in one reply body."""
+    def _logits(self, request_id: str, reply: bytes, mask_names, labels) -> np.ndarray:
+        """The candidates' logits in one reply body; ``labels`` are the
+        tokenized candidates, or None when the service sends logits."""
         try:
             payload = json.loads(reply)
         except ValueError as exc:
@@ -368,7 +352,7 @@ class ServiceTeacher(_TokenScoreTeacher):
                     f"logits dims {dims} do not match {len(mask_names)} candidates"
                 )
             return values
-        return self._bridge(values, dims, mask_names, "service embedding payload")
+        return _bridge(values, dims, labels, "service embedding payload")
 
 
 class NoisyOracleTeacher(Teacher):
@@ -386,27 +370,26 @@ class NoisyOracleTeacher(Teacher):
                                  "a number in (0, 1]")
         self.seed = _checked("seed", seed, is_integer, "an integer")
 
-    def _draws(self, sample_id: str) -> tuple[float, int]:
-        digest = hashlib.sha256(f"{self.seed}:{sample_id}".encode("utf-8")).digest()
-        u = int.from_bytes(digest[:8], "little") / 2.0**64
-        h = int.from_bytes(digest[8:16], "little")
-        return u, h
-
-    def _score(self, sample, mask_names):
+    def score_table(self, samples, mask_names) -> np.ndarray:
+        mask_names = _candidates(mask_names)
         n = len(mask_names)
-        u, h = self._draws(sample.id)
-        truth = getattr(sample, "answer_name", None)
-        logits = np.zeros(n)
-        if truth in mask_names:
-            truth_idx = mask_names.index(truth)
-            if u < self.accuracy or n == 1:
-                pick = truth_idx
+        table = np.zeros((len(samples), n))
+        for i, sample in enumerate(samples):
+            self.query_count += 1
+            digest = hashlib.sha256(f"{self.seed}:{sample.id}".encode("utf-8")).digest()
+            u = int.from_bytes(digest[:8], "little") / 2.0**64
+            h = int.from_bytes(digest[8:16], "little")
+            truth = getattr(sample, "answer_name", None)
+            if truth in mask_names:
+                truth_idx = mask_names.index(truth)
+                if u < self.accuracy or n == 1:
+                    pick = truth_idx
+                else:
+                    pick = (truth_idx + 1 + h % (n - 1)) % n
             else:
-                pick = (truth_idx + 1 + h % (n - 1)) % n
-        else:
-            pick = h % n
-        logits[pick] = ORACLE_MARGIN
-        return logits
+                pick = h % n
+            table[i, pick] = ORACLE_MARGIN
+        return table
 
 
 def teacher_from_config(

@@ -644,6 +644,22 @@ class TestCliGenerate:
         assert code == 2
         assert "infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, field", [
+        ("--imbalance", "imbalance"), ("--shift", "shift"), ("--cluster-std", "cluster_std"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_parameter_exits_2_naming_it(self, tmp_path, capsys, flag, field, value):
+        out = tmp_path / "gen"
+        code = main(
+            [
+                "generate", "--out", str(out), "--tasks", "2", "--classes-per-task", "3",
+                "--samples-per-task", "60", "--features", "4", f"{flag}={value}",
+            ]
+        )
+        assert code == 2
+        assert f"{field} must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCliInspectWeights:
     def test_single_point_breakdown(self, capsys):

@@ -555,11 +555,10 @@ class TestTrainTask:
 
     def test_non_finite_teacher_table_stops_before_the_first_batch(self, mini_stream):
         class Broken(NoisyOracleTeacher):
-            def _score(self, sample, mask_names):
-                logits = super()._score(sample, mask_names)
-                if sample.id.endswith("7"):
-                    logits[-1] = np.nan
-                return logits
+            def score_table(self, samples, mask_names):
+                table = super().score_table(samples, mask_names)
+                table[[s.id.endswith("7") for s in samples], -1] = np.nan
+                return table
 
         settings = TrainSettings(seed=5, mode="ours", **FAST)
         task1, task2 = load_task(mini_stream, 1), load_task(mini_stream, 2)

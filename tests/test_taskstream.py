@@ -344,6 +344,19 @@ class TestLoadTaskErrors:
         with pytest.raises(DataError, match=r"task1\.train\.jsonl:2: non-finite"):
             load_task(load_manifest(manifest_path), 1)
 
+    @pytest.mark.parametrize("values", [["0.5", "1.7"], [True, False], [0.5, False]],
+                             ids=["text", "booleans", "one-boolean"])
+    def test_non_number_feature_reports_its_line(self, tmp_path, values):
+        manifest_path = write_stream(tmp_path)
+        task_file = tmp_path / "task1.train.jsonl"
+        lines = task_file.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["features"] = values
+        lines[1] = json.dumps(record)
+        task_file.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"jsonl:2: a feature value is not a number"):
+            load_task(load_manifest(manifest_path), 1)
+
     def test_unknown_class_name(self, tmp_path):
         manifest_path = write_stream(tmp_path)
         task_file = tmp_path / "task1.train.jsonl"

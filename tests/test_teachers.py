@@ -17,13 +17,14 @@ import pytest
 
 from mtcl.bridge import build_vocabulary, scores_to_logits, tokenize_labels, write_fixture
 from mtcl.cli import main
+from mtcl.engine import PrevModelTeacher, StudentModel
 from mtcl.errors import (
     DataError,
     TeacherDimensionError,
     TeacherProtocolError,
     TeacherTimeoutError,
 )
-from mtcl.taskstream import GeneratorConfig, generate_synthetic_stream
+from mtcl.taskstream import GeneratorConfig, LabelClass, generate_synthetic_stream
 from mtcl.teachers import (
     MAX_IN_FLIGHT,
     MAX_UNANSWERED_BYTES,
@@ -55,25 +56,121 @@ def tensor_for(vocab, labels, rng):
 
 class TestTeacherBase:
     def test_query_counting_and_empty_mask(self):
-        class Fixed(Teacher):
-            def _score(self, sample, mask_names):
-                return np.zeros(len(mask_names))
+        class Recording(NoisyOracleTeacher):
+            def score_table(self, samples, mask_names):
+                tables.append(len(samples))
+                return super().score_table(samples, mask_names)
 
-        teacher = Fixed()
+        tables = []
+        teacher = Recording(seed=1, accuracy=0.5)
         assert teacher.query_count == 0
+        row = teacher.query(make_sample(), LABELS)
         teacher.query(make_sample(), LABELS)
-        teacher.query(make_sample(), LABELS)
-        assert teacher.query_count == 2
+        # query is the one-row table.
+        assert teacher.query_count == 2 and tables == [1, 1]
+        assert row.tobytes() == teacher.score_table([make_sample()], LABELS)[0].tobytes()
         with pytest.raises(DataError):
             teacher.query(make_sample(), ())
+        with pytest.raises(NotImplementedError):
+            Teacher().query(make_sample(), LABELS)
 
-    def test_wrong_output_length_rejected(self):
-        class Broken(Teacher):
-            def _score(self, sample, mask_names):
-                return np.zeros(len(mask_names) + 1)
+    def test_wrong_output_length_rejected(self, tmp_path, monkeypatch, capsys):
+        """A general teacher's table one column too wide or too narrow
+        stops the run, exit 4, before the task's first batch."""
+        class Misshapen(NoisyOracleTeacher):
+            def score_table(self, samples, mask_names):
+                table = super().score_table(samples, mask_names)
+                steps_at_table.append(len(steps))
+                return np.pad(table, ((0, 0), (0, 1)))[:, :table.shape[1] + extra]
 
-        with pytest.raises(TeacherDimensionError):
-            Broken().query(make_sample(), LABELS)
+        steps = []
+        apply_gradients = StudentModel.apply_gradients
+
+        def counted(self, *args):
+            steps.append(1)
+            return apply_gradients(self, *args)
+
+        monkeypatch.setattr(StudentModel, "apply_gradients", counted)
+        monkeypatch.setattr("mtcl.cli.teacher_from_config",
+                            lambda *args, **kwargs: Misshapen(seed=3, accuracy=0.8))
+        stream = GeneratorConfig(tasks=2, classes_per_task=2, feature_length=3,
+                                 samples_per_task=24, imbalance=2.0)
+        manifest = generate_synthetic_stream(stream, seed=3, out_dir=tmp_path / "stream")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "manifest": str(manifest), "mode": "ours",
+            "optimizer": {"epochs": 1, "batch_size": 8},
+            "model": {"hidden1": 4, "hidden2": 4},
+            "llm_teacher": {"kind": "noisy-oracle", "accuracy": 0.8},
+        }))
+        for extra in (1, -1):
+            steps_at_table = []
+            assert main(["run", str(config), "--output-dir", str(tmp_path / f"out{extra}")]) == 4
+            got = re.search(r"shape \((\d+), (\d+)\), expected \((\d+), (\d+)\)",
+                            capsys.readouterr().err)
+            rows, width, want_rows, want_width = map(int, got.groups())
+            assert (rows, width) == (want_rows, want_width + extra)
+            # Task 1 trained; task 2 stopped at its table.
+            assert steps_at_table == [len(steps)] and steps
+
+
+CONTRACT_SAMPLES = [make_sample(f"s-{i}", LABELS[i % len(LABELS)]) for i in range(5)]
+
+
+@pytest.fixture(params=["fixture", "service", "noisy-oracle", "previous-model"])
+def any_teacher(request, tmp_path):
+    """Each teacher kind, ready to score ``CONTRACT_SAMPLES`` over ``LABELS``."""
+    vocab = build_vocabulary(LABELS)
+    rng = np.random.default_rng(3020)
+    tensors = {s.id: tensor_for(vocab, LABELS, rng) for s in CONTRACT_SAMPLES}
+    if request.param == "fixture":
+        write_fixture(tmp_path / "scores.bin", tensors)
+        yield FixtureTeacher(tmp_path / "scores.bin", vocab)
+    elif request.param == "service":
+        with serving(_KeepAliveHandler) as server:
+            server.behavior = lambda path, body: (
+                200, embedding_response(body, tensors[body["sample_id"]])
+            )
+            teacher = ServiceTeacher(f"http://127.0.0.1:{server.server_address[1]}",
+                                     vocab=vocab, timeout=5.0)
+            yield teacher
+            teacher.close()
+    elif request.param == "noisy-oracle":
+        yield NoisyOracleTeacher(seed=3, accuracy=0.6)
+    else:
+        classes = [LabelClass(id=i, name=n, tokens=tuple(vocab.encode(n)))
+                   for i, n in enumerate(LABELS)]
+        model = StudentModel(3, 3, len(vocab) + 1, 4, 4).grow_head(classes)
+        yield PrevModelTeacher(model, vocab)
+
+
+class TestTeacherContract:
+    """What every teacher promises: ``score_table`` is its scoring method,
+    ``query`` its one-row form, and one query is counted per sample."""
+
+    def test_query_is_a_row_of_the_table(self, any_teacher):
+        table = any_teacher.score_table(CONTRACT_SAMPLES, LABELS)
+        assert table.shape == (len(CONTRACT_SAMPLES), len(LABELS))
+        assert table.dtype == np.float64
+        rows = np.array([any_teacher.query(sample, LABELS) for sample in CONTRACT_SAMPLES])
+        if isinstance(any_teacher, PrevModelTeacher):
+            # One-row and many-row BLAS products may round the last bit apart.
+            np.testing.assert_allclose(rows, table, rtol=0.0, atol=1e-12)
+        else:
+            assert rows.tobytes() == table.tobytes()
+
+    def test_query_count_grows_by_samples_scored(self, any_teacher):
+        any_teacher.score_table(CONTRACT_SAMPLES, LABELS)
+        assert any_teacher.query_count == len(CONTRACT_SAMPLES)
+        any_teacher.score_table(CONTRACT_SAMPLES[:2], LABELS)
+        any_teacher.query(CONTRACT_SAMPLES[0], LABELS)
+        assert any_teacher.query_count == len(CONTRACT_SAMPLES) + 3
+
+    def test_empty_candidate_list_rejected(self, any_teacher):
+        with pytest.raises(DataError):
+            any_teacher.score_table(CONTRACT_SAMPLES, ())
+        with pytest.raises(DataError):
+            any_teacher.query(CONTRACT_SAMPLES[0], [])
 
 
 class TestFixtureTeacher:
