@@ -8,10 +8,10 @@ one logit row per sample over the candidates.  Backends:
   binary fixture file, pushing them through the embedding-to-logits
   bridge.  Used for offline runs and reproducible tests.
 * ``ServiceTeacher`` queries an HTTP endpoint over one persistent
-  connection, one request per sample.  A score table's requests are
-  pipelined, up to ``MAX_IN_FLIGHT`` at once, each written in one piece;
-  timeouts and connection failures resend the unanswered requests with
-  their request ids on a fresh connection.
+  connection, one request per sample.  A score table's requests go out
+  in windows of up to ``MAX_IN_FLIGHT``, each window in one write once
+  the previous one is answered; timeouts and connection failures resend
+  the unanswered requests with their request ids on a fresh connection.
 * ``NoisyOracleTeacher`` is a synthetic stand-in whose per-sample
   correctness is a deterministic hash of (seed, sample id); it hits the
   true label with a configurable rate.  Used by the synthetic pipeline
@@ -28,9 +28,12 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import os
+import threading
 import uuid
 from collections import deque
+from itertools import islice
 from urllib.parse import quote, urlsplit
 
 import numpy as np
@@ -47,8 +50,8 @@ from .weights import is_finite_number, is_integer, is_number
 # Pre-softmax margin the oracle puts on its chosen label.
 ORACLE_MARGIN = 2.0
 
-# Pipelining limits of ServiceTeacher on one connection: requests waiting
-# for a reply, and their bytes (one request alone may exceed that cap).
+# Window limits of ServiceTeacher on one connection: requests written
+# together, and their bytes (one request alone may exceed that cap).
 MAX_IN_FLIGHT = 8
 MAX_UNANSWERED_BYTES = 64 * 1024
 
@@ -190,10 +193,11 @@ class ServiceTeacher(Teacher):
     """Talks to a scoring service over one persistent HTTP connection.
 
     Each sample is one request with its own request id, which the reply
-    must echo.  Requests are pipelined: each goes out in one write, and
-    up to ``MAX_IN_FLIGHT`` of them, of ``MAX_UNANSWERED_BYTES`` in all,
-    wait for their replies at once, but only one until a reply has shown
-    that the connection stays open.  A timeout or connection failure
+    must echo.  Requests are pipelined in whole windows: up to
+    ``MAX_IN_FLIGHT`` of them, of ``MAX_UNANSWERED_BYTES`` in all, go out
+    in one write, and the next window is written once all their replies
+    are read.  A window holds one request until a reply has shown that
+    the connection stays open.  A timeout or connection failure
     closes the connection and resends every unanswered request, with the
     same ids, on a fresh one; that counts in ``retry_count`` unless the
     failed connection had already delivered a reply.  A malformed reply
@@ -213,8 +217,9 @@ class ServiceTeacher(Teacher):
             raise DataError(f"want must be 'embeddings' or 'logits', got {want!r}")
         if want == "embeddings" and vocab is None:
             raise DataError("embeddings mode needs a vocabulary for the token targets")
-        timeout = _checked("timeout", timeout, lambda v: is_finite_number(v) and v > 0.0,
-                           "a finite number of seconds > 0")
+        timeout = _checked("timeout", timeout,
+                           lambda v: is_finite_number(v) and 0.0 < v <= threading.TIMEOUT_MAX,
+                           f"a number of seconds in (0, {threading.TIMEOUT_MAX:g}]")
         self.retries = _checked("retries", retries, lambda v: is_integer(v) and v >= 0,
                                 "an integer >= 0")
         self.vocab = vocab
@@ -262,33 +267,37 @@ class ServiceTeacher(Teacher):
     def _replies(self, samples, mask_names):
         """Yield (request id, reply body) for each sample, in order.
 
-        Each request is built when it is first due.  On an error this
-        raises with requests possibly unanswered; the caller closes the
-        connection.
+        Requests are built as their window is filled, and a window is
+        written in one ``sendall`` only when nothing on the connection is
+        unanswered, so the service is woken once per window rather than
+        once per request.  On an error this raises with requests possibly
+        unanswered; the caller closes the connection.
         """
         from http.client import HTTPException, HTTPResponse
 
         waiting = deque()  # built and unanswered (request id, request), oldest first
-        built = sent = unanswered = failures = 0  # sent, unanswered: of waiting, on the wire
+        built = sent = failures = 0  # sent: of waiting, on the wire
         while waiting or built < len(samples):
             try:
                 if self._reader is None:
-                    sent = unanswered = 0
+                    sent = 0
                     self._connection.connect()
                     self._reader = _SharedReader(self._connection.sock)
-                while True:
-                    if sent == len(waiting):
-                        if built == len(samples):
+                if not sent:
+                    size = 0
+                    while sent < (MAX_IN_FLIGHT if self._kept_open else 1):
+                        if sent == len(waiting):
+                            if built == len(samples):
+                                break
+                            waiting.append(self._request(samples[built], mask_names))
+                            built += 1
+                        size += len(waiting[sent][1])
+                        if sent and size > MAX_UNANSWERED_BYTES:
                             break
-                        waiting.append(self._request(samples[built], mask_names))
-                        built += 1
-                    request = waiting[sent][1]
-                    if sent and not (self._kept_open and sent < MAX_IN_FLIGHT
-                                     and unanswered + len(request) <= MAX_UNANSWERED_BYTES):
-                        break
-                    self._connection.sock.sendall(request)
-                    sent += 1
-                    unanswered += len(request)
+                        sent += 1
+                    self._connection.sock.sendall(
+                        b"".join(request for _, request in islice(waiting, sent))
+                    )
                 response = HTTPResponse(self._reader, method="POST")
                 response.begin()
                 reply = response.read()
@@ -309,9 +318,8 @@ class ServiceTeacher(Teacher):
                 raise TeacherProtocolError(
                     f"teacher endpoint sent a malformed reply: {exc!r}"
                 ) from exc
-            request_id, request = waiting.popleft()
+            request_id, _ = waiting.popleft()
             sent -= 1
-            unanswered -= len(request)
             failures = 0
             if response.will_close:
                 self.close()
@@ -330,17 +338,21 @@ class ServiceTeacher(Teacher):
             raise TeacherProtocolError(f"teacher endpoint returned invalid JSON: {exc}") from exc
         try:
             echoed = payload["request_id"]
-            dims = [int(d) for d in payload["dims"]]
+            dims = payload["dims"]
             raw = base64.b64decode(payload["payload"], validate=True)
         except (KeyError, TypeError, ValueError) as exc:
             raise TeacherProtocolError(
                 f"teacher response missing or malformed fields: {exc}"
             ) from exc
+        if not isinstance(dims, list) or not all(is_integer(d) and d >= 0 for d in dims):
+            raise TeacherProtocolError(
+                f"teacher response dims must be an array of integers >= 0, got {dims!r}"
+            )
         if echoed != request_id:
             raise TeacherProtocolError(
                 f"teacher echoed request id {echoed!r}, expected {request_id!r}"
             )
-        count = int(np.prod(dims)) if dims else 0
+        count = math.prod(dims) if dims else 0
         if len(raw) != 4 * count:
             raise TeacherDimensionError(
                 f"payload holds {len(raw)} bytes, dims {dims} require {4 * count}"

@@ -513,13 +513,17 @@ class TestCliRun:
         [
             ({"kind": "service", "base_url": "http://127.0.0.1:1", "timeout": "x"}, "timeout"),
             ({"kind": "service", "base_url": "http://127.0.0.1:1", "timeout": 0}, "timeout"),
+            # Above threading.TIMEOUT_MAX a socket cannot wait that long.
+            ({"kind": "service", "base_url": "http://127.0.0.1:1", "timeout": 1e300}, "timeout"),
+            ({"kind": "service", "base_url": "http://127.0.0.1:1", "timeout": 1e10}, "timeout"),
             ({"kind": "service", "base_url": 5}, "base_url"),
             ({"kind": "service", "base_url": "http://127.0.0.1:1", "retries": -1}, "retries"),
             ({"kind": "noisy-oracle", "accuracy": "high"}, "accuracy"),
             ({"kind": "noisy-oracle", "accuracy": 0.7, "seed": "s"}, "seed"),
             ({"kind": "fixture", "path": 5}, "path"),
         ],
-        ids=["timeout-text", "timeout-zero", "base-url-number", "retries-negative",
+        ids=["timeout-text", "timeout-zero", "timeout-huge", "timeout-above-max",
+             "base-url-number", "retries-negative",
              "accuracy-text", "seed-text", "path-number"],
     )
     def test_ill_typed_teacher_field_exits_3(self, cli_workspace, tmp_path, capsys,
@@ -532,6 +536,7 @@ class TestCliRun:
         code = main(["run", str(config), "--output-dir", str(tmp_path / "x")])
         assert code == 3
         assert f"teacher field '{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
         "url",

@@ -1,8 +1,11 @@
 """The benchmark's span recorder (``perfbench/tracer.py``) still finds
 every layer it times, and its run wrapper (``perfbench/child.py``) still
 finds the hooks it counts queries with, so a traced run reports every
-per-layer metric."""
+per-layer metric.  The scoring stub of its service workload
+(``perfbench/stub.py``) still serves the table the fixture teacher
+replays, and counts the queries the teacher counts."""
 
+import http.client
 import importlib
 import importlib.util
 import inspect
@@ -10,6 +13,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,3 +105,46 @@ def test_traced_child_run_reports_every_span(tmp_path):
     summary = tracer.summarize(str(result) + ".npz")
     assert summary["absent"] == []
     assert summary["spans"]["engine.train_task"]["calls"] == 2
+
+
+def test_stub_serves_the_fixture_teachers_table(tmp_path):
+    """The service workload's ``served == llm_queries`` check on a tiny fixture."""
+    labels = ("cut", "idle", "grasp")
+    vocab = build_vocabulary(labels)
+    width = tokenize_labels(vocab, labels).width
+    rng = np.random.default_rng(11)
+    samples = [
+        SimpleNamespace(id=f"s-{i}", question="what action is shown",
+                        features=np.full(3, i / 7.0))
+        for i in range(11)
+    ]
+    fixture = tmp_path / "scores.bin"
+    write_fixture(fixture, {
+        s.id: rng.normal(0.0, 1.5, size=(3, width, len(vocab))).astype(np.float32)
+        for s in samples
+    })
+    stub = subprocess.Popen(
+        [sys.executable, str(REPO / "perfbench" / "stub.py"), str(REPO / "src"), str(fixture)],
+        stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        port = int(stub.stdout.readline())
+        teacher = teachers.ServiceTeacher(f"http://127.0.0.1:{port}", vocab=vocab, timeout=10.0)
+        try:
+            table = teacher.score_table(samples, labels)
+        finally:
+            teacher.close()  # the stub serves one connection at a time
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10.0)
+        try:
+            conn.request("GET", "/count")
+            served = json.loads(conn.getresponse().read())["served"]
+        finally:
+            conn.close()
+    finally:
+        stub.terminate()
+        stub.wait(timeout=10.0)
+        stub.stdout.close()
+    offline = teachers.FixtureTeacher(fixture, vocab).score_table(samples, labels)
+    assert table.tobytes() == offline.tobytes()
+    assert served == teacher.query_count == len(samples)
+    assert stub.returncode is not None

@@ -400,6 +400,40 @@ class TestServiceTeacher:
         with pytest.raises(TeacherDimensionError):
             teacher.query(make_sample(), LABELS)
 
+    @pytest.mark.parametrize(
+        "dims",
+        [b"[1e400]", b"[Infinity]", b"[3.7]", b"[3.0]", b'["3"]', b'"3"', b"[true, 3]",
+         b"[-3]"],
+        ids=["overflowing", "infinite", "fraction", "float", "text-element", "text",
+             "bool", "negative"],
+    )
+    def test_dims_must_be_integers(self, mock_server, dims):
+        payload = base64.b64encode(b"\x00" * 12)
+        mock_server.behavior = lambda path, body: (
+            200,
+            b'{"request_id": "%s", "dims": %s, "payload": "%s"}'
+            % (body["request_id"].encode(), dims, payload),
+        )
+        url = f"http://127.0.0.1:{mock_server.server_address[1]}"
+        teacher = ServiceTeacher(url, want="logits", timeout=2.0)
+        with pytest.raises(TeacherProtocolError, match="dims") as caught:
+            teacher.query(make_sample(), LABELS)
+        assert type(caught.value) is TeacherProtocolError
+
+    def test_huge_dims_are_counted_exactly(self, mock_server):
+        def behavior(path, body):
+            return 200, {
+                "request_id": body["request_id"],
+                "dims": [2**40, 2**40],
+                "payload": base64.b64encode(b"\x00" * 12).decode("ascii"),
+            }
+
+        mock_server.behavior = behavior
+        url = f"http://127.0.0.1:{mock_server.server_address[1]}"
+        teacher = ServiceTeacher(url, want="logits", timeout=2.0)
+        with pytest.raises(TeacherDimensionError, match=f"require {4 * 2**80}"):
+            teacher.query(make_sample(), LABELS)
+
     def test_request_id_mismatch_rejected(self, mock_server):
         def behavior(path, body):
             return 200, {
@@ -603,7 +637,9 @@ def pipeline_server(version="HTTP/1.1", drop_after=None, chunk=1 << 16, pause=0.
     It answers the oldest unanswered request only after 50 ms without new
     bytes, so that whatever a client keeps in flight has arrived by then,
     with ``logits_response``.  It records every connection's request
-    bodies and the most requests it ever held unanswered.  An HTTP/1.0
+    bodies, the most requests it ever held unanswered, and how many
+    requests arrived after it had started answering the ones it held and
+    before it had answered them all (``late``).  An HTTP/1.0
     server closes each connection after one reply; ``drop_after`` closes
     the first connection after that many replies; ``chunk`` bytes per
     read with a ``pause`` after each make a slow reader.  Yields the URL
@@ -611,11 +647,12 @@ def pipeline_server(version="HTTP/1.1", drop_after=None, chunk=1 << 16, pause=0.
     """
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(0.05)
-    record = SimpleNamespace(connections=[], most_unanswered=0)
+    record = SimpleNamespace(connections=[], most_unanswered=0, late=0)
     stop = threading.Event()
 
     def serve_connection(conn):
         bodies, unanswered, buffer, replies = [], [], b"", 0
+        answering = False
         record.connections.append(bodies)
         while not stop.is_set():
             try:
@@ -626,6 +663,8 @@ def pipeline_server(version="HTTP/1.1", drop_after=None, chunk=1 << 16, pause=0.
                 return
             if data:
                 arrived, buffer = _split_requests(buffer + data)
+                if answering:
+                    record.late += len(arrived)
                 bodies += arrived
                 unanswered += arrived
                 record.most_unanswered = max(record.most_unanswered, len(unanswered))
@@ -637,6 +676,7 @@ def pipeline_server(version="HTTP/1.1", drop_after=None, chunk=1 << 16, pause=0.
                     f"Content-Length: {len(body)}\r\n\r\n".encode() + body
                 )
                 replies += 1
+                answering = bool(unanswered)
                 if version == "HTTP/1.0" or (replies == drop_after
                                              and len(record.connections) == 1):
                     return
@@ -703,6 +743,32 @@ class TestServiceTeacherPipeline:
             teacher.close()
         np.testing.assert_array_equal(table, np.tile([0.5, -1.0, 2.0], (12, 1)))
         assert 2 <= record.most_unanswered <= MAX_IN_FLIGHT
+        assert [body["sample_id"] for body in record.connections[0]] == [
+            s.id for s in samples
+        ]
+
+    def test_each_window_goes_out_in_one_write_after_the_last_is_answered(
+        self, monkeypatch
+    ):
+        samples = numbered_samples(20)
+        windows = []
+        sendall = socket.socket.sendall
+
+        def recording(sock, data, *args):
+            if sock.getpeername()[1] == port:
+                windows.append(len(_split_requests(bytes(data))[0]))
+            return sendall(sock, data, *args)
+
+        with pipeline_server() as (url, record):
+            port = int(url.rsplit(":", 1)[1])
+            monkeypatch.setattr(socket.socket, "sendall", recording)
+            teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=0)
+            table = teacher.score_table(samples, LABELS)
+            teacher.close()
+        np.testing.assert_array_equal(table, np.tile([0.5, -1.0, 2.0], (20, 1)))
+        # One request until the first reply shows keep-alive, then whole windows.
+        assert windows == [1, MAX_IN_FLIGHT, MAX_IN_FLIGHT, 3]
+        assert record.late == 0
         assert [body["sample_id"] for body in record.connections[0]] == [
             s.id for s in samples
         ]
@@ -889,6 +955,7 @@ class TestTeacherFromConfig:
             ({**service, "retries": True}, "retries"),
             ({**service, "timeout": True}, "timeout"),
             ({**service, "timeout": "3"}, "timeout"),
+            ({**service, "timeout": 1e300}, "timeout"),
         ):
             with pytest.raises(DataError, match=f"'{field}'"):
                 teacher_from_config(spec, vocab)
