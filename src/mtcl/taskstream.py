@@ -26,8 +26,10 @@ import hashlib
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,11 +63,11 @@ class LabelClass:
     tokens: tuple
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     """One record: feature vector, question text, answer label.
 
-    A sample loaded from a split with a feature block holds a read-only
+    A tuple, so its fields are read-only and it is cheap to build.  A
+    sample loaded from a split with a feature block holds a read-only
     row view of the block's matrix as ``features``.
     """
 
@@ -92,14 +94,14 @@ class TaskDataset:
         if len(set(names)) != len(names):
             raise DataError(f"duplicate class names in task {self.task_index}")
         known = {c.id for c in self.classes}
-        self.class_counts = {}
-        for s in self.samples:
-            if s.answer not in known:
-                raise DataError(
-                    f"sample {s.id!r} answers class id {s.answer}, "
-                    f"not in task {self.task_index}'s class set"
-                )
-            self.class_counts[s.answer] = self.class_counts.get(s.answer, 0) + 1
+        counts = Counter(s.answer for s in self.samples)
+        if not counts.keys() <= known:
+            stray = next(s for s in self.samples if s.answer not in known)
+            raise DataError(
+                f"sample {stray.id!r} answers class id {stray.answer}, "
+                f"not in task {self.task_index}'s class set"
+            )
+        self.class_counts = dict(counts)
 
     @property
     def class_names(self) -> list:
@@ -185,7 +187,7 @@ def load_manifest(path) -> StreamManifest:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"manifest {path} is not valid JSON: {exc}") from exc
     try:
         return _parse_manifest(path, payload)
@@ -325,6 +327,27 @@ def _read_block(root: Path, block: FeatureBlock, rows: int, feature_length: int)
 # (numpy would convert both); null is left to the finite check.
 _FEATURE_TYPES = (int, float, type(None))
 
+# The C scanner behind ``json.loads``, without the wrapper's whitespace,
+# BOM and trailing-data handling.
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _parse_record(line: str):
+    """The JSON value on ``line``, as ``json.loads(line)`` gives it.
+
+    The scanner takes a line that is one value and nothing else.  Any
+    other line (whitespace around the value, a BOM, trailing data, an
+    error) goes to ``json.loads``, which stays the reference for what
+    is accepted and for what the error says.
+    """
+    try:
+        value, end = _scan_once(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, ValueError):
+        pass
+    return json.loads(line)
+
 
 def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDataset:
     """Read one task split into memory, recounting classes as it goes.
@@ -341,7 +364,7 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
         rel, block = entry.test_file, entry.test_features
     file_path = manifest.root / rel
     by_name = manifest.label_by_name
-    allowed = set(entry.class_names)
+    declared = {name: by_name[name].id for name in entry.class_names}
     records = []
     linenos = []
     vectors = []
@@ -353,14 +376,18 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            record = _parse_record(line)
             sample_id = record["id"]
             if block is None:
                 features = np.asarray(record["features"], dtype=np.float64)
             question = record["question"]
             answer_name = record["answer"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise DataError(f"{file_path}:{lineno}: malformed record: {exc}") from exc
+        if not isinstance(sample_id, str):
+            raise DataError(f"{file_path}:{lineno}: id {sample_id!r} is not a string")
+        if not isinstance(question, str):
+            raise DataError(f"{file_path}:{lineno}: question {question!r} is not a string")
         if block is not None:
             if "features" in record:
                 raise DataError(
@@ -378,18 +405,18 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
             vectors.append(features)
         if not isinstance(answer_name, str):
             raise DataError(f"{file_path}:{lineno}: answer {answer_name!r} is not a class name")
-        label = by_name.get(answer_name)
-        if label is None:
-            raise DataError(
-                f"{file_path}:{lineno}: unknown class {answer_name!r} (manifest drift)"
-            )
-        if answer_name not in allowed:
+        answer = declared.get(answer_name)
+        if answer is None:
+            if answer_name not in by_name:
+                raise DataError(
+                    f"{file_path}:{lineno}: unknown class {answer_name!r} (manifest drift)"
+                )
             raise DataError(
                 f"{file_path}:{lineno}: class {answer_name!r} is not declared "
                 f"for task {t}"
             )
         linenos.append(lineno)
-        records.append((str(sample_id), str(question), label.id, answer_name))
+        records.append((sample_id, question, answer, answer_name))
     if block is not None:
         vectors = list(
             _read_block(manifest.root, block, len(records), manifest.feature_length)
@@ -402,8 +429,7 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
             lineno = linenos[int(np.argmin(finite))]
             raise DataError(f"{file_path}:{lineno}: non-finite or null feature value")
     samples = [
-        Sample(id=sample_id, features=features, question=question,
-               answer=answer, answer_name=answer_name)
+        Sample(sample_id, features, question, answer, answer_name)
         for (sample_id, question, answer, answer_name), features in zip(records, vectors)
     ]
     classes = [by_name[name] for name in entry.class_names]

@@ -24,6 +24,7 @@ from mtcl.taskstream import (
     load_manifest,
     load_task,
     write_task,
+    _parse_record,
 )
 
 STREAM_NAMES = ("cut", "idle", "grasp")
@@ -76,6 +77,19 @@ class TestTaskDataset:
     def test_task_index_must_be_positive(self):
         with pytest.raises(DataError):
             TaskDataset(task_index=0, samples=[], classes=[])
+
+
+SAMPLE_FIELDS = ("id", "features", "question", "answer", "answer_name")
+
+
+class TestSample:
+    @pytest.mark.parametrize("name", SAMPLE_FIELDS)
+    def test_fields_are_read_only(self, name):
+        sample = Sample(id="s", features=np.zeros(2), question="q", answer=0,
+                        answer_name="cut")
+        with pytest.raises(AttributeError):
+            setattr(sample, name, None)
+        assert sample.id == "s" and sample.answer == 0 and sample.answer_name == "cut"
 
 
 class TestImbalanceLedger:
@@ -311,6 +325,12 @@ class TestManifestValidation:
         with pytest.raises(DataError, match="JSON"):
             load_manifest(path)
 
+    def test_json_nested_too_deeply_rejected(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        with pytest.raises(DataError, match="JSON"):
+            load_manifest(path)
+
 
 class TestLoadTaskErrors:
     def test_bad_split_name(self, tmp_path):
@@ -355,6 +375,29 @@ class TestLoadTaskErrors:
         lines[1] = json.dumps(record)
         task_file.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=r"jsonl:2: a feature value is not a number"):
+            load_task(load_manifest(manifest_path), 1)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("id", None), ("id", 7), ("id", ["t1-9"]), ("question", 7), ("question", None),
+         ("question", {"q": 1})],
+    )
+    @pytest.mark.parametrize("blocks", [False, True], ids=["jsonl", "blocks"])
+    def test_id_and_question_must_be_strings(self, tmp_path, key, value, blocks):
+        manifest_path = write_stream(tmp_path, blocks=blocks)
+        task_file = tmp_path / "task1.test.jsonl"
+        record = json.loads(task_file.read_text())
+        record[key] = value
+        task_file.write_text(json.dumps(record) + "\n")
+        with pytest.raises(DataError,
+                           match=rf"task1\.test\.jsonl:1: {key} .* is not a string"):
+            load_task(load_manifest(manifest_path), 1, "test")
+
+    def test_record_nested_too_deeply_is_malformed(self, tmp_path):
+        manifest_path = write_stream(tmp_path)
+        task_file = tmp_path / "task1.train.jsonl"
+        task_file.write_text(task_file.read_text() + "[" * 100_000 + "\n")
+        with pytest.raises(DataError, match=r"task1\.train\.jsonl:4: malformed record"):
             load_task(load_manifest(manifest_path), 1)
 
     def test_unknown_class_name(self, tmp_path):
@@ -447,6 +490,11 @@ class TestFeatureBlocks:
             assert not s.features.flags.owndata
             assert not s.features.flags.writeable
             assert s.features.base is first.base
+            with pytest.raises(ValueError, match="read-only"):
+                s.features[0] = 0.0
+            for name in SAMPLE_FIELDS:
+                with pytest.raises(AttributeError):
+                    setattr(s, name, None)
         assert np.shares_memory(first, task.samples[-1].features.base)
 
     def test_generator_writes_a_block_per_split(self, generated):
@@ -540,6 +588,52 @@ JSON_VALUES = st.one_of(
     st.text(max_size=70), st.lists(st.integers(), max_size=2),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
 )
+
+
+# Whitespace that JSON allows around a value, and some it does not.
+JSON_SPACE = st.text(alphabet=" \t\r", max_size=2)
+OTHER_SPACE = st.sampled_from(["", "\x0c", "\x0b", "\xa0", "\u2028"])
+# Pieces of JSON text, most of which join into a broken line.
+FRAGMENTS = ['{', '}', '[', ']', '"', ',', ':', '0', '-', '1', '.', 'e', '+', ' ',
+             '\t', '\\', 'null', 'true', 'NaN', 'Infinity', '\x0c', '\ufeff', 'a']
+
+
+def parsed(parse, line):
+    """What ``parse(line)`` gives, NaN-aware, or the ValueError it raises."""
+    try:
+        return "value", repr(parse(line))
+    except ValueError as exc:
+        return "error", type(exc), str(exc)
+
+
+class TestRecordParse:
+    """A task file's line parses as ``json.loads`` parses it: the same
+    value, or the same ValueError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        value=JSON_VALUES, second=st.none() | JSON_VALUES, bom=st.booleans(),
+        spaces=st.lists(st.one_of(JSON_SPACE, OTHER_SPACE), min_size=3, max_size=3),
+    )
+    def test_agrees_with_json_loads(self, value, second, bom, spaces):
+        before, between, after = spaces
+        line = before + json.dumps(value)
+        if second is not None:
+            line += between + json.dumps(second)
+        line = ("\ufeff" if bom else "") + line + after
+        assert parsed(_parse_record, line) == parsed(json.loads, line)
+
+    @settings(max_examples=200, deadline=None)
+    @given(line=st.lists(st.sampled_from(FRAGMENTS), max_size=10).map("".join))
+    def test_agrees_on_fragments(self, line):
+        assert parsed(_parse_record, line) == parsed(json.loads, line)
+
+    @pytest.mark.parametrize(
+        "line", ["NaN", "-Infinity", "[Infinity, NaN]", '{"id": NaN}', "{} {}", "{}{}",
+                 " {}", "{}\t", "\ufeff{}", "{}\x0c", "\xa0{}", "1 2", '"a" "b"'],
+    )
+    def test_edge_lines(self, line):
+        assert parsed(_parse_record, line) == parsed(json.loads, line)
 
 
 class TestStreamReaderFuzz:
