@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionMismatchError, NumericError
+from .errors import DataError, DimensionMismatchError, NumericError, read_input
 
 PAUSE_TOKEN = "<pause>"
 PAUSE_ID = 0
@@ -110,11 +110,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_text(fh.read())
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read vocabulary file {path}: {exc}") from exc
+        return cls.from_text(read_input(path, "vocabulary file", text=True))
 
 
 def build_vocabulary(labels) -> Vocabulary:

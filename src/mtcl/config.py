@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import TrainSettings
-from .errors import ConfigError
+from .errors import ConfigError, parse_json, read_input
 from .weights import WeightConfig
 
 OUTPUT_ROOT_ENV = "MTCL_OUTPUT_ROOT"
@@ -121,9 +121,10 @@ def build_run_config(payload: dict, overrides: dict = None) -> RunConfig:
         if len(parts) == 1:
             merged[parts[0]] = value
         elif len(parts) == 2:
-            section = dict(merged.get(parts[0]) or {})
-            section[parts[1]] = value
-            merged[parts[0]] = section
+            # A section that is not an object is left for _given to report.
+            section = merged.get(parts[0])
+            if section is None or isinstance(section, dict):
+                merged[parts[0]] = {**(section or {}), parts[1]: value}
         else:
             problems.append(f"override key too deep: {dotted}")
 
@@ -172,12 +173,8 @@ def load_run_config(path, overrides: dict = None) -> RunConfig:
     own directory; a manifest given as an override is taken as-is.
     """
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    text = read_input(path, "config", ConfigError, text=True)
+    payload = parse_json(text, ConfigError, f"config {path} is not valid JSON")
     overrides = dict(overrides or {})
     file_manifest = payload.get("manifest") if isinstance(payload, dict) else None
     if (

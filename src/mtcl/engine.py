@@ -33,6 +33,7 @@ import numpy as np
 
 from .bridge import SPACE_TOKEN, Vocabulary
 from .errors import ConfigError, DataError, NumericError, TeacherDimensionError
+from .errors import parse_json, read_input
 from .losses import batch_loss, softened_softmax
 from .taskstream import (
     ImbalanceLedger,
@@ -646,11 +647,7 @@ def load_checkpoint(path):
     allocate more than the file holds, and the parameter count must match
     the header's architecture before a model is built.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    data = read_input(path, "checkpoint")
     if not data.startswith(CHECKPOINT_MAGIC):
         raise DataError(f"{path} is not a checkpoint file (bad magic)")
     try:
@@ -658,7 +655,8 @@ def load_checkpoint(path):
         if version != CHECKPOINT_VERSION:
             raise DataError(f"unsupported checkpoint version {version}")
         offset = len(CHECKPOINT_MAGIC) + struct.calcsize("<HI")
-        header = json.loads(data[offset : offset + header_len].decode("utf-8"))
+        raw_header = data[offset : offset + header_len]
+        header = parse_json(raw_header, DataError, "checkpoint header is corrupt", "utf-8")
         offset += header_len
         (count,) = struct.unpack_from("<Q", data, offset)
         seed, *widths = (
@@ -684,8 +682,6 @@ def load_checkpoint(path):
         model = StudentModel(seed, *widths).grow_head(classes)
     except struct.error as exc:
         raise DataError(f"checkpoint truncated before the parameter blob: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"checkpoint header is corrupt: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint header is malformed: {exc!r}") from exc
     model.set_flat(np.frombuffer(blob, dtype="<f8").astype(np.float64))

@@ -2,8 +2,12 @@
 
 The CLI maps these onto process exit codes, so anything that should
 abort a run with a distinct status belongs here rather than in a bare
-ValueError.
+ValueError.  ``read_input`` and ``parse_json`` pick the error for an input
+file that cannot be read and for JSON that cannot be parsed.
 """
+
+import json
+from pathlib import Path
 
 
 class MtclError(Exception):
@@ -64,3 +68,22 @@ def exit_code_for(exc: Exception) -> int:
     if isinstance(exc, NumericError):
         return EXIT_NUMERIC
     return 1
+
+
+def read_input(path, what: str, error=DataError, text: bool = False):
+    """The whole file at ``path``, as UTF-8 text when ``text``, else bytes."""
+    try:
+        return Path(path).read_text(encoding="utf-8") if text else Path(path).read_bytes()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def parse_json(data, error, where: str, encoding: str = None):
+    """The JSON value in ``data``; bytes are decoded with ``encoding``, or
+    as ``json.loads`` detects it.  Bad syntax or encoding, an integer over
+    Python's digit limit and nesting past the recursion limit all raise
+    ``error`` after ``where``."""
+    try:
+        return json.loads(data.decode(encoding) if encoding else data)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: {exc}") from exc

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bridge import Vocabulary, build_vocabulary
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, parse_json, read_input
 from .weights import is_finite_number, is_integer
 
 MANIFEST_VERSION = 1
@@ -183,12 +183,8 @@ class StreamManifest:
 
 def load_manifest(path) -> StreamManifest:
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read manifest {path}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise DataError(f"manifest {path} is not valid JSON: {exc}") from exc
+    text = read_input(path, "manifest", text=True)
+    payload = parse_json(text, DataError, f"manifest {path} is not valid JSON")
     try:
         return _parse_manifest(path, payload)
     except (KeyError, TypeError, ValueError) as exc:
@@ -297,10 +293,7 @@ def _read_block(root: Path, block: FeatureBlock, rows: int, feature_length: int)
     The file is read whole, so a declared size never sets an allocation.
     """
     path = root / block.file
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read feature block {path}: {exc}") from exc
+    data = read_input(path, "feature block")
     if len(data) != block.bytes:
         raise DataError(
             f"feature block {path} holds {len(data)} bytes, the manifest says {block.bytes}"
@@ -368,10 +361,7 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
     records = []
     linenos = []
     vectors = []
-    try:
-        lines = file_path.read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read task file {file_path}: {exc}") from exc
+    lines = read_input(file_path, "task file", text=True).splitlines()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

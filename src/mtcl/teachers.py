@@ -44,6 +44,7 @@ from .errors import (
     TeacherDimensionError,
     TeacherProtocolError,
     TeacherTimeoutError,
+    parse_json,
 )
 from .weights import is_finite_number, is_integer, is_number
 
@@ -332,10 +333,7 @@ class ServiceTeacher(Teacher):
     def _logits(self, request_id: str, reply: bytes, mask_names, labels) -> np.ndarray:
         """The candidates' logits in one reply body; ``labels`` are the
         tokenized candidates, or None when the service sends logits."""
-        try:
-            payload = json.loads(reply)
-        except ValueError as exc:
-            raise TeacherProtocolError(f"teacher endpoint returned invalid JSON: {exc}") from exc
+        payload = parse_json(reply, TeacherProtocolError, "teacher endpoint returned invalid JSON")
         try:
             echoed = payload["request_id"]
             dims = payload["dims"]

@@ -202,9 +202,12 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             load_run_config(tmp_path / "missing.json")
         bad = tmp_path / "bad.json"
-        bad.write_text("{ nope")
-        with pytest.raises(ConfigError, match="JSON"):
-            load_run_config(bad)
+        # Also nesting past the recursion limit and an integer over
+        # Python's 4,300-digit limit.
+        for text in ("{ nope", "[" * 100_000, '{"seed": ' + "1" * 5000 + "}"):
+            bad.write_text(text)
+            with pytest.raises(ConfigError, match="JSON"):
+                load_run_config(bad)
 
 
 class TestOutputRoot:
@@ -509,6 +512,29 @@ class TestCliRun:
         assert f"{field} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "section, value, flag",
+        [
+            ("weights", 5, ["--alpha", "0.3"]),
+            ("optimizer", "abc", ["--epochs", "1"]),
+            ("weights", [["alpha", 0.3]], ["--alpha", "0.3"]),
+            ("weights", [], ["--alpha", "0.3"]),
+            ("optimizer", 0, ["--batch-size", "8"]),
+            ("weights", "", ["--theta-ds", "0.4"]),
+            ("optimizer", False, ["--learning-rate", "0.1"]),
+        ],
+        ids=["number", "text", "pair-list", "empty-list", "zero", "empty-text", "false"],
+    )
+    def test_section_that_is_not_an_object_exits_2(self, cli_workspace, tmp_path, capsys,
+                                                   section, value, flag):
+        config = self.write_config(cli_workspace, tmp_path, **{section: value})
+        # A flag that sets a key of the section does not make it an object.
+        for flags in ([], flag):
+            code = main(["run", str(config), *flags, "--output-dir", str(tmp_path / "x")])
+            assert code == 2
+            assert (f"{section} must be an object, got {type(value).__name__}"
+                    in capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
         "spec, field",
         [
             ({"kind": "service", "base_url": "http://127.0.0.1:1", "timeout": "x"}, "timeout"),
@@ -803,7 +829,9 @@ class TestCliEval:
         huge_count = (
             data[:count_at] + struct.pack("<Q", 2**40) + data[count_at + 8:]
         )
-        for contents in (b"garbage", data[:9], huge_count):
+        deep = b"[" * 100_000
+        deep_header = data[:6] + struct.pack("<I", len(deep)) + deep + data[count_at:]
+        for contents in (b"garbage", data[:9], huge_count, deep_header):
             bad = tmp_path / "bad.bin"
             bad.write_bytes(contents)
             code = main(

@@ -1,0 +1,152 @@
+"""Every input from outside the program ends with its documented exit code.
+
+Whole-file reads and JSON parses go through ``errors.read_input`` and
+``errors.parse_json``; a damaged run config, checkpoint or service reply
+is a ConfigError (exit 2), DataError (exit 3) or TeacherQueryError
+(exit 4), never a traceback.
+"""
+
+import ast
+import base64
+import contextlib
+import io
+import struct
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mtcl.cli import main
+from mtcl.engine import StudentModel, save_checkpoint
+from mtcl.errors import TeacherQueryError
+from mtcl.taskstream import LabelClass
+from mtcl.teachers import ServiceTeacher
+from mtcl.weights import WeightTrace
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mtcl"
+OURS = (Path(__file__).resolve().parents[1] / "experiments" / "ours.json").read_bytes()
+
+# Inputs no truncation or bit flip of a valid file makes.
+DEEP = b"[" * 100_000
+BIG_INTEGER = b'{"seed": ' + b"1" * 5000 + b"}"  # over Python's 4,300-digit limit
+NOT_UTF8 = b"\xff"
+
+
+def damaged(whole: bytes):
+    """``whole`` cut short, or with one of its bits flipped."""
+
+    def flip(bit):
+        data = bytearray(whole)
+        data[bit // 8] ^= 1 << (bit % 8)
+        return bytes(data)
+
+    return st.one_of(
+        st.integers(0, len(whole) - 1).map(lambda n: whole[:n]),
+        st.integers(0, 8 * len(whole) - 1).map(flip),
+    )
+
+
+def run_main(argv):
+    """``cli.main(argv)`` and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def checkpoint_bytes() -> bytes:
+    model = StudentModel(0, 4, 6, 2, 2).grow_head([LabelClass(id=0, name="cut", tokens=())])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ck.bin"
+        save_checkpoint(path, model, 1, WeightTrace(), "digest")
+        return path.read_bytes()
+
+
+CHECKPOINT = checkpoint_bytes()
+
+
+def with_header(header: bytes) -> bytes:
+    """The checkpoint with its JSON header replaced by ``header``."""
+    (length,) = struct.unpack_from("<I", CHECKPOINT, 6)
+    return CHECKPOINT[:6] + struct.pack("<I", len(header)) + header + CHECKPOINT[10 + length:]
+
+
+def reply_body() -> bytes:
+    values = np.array([0.5, -1.0, 2.0], dtype="<f4")
+    payload = base64.b64encode(values.tobytes()).decode("ascii")
+    return (
+        f'{{"request_id": "r-1", "dims": [3], "payload": "{payload}"}}'
+    ).encode("ascii")
+
+
+class TestOneReader:
+    def test_reads_and_parses_only_in_the_errors_module(self):
+        """Only ``read_input`` reads a whole file and only ``parse_json``
+        calls ``json.loads``, so one place decides how their failures map.
+        The task-record fallback keeps ``json.loads`` as the reference its
+        fast path must match; ``load_task`` maps its errors with file and
+        line."""
+        allowed = {"read_input", "parse_json", "_parse_record"}
+        found = []
+
+        def visit(node, where, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                attr, owner = node.func.attr, node.func.value
+                is_loads = attr == "loads" and isinstance(owner, ast.Name) and owner.id == "json"
+                if (is_loads or attr in ("read_text", "read_bytes")) and function not in allowed:
+                    found.append(f"{where}:{node.lineno} {attr} in {function}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, where, function)
+
+        for path in sorted(SRC.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+        assert found == []
+
+
+class TestDamagedInputs:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        contents=damaged(OURS),
+        flags=st.sampled_from([[], ["--epochs", "1"], ["--alpha", "0.2"]]),
+    )
+    @example(contents=DEEP, flags=[])
+    @example(contents=BIG_INTEGER, flags=["--epochs", "1"])
+    @example(contents=NOT_UTF8 + OURS, flags=[])
+    def test_run_config(self, tmp_path_factory, contents, flags):
+        config = tmp_path_factory.mktemp("config") / "ours.json"
+        config.write_bytes(contents)
+        code, err = run_main(["run", str(config), *flags])
+        # A config that still validates names a manifest that is not there.
+        assert code == 2 or (code == 3 and "cannot read manifest" in err), err
+
+    @settings(max_examples=80, deadline=None)
+    @given(contents=damaged(CHECKPOINT))
+    @example(contents=with_header(DEEP))
+    @example(contents=with_header(BIG_INTEGER))
+    @example(contents=with_header(NOT_UTF8 + b"{}"))
+    def test_checkpoint(self, tmp_path_factory, contents):
+        root = tmp_path_factory.mktemp("checkpoint")
+        (root / "ck.bin").write_bytes(contents)
+        code, err = run_main(
+            ["eval", "--checkpoint", str(root / "ck.bin"),
+             "--manifest", str(root / "manifest.json"), "--task", "1"]
+        )
+        # A checkpoint that still loads stops at the manifest, which is not there.
+        assert code == 3, err
+
+    @settings(max_examples=200, deadline=None)
+    @given(body=damaged(reply_body()))
+    @example(body=DEEP)
+    @example(body=BIG_INTEGER)
+    @example(body=NOT_UTF8 + reply_body())
+    def test_service_reply(self, body):
+        teacher = ServiceTeacher("http://127.0.0.1:1", want="logits")
+        try:
+            logits = teacher._logits("r-1", body, ("cut", "idle", "grasp"), None)
+        except TeacherQueryError:
+            return
+        assert logits.shape == (3,)

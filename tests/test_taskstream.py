@@ -327,9 +327,11 @@ class TestManifestValidation:
 
     def test_json_nested_too_deeply_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
-        path.write_text("[" * 100_000, encoding="utf-8")
-        with pytest.raises(DataError, match="JSON"):
-            load_manifest(path)
+        # Also an integer over Python's 4,300-digit limit.
+        for text in ("[" * 100_000, '{"feature_length": ' + "1" * 5000 + "}"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(DataError, match="JSON"):
+                load_manifest(path)
 
 
 class TestLoadTaskErrors:
@@ -396,9 +398,12 @@ class TestLoadTaskErrors:
     def test_record_nested_too_deeply_is_malformed(self, tmp_path):
         manifest_path = write_stream(tmp_path)
         task_file = tmp_path / "task1.train.jsonl"
-        task_file.write_text(task_file.read_text() + "[" * 100_000 + "\n")
-        with pytest.raises(DataError, match=r"task1\.train\.jsonl:4: malformed record"):
-            load_task(load_manifest(manifest_path), 1)
+        records = task_file.read_text()
+        # Also an integer over Python's 4,300-digit limit.
+        for line in ("[" * 100_000, '{"id": ' + "1" * 5000 + "}"):
+            task_file.write_text(records + line + "\n")
+            with pytest.raises(DataError, match=r"task1\.train\.jsonl:4: malformed record"):
+                load_task(load_manifest(manifest_path), 1)
 
     def test_unknown_class_name(self, tmp_path):
         manifest_path = write_stream(tmp_path)

@@ -454,9 +454,10 @@ class TestServiceTeacher:
         mock_server.behavior = lambda path, body: (503, {})
         with pytest.raises(TeacherProtocolError):
             teacher.query(make_sample(), LABELS)
-        mock_server.behavior = lambda path, body: (200, b"this is not json")
-        with pytest.raises(TeacherProtocolError):
-            teacher.query(make_sample(), LABELS)
+        for garbage in (b"this is not json", b"[" * 100_000):
+            mock_server.behavior = lambda path, body: (200, garbage)
+            with pytest.raises(TeacherProtocolError, match="invalid JSON"):
+                teacher.query(make_sample(), LABELS)
 
     def test_unreachable_endpoint_times_out(self):
         probe = socket.socket()
