@@ -644,8 +644,9 @@ def load_checkpoint(path):
     """Restore (model, header) from a checkpoint file.
 
     The file is read whole, so no length field in it can make the reader
-    allocate more than the file holds, and the parameter count must match
-    the header's architecture before a model is built.
+    allocate more than the file holds, the parameter count must match
+    the header's architecture before a model is built, and every
+    parameter must be finite.
     """
     data = read_input(path, "checkpoint")
     if not data.startswith(CHECKPOINT_MAGIC):
@@ -684,5 +685,8 @@ def load_checkpoint(path):
         raise DataError(f"checkpoint truncated before the parameter blob: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"checkpoint header is malformed: {exc!r}") from exc
-    model.set_flat(np.frombuffer(blob, dtype="<f8").astype(np.float64))
+    params = np.frombuffer(blob, dtype="<f8")
+    if not np.isfinite(params).all():
+        raise DataError("checkpoint parameters are not finite")
+    model.set_flat(params)
     return model, header

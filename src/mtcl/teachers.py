@@ -8,10 +8,11 @@ one logit row per sample over the candidates.  Backends:
   binary fixture file, pushing them through the embedding-to-logits
   bridge.  Used for offline runs and reproducible tests.
 * ``ServiceTeacher`` queries an HTTP endpoint over one persistent
-  connection, one request per sample.  A score table's requests go out
-  in windows of up to ``MAX_IN_FLIGHT``, each window in one write once
-  the previous one is answered; timeouts and connection failures resend
-  the unanswered requests with their request ids on a fresh connection.
+  connection, one request per sample, and reads the replies itself
+  (``_read_reply``).  A score table's requests go out in windows of up
+  to ``MAX_UNANSWERED_BYTES``, each window in one write once the previous
+  one is answered; timeouts and connection failures resend the
+  unanswered requests with their request ids on a fresh connection.
 * ``NoisyOracleTeacher`` is a synthetic stand-in whose per-sample
   correctness is a deterministic hash of (seed, sample id); it hits the
   true label with a configurable rate.  Used by the synthetic pipeline
@@ -30,6 +31,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import threading
 import uuid
 from collections import deque
@@ -51,10 +53,20 @@ from .weights import is_finite_number, is_integer, is_number
 # Pre-softmax margin the oracle puts on its chosen label.
 ORACLE_MARGIN = 2.0
 
-# Window limits of ServiceTeacher on one connection: requests written
-# together, and their bytes (one request alone may exceed that cap).
-MAX_IN_FLIGHT = 8
+# Bytes of requests ServiceTeacher writes together on one connection (one
+# request alone may exceed it).  Below the socket buffers, so the service
+# can read a whole window while its replies wait unread.
 MAX_UNANSWERED_BYTES = 64 * 1024
+
+# Reply limits of http.client: bytes in a status, header, chunk-size or
+# trailer line, and header (or trailer) lines in one reply.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+# A body is read in pieces of at most this many bytes, so a declared size
+# allocates no more than what arrives.
+_MAX_READ = 1 << 20
+_STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) ([1-9][0-9][0-9])(?: [^\r\n]*)?\r?\n")
+_CHUNK_SIZE_LINE = re.compile(rb"([0-9A-Fa-f]+)[ \t]*(?:;[^\r\n]*)?\r?\n")
 
 
 def _checked(name: str, value, valid, wanted: str):
@@ -131,8 +143,8 @@ def _endpoint(base_url, timeout: float):
     request to it, up to the Content-Length value: ``base_url`` must be an
     http(s) URL with a host, optional port and path prefix, and no user
     info, query or fragment (else DataError)."""
-    # Imported here and in _replies: http.client loads ssl, about 6 MB of
-    # resident memory that runs without a service teacher need not carry.
+    # Imported here only: http.client loads ssl, about 6 MB of resident
+    # memory that runs without a service teacher need not carry.
     from http.client import HTTPConnection, HTTPSConnection, InvalidURL
 
     if not isinstance(base_url, str) or not base_url.startswith(("http://", "https://")):
@@ -162,47 +174,112 @@ def _endpoint(base_url, timeout: float):
     return connection, head.encode("ascii")
 
 
-class _SharedReader:
-    """A connection's one buffered reader, lent to each ``HTTPResponse``.
+def _reply_line(reader, what: str) -> bytes:
+    """One line of a reply, newline included; b"" at the end of the input."""
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise TeacherProtocolError(f"teacher reply has a {what} line over {_MAX_LINE} bytes")
+    return line
 
-    A response closes its file once its body is read (and flushes it when
-    it is collected), but the replies to later pipelined requests may
-    already sit in the buffer behind it, so ``close`` and ``flush`` do
-    nothing here; ``release`` closes the reader.
+
+def _read_headers(reader, what: str) -> dict:
+    """The header (or trailer) lines up to the blank line, by lower-case name."""
+    headers = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _reply_line(reader, what)
+        if line in (b"\r\n", b"\n"):
+            return headers
+        name, colon, value = line.partition(b":")
+        if not colon or not line.endswith(b"\n"):
+            raise TeacherProtocolError(f"teacher reply has a malformed {what} line {line[:80]!r}")
+        headers.setdefault(name.strip().lower(), value.strip())
+    raise TeacherProtocolError(f"teacher reply has more than {_MAX_HEADERS} {what} lines")
+
+
+def _read_body(reader, size: int) -> bytes:
+    """Exactly ``size`` bytes of a reply."""
+    pieces = []
+    while size > 0:
+        piece = reader.read(min(size, _MAX_READ))
+        if not piece:
+            raise TeacherProtocolError("teacher endpoint sent a body cut short")
+        pieces.append(piece)
+        size -= len(piece)
+    return b"".join(pieces)
+
+
+def _read_chunked(reader) -> bytes:
+    """A ``Transfer-Encoding: chunked`` body, trailers read and dropped."""
+    pieces = []
+    while True:
+        line = _reply_line(reader, "chunk size")
+        match = _CHUNK_SIZE_LINE.fullmatch(line)
+        if match is None:
+            raise TeacherProtocolError(f"teacher reply has a malformed chunk size {line[:80]!r}")
+        size = int(match[1], 16)
+        if not size:
+            _read_headers(reader, "trailer")
+            return b"".join(pieces)
+        pieces.append(_read_body(reader, size))
+        if _read_body(reader, 2) != b"\r\n":
+            raise TeacherProtocolError("teacher reply has a chunk without its line end")
+
+
+def _read_reply(reader) -> tuple[int, bool, bytes]:
+    """(status, will_close, body) of the next HTTP/1.x reply on ``reader``,
+    a connection's buffered binary reader.
+
+    An interim ``100 Continue`` is skipped.  The body is framed by
+    ``Transfer-Encoding: chunked``, else by ``Content-Length``, else by
+    the end of the connection.  ``will_close`` is set when the server
+    closes the connection after this reply: ``Connection: close``, an
+    HTTP/1.0 reply without keep-alive, or a body the end of input frames.
+    The connection closed before a status line is ConnectionResetError;
+    any other malformed reply is TeacherProtocolError.
     """
-
-    def __init__(self, sock):
-        self._file = sock.makefile("rb")
-
-    def makefile(self, mode):
-        return self
-
-    def __getattr__(self, name):
-        return getattr(self._file, name)
-
-    def close(self) -> None:
-        pass
-
-    def flush(self) -> None:
-        pass
-
-    def release(self) -> None:
-        self._file.close()
+    while True:
+        line = _reply_line(reader, "status")
+        if not line:
+            raise ConnectionResetError("teacher endpoint closed the connection without a reply")
+        status_line = _STATUS_LINE.fullmatch(line)
+        if status_line is None:
+            raise TeacherProtocolError(f"teacher reply has a malformed status line {line[:80]!r}")
+        headers = _read_headers(reader, "header")
+        status = int(status_line[2])
+        if status != 100:
+            break
+    connection = headers.get(b"connection", b"").lower()
+    if status_line[1] == b"0":
+        will_close = b"keep-alive" not in connection
+    else:
+        will_close = b"close" in connection
+    if status < 200 or status in (204, 304):
+        return status, will_close, b""
+    if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        return status, will_close, _read_chunked(reader)
+    length = headers.get(b"content-length")
+    if length is None:
+        return status, True, reader.read()
+    # Over 18 digits is more than any body (and than Python turns into an int).
+    if not length.isdigit() or len(length) > 18:
+        raise TeacherProtocolError(f"teacher reply has a malformed Content-Length {length[:80]!r}")
+    return status, will_close, _read_body(reader, int(length))
 
 
 class ServiceTeacher(Teacher):
     """Talks to a scoring service over one persistent HTTP connection.
 
     Each sample is one request with its own request id, which the reply
-    must echo.  Requests are pipelined in whole windows: up to
-    ``MAX_IN_FLIGHT`` of them, of ``MAX_UNANSWERED_BYTES`` in all, go out
-    in one write, and the next window is written once all their replies
-    are read.  A window holds one request until a reply has shown that
-    the connection stays open.  A timeout or connection failure
-    closes the connection and resends every unanswered request, with the
-    same ids, on a fresh one; that counts in ``retry_count`` unless the
-    failed connection had already delivered a reply.  A malformed reply
-    is an error the caller must see.
+    must echo.  Requests are pipelined in whole windows: as many as fit
+    in ``MAX_UNANSWERED_BYTES`` (at least one) go out in one write, and
+    the next window is written once all their replies are read.  A
+    window holds one request until a reply has shown that the connection
+    stays open.  The replies are read by ``_read_reply``.  A timeout or
+    connection failure closes the connection and resends every
+    unanswered request, with the same ids, on a fresh one; that counts
+    in ``retry_count`` unless the failed connection had already
+    delivered a reply.  A malformed reply is an error the caller must
+    see.
     """
 
     def __init__(
@@ -226,14 +303,14 @@ class ServiceTeacher(Teacher):
         self.vocab = vocab
         self.want = want
         self._connection, self._head = _endpoint(base_url, timeout)
-        self._reader = None  # the open connection's _SharedReader
+        self._reader = None  # the open connection's buffered socket reader
         self._kept_open = False  # the open connection has delivered a reply
         self.retry_count = 0
 
     def close(self) -> None:
         """Close the connection; a later query opens a fresh one."""
         if self._reader is not None:
-            self._reader.release()
+            self._reader.close()
             self._reader = None
         self._connection.close()
         self._kept_open = False
@@ -274,8 +351,6 @@ class ServiceTeacher(Teacher):
         once per request.  On an error this raises with requests possibly
         unanswered; the caller closes the connection.
         """
-        from http.client import HTTPException, HTTPResponse
-
         waiting = deque()  # built and unanswered (request id, request), oldest first
         built = sent = failures = 0  # sent: of waiting, on the wire
         while waiting or built < len(samples):
@@ -283,10 +358,10 @@ class ServiceTeacher(Teacher):
                 if self._reader is None:
                     sent = 0
                     self._connection.connect()
-                    self._reader = _SharedReader(self._connection.sock)
+                    self._reader = self._connection.sock.makefile("rb")
                 if not sent:
                     size = 0
-                    while sent < (MAX_IN_FLIGHT if self._kept_open else 1):
+                    while self._kept_open or not sent:
                         if sent == len(waiting):
                             if built == len(samples):
                                 break
@@ -299,11 +374,9 @@ class ServiceTeacher(Teacher):
                     self._connection.sock.sendall(
                         b"".join(request for _, request in islice(waiting, sent))
                     )
-                response = HTTPResponse(self._reader, method="POST")
-                response.begin()
-                reply = response.read()
+                status, will_close, reply = _read_reply(self._reader)
             except OSError as exc:
-                # Timeouts and refused or dropped connections, RemoteDisconnected included.
+                # Timeouts and refused or dropped connections, closed before a reply too.
                 free = self._kept_open
                 self.close()
                 if free:
@@ -315,19 +388,15 @@ class ServiceTeacher(Teacher):
                     ) from exc
                 self.retry_count += 1
                 continue
-            except HTTPException as exc:
-                raise TeacherProtocolError(
-                    f"teacher endpoint sent a malformed reply: {exc!r}"
-                ) from exc
             request_id, _ = waiting.popleft()
             sent -= 1
             failures = 0
-            if response.will_close:
+            if will_close:
                 self.close()
             else:
                 self._kept_open = True
-            if response.status != 200:
-                raise TeacherProtocolError(f"teacher endpoint returned HTTP {response.status}")
+            if status != 200:
+                raise TeacherProtocolError(f"teacher endpoint returned HTTP {status}")
             yield request_id, reply
 
     def _logits(self, request_id: str, reply: bytes, mask_names, labels) -> np.ndarray:

@@ -7,6 +7,7 @@ import socket
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -849,6 +850,33 @@ class TestCliEval:
                 "--manifest", str(cli_workspace / "stream/manifest.json"), "--task", "1",
             ]
         ) == 3
+
+
+    def test_non_finite_checkpoint_parameters_exit_3(self, cli_workspace, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["run", str(cli_workspace / "run.json"), "--output-dir", str(out)]) == 0
+        data = bytearray((out / "checkpoint_t2.bin").read_bytes())
+        (header_len,) = struct.unpack_from("<I", data, 6)
+        (count,) = struct.unpack_from("<Q", data, 10 + header_len)
+        bias = 10 + header_len + 8 * count  # the last output bias
+        checkpoint = tmp_path / "flipped.bin"
+        argv = [
+            "eval", "--checkpoint", str(checkpoint),
+            "--manifest", str(cli_workspace / "stream/manifest.json"), "--task", "1",
+        ]
+        # Exponent 0x3ff; flipping its top bit (0x40 in the last byte) makes
+        # 1.0 infinite and 1.5 NaN.
+        for value in (1.0, 1.5):
+            struct.pack_into("<d", data, bias, value)
+            checkpoint.write_bytes(data)
+            assert main(argv) == 0
+            data[bias + 7] ^= 0x40
+            checkpoint.write_bytes(data)
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 3
+            assert "checkpoint parameters are not finite" in capsys.readouterr().err
 
 
 class TestCliTopLevel:

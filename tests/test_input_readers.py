@@ -1,8 +1,9 @@
 """Every input from outside the program ends with its documented exit code.
 
 Whole-file reads and JSON parses go through ``errors.read_input`` and
-``errors.parse_json``; a damaged run config, checkpoint or service reply
-is a ConfigError (exit 2), DataError (exit 3) or TeacherQueryError
+``errors.parse_json``, and a service teacher's HTTP replies through
+``teachers._read_reply``; a damaged run config, checkpoint or service
+reply is a ConfigError (exit 2), DataError (exit 3) or TeacherQueryError
 (exit 4), never a traceback.
 """
 
@@ -22,7 +23,7 @@ from mtcl.cli import main
 from mtcl.engine import StudentModel, save_checkpoint
 from mtcl.errors import TeacherQueryError
 from mtcl.taskstream import LabelClass
-from mtcl.teachers import ServiceTeacher
+from mtcl.teachers import ServiceTeacher, _read_reply
 from mtcl.weights import WeightTrace
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mtcl"
@@ -79,6 +80,18 @@ def reply_body() -> bytes:
     return (
         f'{{"request_id": "r-1", "dims": [3], "payload": "{payload}"}}'
     ).encode("ascii")
+
+
+def raw_replies() -> list:
+    """A whole HTTP reply carrying ``reply_body()``, framed by
+    Content-Length and by chunks."""
+    body = reply_body()
+    head = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    chunks = b"%x\r\n%s\r\n%x\r\n%s\r\n0\r\n\r\n" % (20, body[:20], len(body) - 20, body[20:])
+    return [
+        head + b"Content-Length: %d\r\n\r\n" % len(body) + body,
+        head + b"Transfer-Encoding: chunked\r\n\r\n" + chunks,
+    ]
 
 
 class TestOneReader:
@@ -149,4 +162,23 @@ class TestDamagedInputs:
             logits = teacher._logits("r-1", body, ("cut", "idle", "grasp"), None)
         except TeacherQueryError:
             return
+        assert logits.shape == (3,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(reply=st.sampled_from(raw_replies()).flatmap(damaged))
+    @example(reply=b"")
+    @example(reply=b"HTTP/1.1 200 OK\r\nno colon here\r\n\r\n" + reply_body())
+    @example(reply=b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+             b"ffffffffffffffff\r\n" + reply_body())
+    @example(reply=b"HTTP/1.1 200 OK\r\nContent-Length: " + b"1" * 5000 + b"\r\n\r\n")
+    def test_service_raw_reply(self, reply):
+        """A damaged status line, header or body, then what the teacher
+        makes of a reply that still reads."""
+        teacher = ServiceTeacher("http://127.0.0.1:1", want="logits")
+        try:
+            status, will_close, body = _read_reply(io.BufferedReader(io.BytesIO(reply)))
+            logits = teacher._logits("r-1", body, ("cut", "idle", "grasp"), None)
+        except (TeacherQueryError, OSError):
+            return
+        assert isinstance(status, int) and isinstance(will_close, bool)
         assert logits.shape == (3,)

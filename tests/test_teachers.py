@@ -3,6 +3,7 @@
 import base64
 import contextlib
 import http.client
+import io
 import json
 import re
 import socket
@@ -26,12 +27,12 @@ from mtcl.errors import (
 )
 from mtcl.taskstream import GeneratorConfig, LabelClass, generate_synthetic_stream
 from mtcl.teachers import (
-    MAX_IN_FLIGHT,
     MAX_UNANSWERED_BYTES,
     FixtureTeacher,
     NoisyOracleTeacher,
     ServiceTeacher,
     Teacher,
+    _read_reply,
     teacher_from_config,
 )
 
@@ -523,6 +524,25 @@ class TestServiceTeacher:
                 teacher.query(make_sample(), LABELS)
         assert len(received) == 1
 
+    def test_chunked_reply_gives_the_same_logits(self, monkeypatch):
+        monkeypatch.setattr("mtcl.teachers.uuid.uuid4", lambda: "r-1")
+        body = json.dumps(logits_response({"request_id": "r-1"})).encode()
+        chunked = b"".join(b"%x\r\n%s\r\n" % (len(part), part)
+                           for part in (body[:10], body[10:])) + b"0\r\n\r\n"
+
+        def query(reply):
+            with raw_reply(reply) as (url, received):
+                teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=0)
+                logits = teacher.query(make_sample(), LABELS)
+                teacher.close()
+            return logits
+
+        head = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        np.testing.assert_array_equal(
+            query(head + b"Transfer-Encoding: chunked\r\n\r\n" + chunked),
+            query(head + b"Content-Length: %d\r\n\r\n" % len(body) + body),
+        )
+
     def test_malformed_status_line_fails_fast(self):
         with raw_reply(b"garbage instead of a status line\r\n\r\n") as (url, received):
             teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=2)
@@ -702,6 +722,22 @@ def pipeline_server(version="HTTP/1.1", drop_after=None, chunk=1 << 16, pause=0.
         listener.close()
 
 
+def recorded_windows(monkeypatch, url) -> list:
+    """A list to which each ``sendall`` to ``url`` from now on appends
+    (requests written, bytes written)."""
+    port = int(url.rsplit(":", 1)[1])
+    windows = []
+    sendall = socket.socket.sendall
+
+    def recording(sock, data, *args):
+        if sock.getpeername()[1] == port:
+            windows.append((len(_split_requests(bytes(data))[0]), len(data)))
+        return sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", recording)
+    return windows
+
+
 def numbered_samples(n, features=3):
     return [
         SimpleNamespace(id=f"s-{i}", features=np.full(features, i / 7.0),
@@ -743,7 +779,8 @@ class TestServiceTeacherPipeline:
             table = teacher.score_table(samples, LABELS)
             teacher.close()
         np.testing.assert_array_equal(table, np.tile([0.5, -1.0, 2.0], (12, 1)))
-        assert 2 <= record.most_unanswered <= MAX_IN_FLIGHT
+        # Every request after the first fits in one window.
+        assert record.most_unanswered == 11
         assert [body["sample_id"] for body in record.connections[0]] == [
             s.id for s in samples
         ]
@@ -752,23 +789,37 @@ class TestServiceTeacherPipeline:
         self, monkeypatch
     ):
         samples = numbered_samples(20)
-        windows = []
-        sendall = socket.socket.sendall
-
-        def recording(sock, data, *args):
-            if sock.getpeername()[1] == port:
-                windows.append(len(_split_requests(bytes(data))[0]))
-            return sendall(sock, data, *args)
-
         with pipeline_server() as (url, record):
-            port = int(url.rsplit(":", 1)[1])
-            monkeypatch.setattr(socket.socket, "sendall", recording)
+            windows = recorded_windows(monkeypatch, url)
             teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=0)
             table = teacher.score_table(samples, LABELS)
             teacher.close()
         np.testing.assert_array_equal(table, np.tile([0.5, -1.0, 2.0], (20, 1)))
         # One request until the first reply shows keep-alive, then whole windows.
-        assert windows == [1, MAX_IN_FLIGHT, MAX_IN_FLIGHT, 3]
+        assert [count for count, _ in windows] == [1, 19]
+        assert record.late == 0
+        assert [body["sample_id"] for body in record.connections[0]] == [
+            s.id for s in samples
+        ]
+
+    def test_windows_close_at_the_byte_cap(self, monkeypatch):
+        # Every feature prints as 4 characters, so the requests differ in
+        # size only by a digit of the sample id: about 20.5 KB each.
+        samples = [
+            SimpleNamespace(id=f"s-{i}", features=np.full(3400, 0.25 + i),
+                            question="what action is shown", answer_name="cut")
+            for i in range(10)
+        ]
+        with pipeline_server() as (url, record):
+            windows = recorded_windows(monkeypatch, url)
+            teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=0)
+            table = teacher.score_table(samples, LABELS)
+            teacher.close()
+        assert table.shape == (10, 3)
+        assert [count for count, _ in windows] == [1, 3, 3, 3]
+        size = windows[0][1]
+        assert 3 * size <= MAX_UNANSWERED_BYTES < 4 * size
+        assert all(sent <= MAX_UNANSWERED_BYTES for _, sent in windows)
         assert record.late == 0
         assert [body["sample_id"] for body in record.connections[0]] == [
             s.id for s in samples
@@ -832,6 +883,108 @@ class TestServiceTeacherPipeline:
             table = teacher.score_table(samples[:4], LABELS)
             teacher.close()
         np.testing.assert_array_equal(table, np.tile([0.5, -1.0, 2.0], (4, 1)))
+
+
+def read_reply(data: bytes):
+    """``_read_reply`` over the bytes ``data``, and what it left unread."""
+    reader = io.BufferedReader(io.BytesIO(data))
+    return _read_reply(reader), reader.read()
+
+
+class TestReadReply:
+    def test_content_length_body_leaves_the_next_reply(self):
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nabc"
+        assert read_reply(reply + b"HTTP/1.1") == ((200, False, b"abc"), b"HTTP/1.1")
+
+    def test_chunked_body_with_extension_and_trailer(self):
+        reply = (
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"3\r\nabc\r\nA;name=value\r\n0123456789\r\n0\r\nX-Trailer: 1\r\n\r\n"
+        )
+        assert read_reply(reply + b"next") == ((200, False, b"abc0123456789"), b"next")
+
+    @pytest.mark.parametrize("chunks", [
+        b"3\r\nabc\r\n",  # no last chunk
+        b"3\r\nabcd\r\n0\r\n\r\n",  # chunk longer than declared
+        b"x\r\nabc\r\n0\r\n\r\n",  # size not hexadecimal
+        b"-3\r\nabc\r\n0\r\n\r\n",
+        b"ffffffffffffffff\r\nabc",
+        b"0\r\n" + b"X: 1\r\n" * 101 + b"\r\n",  # too many trailer lines
+    ], ids=["unfinished", "overlong", "not-hex", "signed", "huge", "trailers"])
+    def test_malformed_chunked_body_rejected(self, chunks):
+        with pytest.raises(TeacherProtocolError):
+            read_reply(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunks)
+
+    def test_100_continue_skipped(self):
+        reply = (
+            b"HTTP/1.1 100 Continue\r\n\r\n"
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+        )
+        assert read_reply(reply) == ((200, False, b"ok"), b"")
+
+    @pytest.mark.parametrize("reply, will_close", [
+        (b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok", True),
+        (b"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 2\r\n\r\nok",
+         False),
+        (b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok", True),
+        (b"HTTP/1.1 200 OK\r\n\r\nok", True),  # only the end of input ends the body
+    ], ids=["http-1.0", "http-1.0-keep-alive", "connection-close", "close-delimited"])
+    def test_will_close(self, reply, will_close):
+        assert read_reply(reply) == ((200, will_close, b"ok"), b"")
+
+    def test_header_names_are_case_insensitive(self):
+        reply = (
+            b"HTTP/1.1 200 OK\r\ncOnTeNt-LeNgTh: 2\r\nCONNECTION: Close\r\n\r\nok"
+            b"HTTP/1.1 200 OK\r\nTRANSFER-ENCODING: Chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n"
+        )
+        reader = io.BufferedReader(io.BytesIO(reply))
+        assert _read_reply(reader) == (200, True, b"ok")
+        assert _read_reply(reader) == (200, False, b"ok")
+
+    def test_header_limits(self):
+        def reply(headers):
+            return b"HTTP/1.1 200 OK\r\n" + headers + b"Content-Length: 2\r\n\r\nok"
+
+        long_line = b"X: " + b"a" * (65536 - 5) + b"\r\n"
+        assert len(long_line) == 65536
+        assert read_reply(reply(long_line))[0] == (200, False, b"ok")
+        assert read_reply(reply(b"X: 1\r\n" * 99))[0] == (200, False, b"ok")
+        for headers in (b"X: a" + long_line[3:], b"X: 1\r\n" * 100):
+            with pytest.raises(TeacherProtocolError, match="65536 bytes|100 header"):
+                read_reply(reply(headers))
+
+    @pytest.mark.parametrize("length", [b"-1", b"abc", b"", b"+2", b"1" * 5000])
+    def test_malformed_content_length_rejected(self, length):
+        with pytest.raises(TeacherProtocolError, match="Content-Length"):
+            read_reply(b"HTTP/1.1 200 OK\r\nContent-Length: " + length + b"\r\n\r\nok")
+
+    def test_body_cut_short_rejected(self):
+        with pytest.raises(TeacherProtocolError, match="cut short"):
+            read_reply(b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nok")
+
+    @pytest.mark.parametrize("reply", [
+        b"garbage\r\n\r\n",
+        b"HTTP/2 200 OK\r\n\r\n",
+        b"HTTP/1.1 2000 OK\r\n\r\n",
+        b"HTTP/1.1 099 Low\r\n\r\n",
+        b"HTTP/1.1 200 OK",  # cut short inside the status line
+        b"HTTP/1.1 200 OK\r\nno colon here\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n",  # no blank line
+        b"HTTP/1.1 " + b"2" * 65536 + b"\r\n\r\n",
+    ], ids=["garbage", "http-2", "four-digits", "below-100", "unfinished-status",
+            "no-colon", "unfinished-headers", "long-status"])
+    def test_malformed_head_rejected(self, reply):
+        with pytest.raises(TeacherProtocolError):
+            read_reply(reply)
+
+    def test_closed_before_the_status_line_is_a_connection_error(self):
+        with pytest.raises(ConnectionResetError):
+            read_reply(b"")
+
+    @pytest.mark.parametrize("status", [204, 304])
+    def test_bodiless_status_reads_no_body(self, status):
+        reply = b"HTTP/1.1 %d X\r\n\r\nHTTP/1.1" % status
+        assert read_reply(reply) == ((status, False, b""), b"HTTP/1.1")
 
 
 class TestNoisyOracle:
