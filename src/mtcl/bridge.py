@@ -23,13 +23,12 @@ fixture format used to replay recorded score tensors offline.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionMismatchError, NumericError, read_input
+from .errors import DataError, DimensionMismatchError, NumericError, read_input, write_output
 
 PAUSE_TOKEN = "<pause>"
 PAUSE_ID = 0
@@ -105,8 +104,7 @@ class Vocabulary:
         return cls(tuple(entries[i] for i in range(len(entries))))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
+        write_output(path, self.to_text(), "vocabulary file")
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
@@ -212,58 +210,55 @@ def write_fixture(path, records) -> None:
     array; tensors are stored as little-endian float32 in row-major
     order.
     """
-    with open(path, "wb") as fh:
-        fh.write(FIXTURE_MAGIC)
-        fh.write(struct.pack("<H", FIXTURE_VERSION))
-        for sample_id, tensor in records.items():
-            tensor = np.ascontiguousarray(tensor, dtype="<f4")
-            if tensor.ndim != 3:
-                raise DataError(
-                    f"fixture tensor for {sample_id!r} must be 3-d, got shape {tensor.shape}"
-                )
-            encoded = sample_id.encode("utf-8")
-            if len(encoded) > 0xFFFF:
-                raise DataError(f"sample id too long: {sample_id!r}")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<III", *tensor.shape))
-            fh.write(tensor.tobytes())
+    chunks = [FIXTURE_MAGIC, struct.pack("<H", FIXTURE_VERSION)]
+    for sample_id, tensor in records.items():
+        tensor = np.ascontiguousarray(tensor, dtype="<f4")
+        if tensor.ndim != 3:
+            raise DataError(
+                f"fixture tensor for {sample_id!r} must be 3-d, got shape {tensor.shape}"
+            )
+        encoded = sample_id.encode("utf-8")
+        if len(encoded) > 0xFFFF:
+            raise DataError(f"sample id too long: {sample_id!r}")
+        chunks += [struct.pack("<H", len(encoded)), encoded,
+                   struct.pack("<III", *tensor.shape), tensor.tobytes()]
+    write_output(path, b"".join(chunks), "fixture file")
 
 
 def read_fixture(path) -> dict:
     """Load a fixture file back into an id-to-tensor mapping.
 
-    Tensors come back as float32 exactly as stored.  Every length is
-    checked against the bytes left in the file before it is read, so a
-    corrupt or truncated file is a DataError, never a huge allocation.
+    The file is read whole, and tensors come back as read-only float32
+    views of its bytes, exactly as stored.  Every length is checked
+    against the bytes left in the file, so a corrupt or truncated file is
+    a DataError, never a huge allocation.
     """
+    data = read_input(path, "fixture file")
+    if not data.startswith(FIXTURE_MAGIC):
+        raise DataError(f"{path} is not a score-fixture file (bad magic)")
+    offset = len(FIXTURE_MAGIC)
+
+    def take(n, what):
+        nonlocal offset
+        if n > len(data) - offset:
+            raise DataError(f"fixture file {path} truncated while reading {what}")
+        offset += n
+        return memoryview(data)[offset - n : offset]
+
+    (version,) = struct.unpack("<H", take(2, "version"))
+    if version != FIXTURE_VERSION:
+        raise DataError(f"unsupported fixture version {version}")
     records = {}
     try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-
-            def take(n, what):
-                data = fh.read(n) if n <= size - fh.tell() else b""
-                if len(data) != n:
-                    raise DataError(f"fixture file {path} truncated while reading {what}")
-                return data
-
-            if fh.read(len(FIXTURE_MAGIC)) != FIXTURE_MAGIC:
-                raise DataError(f"{path} is not a score-fixture file (bad magic)")
-            (version,) = struct.unpack("<H", take(2, "version"))
-            if version != FIXTURE_VERSION:
-                raise DataError(f"unsupported fixture version {version}")
-            while fh.tell() < size:
-                (id_len,) = struct.unpack("<H", take(2, "record header"))
-                sample_id = take(id_len, "sample id").decode("utf-8")
-                shape = struct.unpack("<III", take(12, "tensor shape"))
-                raw = take(4 * math.prod(shape), f"tensor data for {sample_id!r}")
-                tensor = np.frombuffer(raw, dtype="<f4").reshape(shape)
-                if sample_id in records:
-                    raise DataError(f"duplicate sample id {sample_id!r} in fixture")
-                records[sample_id] = tensor.copy()
-    except OSError as exc:
-        raise DataError(f"cannot read fixture file {path}: {exc}") from exc
+        while offset < len(data):
+            (id_len,) = struct.unpack("<H", take(2, "record header"))
+            sample_id = str(take(id_len, "sample id"), "utf-8")
+            shape = struct.unpack("<III", take(12, "tensor shape"))
+            raw = take(4 * math.prod(shape), f"tensor data for {sample_id!r}")
+            tensor = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            if sample_id in records:
+                raise DataError(f"duplicate sample id {sample_id!r} in fixture")
+            records[sample_id] = tensor
     except ValueError as exc:
         # A sample id that is not UTF-8, or an empty tensor whose other
         # dimensions overflow numpy's size limit.

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .config import load_run_config
 from .engine import MODES, encode_inputs, evaluate, load_checkpoint, run_continual
-from .errors import ConfigError, MtclError, exit_code_for
+from .errors import ConfigError, MtclError, exit_code_for, write_output
 from .taskstream import GeneratorConfig, generate_synthetic_stream, load_manifest, load_task
 from .teachers import teacher_from_config
 from .weights import WeightConfig, assemble_weights, is_finite_number
@@ -160,21 +160,14 @@ def cmd_run(args) -> int:
             cfg.llm_teacher, vocab=manifest.vocab, default_seed=settings.seed
         )
     out = cfg.resolved_output_dir()
-    out.mkdir(parents=True, exist_ok=True)
     cfg.save(out / "resolved_config.json")
-    (out / "run_info.json").write_text(
-        json.dumps(
-            {
-                "tool_version": __version__,
-                "seed": settings.seed,
-                "config_digest": cfg.digest(),
-                "mode": settings.mode,
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    run_info = {
+        "tool_version": __version__,
+        "seed": settings.seed,
+        "config_digest": cfg.digest(),
+        "mode": settings.mode,
+    }
+    write_output(out / "run_info.json", json.dumps(run_info, indent=2) + "\n", "run info")
     try:
         rows, _, _ = run_continual(
             manifest,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import TrainSettings
-from .errors import ConfigError, parse_json, read_input
+from .errors import ConfigError, parse_json, read_input, write_output
 from .weights import WeightConfig
 
 OUTPUT_ROOT_ENV = "MTCL_OUTPUT_ROOT"
@@ -81,9 +81,7 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
     def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.resolved_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        write_output(path, json.dumps(self.resolved_dict(), indent=2) + "\n", "resolved config")
 
 
 def _given(section, names, where: str, problems: list) -> dict:

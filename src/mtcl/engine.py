@@ -23,6 +23,7 @@ its teacher is never queried.
 from __future__ import annotations
 
 import copy
+import io
 import json
 import math
 import os
@@ -33,7 +34,7 @@ import numpy as np
 
 from .bridge import SPACE_TOKEN, Vocabulary
 from .errors import ConfigError, DataError, NumericError, TeacherDimensionError
-from .errors import parse_json, read_input
+from .errors import parse_json, read_input, write_output
 from .losses import batch_loss, softened_softmax
 from .taskstream import (
     ImbalanceLedger,
@@ -599,16 +600,17 @@ def write_metrics_csv(path, rows) -> None:
     """
     import csv
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_COLUMNS)
-        for row in rows:
-            writer.writerow([row.t, row.dataset, repr(row.accuracy), repr(row.macro_f1)])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(METRICS_COLUMNS)
+    for row in rows:
+        writer.writerow([row.t, row.dataset, repr(row.accuracy), repr(row.macro_f1)])
+    write_output(path, text.getvalue(), "metrics table")
 
 
 def save_checkpoint(path, model: StudentModel, task_index: int,
                     trace: WeightTrace, config_digest: str = "") -> None:
-    """Versioned binary checkpoint, written atomically.
+    """Versioned binary checkpoint, written whole and renamed into place.
 
     Layout: magic, version, JSON header (architecture, label inventory,
     task index, seed, weight trace, config digest), then the parameter
@@ -629,15 +631,13 @@ def save_checkpoint(path, model: StudentModel, task_index: int,
     }
     header_bytes = json.dumps(header).encode("utf-8")
     blob = model.get_flat().astype("<f8").tobytes()
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<H", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(struct.pack("<Q", model.n_params))
-        fh.write(blob)
-    os.replace(tmp, path)
+    write_output(path, b"".join([
+        CHECKPOINT_MAGIC,
+        struct.pack("<HI", CHECKPOINT_VERSION, len(header_bytes)),
+        header_bytes,
+        struct.pack("<Q", model.n_params),
+        blob,
+    ]), "checkpoint")
 
 
 def load_checkpoint(path):

@@ -1,12 +1,15 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes, so anything that should
-abort a run with a distinct status belongs here rather than in a bare
-ValueError.  ``read_input`` and ``parse_json`` pick the error for an input
-file that cannot be read and for JSON that cannot be parsed.
+Each class states the process exit code the CLI gives it, so anything
+that should abort a run with a distinct status belongs here rather than
+in a bare ValueError.  ``read_input`` and ``parse_json`` pick the error
+for an input file that cannot be read and for JSON that cannot be
+parsed; ``write_output`` writes every output file whole and picks the
+error for one that cannot be written.
 """
 
 import json
+import os
 from pathlib import Path
 
 
@@ -15,7 +18,9 @@ class MtclError(Exception):
 
 
 class ConfigError(MtclError):
-    """Invalid or inconsistent run configuration (exit code 2)."""
+    """Invalid or inconsistent run configuration."""
+
+    exit_code = 2
 
     def __init__(self, violations):
         if isinstance(violations, str):
@@ -25,15 +30,19 @@ class ConfigError(MtclError):
 
 
 class DataError(MtclError):
-    """Broken task files, manifests, vocabularies or checkpoints (exit code 3)."""
+    """Broken task files, manifests, vocabularies or checkpoints; unwritable output."""
+
+    exit_code = 3
 
 
 class DimensionMismatchError(DataError):
-    """Tensor dimensions disagree with the tokenized label set (exit code 3)."""
+    """Tensor dimensions disagree with the tokenized label set."""
 
 
 class TeacherQueryError(MtclError):
-    """A teacher backend failed to produce logits (exit code 4)."""
+    """A teacher backend failed to produce logits."""
+
+    exit_code = 4
 
 
 class TeacherTimeoutError(TeacherQueryError):
@@ -49,25 +58,13 @@ class TeacherDimensionError(TeacherProtocolError):
 
 
 class NumericError(MtclError):
-    """Non-finite loss or other numeric breakdown during training (exit code 5)."""
+    """Non-finite loss or other numeric breakdown during training."""
 
-
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_TEACHER = 4
-EXIT_NUMERIC = 5
+    exit_code = 5
 
 
 def exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, ConfigError):
-        return EXIT_CONFIG
-    if isinstance(exc, TeacherQueryError):
-        return EXIT_TEACHER
-    if isinstance(exc, DataError):
-        return EXIT_DATA
-    if isinstance(exc, NumericError):
-        return EXIT_NUMERIC
-    return 1
+    return getattr(exc, "exit_code", 1)
 
 
 def read_input(path, what: str, error=DataError, text: bool = False):
@@ -87,3 +84,22 @@ def parse_json(data, error, where: str, encoding: str = None):
         return json.loads(data.decode(encoding) if encoding else data)
     except (ValueError, RecursionError) as exc:
         raise error(f"{where}: {exc}") from exc
+
+
+def write_output(path, data, what: str, error=DataError) -> None:
+    """Write ``data`` (text as UTF-8, or bytes) to ``path.tmp`` under a made
+    parent directory and rename it over ``path``, so ``path`` is never
+    seen half written; the ``.tmp`` goes if anything fails, and any
+    ``OSError`` raises ``error``."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise error(f"cannot write {what} {path}: {exc}") from exc

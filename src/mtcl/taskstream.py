@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bridge import Vocabulary, build_vocabulary
-from .errors import ConfigError, DataError, parse_json, read_input
+from .errors import ConfigError, DataError, parse_json, read_input, write_output
 from .weights import is_finite_number, is_integer
 
 MANIFEST_VERSION = 1
@@ -434,18 +434,19 @@ def write_task(path, samples, block_path=None) -> dict | None:
     ``answer``.  Returns the block's ``bytes`` and ``sha256`` for its
     manifest entry, or None without a block.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            record = {"id": s.id}
-            if block_path is None:
-                record["features"] = [float(x) for x in s.features]
-            record["question"] = s.question
-            record["answer"] = s.answer_name
-            fh.write(json.dumps(record) + "\n")
+    lines = []
+    for s in samples:
+        record = {"id": s.id}
+        if block_path is None:
+            record["features"] = [float(x) for x in s.features]
+        record["question"] = s.question
+        record["answer"] = s.answer_name
+        lines.append(json.dumps(record) + "\n")
+    write_output(path, "".join(lines), "task file")
     if block_path is None:
         return None
     data = np.array([s.features for s in samples], dtype=BLOCK_DTYPE).tobytes()
-    Path(block_path).write_bytes(data)
+    write_output(block_path, data, "feature block")
     return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
 
 
@@ -550,7 +551,6 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
     counts = _allocate_counts(cfg)
     rng = np.random.default_rng([int(seed), 9001])
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     appearance_order = []
     centers = {}
@@ -668,15 +668,11 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
         "tasks": tasks_json,
     }
     manifest_path = out / MANIFEST_NAME
-    manifest_path.write_text(
-        json.dumps(manifest_payload, indent=2) + "\n", encoding="utf-8"
-    )
+    write_output(manifest_path, json.dumps(manifest_payload, indent=2) + "\n", "manifest")
     sidecar = {
         "seed": int(seed),
         "params": asdict(cfg),
         "tasks": sidecar_tasks,
     }
-    (out / SIDECAR_NAME).write_text(
-        json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
-    )
+    write_output(out / SIDECAR_NAME, json.dumps(sidecar, indent=2) + "\n", "sidecar")
     return manifest_path

@@ -143,7 +143,7 @@ def _endpoint(base_url, timeout: float):
     request to it, up to the Content-Length value: ``base_url`` must be an
     http(s) URL with a host, optional port and path prefix, and no user
     info, query or fragment (else DataError)."""
-    # Imported here only: http.client loads ssl, about 6 MB of resident
+    # Imported here only: http.client loads ssl, about 2 MB of resident
     # memory that runs without a service teacher need not carry.
     from http.client import HTTPConnection, HTTPSConnection, InvalidURL
 

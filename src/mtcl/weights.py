@@ -19,6 +19,7 @@ must satisfy theta_ds + theta_di = 1 - alpha.
 
 from __future__ import annotations
 
+import io
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, write_output
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -248,9 +249,10 @@ class WeightTrace:
     def write_csv(self, path) -> None:
         import csv
 
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=TRACE_COLUMNS)
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow({k: repr(row[k]) if isinstance(row[k], float) else row[k]
-                                 for k in TRACE_COLUMNS})
+        text = io.StringIO()
+        writer = csv.DictWriter(text, fieldnames=TRACE_COLUMNS)
+        writer.writeheader()
+        for row in self.rows:
+            writer.writerow({k: repr(row[k]) if isinstance(row[k], float) else row[k]
+                             for k in TRACE_COLUMNS})
+        write_output(path, text.getvalue(), "weight trace")

@@ -1,5 +1,6 @@
 """Run configuration, overrides, presets, CLI commands, exit codes."""
 
+import ast
 import json
 import os
 import shutil
@@ -27,6 +28,7 @@ from mtcl.errors import (
     ConfigError,
     DataError,
     DimensionMismatchError,
+    MtclError,
     NumericError,
     TeacherDimensionError,
     TeacherProtocolError,
@@ -229,6 +231,7 @@ class TestExitCodes:
         assert exit_code_for(TeacherProtocolError("x")) == 4
         assert exit_code_for(TeacherDimensionError("x")) == 4
         assert exit_code_for(NumericError("x")) == 5
+        assert exit_code_for(MtclError("x")) == 1
 
 
 SMALL = GeneratorConfig(
@@ -314,6 +317,18 @@ class TestCliRun:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["mode"] == "ft"
         assert resolved["weights"]["alpha"] == 1.0
+
+    def test_output_dir_under_a_regular_file_exits_3(self, cli_workspace, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        out = blocker / "x"
+        code = main(["run", str(cli_workspace / "run.json"), "--output-dir", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"cannot write resolved config {out / 'resolved_config.json'}" in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "not a directory"
 
     def test_env_output_root_applies(self, cli_workspace, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
@@ -665,6 +680,22 @@ class TestCliGenerate:
         assert (out / "manifest.json").exists()
         assert (out / "ground_truth.json").exists()
 
+    def test_out_that_is_a_regular_file_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "gen"
+        out.write_text("not a directory")
+        code = main(
+            [
+                "generate", "--out", str(out), "--tasks", "2", "--classes-per-task", "3",
+                "--samples-per-task", "60", "--features", "4",
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"cannot write vocabulary file {out / 'vocab.txt'}" in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == [out]
+        assert out.read_text() == "not a directory"
+
     def test_infeasible_parameters_exit_2(self, tmp_path, capsys):
         code = main(
             [
@@ -895,6 +926,13 @@ class TestCliTopLevel:
         )
         assert done.returncode == 0
         assert "mtcl" in done.stdout
+
+    def test_sources_parse_as_python_3_10(self):
+        """3.10 is the declared floor; this catches newer syntax on a newer
+        interpreter."""
+        src = Path(mtcl.__file__).resolve().parent
+        for path in sorted(src.glob("*.py")):
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
     def test_unknown_command_exits_nonzero(self, capsys):
         assert main(["conjure"]) == 2

@@ -4,7 +4,8 @@ Whole-file reads and JSON parses go through ``errors.read_input`` and
 ``errors.parse_json``, and a service teacher's HTTP replies through
 ``teachers._read_reply``; a damaged run config, checkpoint or service
 reply is a ConfigError (exit 2), DataError (exit 3) or TeacherQueryError
-(exit 4), never a traceback.
+(exit 4), never a traceback.  Every output file goes through
+``errors.write_output``, whole or not at all.
 """
 
 import ast
@@ -16,12 +17,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtcl.cli import main
 from mtcl.engine import StudentModel, save_checkpoint
-from mtcl.errors import TeacherQueryError
+from mtcl.errors import ConfigError, DataError, TeacherQueryError, write_output
 from mtcl.taskstream import LabelClass
 from mtcl.teachers import ServiceTeacher, _read_reply
 from mtcl.weights import WeightTrace
@@ -96,28 +98,65 @@ def raw_replies() -> list:
 
 class TestOneReader:
     def test_reads_and_parses_only_in_the_errors_module(self):
-        """Only ``read_input`` reads a whole file and only ``parse_json``
-        calls ``json.loads``, so one place decides how their failures map.
-        The task-record fallback keeps ``json.loads`` as the reference its
-        fast path must match; ``load_task`` maps its errors with file and
-        line."""
-        allowed = {"read_input", "parse_json", "_parse_record"}
+        """Only ``read_input`` reads a whole file, only ``parse_json``
+        calls ``json.loads`` and only ``read_input`` and ``write_output``
+        open, write or rename a file or make a directory, so one place
+        decides how their failures map.  The task-record fallback keeps ``json.loads`` as the
+        reference its fast path must match; ``load_task`` maps its errors
+        with file and line."""
+        readers = {"read_input", "parse_json", "_parse_record"}
+        writers = {"read_input", "write_output"}
         found = []
 
         def visit(node, where, function):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 function = node.name
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                attr, owner = node.func.attr, node.func.value
-                is_loads = attr == "loads" and isinstance(owner, ast.Name) and owner.id == "json"
-                if (is_loads or attr in ("read_text", "read_bytes")) and function not in allowed:
-                    found.append(f"{where}:{node.lineno} {attr} in {function}")
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Attribute):
+                    name = func.attr
+                    owner = func.value.id if isinstance(func.value, ast.Name) else None
+                else:
+                    name, owner = getattr(func, "id", None), None
+                reads = name in ("read_text", "read_bytes") or (owner, name) == ("json", "loads")
+                writes = (name in ("open", "write_text", "write_bytes", "mkdir")
+                          or (owner, name) == ("os", "replace"))
+                if (reads and function not in readers) or (writes and function not in writers):
+                    found.append(f"{where}:{node.lineno} {name} in {function}")
             for child in ast.iter_child_nodes(node):
                 visit(child, where, function)
 
         for path in sorted(SRC.glob("*.py")):
             visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
         assert found == []
+
+
+class TestOneWriter:
+    def test_text_is_written_as_utf8_under_a_new_parent(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out.txt"
+        write_output(path, "é\n", "text")
+        assert path.read_bytes() == "é\n".encode("utf-8")
+        assert sorted(path.parent.iterdir()) == [path]
+
+    def test_existing_file_is_replaced_whole(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"x" * 1000)
+        write_output(path, b"short", "blob")
+        assert path.read_bytes() == b"short"
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_onto_a_directory_raises_data_error_and_leaves_no_tmp(self, tmp_path):
+        path = tmp_path / "taken"
+        path.mkdir()
+        with pytest.raises(DataError, match=f"cannot write blob {path}: "):
+            write_output(path, b"data", "blob")
+        assert sorted(tmp_path.iterdir()) == [path]
+        assert list(path.iterdir()) == []
+
+    def test_error_class_is_the_callers(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        with pytest.raises(ConfigError, match="cannot write blob"):
+            write_output(tmp_path / "file" / "x", b"", "blob", ConfigError)
 
 
 class TestDamagedInputs:
