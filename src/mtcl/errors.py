@@ -86,11 +86,11 @@ def parse_json(data, error, where: str, encoding: str = None):
         raise error(f"{where}: {exc}") from exc
 
 
-def write_output(path, data, what: str, error=DataError) -> None:
+def write_output(path, data, what: str) -> None:
     """Write ``data`` (text as UTF-8, or bytes) to ``path.tmp`` under a made
     parent directory and rename it over ``path``, so ``path`` is never
     seen half written; the ``.tmp`` goes if anything fails, and any
-    ``OSError`` raises ``error``."""
+    ``OSError`` raises ``DataError``."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -102,4 +102,4 @@ def write_output(path, data, what: str, error=DataError) -> None:
             tmp.unlink(missing_ok=True)
             raise
     except OSError as exc:
-        raise error(f"cannot write {what} {path}: {exc}") from exc
+        raise DataError(f"cannot write {what} {path}: {exc}") from exc

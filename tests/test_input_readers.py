@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from mtcl.cli import main
 from mtcl.engine import StudentModel, save_checkpoint
-from mtcl.errors import ConfigError, DataError, TeacherQueryError, write_output
+from mtcl.errors import DataError, TeacherQueryError, write_output
 from mtcl.taskstream import LabelClass
 from mtcl.teachers import ServiceTeacher, _read_reply
 from mtcl.weights import WeightTrace
@@ -99,13 +99,13 @@ def raw_replies() -> list:
 class TestOneReader:
     def test_reads_and_parses_only_in_the_errors_module(self):
         """Only ``read_input`` reads a whole file, only ``parse_json``
-        calls ``json.loads`` and only ``read_input`` and ``write_output``
-        open, write or rename a file or make a directory, so one place
-        decides how their failures map.  The task-record fallback keeps ``json.loads`` as the
-        reference its fast path must match; ``load_task`` maps its errors
-        with file and line."""
+        calls ``json.loads`` and only ``write_output`` opens, writes or
+        renames a file or makes a directory, so one place decides how
+        their failures map.  The task-record fallback keeps ``json.loads``
+        as the reference its fast path must match; ``load_task`` maps its
+        errors with file and line."""
         readers = {"read_input", "parse_json", "_parse_record"}
-        writers = {"read_input", "write_output"}
+        writers = {"write_output"}
         found = []
 
         def visit(node, where, function):
@@ -152,11 +152,6 @@ class TestOneWriter:
             write_output(path, b"data", "blob")
         assert sorted(tmp_path.iterdir()) == [path]
         assert list(path.iterdir()) == []
-
-    def test_error_class_is_the_callers(self, tmp_path):
-        (tmp_path / "file").write_text("")
-        with pytest.raises(ConfigError, match="cannot write blob"):
-            write_output(tmp_path / "file" / "x", b"", "blob", ConfigError)
 
 
 class TestDamagedInputs:
