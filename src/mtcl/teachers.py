@@ -8,11 +8,12 @@ one logit row per sample over the candidates.  Backends:
   binary fixture file, pushing them through the embedding-to-logits
   bridge.  Used for offline runs and reproducible tests.
 * ``ServiceTeacher`` queries an HTTP endpoint over one persistent
-  connection, one request per sample, and reads the replies itself
-  (``_read_reply``).  A score table's requests go out in windows of up
-  to ``MAX_UNANSWERED_BYTES``, each window in one write once the previous
-  one is answered; timeouts and connection failures resend the
-  unanswered requests with their request ids on a fresh connection.
+  connection, one request per sample; it opens the connection and reads
+  the replies itself (``_read_reply``).  A score table's requests go out
+  in windows of up to ``MAX_UNANSWERED_BYTES``, each window in one write
+  once the previous one is answered; timeouts and connection failures
+  resend the unanswered requests with their request ids on a fresh
+  connection.
 * ``NoisyOracleTeacher`` is a synthetic stand-in whose per-sample
   correctness is a deterministic hash of (seed, sample id); it hits the
   true label with a configurable rate.  Used by the synthetic pipeline
@@ -27,6 +28,7 @@ scored, so runs that claim not to consult a teacher can prove it.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import math
@@ -138,40 +140,47 @@ class FixtureTeacher(Teacher):
         return table
 
 
-def _endpoint(base_url, timeout: float):
-    """The unopened connection for ``base_url`` and the head of every
-    request to it, up to the Content-Length value: ``base_url`` must be an
-    http(s) URL with a host, optional port and path prefix, and no user
-    info, query or fragment (else DataError)."""
-    # Imported here only: http.client loads ssl, about 2 MB of resident
-    # memory that runs without a service teacher need not carry.
-    from http.client import HTTPConnection, HTTPSConnection, InvalidURL
-
+def _endpoint(base_url) -> tuple[str, int, bool, bytes]:
+    """(host, port, tls, request head up to the Content-Length value) of
+    ``base_url``, an http(s) URL with a host, optional port and path
+    prefix, and no user info, query or fragment (else DataError)."""
     if not isinstance(base_url, str) or not base_url.startswith(("http://", "https://")):
         raise DataError(f"teacher field 'base_url' must be an http(s) URL, got {base_url!r}")
     try:
         parts = urlsplit(base_url)
-        kind = HTTPSConnection if parts.scheme == "https" else HTTPConnection
-        # An explicit port keeps http.client from reading one out of an IPv6 host.
-        port = kind.default_port if parts.port is None else parts.port
+        tls = parts.scheme == "https"
+        default_port = 443 if tls else 80
+        port = default_port if parts.port is None else parts.port
         if not parts.hostname or "@" in parts.netloc or "?" in base_url or "#" in base_url:
             raise ValueError("it needs a host and no user, query or fragment part")
-        connection = kind(parts.hostname, port, timeout=timeout)
+        # http.client's check of a host (CVE-2019-18348), and its message.
+        if found := re.search(r"[\x00-\x20\x7f]", parts.hostname):
+            raise ValueError(f"URL can't contain control characters. {parts.hostname!r} "
+                             f"(found at least {found[0]!r})")
         host = parts.hostname.encode("idna").decode("ascii")
-    except (ValueError, InvalidURL) as exc:
+    except ValueError as exc:
         raise DataError(
             f"teacher field 'base_url' is not a usable URL ({exc}): {base_url!r}"
         ) from exc
-    if ":" in host:
-        host = f"[{host}]"
-    if port != kind.default_port:
-        host = f"{host}:{port}"
+    authority = f"[{host}]" if ":" in host else host
+    if port != default_port:
+        authority = f"{authority}:{port}"
     path = quote(parts.path.rstrip("/") + "/teacher/query", safe="/%:@!$&'()*+,;=~")
     head = (
-        f"POST {path} HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n"
+        f"POST {path} HTTP/1.1\r\nHost: {authority}\r\nAccept-Encoding: identity\r\n"
         "Content-Type: application/json\r\nContent-Length: "
     )
-    return connection, head.encode("ascii")
+    return host, port, tls, head.encode("ascii")
+
+
+@functools.cache
+def _tls_context():
+    """The TLS context http.client would use, made once: its certificates take 50 ms to load."""
+    import ssl  # here only: about 2 MB of resident memory
+
+    context = ssl.create_default_context()
+    context.set_alpn_protocols(["http/1.1"])
+    return context
 
 
 def _reply_line(reader, what: str) -> bytes:
@@ -302,8 +311,9 @@ class ServiceTeacher(Teacher):
                                 "an integer >= 0")
         self.vocab = vocab
         self.want = want
-        self._connection, self._head = _endpoint(base_url, timeout)
-        self._reader = None  # the open connection's buffered socket reader
+        self._host, self._port, self._tls, self._head = _endpoint(base_url)
+        self._timeout = timeout
+        self._sock = self._reader = None  # the open connection and its buffered reader
         self._kept_open = False  # the open connection has delivered a reply
         self.retry_count = 0
 
@@ -311,9 +321,22 @@ class ServiceTeacher(Teacher):
         """Close the connection; a later query opens a fresh one."""
         if self._reader is not None:
             self._reader.close()
-            self._reader = None
-        self._connection.close()
+        if self._sock is not None:
+            self._sock.close()
+        self._sock = self._reader = None
         self._kept_open = False
+
+    def _connect(self) -> None:
+        """Open the connection as http.client does: with ``TCP_NODELAY``,
+        so that no write waits for a delayed ACK, and for https in TLS.
+        What it opens is ``close``'s to release, also when it fails."""
+        import socket  # here only: about 4 ms to import, which other runs skip
+
+        self._sock = socket.create_connection((self._host, self._port), self._timeout)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if self._tls:
+            self._sock = _tls_context().wrap_socket(self._sock, server_hostname=self._host)
+        self._reader = self._sock.makefile("rb")
 
     def score_table(self, samples, mask_names) -> np.ndarray:
         mask_names = _candidates(mask_names)
@@ -355,10 +378,9 @@ class ServiceTeacher(Teacher):
         built = sent = failures = 0  # sent: of waiting, on the wire
         while waiting or built < len(samples):
             try:
-                if self._reader is None:
+                if self._sock is None:
                     sent = 0
-                    self._connection.connect()
-                    self._reader = self._connection.sock.makefile("rb")
+                    self._connect()
                 if not sent:
                     size = 0
                     while self._kept_open or not sent:
@@ -371,7 +393,7 @@ class ServiceTeacher(Teacher):
                         if sent and size > MAX_UNANSWERED_BYTES:
                             break
                         sent += 1
-                    self._connection.sock.sendall(
+                    self._sock.sendall(
                         b"".join(request for _, request in islice(waiting, sent))
                     )
                 status, will_close, reply = _read_reply(self._reader)

@@ -590,9 +590,11 @@ class TestCliRun:
             "http://127.0.0.1:1/?key=value",
             "http://127.0.0.1:1/#part",
             "http://local host:1",
+            "http://local\x00host:1",
+            "http://local\x7fhost:1",
         ],
         ids=["no-host", "text-port", "open-bracket", "userinfo", "query", "fragment",
-             "space-in-host"],
+             "space-in-host", "nul-in-host", "del-in-host"],
     )
     def test_bad_service_url_exits_3(self, cli_workspace, tmp_path, capsys, url):
         code = main(

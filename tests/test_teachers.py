@@ -5,17 +5,21 @@ import contextlib
 import http.client
 import io
 import json
+import os
 import re
 import socket
+import subprocess
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import mtcl
 from mtcl.bridge import build_vocabulary, scores_to_logits, tokenize_labels, write_fixture
 from mtcl.cli import main
 from mtcl.engine import PrevModelTeacher, StudentModel
@@ -32,6 +36,7 @@ from mtcl.teachers import (
     NoisyOracleTeacher,
     ServiceTeacher,
     Teacher,
+    _endpoint,
     _read_reply,
     teacher_from_config,
 )
@@ -582,9 +587,9 @@ class TestServiceTeacherLifetime:
             url = f"http://127.0.0.1:{server.server_address[1]}"
             teacher = ServiceTeacher(url, want="logits", timeout=2.0)
             teacher.query(make_sample(), LABELS)
-            assert teacher._connection.sock is not None
+            assert teacher._sock is not None
             teacher.close()
-            assert teacher._connection.sock is None
+            assert teacher._sock is None
             # A later query reconnects.
             teacher.query(make_sample("s-1"), LABELS)
             teacher.close()
@@ -634,7 +639,99 @@ class TestServiceTeacherLifetime:
         assert code == expected_code
         (teacher,) = built
         assert teacher.query_count > 0
-        assert teacher._connection.sock is None
+        assert teacher._sock is None
+
+
+# Run in a fresh interpreter: which modules the client loads, first on
+# import, then after one query to the http:// URL in argv[1].
+_IMPORT_BUDGET = """
+import json, sys
+from types import SimpleNamespace
+
+import mtcl.cli
+from mtcl.teachers import ServiceTeacher
+
+watched = ("socket", "http.client", "email.parser", "ssl")
+on_import = [name for name in watched if name in sys.modules]
+teacher = ServiceTeacher(sys.argv[1], want="logits", timeout=5.0, retries=0)
+teacher.query(SimpleNamespace(id="s-0", features=[0.1], question="q"), ["a", "b", "c"])
+teacher.close()
+print(json.dumps([on_import, [name for name in watched if name in sys.modules]]))
+"""
+
+
+class TestServiceConnection:
+    def test_import_budget(self):
+        src = str(Path(mtcl.__file__).resolve().parents[1])
+        with serving(_KeepAliveHandler) as server:
+            server.behavior = lambda path, body: (200, logits_response(body))
+            url = f"http://127.0.0.1:{server.server_address[1]}"
+            done = subprocess.run(
+                [sys.executable, "-c", _IMPORT_BUDGET, url], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src}, timeout=60,
+            )
+        assert done.returncode == 0, done.stderr
+        on_import, after_query = json.loads(done.stdout)
+        assert on_import == []
+        # Only socket itself: no http.client, email.parser or ssl for http://.
+        assert after_query == ["socket"]
+
+    def test_connection_sets_tcp_nodelay(self):
+        with serving(_KeepAliveHandler) as server:
+            server.behavior = lambda path, body: (200, logits_response(body))
+            url = f"http://127.0.0.1:{server.server_address[1]}"
+            teacher = ServiceTeacher(url, want="logits", timeout=2.0)
+            teacher.query(make_sample(), LABELS)
+            nodelay = teacher._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            teacher.close()
+        assert nodelay != 0
+
+    def test_https_to_a_plain_text_server_is_unreachable(self, mock_server):
+        url = f"https://127.0.0.1:{mock_server.server_address[1]}"
+        teacher = ServiceTeacher(url, want="logits", timeout=0.5, retries=2)
+        with pytest.raises(TeacherTimeoutError, match="unreachable after 3 attempts"):
+            teacher.query(make_sample(), LABELS)
+        assert teacher.retry_count == 2
+        assert teacher._sock is None
+        assert mock_server.seen == []
+
+    def test_https_to_a_plain_text_server_exits_4(self, mock_server, tmp_path, capsys):
+        stream = GeneratorConfig(tasks=2, classes_per_task=2, feature_length=3,
+                                 samples_per_task=24, imbalance=2.0)
+        config = {
+            "manifest": str(generate_synthetic_stream(stream, seed=3, out_dir=tmp_path / "s")),
+            "mode": "ours",
+            "optimizer": {"epochs": 1, "batch_size": 8},
+            "model": {"hidden1": 4, "hidden2": 4},
+            "llm_teacher": {
+                "kind": "service", "want": "logits", "timeout": 0.5, "retries": 1,
+                "base_url": f"https://127.0.0.1:{mock_server.server_address[1]}",
+            },
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        code = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "unreachable after 2 attempts" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "url, port, tls, host",
+        [
+            ("https://scoring.example", 443, True, "scoring.example"),
+            ("https://scoring.example:443/v1", 443, True, "scoring.example"),
+            ("https://scoring.example:8443", 8443, True, "scoring.example:8443"),
+            ("https://scoring.example:80", 80, True, "scoring.example:80"),
+            ("http://scoring.example:80", 80, False, "scoring.example"),
+            ("http://scoring.example:443", 443, False, "scoring.example:443"),
+            ("https://[::1]:8443", 8443, True, "[::1]:8443"),
+        ],
+    )
+    def test_request_head_leaves_out_only_the_default_port(self, url, port, tls, host):
+        _, got_port, got_tls, head = _endpoint(url)
+        assert (got_port, got_tls) == (port, tls)
+        assert f"\r\nHost: {host}\r\n".encode() in head
 
 
 def _split_requests(buffer: bytes) -> tuple[list, bytes]:
@@ -879,7 +976,7 @@ class TestServiceTeacherPipeline:
             teacher = ServiceTeacher(url, want="logits", timeout=2.0)
             with pytest.raises(TeacherProtocolError):
                 teacher.score_table(samples, LABELS)
-            assert teacher._connection.sock is None
+            assert teacher._sock is None
             table = teacher.score_table(samples[:4], LABELS)
             teacher.close()
         np.testing.assert_array_equal(table, np.tile([0.5, -1.0, 2.0], (4, 1)))
