@@ -244,13 +244,10 @@ def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
     dataset = load_task(manifest, args.task, args.split)
-    row = evaluate(
+    accuracy, macro_f1 = evaluate(
         model, dataset, encode_inputs(dataset.samples, manifest.vocab, model.feature_length)
     )
-    print(
-        f"task{args.task} ({args.split})  accuracy={row.accuracy:.4f}  "
-        f"macro_f1={row.macro_f1:.4f}"
-    )
+    print(f"task{args.task} ({args.split})  accuracy={accuracy:.4f}  macro_f1={macro_f1:.4f}")
     return 0
 
 

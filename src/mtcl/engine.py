@@ -471,11 +471,12 @@ class MetricsRow:
     macro_f1: float
 
 
-def evaluate(model: StudentModel, dataset: TaskDataset, inputs: np.ndarray) -> MetricsRow:
-    """Top-1 accuracy and macro F1 on one dataset, given its design matrix.
+def evaluate(model: StudentModel, dataset: TaskDataset, inputs: np.ndarray) -> tuple:
+    """(top-1 accuracy, macro F1) on one dataset, given its design matrix.
 
-    F1 is averaged over the classes actually present in the dataset;
-    each per-class precision, recall, and F1 treats 0/0 as 0.
+    F1 is averaged over the classes actually present in the dataset, in
+    class-id order; each per-class precision, recall, and F1 treats 0/0
+    as 0.
     """
     if not dataset.samples:
         raise DataError(f"dataset for task {dataset.task_index} is empty")
@@ -484,32 +485,24 @@ def evaluate(model: StudentModel, dataset: TaskDataset, inputs: np.ndarray) -> M
     if missing:
         raise DataError(f"model head does not cover classes {missing}")
     logits = model.forward(inputs)
-    predicted = np.array(
-        [model.class_ids[int(k)] for k in logits.argmax(axis=1)], dtype=np.int64
-    )
-    truth = np.array([s.answer for s in dataset.samples], dtype=np.int64)
+    # Each class is counted in the slot of its rank among the head's ids,
+    # so the counts take one slot per head class whatever the ids are.
+    rank = {cid: r for r, cid in enumerate(sorted(model.class_ids))}
+    predicted = np.array([rank[cid] for cid in model.class_ids])[logits.argmax(axis=1)]
+    truth = np.array([rank[s.answer] for s in dataset.samples])
     accuracy = float((predicted == truth).mean())
 
-    present = sorted({int(a) for a in truth})
     f1_values = []
-    for c in present:
-        tp = int(((predicted == c) & (truth == c)).sum())
-        fp = int(((predicted == c) & (truth != c)).sum())
-        fn = int(((predicted != c) & (truth == c)).sum())
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f1 = (
-            2.0 * precision * recall / (precision + recall)
-            if precision + recall > 0.0
-            else 0.0
-        )
-        f1_values.append(f1)
-    return MetricsRow(
-        t=dataset.task_index,
-        dataset=f"task{dataset.task_index}",
-        accuracy=accuracy,
-        macro_f1=float(np.mean(f1_values)),
-    )
+    for tp, called, actual in zip(
+        np.bincount(truth[predicted == truth], minlength=len(rank)).tolist(),
+        np.bincount(predicted, minlength=len(rank)).tolist(),
+        np.bincount(truth, minlength=len(rank)).tolist(),
+    ):
+        if actual:
+            precision = tp / called if called else 0.0
+            recall = tp / actual
+            f1_values.append(2.0 * precision * recall / (precision + recall) if tp else 0.0)
+    return accuracy, float(np.mean(f1_values))
 
 
 def run_continual(
@@ -531,56 +524,36 @@ def run_continual(
     checkpoints, the metrics table, and the weight trace are written
     there.
     """
-    student = None
+    student = StudentModel(
+        settings.seed, manifest.feature_length, len(manifest.vocab) + 1,
+        settings.hidden1, settings.hidden2,
+    )
     prev_teacher = None
     ledger = ImbalanceLedger()
     trace = WeightTrace()
     rows = []
-    test_sets = {}
+    tests = []
     for entry in manifest.tasks:
         t = entry.index
         train_split = load_task(manifest, t, "train")
-        if student is None:
-            question_length = len(manifest.vocab) + 1
-            student = StudentModel(
-                settings.seed,
-                manifest.feature_length,
-                question_length,
-                settings.hidden1,
-                settings.hidden2,
-            )
-        new_classes = [
-            c for c in train_split.classes if c.id not in set(student.class_ids)
-        ]
-        student.grow_head(new_classes)
+        student.grow_head([c for c in train_split.classes if c.id not in student.class_ids])
         ledger.update(train_split)
         train_task(
             student, prev_teacher, llm_teacher, train_split, ledger,
             settings, weight_cfg, manifest.vocab, t, trace, observer,
         )
-        test = load_task(manifest, t, "test")
-        test_sets[t] = (
-            test, encode_inputs(test.samples, manifest.vocab, manifest.feature_length)
+        held_out = load_task(manifest, t, "test")
+        tests.append(
+            (held_out, encode_inputs(held_out.samples, manifest.vocab, manifest.feature_length))
         )
-        step_rows = []
-        for seen_t in sorted(test_sets):
-            dataset, inputs = test_sets[seen_t]
-            row = evaluate(student, dataset, inputs)
-            step_rows.append(
-                MetricsRow(t=t, dataset=row.dataset,
-                           accuracy=row.accuracy, macro_f1=row.macro_f1)
-            )
-        step_rows.append(
-            MetricsRow(
-                t=t,
-                dataset=AVG_DATASET,
-                accuracy=float(np.mean([r.accuracy for r in step_rows])),
-                macro_f1=float(np.mean([r.macro_f1 for r in step_rows])),
-            )
-        )
-        rows.extend(step_rows)
-        frozen = student.clone()
-        prev_teacher = PrevModelTeacher(frozen, manifest.vocab)
+        scores = [
+            (f"task{test.task_index}", *evaluate(student, test, inputs))
+            for test, inputs in tests
+        ]
+        _, accuracies, macro_f1s = zip(*scores)
+        scores.append((AVG_DATASET, float(np.mean(accuracies)), float(np.mean(macro_f1s))))
+        rows.extend(MetricsRow(t, *score) for score in scores)
+        prev_teacher = PrevModelTeacher(student.clone(), manifest.vocab)
         if run_dir is not None:
             save_checkpoint(
                 os.path.join(run_dir, f"checkpoint_t{t}.bin"),

@@ -465,21 +465,19 @@ class GeneratorConfig:
 
     def __post_init__(self):
         problems = []
-        if self.tasks < 1:
-            problems.append(f"tasks must be >= 1, got {self.tasks}")
-        if self.classes_per_task < 2:
-            problems.append(f"classes_per_task must be >= 2, got {self.classes_per_task}")
-        if self.feature_length < 1:
-            problems.append(f"feature_length must be >= 1, got {self.feature_length}")
-        if self.samples_per_task < 2 * self.classes_per_task:
-            problems.append(
-                f"samples_per_task {self.samples_per_task} cannot cover "
-                f"{self.classes_per_task} classes"
-            )
+        for name, low in (("tasks", 1), ("classes_per_task", 2), ("feature_length", 1)):
+            value = getattr(self, name)
+            if not is_integer(value) or value < low:
+                problems.append(f"{name} must be an integer >= {low}, got {value!r}")
+        samples, classes = self.samples_per_task, self.classes_per_task
+        if not is_integer(samples):
+            problems.append(f"samples_per_task must be an integer, got {samples!r}")
+        elif is_integer(classes) and samples < 2 * classes:
+            problems.append(f"samples_per_task {samples} cannot cover {classes} classes")
         if not is_finite_number(self.imbalance) or self.imbalance < 1.0:
             problems.append(f"imbalance must be a finite number >= 1, got {self.imbalance}")
-        if not 0.0 <= self.overlap <= 1.0:
-            problems.append(f"overlap must be in [0, 1], got {self.overlap}")
+        if not is_finite_number(self.overlap) or not 0.0 <= self.overlap <= 1.0:
+            problems.append(f"overlap must be a finite number in [0, 1], got {self.overlap}")
         if not is_finite_number(self.shift) or self.shift < 0.0:
             problems.append(f"shift must be a finite number >= 0, got {self.shift}")
         if not is_finite_number(self.cluster_std) or self.cluster_std <= 0.0:
@@ -535,6 +533,9 @@ def _fresh_name(rng, taken) -> str:
             return name
 
 
+# A draw that overflows is caught by the finiteness check below, so the
+# overflow itself is no warning.
+@np.errstate(over="ignore")
 def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
     """Write a complete stream (manifest, task files, sidecar) to out_dir.
 
@@ -543,35 +544,35 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
     newly introduced classes by the shift magnitude along a random
     direction, while carried-over classes keep their old centers.  The
     whole procedure is a fixed sequence of draws from one seeded
-    generator, so equal seeds give byte-identical files.
+    generator, so equal seeds give byte-identical files.  Each task's
+    files are written as soon as it is drawn, and the manifest after
+    every task file, so a generation that stops part-way writes no
+    manifest.
 
     Returns the manifest path.  The sidecar file records centers,
     counts, and overlap sets for test use only.
     """
+    if not is_integer(seed) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     counts = _allocate_counts(cfg)
-    rng = np.random.default_rng([int(seed), 9001])
+    rng = np.random.default_rng([seed, 9001])
     out = Path(out_dir)
 
-    appearance_order = []
+    label_ids = {}  # name -> id, in order of first appearance
     centers = {}
-    prev_class_list = []
-    task_payloads = []
+    class_list = []
+    tasks_json = []
     sidecar_tasks = []
-
     for t in range(1, cfg.tasks + 1):
-        if t == 1:
-            carried = []
-        else:
-            n_carry = min(math.ceil(cfg.overlap * cfg.classes_per_task),
-                          len(prev_class_list), cfg.classes_per_task)
-            picked = rng.choice(len(prev_class_list), size=n_carry, replace=False)
-            carried = [prev_class_list[int(i)] for i in picked]
-        n_new = cfg.classes_per_task - len(carried)
+        carried = []
+        if t > 1:
+            n_carry = math.ceil(cfg.overlap * cfg.classes_per_task)
+            picked = rng.choice(len(class_list), size=n_carry, replace=False)
+            carried = [class_list[int(i)] for i in picked]
         new_names = []
-        taken = set(appearance_order) | set(carried)
-        for _ in range(n_new):
-            name = _fresh_name(rng, taken)
-            taken.add(name)
+        for _ in range(cfg.classes_per_task - len(carried)):
+            name = _fresh_name(rng, label_ids)
+            label_ids[name] = len(label_ids)
             new_names.append(name)
             center = rng.standard_normal(cfg.feature_length)
             if t > 1 and cfg.shift > 0.0:
@@ -583,12 +584,8 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
         # New classes take the large end of the count ramp so each task
         # floods in new-domain data while carried classes starve.
         class_list = new_names + carried
-        for name in class_list:
-            if name not in appearance_order:
-                appearance_order.append(name)
 
-        train_pool = []
-        test_pool = []
+        pools = {"train": [], "test": []}
         class_stats = []
         for name, total in zip(class_list, counts):
             n_test = max(1, int(round(TEST_FRACTION * total)))
@@ -598,10 +595,13 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
                 scale=cfg.cluster_std,
                 size=(total, cfg.feature_length),
             )
-            for row in points[:n_train]:
-                train_pool.append((name, row))
-            for row in points[n_train:]:
-                test_pool.append((name, row))
+            if not np.isfinite(points).all():
+                raise ConfigError(
+                    f"task {t} drew a feature value that is not finite; lower "
+                    f"cluster_std ({cfg.cluster_std}) or shift ({cfg.shift})"
+                )
+            pools["train"] += [(name, row) for row in points[:n_train]]
+            pools["test"] += [(name, row) for row in points[n_train:]]
             class_stats.append(
                 {
                     "name": name,
@@ -613,66 +613,41 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
                 }
             )
 
-        def materialize(pool, start):
-            order = rng.permutation(len(pool))
-            records = []
-            for serial, idx in enumerate(order, start=start):
-                name, row = pool[int(idx)]
-                records.append(
-                    Sample(
-                        id=f"t{t}-{serial:05d}",
-                        features=row,
-                        question=_QUESTIONS[serial % len(_QUESTIONS)],
-                        answer=appearance_order.index(name),
-                        answer_name=name,
-                    )
-                )
-            return records
-
-        train_records = materialize(train_pool, 0)
-        test_records = materialize(test_pool, len(train_pool))
-        task_payloads.append((t, class_list, train_records, test_records))
-        sidecar_tasks.append(
-            {
-                "index": t,
-                "classes": class_stats,
-                "overlap_with_previous": sorted(carried),
-            }
-        )
-        prev_class_list = class_list
-
-    vocab = build_vocabulary(appearance_order)
-    vocab.save(out / VOCAB_NAME)
-
-    labels = [
-        {"id": i, "name": name, "tokens": vocab.encode(name)}
-        for i, name in enumerate(appearance_order)
-    ]
-    tasks_json = []
-    for t, class_list, train_records, test_records in task_payloads:
         entry = {"index": t}
-        for split, records in (("train", train_records), ("test", test_records)):
-            name = f"task{t}.{split}"
-            block = f"{name}.f64"
-            entry[f"{split}_file"] = f"{name}.jsonl"
+        serial = 0
+        for split, pool in pools.items():
+            samples = []
+            for i in rng.permutation(len(pool)):
+                name, row = pool[int(i)]
+                question = _QUESTIONS[serial % len(_QUESTIONS)]
+                samples.append(Sample(f"t{t}-{serial:05d}", row, question, label_ids[name], name))
+                serial += 1
+            stem = f"task{t}.{split}"
+            entry[f"{split}_file"] = f"{stem}.jsonl"
             entry[f"{split}_features"] = {
-                "file": block, **write_task(out / f"{name}.jsonl", records, out / block)
+                "file": f"{stem}.f64",
+                **write_task(out / f"{stem}.jsonl", samples, out / f"{stem}.f64"),
             }
-        entry["classes"] = list(class_list)
+        entry["classes"] = class_list
         tasks_json.append(entry)
+        sidecar_tasks.append(
+            {"index": t, "classes": class_stats, "overlap_with_previous": sorted(carried)}
+        )
+
+    vocab = build_vocabulary(list(label_ids))
+    vocab.save(out / VOCAB_NAME)
     manifest_payload = {
         "format_version": MANIFEST_VERSION,
         "feature_length": cfg.feature_length,
         "vocab_file": VOCAB_NAME,
-        "labels": labels,
+        "labels": [
+            {"id": i, "name": name, "tokens": vocab.encode(name)}
+            for name, i in label_ids.items()
+        ],
         "tasks": tasks_json,
     }
     manifest_path = out / MANIFEST_NAME
     write_output(manifest_path, json.dumps(manifest_payload, indent=2) + "\n", "manifest")
-    sidecar = {
-        "seed": int(seed),
-        "params": asdict(cfg),
-        "tasks": sidecar_tasks,
-    }
+    sidecar = {"seed": seed, "params": asdict(cfg), "tasks": sidecar_tasks}
     write_output(out / SIDECAR_NAME, json.dumps(sidecar, indent=2) + "\n", "sidecar")
     return manifest_path

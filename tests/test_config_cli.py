@@ -293,6 +293,25 @@ class TestCliRun:
         assert "results after task 2" in printed
         assert "Avg." in printed
 
+    def test_run_loads_no_masked_arrays(self, cli_workspace, tmp_path):
+        """numpy.ma (which ``np.unique`` imports) costs a run about 1.6 MB of
+        peak memory; a whole run stays clear of it."""
+        src = str(Path(mtcl.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            "from mtcl.cli import main\n"
+            "code = main(['run', sys.argv[1], '--output-dir', sys.argv[2]])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(cli_workspace / "run.json"),
+             str(tmp_path / "ours")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False"
+
     def test_repeat_runs_are_byte_identical(self, cli_workspace, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -693,7 +712,7 @@ class TestCliGenerate:
         )
         assert code == 3
         err = capsys.readouterr().err
-        assert f"cannot write vocabulary file {out / 'vocab.txt'}" in err
+        assert f"cannot write task file {out / 'task1.train.jsonl'}" in err
         assert "Traceback" not in err
         assert sorted(tmp_path.iterdir()) == [out]
         assert out.read_text() == "not a directory"
@@ -708,6 +727,37 @@ class TestCliGenerate:
         )
         assert code == 2
         assert "infeasible" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "gen"
+        assert main(["generate", "--out", str(out), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be an integer >= 0, got -1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, written", [
+        # The spread overflows in task 1, before any file is written.
+        ("--cluster-std", "1e308", []),
+        # The shift only moves the centers of task 2's new classes.
+        ("--shift", "1.79e308", ["task1.test.f64", "task1.test.jsonl",
+                                 "task1.train.f64", "task1.train.jsonl"]),
+    ])
+    def test_non_finite_draw_exits_2_before_the_task_is_written(
+        self, tmp_path, capsys, flag, value, written
+    ):
+        out = tmp_path / "gen"
+        code = main(
+            [
+                "generate", "--out", str(out), "--tasks", "2", "--classes-per-task", "3",
+                "--samples-per-task", "60", "--features", "16", flag, value,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "not finite" in err and "cluster_std" in err and "shift" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in out.glob("*")) == written
 
     @pytest.mark.parametrize("flag, field", [
         ("--imbalance", "imbalance"), ("--shift", "shift"), ("--cluster-std", "cluster_std"),

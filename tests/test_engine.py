@@ -724,9 +724,9 @@ class TestEvaluate:
             for i in range(4)
         ]
         dataset = TaskDataset(task_index=1, samples=samples, classes=classes)
-        row = evaluated(model, dataset, vocab)
-        assert row.accuracy == pytest.approx(0.5)
-        assert row.macro_f1 == pytest.approx(1.0 / 3.0)
+        accuracy, macro_f1 = evaluated(model, dataset, vocab)
+        assert accuracy == pytest.approx(0.5)
+        assert macro_f1 == pytest.approx(1.0 / 3.0)
 
     def test_matches_independent_metric_oracle(self, mini_stream):
         settings = TrainSettings(seed=5, mode="ft", **FAST)
@@ -741,14 +741,14 @@ class TestEvaluate:
         )
         test = load_task(mini_stream, 1, split="test")
         inputs = encode_inputs(test.samples, mini_stream.vocab, mini_stream.feature_length)
-        row = evaluate(student, test, inputs)
+        accuracy, macro_f1 = evaluate(student, test, inputs)
         predicted = [
             student.class_ids[int(k)] for k in student.forward(inputs).argmax(axis=1)
         ]
         truth = [s.answer for s in test.samples]
         acc, f1 = metrics_oracle(predicted, truth)
-        assert row.accuracy == pytest.approx(acc, abs=1e-12)
-        assert row.macro_f1 == pytest.approx(f1, abs=1e-12)
+        assert accuracy == pytest.approx(acc, abs=1e-12)
+        assert macro_f1 == pytest.approx(f1, abs=1e-12)
 
     def test_f1_averages_only_classes_present(self):
         vocab = build_vocabulary(["k0", "k1", "k2"])
@@ -759,9 +759,9 @@ class TestEvaluate:
             for i in range(3)
         ]
         dataset = TaskDataset(task_index=1, samples=samples, classes=classes)
-        row = evaluated(model, dataset, vocab)
-        assert row.accuracy == 1.0
-        assert row.macro_f1 == 1.0
+        accuracy, macro_f1 = evaluated(model, dataset, vocab)
+        assert accuracy == 1.0
+        assert macro_f1 == 1.0
 
     def test_uncovered_class_rejected(self):
         vocab = build_vocabulary(["k0", "k1"])

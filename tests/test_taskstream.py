@@ -731,6 +731,28 @@ class TestGeneratorConfig:
         assert "overlap" in message
         assert "cluster_std" in message
 
+    @pytest.mark.parametrize("field, value", [
+        ("tasks", 2.5), ("classes_per_task", 3.0), ("feature_length", True),
+        ("samples_per_task", 100.5), ("overlap", "0.5"), ("overlap", None),
+    ])
+    def test_wrong_type_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            GeneratorConfig(**{field: value})
+
+    def test_wrong_types_collected_in_one_error(self):
+        with pytest.raises(ConfigError) as info:
+            GeneratorConfig(tasks=2.5, classes_per_task=3.0, feature_length=True,
+                            samples_per_task=100.5)
+        message = str(info.value)
+        for field in ("tasks", "classes_per_task", "feature_length", "samples_per_task"):
+            assert f"{field} must be an integer" in message
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, tmp_path, seed):
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            generate_synthetic_stream(GeneratorConfig(), seed=seed, out_dir=tmp_path / "s")
+        assert not (tmp_path / "s").exists()
+
     def test_infeasible_imbalance_rejected(self, tmp_path):
         cfg = GeneratorConfig(classes_per_task=6, samples_per_task=60, imbalance=64.0)
         with pytest.raises(ConfigError, match="infeasible"):
