@@ -222,6 +222,8 @@ def cmd_inspect_weights(args) -> int:
             start, stop, count = float(start), float(stop), int(count)
         except ValueError as exc:
             raise ConfigError(f"--sweep-ir expects START:STOP:COUNT: {exc}") from exc
+        if not (is_finite_number(start) and is_finite_number(stop)):
+            raise ConfigError(f"--sweep-ir START and STOP must be finite, got {start}:{stop}")
         if not 0 <= count <= MAX_SWEEP_POINTS:
             raise ConfigError(
                 f"--sweep-ir COUNT must be in [0, {MAX_SWEEP_POINTS}], got {count}"

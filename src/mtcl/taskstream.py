@@ -1,17 +1,16 @@
 """Task-stream data model, ingestion, imbalance accounting, generation.
 
 A stream is an ordered sequence of classification tasks.  Each task
-ships as line-delimited JSON sample files (an 80/20 train/test pair)
-plus a manifest that pins the feature length, the label inventory with
-token sequences, and the task order.  Labels are identified by name;
-ids are assigned at first appearance and never change.
+ships as an 80/20 train/test pair of splits, plus a manifest that pins
+the feature length, the label inventory with token sequences, and the
+task order.  Labels are identified by name; ids are assigned at first
+appearance and never change.
 
-A split's feature vectors live either in its JSONL records or in a
-feature block the manifest names: raw little-endian float64, row-major,
-one row per record, pinned by its byte length and SHA-256.  A split
-with a block loads its features with one read and one ``frombuffer``,
-and its samples' feature vectors are row views of that one matrix.  The
-generator writes blocks; streams without them load the same values.
+A split is a line-delimited JSON file of records (id, question, answer)
+and a feature block the manifest names: raw little-endian float64,
+row-major, one row per record, pinned by its byte length and SHA-256.
+A split loads its features with one read and one ``frombuffer``, and
+its samples' feature vectors are row views of that one matrix.
 
 The synthetic generator produces streams with two controllable
 stressors: domain shift (classes new to a task get cluster centers
@@ -67,8 +66,8 @@ class Sample(NamedTuple):
     """One record: feature vector, question text, answer label.
 
     A tuple, so its fields are read-only and it is cheap to build.  A
-    sample loaded from a split with a feature block holds a read-only
-    row view of the block's matrix as ``features``.
+    loaded sample holds a read-only row view of its split's feature
+    block as ``features``.
     """
 
     id: str
@@ -156,8 +155,8 @@ class TaskEntry:
     train_file: str
     test_file: str
     class_names: tuple
-    train_features: FeatureBlock | None = None
-    test_features: FeatureBlock | None = None
+    train_features: FeatureBlock
+    test_features: FeatureBlock
 
 
 @dataclass(frozen=True)
@@ -265,12 +264,12 @@ def _integer(path: Path, name: str, value) -> int:
     return value
 
 
-def _parse_block(path: Path, index: int, key: str, entry: dict) -> FeatureBlock | None:
-    """The task entry's ``key`` block, or None when the entry has none."""
-    if key not in entry:
-        return None
-    spec = entry[key]
+def _parse_block(path: Path, index: int, key: str, entry: dict) -> FeatureBlock:
+    """The task entry's ``key`` block."""
     where = f"task {index} {key}"
+    if key not in entry:
+        raise DataError(f"manifest {path}: {where} is missing; each split needs a feature block")
+    spec = entry[key]
     if not isinstance(spec, dict):
         raise DataError(f"manifest {path}: {where} must be an object, got {spec!r}")
     file, size, digest = spec["file"], spec["bytes"], spec["sha256"]
@@ -316,10 +315,6 @@ def _read_block(root: Path, block: FeatureBlock, rows: int, feature_length: int)
     return matrix
 
 
-# Parsed feature values that may become float64s: not text or booleans
-# (numpy would convert both); null is left to the finite check.
-_FEATURE_TYPES = (int, float, type(None))
-
 # The C scanner behind ``json.loads``, without the wrapper's whitespace,
 # BOM and trailing-data handling.
 _scan_once = json.JSONDecoder().scan_once
@@ -345,8 +340,8 @@ def _parse_record(line: str):
 def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDataset:
     """Read one task split into memory, recounting classes as it goes.
 
-    A split with a feature block reads its features from the block, and
-    its records must not carry any.
+    The features come from the split's block, one row per record, and
+    the records must not carry any.
     """
     if split not in ("train", "test"):
         raise DataError(f"split must be 'train' or 'test', got {split!r}")
@@ -359,8 +354,6 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
     by_name = manifest.label_by_name
     declared = {name: by_name[name].id for name in entry.class_names}
     records = []
-    linenos = []
-    vectors = []
     lines = read_input(file_path, "task file", text=True).splitlines()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -368,31 +361,19 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
         try:
             record = _parse_record(line)
             sample_id = record["id"]
-            if block is None:
-                features = np.asarray(record["features"], dtype=np.float64)
             question = record["question"]
             answer_name = record["answer"]
-        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise DataError(f"{file_path}:{lineno}: malformed record: {exc}") from exc
         if not isinstance(sample_id, str):
             raise DataError(f"{file_path}:{lineno}: id {sample_id!r} is not a string")
         if not isinstance(question, str):
             raise DataError(f"{file_path}:{lineno}: question {question!r} is not a string")
-        if block is not None:
-            if "features" in record:
-                raise DataError(
-                    f"{file_path}:{lineno}: record carries features, but the "
-                    f"split's features are in the block {block.file!r}"
-                )
-        elif features.shape != (manifest.feature_length,):
+        if "features" in record:
             raise DataError(
-                f"{file_path}:{lineno}: features of shape {features.shape}, "
-                f"stream declares {manifest.feature_length}"
+                f"{file_path}:{lineno}: record carries features, but the "
+                f"split's features are in the block {block.file!r}"
             )
-        elif not all(type(value) in _FEATURE_TYPES for value in record["features"]):
-            raise DataError(f"{file_path}:{lineno}: a feature value is not a number")
-        else:
-            vectors.append(features)
         if not isinstance(answer_name, str):
             raise DataError(f"{file_path}:{lineno}: answer {answer_name!r} is not a class name")
         answer = declared.get(answer_name)
@@ -405,19 +386,8 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
                 f"{file_path}:{lineno}: class {answer_name!r} is not declared "
                 f"for task {t}"
             )
-        linenos.append(lineno)
         records.append((sample_id, question, answer, answer_name))
-    if block is not None:
-        vectors = list(
-            _read_block(manifest.root, block, len(records), manifest.feature_length)
-        )
-    elif vectors:
-        # Checked once per file: per record, np.isfinite costs about 7% of
-        # parsing a 64-feature line.
-        finite = np.isfinite(np.stack(vectors)).all(axis=1)
-        if not finite.all():
-            lineno = linenos[int(np.argmin(finite))]
-            raise DataError(f"{file_path}:{lineno}: non-finite or null feature value")
+    vectors = _read_block(manifest.root, block, len(records), manifest.feature_length)
     samples = [
         Sample(sample_id, features, question, answer, answer_name)
         for (sample_id, question, answer, answer_name), features in zip(records, vectors)
@@ -426,25 +396,17 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
     return TaskDataset(task_index=t, samples=samples, classes=classes)
 
 
-def write_task(path, samples, block_path=None) -> dict | None:
-    """Emit samples as line-delimited JSON, one record per line.
-
-    With ``block_path``, the feature vectors go to that file instead,
-    as a feature block, and the records keep ``id``, ``question`` and
-    ``answer``.  Returns the block's ``bytes`` and ``sha256`` for its
-    manifest entry, or None without a block.
+def write_task(path, samples, block_path) -> dict:
+    """Emit a split: its records (``id``, ``question``, ``answer``) as
+    line-delimited JSON at ``path``, and its feature vectors as a feature
+    block at ``block_path``.  Returns the block's ``bytes`` and ``sha256``
+    for its manifest entry.
     """
-    lines = []
-    for s in samples:
-        record = {"id": s.id}
-        if block_path is None:
-            record["features"] = [float(x) for x in s.features]
-        record["question"] = s.question
-        record["answer"] = s.answer_name
-        lines.append(json.dumps(record) + "\n")
+    lines = (
+        json.dumps({"id": s.id, "question": s.question, "answer": s.answer_name}) + "\n"
+        for s in samples
+    )
     write_output(path, "".join(lines), "task file")
-    if block_path is None:
-        return None
     data = np.array([s.features for s in samples], dtype=BLOCK_DTYPE).tobytes()
     write_output(block_path, data, "feature block")
     return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}

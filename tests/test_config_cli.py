@@ -406,15 +406,7 @@ class TestCliRun:
         assert code == 4
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("features", 5),
-            ("features", ["a", "a", "a", "a"]),
-            ("answer", [1]),
-            ("features", [None, 0.0, 0.0, 0.0]),
-        ],
-    )
+    @pytest.mark.parametrize("field, value", [("features", 5), ("answer", [1])])
     def test_malformed_task_record_exits_3(self, cli_workspace, tmp_path, capsys,
                                            field, value):
         stream = tmp_path / "stream"
@@ -456,6 +448,26 @@ class TestCliRun:
         )
         assert code == 3
         assert str(fixture) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, key", [(2, "train_features"), (1, "test_features")])
+    def test_manifest_task_without_a_feature_block_exits_3(self, cli_workspace, tmp_path,
+                                                          capsys, task, key):
+        stream = tmp_path / "stream"
+        shutil.copytree(cli_workspace / "stream", stream)
+        manifest = stream / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        del payload["tasks"][task - 1][key]
+        manifest.write_text(json.dumps(payload))
+        code = main(
+            [
+                "run", str(cli_workspace / "run.json"), "--manifest", str(manifest),
+                "--epochs", "1", "--output-dir", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{manifest}: task {task} {key} is missing" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "mutate",
@@ -805,14 +817,27 @@ class TestCliInspectWeights:
         chis = [float(line.split()[2]) for line in lines[1:]]
         assert chis == sorted(chis)
 
-    def test_bad_sweep_spec_exits_2(self, capsys):
-        code = main(
-            [
-                "inspect-weights", "--acc-prev", "0.5", "--acc-llm", "0.5",
-                "--sweep-ir", "1:2", "--log-base", "4.0",
-            ]
-        )
-        assert code == 2
+    def test_bad_sweep_spec_exits_2(self, capsys, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was built before START and STOP were checked")
+
+        monkeypatch.setattr("mtcl.cli.np.linspace", no_grid)
+        for spec, message in [
+            ("1:2", "expects START:STOP:COUNT"),
+            ("1:1e309:3", "START and STOP must be finite"),
+            ("inf:inf:2", "START and STOP must be finite"),
+            ("nan:2:3", "START and STOP must be finite"),
+        ]:
+            code = main(
+                [
+                    "inspect-weights", "--acc-prev", "0.5", "--acc-llm", "0.5",
+                    "--sweep-ir", spec, "--class-count", "5",
+                ]
+            )
+            assert code == 2
+            captured = capsys.readouterr()
+            assert f"--sweep-ir {message}" in captured.err
+            assert captured.out == ""
 
     @pytest.mark.parametrize(
         "flags, field",
