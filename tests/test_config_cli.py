@@ -817,27 +817,32 @@ class TestCliInspectWeights:
         chis = [float(line.split()[2]) for line in lines[1:]]
         assert chis == sorted(chis)
 
-    def test_bad_sweep_spec_exits_2(self, capsys, monkeypatch):
-        def no_grid(*args, **kwargs):
-            raise AssertionError("the grid was built before START and STOP were checked")
-
-        monkeypatch.setattr("mtcl.cli.np.linspace", no_grid)
-        for spec, message in [
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
             ("1:2", "expects START:STOP:COUNT"),
+            ("a:2:3", "expects START:STOP:COUNT"),
+            ("1:2:-1", "COUNT must be in"),
             ("1:1e309:3", "START and STOP must be finite"),
             ("inf:inf:2", "START and STOP must be finite"),
             ("nan:2:3", "START and STOP must be finite"),
-        ]:
-            code = main(
-                [
-                    "inspect-weights", "--acc-prev", "0.5", "--acc-llm", "0.5",
-                    "--sweep-ir", spec, "--class-count", "5",
-                ]
-            )
-            assert code == 2
-            captured = capsys.readouterr()
-            assert f"--sweep-ir {message}" in captured.err
-            assert captured.out == ""
+        ],
+    )
+    def test_bad_sweep_spec_exits_2(self, capsys, monkeypatch, spec, message):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid was built before the spec was checked")
+
+        monkeypatch.setattr("mtcl.cli.np.linspace", no_grid)
+        code = main(
+            [
+                "inspect-weights", "--acc-prev", "0.5", "--acc-llm", "0.5",
+                "--sweep-ir", spec, "--class-count", "5",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"--sweep-ir {message}" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "flags, field",

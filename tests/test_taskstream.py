@@ -311,6 +311,15 @@ class TestManifestValidation:
         with pytest.raises(DataError, match="must be a file name"):
             load_manifest(write_stream(tmp_path, rename))
 
+    @pytest.mark.parametrize("task", [1, 2])
+    @pytest.mark.parametrize("key", ["train_features", "test_features"])
+    def test_task_without_a_feature_block_rejected(self, tmp_path, key, task):
+        def strip(payload):
+            del payload["tasks"][task - 1][key]
+
+        with pytest.raises(DataError, match=f"task {task} {key} is missing"):
+            load_manifest(write_stream(tmp_path, strip))
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text("{ nope", encoding="utf-8")
@@ -529,6 +538,24 @@ class TestFeatureBlocks:
         path = write_stream(tmp_path, retype)
         with pytest.raises(DataError, match="task 1 train_features"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("field", ["file", "bytes", "sha256"])
+    def test_block_entry_without_a_field_rejected(self, tmp_path, field):
+        def strip(payload):
+            del payload["tasks"][0]["train_features"][field]
+
+        with pytest.raises(DataError, match=f"malformed: KeyError\\('{field}'\\)"):
+            load_manifest(write_stream(tmp_path, strip))
+
+    def test_write_task_returns_the_entry_of_the_block_it_wrote(self, tmp_path):
+        samples = load_task(load_manifest(write_stream(tmp_path)), 1).samples
+        entry = write_task(tmp_path / "copy.jsonl", samples, tmp_path / "copy.f64")
+        data = (tmp_path / "copy.f64").read_bytes()
+        assert entry == {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+        assert data == (tmp_path / "task1.train.f64").read_bytes()
+        assert (tmp_path / "copy.jsonl").read_bytes() == (
+            tmp_path / "task1.train.jsonl"
+        ).read_bytes()
 
     def test_huge_declared_size_allocates_nothing_for_it(self, tmp_path):
         def inflate(payload):
@@ -752,6 +779,31 @@ PACKAGED_STREAM_DIGESTS = {
 }
 
 
+# SHA-256 of the JSON (sorted keys) of tree_digest's listing, for more
+# generator settings: the defaults, full overlap without shift, no overlap,
+# and the wide stream of perfbench/inputs.py.
+GENERATOR_GOLDEN = {
+    "defaults": (
+        GeneratorConfig(), 0,
+        "4a1142afdafbc28f09e5d43bf333be80f64f859d2a64edb096bafa37787e93c3",
+    ),
+    "full-overlap-no-shift": (
+        GeneratorConfig(overlap=1.0, shift=0.0), 0,
+        "58bd107d339c7672390c1e9d4b330753c320aee0d30b8191e555f4d6ab832ee9",
+    ),
+    "no-overlap": (
+        GeneratorConfig(overlap=0.0), 0,
+        "576925479b9326169a4e878ac17349d622fd1fde6f57915f7c9676f0431aa9df",
+    ),
+    "wide": (
+        GeneratorConfig(tasks=6, classes_per_task=10, feature_length=64,
+                        samples_per_task=3000, imbalance=8.0, overlap=0.3, shift=8.0,
+                        cluster_std=1.0),
+        17,
+        "fe21c9caa04cd2ab071c271fb820cab320d143e59e8bf47c966f4e34533177ea",
+    ),
+}
+
 @pytest.fixture(scope="module")
 def generated(tmp_path_factory):
     out = tmp_path_factory.mktemp("stream")
@@ -774,6 +826,13 @@ class TestGeneratedStream:
         seed = params.pop("seed")
         generate_synthetic_stream(GeneratorConfig(**params), seed, tmp_path)
         assert tree_digest(tmp_path) == PACKAGED_STREAM_DIGESTS
+
+    @pytest.mark.parametrize("name", sorted(GENERATOR_GOLDEN))
+    def test_generator_output_matches_its_golden_digest(self, tmp_path, name):
+        cfg, seed, digest = GENERATOR_GOLDEN[name]
+        generate_synthetic_stream(cfg, seed, tmp_path)
+        listing = json.dumps(tree_digest(tmp_path), sort_keys=True).encode()
+        assert hashlib.sha256(listing).hexdigest() == digest
 
     def test_different_seed_changes_output(self, tmp_path):
         a = tmp_path / "a"
