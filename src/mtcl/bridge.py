@@ -182,7 +182,7 @@ def scores_to_logits(scores: np.ndarray, labels: TokenizedLabelSet) -> np.ndarra
     inverting it would also order candidates correctly, but inversion is
     the implemented contract.)
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.asarray(scores)
     if scores.ndim != 3:
         raise DimensionMismatchError(
             f"expected a (candidates, positions, vocab) tensor, got shape {scores.shape}"
@@ -193,9 +193,10 @@ def scores_to_logits(scores: np.ndarray, labels: TokenizedLabelSet) -> np.ndarra
             f"score tensor {scores.shape} does not match token table "
             f"({labels.count}, {labels.width}) over vocabulary of {labels.vocab_size}"
         )
+    # Checked before the float64 cast, which warns on a signalling NaN.
     if not np.isfinite(scores).all():
         raise NumericError("score tensor contains non-finite values")
-    flat = scores.reshape(n * width, vocab_size)
+    flat = scores.reshape(n * width, vocab_size).astype(np.float64, copy=False)
     peak = flat.max(axis=1)
     lse = peak + np.log(np.exp(flat - peak[:, None]).sum(axis=1))
     nll = lse - flat[np.arange(flat.shape[0]), labels.token_ids.ravel()]

@@ -12,7 +12,7 @@ Commands:
 * ``eval``: score a saved checkpoint against one task split.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 teacher
-communication error, 5 numeric failure.
+communication error, 5 numeric failure, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -272,6 +272,9 @@ def main(argv=None) -> int:
     except MtclError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def entrypoint() -> None:

@@ -480,10 +480,14 @@ def evaluate(model: StudentModel, dataset: TaskDataset, inputs: np.ndarray) -> t
     """
     if not dataset.samples:
         raise DataError(f"dataset for task {dataset.task_index} is empty")
-    head_ids = set(model.class_ids)
-    missing = [c.name for c in dataset.classes if c.id not in head_ids]
+    head_names = dict(zip(model.class_ids, model.class_names))
+    missing = [c.name for c in dataset.classes if c.id not in head_names]
     if missing:
         raise DataError(f"model head does not cover classes {missing}")
+    renamed = [f"{c.id} ({head_names[c.id]!r} in the head, {c.name!r} in the data)"
+               for c in dataset.classes if head_names[c.id] != c.name]
+    if renamed:
+        raise DataError(f"model head names class ids differently: {', '.join(renamed)}")
     logits = model.forward(inputs)
     # Each class is counted in the slot of its rank among the head's ids,
     # so the counts take one slot per head class whatever the ids are.
@@ -521,8 +525,9 @@ def run_continual(
     so far plus an average row (each held-out split is encoded once, when
     it is loaded); the frozen copy of the student becomes
     the previous-model teacher for task t + 1.  With ``run_dir`` set,
-    checkpoints, the metrics table, and the weight trace are written
-    there.
+    each task's checkpoint is written there, then the metrics table and
+    the weight trace are rewritten whole with every row so far, so a run
+    that stops keeps the results of the tasks it finished.
     """
     student = StudentModel(
         settings.seed, manifest.feature_length, len(manifest.vocab) + 1,
@@ -559,9 +564,8 @@ def run_continual(
                 os.path.join(run_dir, f"checkpoint_t{t}.bin"),
                 student, t, trace, config_digest,
             )
-    if run_dir is not None:
-        write_metrics_csv(os.path.join(run_dir, "metrics.csv"), rows)
-        trace.write_csv(os.path.join(run_dir, "weight_trace.csv"))
+            write_metrics_csv(os.path.join(run_dir, "metrics.csv"), rows)
+            trace.write_csv(os.path.join(run_dir, "weight_trace.csv"))
     return rows, trace, student
 
 

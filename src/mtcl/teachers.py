@@ -8,7 +8,8 @@ one logit row per sample over the candidates.  Backends:
   binary fixture file, pushing them through the embedding-to-logits
   bridge.  Used for offline runs and reproducible tests.
 * ``ServiceTeacher`` queries an HTTP endpoint over one persistent
-  connection, one request per sample; it opens the connection and reads
+  connection, one request per sample, and pushes the token scores of
+  each reply through the same bridge; it opens the connection and reads
   the replies itself (``_read_reply``).  A score table's requests go out
   in windows of up to ``MAX_UNANSWERED_BYTES``, each window in one write
   once the previous one is answered; timeouts and connection failures
@@ -279,38 +280,28 @@ class ServiceTeacher(Teacher):
     """Talks to a scoring service over one persistent HTTP connection.
 
     Each sample is one request with its own request id, which the reply
-    must echo.  Requests are pipelined in whole windows: as many as fit
-    in ``MAX_UNANSWERED_BYTES`` (at least one) go out in one write, and
-    the next window is written once all their replies are read.  A
-    window holds one request until a reply has shown that the connection
-    stays open.  The replies are read by ``_read_reply``.  A timeout or
-    connection failure closes the connection and resends every
+    must echo; the reply's token scores go through the bridge, as the
+    fixture teacher's do.  Requests are pipelined in whole windows: as
+    many as fit in ``MAX_UNANSWERED_BYTES`` (at least one) go out in one
+    write, and the next window is written once all their replies are
+    read.  A window holds one request until a reply has shown that the
+    connection stays open.  The replies are read by ``_read_reply``.  A
+    timeout or connection failure closes the connection and resends every
     unanswered request, with the same ids, on a fresh one; that counts
     in ``retry_count`` unless the failed connection had already
     delivered a reply.  A malformed reply is an error the caller must
     see.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        vocab: Vocabulary = None,
-        want: str = "embeddings",
-        timeout: float = 10.0,
-        retries: int = 2,
-    ):
+    def __init__(self, base_url: str, vocab: Vocabulary, timeout: float = 10.0,
+                 retries: int = 2):
         super().__init__()
-        if want not in ("embeddings", "logits"):
-            raise DataError(f"want must be 'embeddings' or 'logits', got {want!r}")
-        if want == "embeddings" and vocab is None:
-            raise DataError("embeddings mode needs a vocabulary for the token targets")
         timeout = _checked("timeout", timeout,
                            lambda v: is_finite_number(v) and 0.0 < v <= threading.TIMEOUT_MAX,
                            f"a number of seconds in (0, {threading.TIMEOUT_MAX:g}]")
         self.retries = _checked("retries", retries, lambda v: is_integer(v) and v >= 0,
                                 "an integer >= 0")
         self.vocab = vocab
-        self.want = want
         self._host, self._port, self._tls, self._head = _endpoint(base_url)
         self._timeout = timeout
         self._sock = self._reader = None  # the open connection and its buffered reader
@@ -340,11 +331,11 @@ class ServiceTeacher(Teacher):
 
     def score_table(self, samples, mask_names) -> np.ndarray:
         mask_names = _candidates(mask_names)
-        labels = None if self.want == "logits" else tokenize_labels(self.vocab, mask_names)
-        table = np.empty((len(samples), len(mask_names)))
+        labels = tokenize_labels(self.vocab, mask_names)
+        table = np.empty((len(samples), labels.count))
         try:
             for i, (request_id, reply) in enumerate(self._replies(samples, mask_names)):
-                table[i] = self._logits(request_id, reply, mask_names, labels)
+                table[i] = self._logits(request_id, reply, labels)
         except BaseException:
             self.close()  # replies to unanswered requests may still arrive on it
             raise
@@ -361,7 +352,7 @@ class ServiceTeacher(Teacher):
             "question": sample.question,
             "features": np.asarray(sample.features, dtype=np.float64).tolist(),
             "candidate_labels": list(mask_names),
-            "want": self.want,
+            "want": "embeddings",
         }).encode("utf-8")
         return request_id, self._head + b"%d\r\n\r\n" % len(body) + body
 
@@ -421,9 +412,9 @@ class ServiceTeacher(Teacher):
                 raise TeacherProtocolError(f"teacher endpoint returned HTTP {status}")
             yield request_id, reply
 
-    def _logits(self, request_id: str, reply: bytes, mask_names, labels) -> np.ndarray:
-        """The candidates' logits in one reply body; ``labels`` are the
-        tokenized candidates, or None when the service sends logits."""
+    def _logits(self, request_id: str, reply: bytes, labels: TokenizedLabelSet) -> np.ndarray:
+        """The logits of the tokenized candidates ``labels`` from the token
+        scores in one reply body."""
         payload = parse_json(reply, TeacherProtocolError, "teacher endpoint returned invalid JSON")
         try:
             echoed = payload["request_id"]
@@ -446,14 +437,7 @@ class ServiceTeacher(Teacher):
             raise TeacherDimensionError(
                 f"payload holds {len(raw)} bytes, dims {dims} require {4 * count}"
             )
-        values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        if self.want == "logits":
-            if dims != [len(mask_names)]:
-                raise TeacherDimensionError(
-                    f"logits dims {dims} do not match {len(mask_names)} candidates"
-                )
-            return values
-        return _bridge(values, dims, labels, "service embedding payload")
+        return _bridge(np.frombuffer(raw, dtype="<f4"), dims, labels, "service embedding payload")
 
 
 class NoisyOracleTeacher(Teacher):
@@ -493,26 +477,37 @@ class NoisyOracleTeacher(Teacher):
         return table
 
 
+# The fields each teacher kind takes besides ``kind``.
+_TEACHER_FIELDS = {"fixture": ("path",), "service": ("base_url", "timeout", "retries"),
+                   "noisy-oracle": ("accuracy", "seed")}
+
+
 def teacher_from_config(
     spec: dict, vocab: Vocabulary = None, default_seed: int = None
 ) -> Teacher:
     """Build a teacher from its JSON description.
 
     ``spec["kind"]`` selects the backend: ``fixture`` (path), ``service``
-    (base_url, optional want, timeout, retries), or ``noisy-oracle``
-    (accuracy, optional seed falling back to ``default_seed``).  A
-    missing or ill-typed field is a DataError naming it.
+    (base_url, optional timeout, retries), or ``noisy-oracle`` (accuracy,
+    optional seed falling back to ``default_seed``); the first two need
+    ``vocab``.  An unknown kind or field, or a missing or ill-typed one,
+    is a DataError naming it.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise DataError(f"teacher description must be an object with a 'kind': {spec!r}")
     kind = spec["kind"]
-    if kind == "fixture":
-        if vocab is None:
-            raise DataError("fixture teacher needs a vocabulary")
-        return FixtureTeacher(spec.get("path"), vocab)
-    if kind == "service":
-        options = {key: spec[key] for key in ("want", "timeout", "retries") if key in spec}
-        return ServiceTeacher(spec.get("base_url"), vocab=vocab, **options)
+    if not isinstance(kind, str) or kind not in _TEACHER_FIELDS:
+        raise DataError(f"unknown teacher kind {kind!r}")
+    fields = _TEACHER_FIELDS[kind]
+    if unknown := [key for key in spec if key not in ("kind", *fields)]:
+        raise DataError(
+            f"{kind} teacher has no field {unknown[0]!r}; it takes {', '.join(fields)}"
+        )
     if kind == "noisy-oracle":
         return NoisyOracleTeacher(spec.get("seed", default_seed), spec.get("accuracy"))
-    raise DataError(f"unknown teacher kind {kind!r}")
+    if vocab is None:
+        raise DataError(f"{kind} teacher needs a vocabulary")
+    if kind == "fixture":
+        return FixtureTeacher(spec.get("path"), vocab)
+    options = {key: spec[key] for key in fields[1:] if key in spec}
+    return ServiceTeacher(spec.get("base_url"), vocab, **options)

@@ -7,6 +7,7 @@ implementation.  It is written before the tests that rely on it.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -233,12 +234,19 @@ class TestScoresToLogits:
             scores_to_logits(np.zeros((3, 3)), labels)
 
     def test_nonfinite_scores_rejected(self):
+        """Also a float32 signalling NaN, as a fixture or service payload
+        can carry, without the warning a float64 cast of it gives."""
         rng = np.random.default_rng(2008)
         labels = random_label_set(rng, 2, 2, 3)
         scores = np.zeros((2, 2, 3))
         scores[0, 0, 0] = np.inf
-        with pytest.raises(NumericError):
-            scores_to_logits(scores, labels)
+        signalling = np.zeros((2, 2, 3), dtype="<f4")
+        signalling.view("<u4")[1, 1, 2] = 0x7FA00000
+        for bad in (scores, signalling):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericError):
+                    scores_to_logits(bad, labels)
 
 
 class TestFixtureFormat:

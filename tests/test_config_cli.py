@@ -4,18 +4,21 @@ import ast
 import json
 import os
 import shutil
+import signal
 import socket
 import struct
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import read_metrics_csv
 
 import mtcl
-from mtcl.bridge import FIXTURE_MAGIC, FIXTURE_VERSION
+from mtcl.bridge import FIXTURE_MAGIC, FIXTURE_VERSION, tokenize_labels, write_fixture
 from mtcl.cli import main
 from mtcl.config import (
     OUTPUT_ROOT_ENV,
@@ -35,7 +38,13 @@ from mtcl.errors import (
     TeacherTimeoutError,
     exit_code_for,
 )
-from mtcl.taskstream import GeneratorConfig, LabelClass, generate_synthetic_stream
+from mtcl.taskstream import (
+    GeneratorConfig,
+    LabelClass,
+    generate_synthetic_stream,
+    load_manifest,
+    load_task,
+)
 from mtcl.weights import WeightTrace
 
 
@@ -612,6 +621,32 @@ class TestCliRun:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
+        "spec, field, accepted",
+        [
+            ({"kind": "fixture", "path": "scores.bin", "vocab": "vocab.txt"}, "vocab",
+             "path"),
+            ({"kind": "service", "base_url": "http://127.0.0.1:1", "want": "logits"}, "want",
+             "base_url, timeout, retries"),
+            ({"kind": "noisy-oracle", "accuracy": 0.7, "sead": 5}, "sead", "accuracy, seed"),
+        ],
+        ids=["fixture", "service", "noisy-oracle"],
+    )
+    def test_unknown_teacher_field_exits_3(self, cli_workspace, tmp_path, capsys,
+                                           monkeypatch, spec, field, accepted):
+        """A misspelt or retired field (such as the service's old ``want``)
+        stops the run before any file or socket is used."""
+        def no_file(path):
+            raise AssertionError(f"fixture {path!r} was opened")
+
+        monkeypatch.setattr("mtcl.teachers.read_fixture", no_file)
+        config = self.write_config(cli_workspace, tmp_path, llm_teacher=spec)
+        code = main(["run", str(config), "--output-dir", str(tmp_path / "x")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{spec['kind']} teacher has no field '{field}'; it takes {accepted}" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
         "url",
         [
             "http://",
@@ -694,6 +729,90 @@ class TestCliRun:
         assert code == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["llm_teacher"] == {"kind": "fixture", "path": str(missing)}
+
+
+class TestRunInterrupted:
+    """A run that stops after a finished task keeps that task's results."""
+
+    def test_teacher_failure_keeps_the_finished_tasks(self, tmp_path, capsys):
+        """A fixture teacher without task 3's samples stops the run at task
+        3 (exit 3); its metrics and weight trace are the first rows of
+        the full run's."""
+        stream = GeneratorConfig(tasks=3, classes_per_task=2, feature_length=4,
+                                 samples_per_task=40, imbalance=2.0, shift=2.0)
+        manifest_path = generate_synthetic_stream(stream, seed=5, out_dir=tmp_path / "stream")
+        manifest = load_manifest(manifest_path)
+        rng = np.random.default_rng(7)
+        records, head = {}, []
+        for entry in manifest.tasks:
+            head += [name for name in entry.class_names if name not in head]
+            labels = tokenize_labels(manifest.vocab, head)
+            for sample in load_task(manifest, entry.index, "train").samples:
+                records[sample.id] = rng.normal(
+                    size=(labels.count, labels.width, labels.vocab_size)
+                ).astype(np.float32)
+        write_fixture(tmp_path / "full.bin", records)
+        write_fixture(tmp_path / "short.bin",
+                      {key: value for key, value in records.items() if key[:3] != "t3-"})
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "manifest": str(manifest_path), "mode": "ours", "seed": 5,
+            "optimizer": {"epochs": 2, "batch_size": 16},
+            "model": {"hidden1": 8, "hidden2": 8},
+            "llm_teacher": {"kind": "noisy-oracle", "accuracy": 0.8},
+        }))
+        codes = [
+            main(["run", str(config), "--fixture", str(tmp_path / f"{name}.bin"),
+                  "--output-dir", str(tmp_path / name)])
+            for name in ("full", "short")
+        ]
+        assert codes == [0, 3]
+        assert "fixture has no score tensor for sample 't3-" in capsys.readouterr().err
+        short, full = tmp_path / "short", tmp_path / "full"
+        assert not (short / "checkpoint_t3.bin").exists()
+        assert {r.t for r in read_metrics_csv(short / "metrics.csv")} == {1, 2}
+        assert len((short / "weight_trace.csv").read_text().splitlines()) == 1 + 2
+        for name in ("metrics.csv", "weight_trace.csv"):
+            assert (full / name).read_bytes().startswith((short / name).read_bytes()), name
+
+    def test_ctrl_c_exits_130_without_a_traceback(self, tmp_path):
+        stream = GeneratorConfig(tasks=3, classes_per_task=3, feature_length=8,
+                                 samples_per_task=300)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "manifest": str(generate_synthetic_stream(stream, seed=5, out_dir=tmp_path / "s")),
+            "mode": "ft", "seed": 5,
+            # About a second per task, so the run is still going when the signal lands.
+            "optimizer": {"epochs": 400, "batch_size": 16},
+            "model": {"hidden1": 16, "hidden2": 16},
+        }))
+        out = tmp_path / "out"
+        src = Path(mtcl.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mtcl", "run", str(config), "--output-dir", str(out)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            # The weight trace is the last file task 1 writes, after its checkpoint.
+            while not (out / "weight_trace.csv").exists():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 130, err
+        assert "Traceback" not in err
+        assert err == "interrupted\n"
+        assert list(out.glob("*.tmp")) == []
+        assert (out / "checkpoint_t1.bin").exists()
+        assert not (out / "checkpoint_t3.bin").exists()
+        rows = read_metrics_csv(out / "metrics.csv")
+        assert [row.dataset for row in rows if row.t == 1] == ["task1", "Avg."]
 
 
 class TestCliGenerate:
@@ -930,6 +1049,31 @@ class TestCliEval:
         printed = capsys.readouterr().out
         assert "task1 (test)" in printed
         assert "accuracy=" in printed
+
+    def test_class_names_that_differ_from_the_head_exit_3(
+        self, cli_workspace, tmp_path, capsys
+    ):
+        """A manifest that gives ids 0 and 1 each other's names is not the
+        one the checkpoint was trained on: scoring it would count right
+        answers as wrong."""
+        out = tmp_path / "run"
+        assert main(["run", str(cli_workspace / "run.json"), "--output-dir", str(out)]) == 0
+        stream = tmp_path / "stream"
+        shutil.copytree(cli_workspace / "stream", stream)
+        manifest = stream / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        first, second = payload["labels"][:2]
+        assert (first["id"], second["id"]) == (0, 1)
+        for key in ("name", "tokens"):
+            first[key], second[key] = second[key], first[key]
+        manifest.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(out / "checkpoint_t2.bin"),
+                     "--manifest", str(manifest), "--task", "1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "model head names class ids differently" in err
+        assert f"0 ({second['name']!r} in the head, {first['name']!r} in the data)" in err
 
     def test_corrupt_checkpoint_exits_3(self, cli_workspace, tmp_path, capsys):
         good = tmp_path / "good.bin"

@@ -3,8 +3,9 @@
 Whole-file reads and JSON parses go through ``errors.read_input`` and
 ``errors.parse_json``, and a service teacher's HTTP replies through
 ``teachers._read_reply``; a damaged run config, checkpoint or service
-reply is a ConfigError (exit 2), DataError (exit 3) or TeacherQueryError
-(exit 4), never a traceback.  Every output file goes through
+reply is a ConfigError (exit 2), DataError (exit 3), TeacherQueryError
+(exit 4) or, for a token score that is not finite, NumericError (exit 5),
+never a traceback.  Every output file goes through
 ``errors.write_output``, whole or not at all.
 """
 
@@ -23,7 +24,8 @@ from hypothesis import strategies as st
 
 from mtcl.cli import main
 from mtcl.engine import StudentModel, save_checkpoint
-from mtcl.errors import DataError, TeacherQueryError, write_output
+from mtcl.bridge import build_vocabulary, tokenize_labels
+from mtcl.errors import DataError, NumericError, TeacherQueryError, write_output
 from mtcl.taskstream import LabelClass
 from mtcl.teachers import ServiceTeacher, _read_reply
 from mtcl.weights import WeightTrace
@@ -76,11 +78,18 @@ def with_header(header: bytes) -> bytes:
     return CHECKPOINT[:6] + struct.pack("<I", len(header)) + header + CHECKPOINT[10 + length:]
 
 
+LABELS = ("cut", "idle", "grasp")
+VOCAB = build_vocabulary(LABELS)
+TOKENIZED = tokenize_labels(VOCAB, LABELS)
+
+
 def reply_body() -> bytes:
-    values = np.array([0.5, -1.0, 2.0], dtype="<f4")
-    payload = base64.b64encode(values.tobytes()).decode("ascii")
+    """A service reply with token scores for ``LABELS``."""
+    rng = np.random.default_rng(5)
+    shape = (TOKENIZED.count, TOKENIZED.width, TOKENIZED.vocab_size)
+    payload = base64.b64encode(rng.normal(size=shape).astype("<f4").tobytes()).decode("ascii")
     return (
-        f'{{"request_id": "r-1", "dims": [3], "payload": "{payload}"}}'
+        f'{{"request_id": "r-1", "dims": {list(shape)}, "payload": "{payload}"}}'
     ).encode("ascii")
 
 
@@ -191,10 +200,10 @@ class TestDamagedInputs:
     @example(body=BIG_INTEGER)
     @example(body=NOT_UTF8 + reply_body())
     def test_service_reply(self, body):
-        teacher = ServiceTeacher("http://127.0.0.1:1", want="logits")
+        teacher = ServiceTeacher("http://127.0.0.1:1", VOCAB)
         try:
-            logits = teacher._logits("r-1", body, ("cut", "idle", "grasp"), None)
-        except TeacherQueryError:
+            logits = teacher._logits("r-1", body, TOKENIZED)
+        except (TeacherQueryError, NumericError):
             return
         assert logits.shape == (3,)
 
@@ -208,11 +217,11 @@ class TestDamagedInputs:
     def test_service_raw_reply(self, reply):
         """A damaged status line, header or body, then what the teacher
         makes of a reply that still reads."""
-        teacher = ServiceTeacher("http://127.0.0.1:1", want="logits")
+        teacher = ServiceTeacher("http://127.0.0.1:1", VOCAB)
         try:
             status, will_close, body = _read_reply(io.BufferedReader(io.BytesIO(reply)))
-            logits = teacher._logits("r-1", body, ("cut", "idle", "grasp"), None)
-        except (TeacherQueryError, OSError):
+            logits = teacher._logits("r-1", body, TOKENIZED)
+        except (TeacherQueryError, NumericError, OSError):
             return
         assert isinstance(status, int) and isinstance(will_close, bool)
         assert logits.shape == (3,)

@@ -5,6 +5,7 @@ import contextlib
 import http.client
 import io
 import json
+import math
 import os
 import re
 import socket
@@ -29,7 +30,7 @@ from mtcl.errors import (
     TeacherProtocolError,
     TeacherTimeoutError,
 )
-from mtcl.taskstream import GeneratorConfig, LabelClass, generate_synthetic_stream
+from mtcl.taskstream import GeneratorConfig, LabelClass, generate_synthetic_stream, load_manifest
 from mtcl.teachers import (
     MAX_UNANSWERED_BYTES,
     FixtureTeacher,
@@ -58,6 +59,12 @@ def tensor_for(vocab, labels, rng):
     return rng.normal(0.0, 1.5, size=(len(labels), table.width, len(vocab))).astype(
         np.float32
     )
+
+
+VOCAB = build_vocabulary(LABELS)
+# The token scores the service tests reply with, and the logits they make.
+TENSOR = tensor_for(VOCAB, LABELS, np.random.default_rng(3030))
+LOGITS = scores_to_logits(TENSOR.astype(np.float64), tokenize_labels(VOCAB, LABELS))
 
 
 class TestTeacherBase:
@@ -331,15 +338,6 @@ def embedding_response(body, tensor):
     }
 
 
-def logits_response(body):
-    values = np.array([0.5, -1.0, 2.0], dtype="<f4")
-    return {
-        "request_id": body["request_id"],
-        "dims": [3],
-        "payload": base64.b64encode(values.tobytes()).decode("ascii"),
-    }
-
-
 class TestServiceTeacher:
     def test_embedding_response_matches_fixture_teacher(
         self, mock_server, tmp_path
@@ -366,22 +364,14 @@ class TestServiceTeacher:
         assert body["want"] == "embeddings"
         assert online.retry_count == 0
 
-    def test_direct_logits_mode(self, mock_server):
-        values = np.array([0.25, -1.5, 3.0], dtype="<f4")
-
-        def behavior(path, body):
-            return 200, {
-                "request_id": body["request_id"],
-                "dims": [3],
-                "payload": base64.b64encode(values.tobytes()).decode("ascii"),
-            }
-
-        mock_server.behavior = behavior
+    def test_logits_reply_rejected(self, mock_server):
+        """A reply of one logit per candidate instead of token scores is a
+        TeacherDimensionError (exit 4)."""
+        mock_server.behavior = lambda path, body: (200, embedding_response(body, LOGITS))
         url = f"http://127.0.0.1:{mock_server.server_address[1]}"
-        teacher = ServiceTeacher(url, want="logits", timeout=2.0)
-        np.testing.assert_allclose(
-            teacher.query(make_sample(), LABELS), values.astype(np.float64), atol=1e-7
-        )
+        teacher = ServiceTeacher(url, VOCAB, timeout=2.0)
+        with pytest.raises(TeacherDimensionError, match=r"shape \(3,\), expected \(3, "):
+            teacher.query(make_sample(), LABELS)
 
     def test_vocab_size_mismatch_rejected(self, mock_server):
         vocab = build_vocabulary(LABELS)
@@ -394,15 +384,13 @@ class TestServiceTeacher:
 
     def test_payload_dims_disagreement_rejected(self, mock_server):
         def behavior(path, body):
-            return 200, {
-                "request_id": body["request_id"],
-                "dims": [3],
-                "payload": base64.b64encode(b"\x00" * 8).decode("ascii"),
-            }
+            # dims for three candidates over the payload of two.
+            return 200, {**embedding_response(body, TENSOR),
+                         "payload": embedding_response(body, TENSOR[:2])["payload"]}
 
         mock_server.behavior = behavior
         url = f"http://127.0.0.1:{mock_server.server_address[1]}"
-        teacher = ServiceTeacher(url, want="logits", timeout=2.0)
+        teacher = ServiceTeacher(url, VOCAB, timeout=2.0)
         with pytest.raises(TeacherDimensionError):
             teacher.query(make_sample(), LABELS)
 
@@ -414,49 +402,41 @@ class TestServiceTeacher:
              "bool", "negative"],
     )
     def test_dims_must_be_integers(self, mock_server, dims):
-        payload = base64.b64encode(b"\x00" * 12)
+        payload = embedding_response({"request_id": ""}, TENSOR)["payload"].encode()
         mock_server.behavior = lambda path, body: (
             200,
             b'{"request_id": "%s", "dims": %s, "payload": "%s"}'
             % (body["request_id"].encode(), dims, payload),
         )
         url = f"http://127.0.0.1:{mock_server.server_address[1]}"
-        teacher = ServiceTeacher(url, want="logits", timeout=2.0)
+        teacher = ServiceTeacher(url, VOCAB, timeout=2.0)
         with pytest.raises(TeacherProtocolError, match="dims") as caught:
             teacher.query(make_sample(), LABELS)
         assert type(caught.value) is TeacherProtocolError
 
     def test_huge_dims_are_counted_exactly(self, mock_server):
         def behavior(path, body):
-            return 200, {
-                "request_id": body["request_id"],
-                "dims": [2**40, 2**40],
-                "payload": base64.b64encode(b"\x00" * 12).decode("ascii"),
-            }
+            return 200, {**embedding_response(body, TENSOR), "dims": [2**40, 2**40]}
 
         mock_server.behavior = behavior
         url = f"http://127.0.0.1:{mock_server.server_address[1]}"
-        teacher = ServiceTeacher(url, want="logits", timeout=2.0)
+        teacher = ServiceTeacher(url, VOCAB, timeout=2.0)
         with pytest.raises(TeacherDimensionError, match=f"require {4 * 2**80}"):
             teacher.query(make_sample(), LABELS)
 
     def test_request_id_mismatch_rejected(self, mock_server):
         def behavior(path, body):
-            return 200, {
-                "request_id": "someone-else",
-                "dims": [3],
-                "payload": base64.b64encode(b"\x00" * 12).decode("ascii"),
-            }
+            return 200, {**embedding_response(body, TENSOR), "request_id": "someone-else"}
 
         mock_server.behavior = behavior
         url = f"http://127.0.0.1:{mock_server.server_address[1]}"
-        teacher = ServiceTeacher(url, want="logits", timeout=2.0)
+        teacher = ServiceTeacher(url, VOCAB, timeout=2.0)
         with pytest.raises(TeacherProtocolError):
             teacher.query(make_sample(), LABELS)
 
     def test_http_error_and_garbage_rejected(self, mock_server):
         url = f"http://127.0.0.1:{mock_server.server_address[1]}"
-        teacher = ServiceTeacher(url, want="logits", timeout=2.0)
+        teacher = ServiceTeacher(url, VOCAB, timeout=2.0)
         mock_server.behavior = lambda path, body: (503, {})
         with pytest.raises(TeacherProtocolError):
             teacher.query(make_sample(), LABELS)
@@ -471,28 +451,23 @@ class TestServiceTeacher:
         dead_port = probe.getsockname()[1]
         probe.close()
         teacher = ServiceTeacher(
-            f"http://127.0.0.1:{dead_port}", want="logits", timeout=0.2, retries=1
+            f"http://127.0.0.1:{dead_port}", VOCAB, timeout=0.2, retries=1
         )
         with pytest.raises(TeacherTimeoutError):
             teacher.query(make_sample(), LABELS)
 
     def test_retry_reuses_request_id(self, mock_server):
-        values = np.zeros(3, dtype="<f4")
         state = {"calls": 0}
 
         def behavior(path, body):
             state["calls"] += 1
             if state["calls"] == 1:
                 time.sleep(0.8)
-            return 200, {
-                "request_id": body["request_id"],
-                "dims": [3],
-                "payload": base64.b64encode(values.tobytes()).decode("ascii"),
-            }
+            return 200, embedding_response(body, TENSOR)
 
         mock_server.behavior = behavior
         url = f"http://127.0.0.1:{mock_server.server_address[1]}"
-        teacher = ServiceTeacher(url, want="logits", timeout=0.3, retries=2)
+        teacher = ServiceTeacher(url, VOCAB, timeout=0.3, retries=2)
         teacher.query(make_sample(), LABELS)
         assert len(mock_server.seen) == 2
         first_id = mock_server.seen[0][1]["request_id"]
@@ -500,17 +475,49 @@ class TestServiceTeacher:
         assert first_id == second_id
         assert teacher.retry_count == 1
 
+    def test_request_bytes_are_pinned(self, mock_server, monkeypatch):
+        """Every byte the client writes for one sample, its random request
+        id aside: the wire format an embeddings service reads."""
+        port = mock_server.server_address[1]
+        written = []
+        sendall = socket.socket.sendall
+
+        def recording(sock, data, *args):
+            if sock.getpeername()[1] == port:
+                written.append(bytes(data))
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", recording)
+        mock_server.behavior = lambda path, body: (200, embedding_response(body, TENSOR))
+        teacher = ServiceTeacher(f"http://127.0.0.1:{port}", VOCAB, timeout=2.0)
+        teacher.query(make_sample("s-0"), LABELS)
+        teacher.close()
+        request_id = mock_server.seen[0][1]["request_id"]
+        assert re.fullmatch(r"[0-9a-f]{8}-[0-9a-f]{4}-4[0-9a-f]{3}-[89ab][0-9a-f]{3}-[0-9a-f]{12}",
+                            request_id)
+        assert [data.replace(request_id.encode(), b"<uuid4>") for data in written] == [
+            b"POST /teacher/query HTTP/1.1\r\n"
+            b"Host: 127.0.0.1:%d\r\n" % port
+            + b"Accept-Encoding: identity\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: 208\r\n"
+            b"\r\n"
+            b'{"request_id": "<uuid4>", "sample_id": "s-0", "question": "what action is shown", '
+            b'"features": [0.1, -0.2, 0.3], "candidate_labels": ["cut", "idle", "grasp"], '
+            b'"want": "embeddings"}'
+        ]
+
     def test_base_url_path_prefix_kept(self, mock_server):
-        mock_server.behavior = lambda path, body: (200, logits_response(body))
+        mock_server.behavior = lambda path, body: (200, embedding_response(body, TENSOR))
         url = f"http://127.0.0.1:{mock_server.server_address[1]}/scoring/v1/"
-        ServiceTeacher(url, want="logits", timeout=2.0).query(make_sample(), LABELS)
+        ServiceTeacher(url, VOCAB, timeout=2.0).query(make_sample(), LABELS)
         assert mock_server.seen[0][0] == "/scoring/v1/teacher/query"
 
     def test_connection_closed_while_idle_is_resent(self):
         with serving(_IdleCloseHandler) as server:
-            server.behavior = lambda path, body: (200, logits_response(body))
+            server.behavior = lambda path, body: (200, embedding_response(body, TENSOR))
             url = f"http://127.0.0.1:{server.server_address[1]}"
-            teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=0)
+            teacher = ServiceTeacher(url, VOCAB, timeout=2.0, retries=0)
             teacher.query(make_sample("s-0"), LABELS)
             teacher.query(make_sample("s-1"), LABELS)
             teacher.close()
@@ -524,20 +531,20 @@ class TestServiceTeacher:
             b"Content-Length: 100\r\n\r\n{\"request_id\": "
         )
         with raw_reply(reply) as (url, received):
-            teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=2)
+            teacher = ServiceTeacher(url, VOCAB, timeout=2.0, retries=2)
             with pytest.raises(TeacherProtocolError):
                 teacher.query(make_sample(), LABELS)
         assert len(received) == 1
 
     def test_chunked_reply_gives_the_same_logits(self, monkeypatch):
         monkeypatch.setattr("mtcl.teachers.uuid.uuid4", lambda: "r-1")
-        body = json.dumps(logits_response({"request_id": "r-1"})).encode()
+        body = json.dumps(embedding_response({"request_id": "r-1"}, TENSOR)).encode()
         chunked = b"".join(b"%x\r\n%s\r\n" % (len(part), part)
                            for part in (body[:10], body[10:])) + b"0\r\n\r\n"
 
         def query(reply):
             with raw_reply(reply) as (url, received):
-                teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=0)
+                teacher = ServiceTeacher(url, VOCAB, timeout=2.0, retries=0)
                 logits = teacher.query(make_sample(), LABELS)
                 teacher.close()
             return logits
@@ -550,7 +557,7 @@ class TestServiceTeacher:
 
     def test_malformed_status_line_fails_fast(self):
         with raw_reply(b"garbage instead of a status line\r\n\r\n") as (url, received):
-            teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=2)
+            teacher = ServiceTeacher(url, VOCAB, timeout=2.0, retries=2)
             with pytest.raises(TeacherProtocolError):
                 teacher.query(make_sample(), LABELS)
         assert len(received) == 1
@@ -558,20 +565,20 @@ class TestServiceTeacher:
 
     def test_invalid_base64_payload_rejected(self, mock_server):
         def behavior(path, body):
-            return 200, {"request_id": body["request_id"], "dims": [3], "payload": "@@@@"}
+            return 200, {**embedding_response(body, TENSOR), "payload": "@@@@"}
 
         mock_server.behavior = behavior
         url = f"http://127.0.0.1:{mock_server.server_address[1]}"
-        teacher = ServiceTeacher(url, want="logits", timeout=2.0)
+        teacher = ServiceTeacher(url, VOCAB, timeout=2.0)
         with pytest.raises(TeacherProtocolError):
             teacher.query(make_sample(), LABELS)
 
     def test_works_without_requests_installed(self, mock_server, monkeypatch):
         monkeypatch.setitem(sys.modules, "requests", None)
-        mock_server.behavior = lambda path, body: (200, logits_response(body))
+        mock_server.behavior = lambda path, body: (200, embedding_response(body, TENSOR))
         url = f"http://127.0.0.1:{mock_server.server_address[1]}"
-        teacher = ServiceTeacher(url, want="logits", timeout=2.0)
-        np.testing.assert_array_equal(teacher.query(make_sample(), LABELS), [0.5, -1.0, 2.0])
+        teacher = ServiceTeacher(url, VOCAB, timeout=2.0)
+        np.testing.assert_array_equal(teacher.query(make_sample(), LABELS), LOGITS)
 
 
 class _KeepAliveHandler(_Handler):
@@ -583,9 +590,9 @@ class _KeepAliveHandler(_Handler):
 class TestServiceTeacherLifetime:
     def test_close_releases_the_connection(self):
         with serving(_KeepAliveHandler) as server:
-            server.behavior = lambda path, body: (200, logits_response(body))
+            server.behavior = lambda path, body: (200, embedding_response(body, TENSOR))
             url = f"http://127.0.0.1:{server.server_address[1]}"
-            teacher = ServiceTeacher(url, want="logits", timeout=2.0)
+            teacher = ServiceTeacher(url, VOCAB, timeout=2.0)
             teacher.query(make_sample(), LABELS)
             assert teacher._sock is not None
             teacher.close()
@@ -611,14 +618,14 @@ class TestServiceTeacherLifetime:
 
         monkeypatch.setattr("mtcl.cli.teacher_from_config", recording)
 
+        vocab = load_manifest(manifest).vocab
+
         def behavior(path, body):
-            n = len(body["candidate_labels"])
-            values = np.linspace(-1.0, 1.0, n).astype("<f4")
-            return status, {
-                "request_id": body["request_id"],
-                "dims": [n],
-                "payload": base64.b64encode(values.tobytes()).decode("ascii"),
-            }
+            labels = tokenize_labels(vocab, body["candidate_labels"])
+            shape = (labels.count, labels.width, labels.vocab_size)
+            return status, embedding_response(
+                body, np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape)
+            )
 
         with serving(_KeepAliveHandler) as server:
             server.behavior = behavior
@@ -628,7 +635,7 @@ class TestServiceTeacherLifetime:
                 "optimizer": {"epochs": 1, "batch_size": 8},
                 "model": {"hidden1": 4, "hidden2": 4},
                 "llm_teacher": {
-                    "kind": "service", "want": "logits", "timeout": 5.0,
+                    "kind": "service", "timeout": 5.0,
                     "base_url": f"http://127.0.0.1:{server.server_address[1]}",
                 },
             }
@@ -649,12 +656,14 @@ import json, sys
 from types import SimpleNamespace
 
 import mtcl.cli
+from mtcl.bridge import build_vocabulary
 from mtcl.teachers import ServiceTeacher
 
 watched = ("socket", "http.client", "email.parser", "ssl")
 on_import = [name for name in watched if name in sys.modules]
-teacher = ServiceTeacher(sys.argv[1], want="logits", timeout=5.0, retries=0)
-teacher.query(SimpleNamespace(id="s-0", features=[0.1], question="q"), ["a", "b", "c"])
+labels = ["cut", "idle", "grasp"]
+teacher = ServiceTeacher(sys.argv[1], build_vocabulary(labels), timeout=5.0, retries=0)
+teacher.query(SimpleNamespace(id="s-0", features=[0.1], question="q"), labels)
 teacher.close()
 print(json.dumps([on_import, [name for name in watched if name in sys.modules]]))
 """
@@ -664,7 +673,7 @@ class TestServiceConnection:
     def test_import_budget(self):
         src = str(Path(mtcl.__file__).resolve().parents[1])
         with serving(_KeepAliveHandler) as server:
-            server.behavior = lambda path, body: (200, logits_response(body))
+            server.behavior = lambda path, body: (200, embedding_response(body, TENSOR))
             url = f"http://127.0.0.1:{server.server_address[1]}"
             done = subprocess.run(
                 [sys.executable, "-c", _IMPORT_BUDGET, url], capture_output=True, text=True,
@@ -678,9 +687,9 @@ class TestServiceConnection:
 
     def test_connection_sets_tcp_nodelay(self):
         with serving(_KeepAliveHandler) as server:
-            server.behavior = lambda path, body: (200, logits_response(body))
+            server.behavior = lambda path, body: (200, embedding_response(body, TENSOR))
             url = f"http://127.0.0.1:{server.server_address[1]}"
-            teacher = ServiceTeacher(url, want="logits", timeout=2.0)
+            teacher = ServiceTeacher(url, VOCAB, timeout=2.0)
             teacher.query(make_sample(), LABELS)
             nodelay = teacher._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
             teacher.close()
@@ -688,7 +697,7 @@ class TestServiceConnection:
 
     def test_https_to_a_plain_text_server_is_unreachable(self, mock_server):
         url = f"https://127.0.0.1:{mock_server.server_address[1]}"
-        teacher = ServiceTeacher(url, want="logits", timeout=0.5, retries=2)
+        teacher = ServiceTeacher(url, VOCAB, timeout=0.5, retries=2)
         with pytest.raises(TeacherTimeoutError, match="unreachable after 3 attempts"):
             teacher.query(make_sample(), LABELS)
         assert teacher.retry_count == 2
@@ -704,7 +713,7 @@ class TestServiceConnection:
             "optimizer": {"epochs": 1, "batch_size": 8},
             "model": {"hidden1": 4, "hidden2": 4},
             "llm_teacher": {
-                "kind": "service", "want": "logits", "timeout": 0.5, "retries": 1,
+                "kind": "service", "timeout": 0.5, "retries": 1,
                 "base_url": f"https://127.0.0.1:{mock_server.server_address[1]}",
             },
         }
@@ -754,7 +763,7 @@ def pipeline_server(version="HTTP/1.1", drop_after=None, chunk=1 << 16, pause=0.
 
     It answers the oldest unanswered request only after 50 ms without new
     bytes, so that whatever a client keeps in flight has arrived by then,
-    with ``logits_response``.  It records every connection's request
+    with ``embedding_response`` of ``TENSOR``.  It records every connection's request
     bodies, the most requests it ever held unanswered, and how many
     requests arrived after it had started answering the ones it held and
     before it had answered them all (``late``).  An HTTP/1.0
@@ -788,7 +797,7 @@ def pipeline_server(version="HTTP/1.1", drop_after=None, chunk=1 << 16, pause=0.
                 record.most_unanswered = max(record.most_unanswered, len(unanswered))
                 time.sleep(pause)
             elif unanswered:
-                body = json.dumps(logits_response(unanswered.pop(0))).encode()
+                body = json.dumps(embedding_response(unanswered.pop(0), TENSOR)).encode()
                 conn.sendall(
                     f"{version} 200 OK\r\nContent-Type: application/json\r\n"
                     f"Content-Length: {len(body)}\r\n\r\n".encode() + body
@@ -872,10 +881,10 @@ class TestServiceTeacherPipeline:
     def test_keep_alive_server_sees_requests_in_flight(self):
         samples = numbered_samples(12)
         with pipeline_server() as (url, record):
-            teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=0)
+            teacher = ServiceTeacher(url, VOCAB, timeout=2.0, retries=0)
             table = teacher.score_table(samples, LABELS)
             teacher.close()
-        np.testing.assert_array_equal(table, np.tile([0.5, -1.0, 2.0], (12, 1)))
+        np.testing.assert_array_equal(table, np.tile(LOGITS, (12, 1)))
         # Every request after the first fits in one window.
         assert record.most_unanswered == 11
         assert [body["sample_id"] for body in record.connections[0]] == [
@@ -888,10 +897,10 @@ class TestServiceTeacherPipeline:
         samples = numbered_samples(20)
         with pipeline_server() as (url, record):
             windows = recorded_windows(monkeypatch, url)
-            teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=0)
+            teacher = ServiceTeacher(url, VOCAB, timeout=2.0, retries=0)
             table = teacher.score_table(samples, LABELS)
             teacher.close()
-        np.testing.assert_array_equal(table, np.tile([0.5, -1.0, 2.0], (20, 1)))
+        np.testing.assert_array_equal(table, np.tile(LOGITS, (20, 1)))
         # One request until the first reply shows keep-alive, then whole windows.
         assert [count for count, _ in windows] == [1, 19]
         assert record.late == 0
@@ -909,7 +918,7 @@ class TestServiceTeacherPipeline:
         ]
         with pipeline_server() as (url, record):
             windows = recorded_windows(monkeypatch, url)
-            teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=0)
+            teacher = ServiceTeacher(url, VOCAB, timeout=2.0, retries=0)
             table = teacher.score_table(samples, LABELS)
             teacher.close()
         assert table.shape == (10, 3)
@@ -925,7 +934,7 @@ class TestServiceTeacherPipeline:
     def test_connection_dropped_mid_window_is_resent_free(self):
         samples = numbered_samples(12)
         with pipeline_server(drop_after=3) as (url, record):
-            teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=0)
+            teacher = ServiceTeacher(url, VOCAB, timeout=2.0, retries=0)
             table = teacher.score_table(samples, LABELS)
             teacher.close()
         assert table.shape == (12, 3)
@@ -947,7 +956,7 @@ class TestServiceTeacherPipeline:
     def test_http_1_0_server_gets_one_request_per_connection(self):
         samples = numbered_samples(4)
         with pipeline_server(version="HTTP/1.0") as (url, record):
-            teacher = ServiceTeacher(url, want="logits", timeout=2.0, retries=0)
+            teacher = ServiceTeacher(url, VOCAB, timeout=2.0, retries=0)
             table = teacher.score_table(samples, LABELS)
         assert table.shape == (4, 3)
         assert [[body["sample_id"] for body in c] for c in record.connections] == [
@@ -959,7 +968,7 @@ class TestServiceTeacherPipeline:
     def test_large_requests_to_a_slow_reader_go_one_at_a_time(self):
         samples = numbered_samples(3, features=20_000)
         with pipeline_server(chunk=16384, pause=0.001) as (url, record):
-            teacher = ServiceTeacher(url, want="logits", timeout=5.0, retries=0)
+            teacher = ServiceTeacher(url, VOCAB, timeout=5.0, retries=0)
             table = teacher.score_table(samples, LABELS)
             teacher.close()
         assert table.shape == (3, 3)
@@ -970,16 +979,16 @@ class TestServiceTeacherPipeline:
         samples = numbered_samples(10)
         with serving(_KeepAliveHandler) as server:
             server.behavior = lambda path, body: (
-                (503, {}) if body["sample_id"] == "s-4" else (200, logits_response(body))
+                (503, {}) if body["sample_id"] == "s-4" else (200, embedding_response(body, TENSOR))
             )
             url = f"http://127.0.0.1:{server.server_address[1]}"
-            teacher = ServiceTeacher(url, want="logits", timeout=2.0)
+            teacher = ServiceTeacher(url, VOCAB, timeout=2.0)
             with pytest.raises(TeacherProtocolError):
                 teacher.score_table(samples, LABELS)
             assert teacher._sock is None
             table = teacher.score_table(samples[:4], LABELS)
             teacher.close()
-        np.testing.assert_array_equal(table, np.tile([0.5, -1.0, 2.0], (4, 1)))
+        np.testing.assert_array_equal(table, np.tile(LOGITS, (4, 1)))
 
 
 def read_reply(data: bytes):
@@ -1172,8 +1181,12 @@ class TestTeacherFromConfig:
             teacher_from_config({"kind": "mystery"})
         with pytest.raises(DataError):
             teacher_from_config({"kind": "noisy-oracle", "accuracy": 0.7})
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="fixture teacher needs a vocabulary"):
             teacher_from_config({"kind": "fixture"})
+        with pytest.raises(DataError, match="service teacher needs a vocabulary"):
+            teacher_from_config({"kind": "service", "base_url": "http://127.0.0.1:1"})
+        with pytest.raises(DataError, match="unknown teacher kind"):
+            teacher_from_config({"kind": ["fixture"]})
         with pytest.raises(DataError):
             teacher_from_config("not an object")
 
