@@ -29,11 +29,29 @@ from .config import load_run_config
 from .engine import MODES, encode_inputs, evaluate, load_checkpoint, run_continual
 from .errors import ConfigError, MtclError, exit_code_for, write_output
 from .taskstream import GeneratorConfig, generate_synthetic_stream, load_manifest, load_task
-from .teachers import teacher_from_config
+from .teachers import check_teacher_spec, teacher_from_config
 from .weights import WeightConfig, assemble_weights, is_finite_number
 
 # Most grid points ``inspect-weights --sweep-ir`` tabulates.
 MAX_SWEEP_POINTS = 10**6
+# WeightConfig's fields; ``run`` and ``inspect-weights`` take a flag for each.
+WEIGHT_FIELDS = tuple(f.name for f in fields(WeightConfig))
+
+
+def _add_keyed_flags(parser, prefix: str, names, kind) -> None:
+    """``--name NAME`` for each of ``names``, setting the config key ``prefix + name``."""
+    for name in names:
+        flag = "--" + name.replace("_", "-")
+        parser.add_argument(flag, type=kind, dest=prefix + name, metavar=name.upper())
+
+
+def _teacher_entry(kind: str, field: str, convert):
+    """An argparse type turning a flag's value into an ``llm_teacher`` entry."""
+    def entry(text):
+        return {"kind": kind, field: convert(text)}
+
+    entry.__name__ = convert.__name__  # argparse's "invalid float value" names it
+    return entry
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,24 +68,23 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output-dir", help="override the output directory")
     run.add_argument("--seed", type=int, help="override the run seed")
     run.add_argument("--mode", choices=MODES, help="override the mode")
-    run.add_argument("--epochs", type=int)
-    run.add_argument("--batch-size", type=int)
-    run.add_argument("--learning-rate", type=float)
+    _add_keyed_flags(run, "optimizer.", ("epochs", "batch_size"), int)
+    _add_keyed_flags(run, "optimizer.", ("learning_rate",), float)
     run.add_argument("--temperature", type=float)
-    run.add_argument("--alpha", type=float)
-    run.add_argument("--theta-ds", type=float)
-    run.add_argument("--theta-di", type=float)
-    run.add_argument("--log-base", type=float)
-    run.add_argument(
-        "--oracle-accuracy", type=float,
-        help="use a noisy-oracle general teacher with this accuracy",
-    )
-    run.add_argument(
-        "--fixture", help="use a recorded score-fixture file as the general teacher"
-    )
-    run.add_argument(
-        "--service-url", help="use a remote scoring service as the general teacher"
-    )
+    _add_keyed_flags(run, "weights.", WEIGHT_FIELDS, float)
+    teacher = run.add_mutually_exclusive_group()
+    for flag, kind, field, convert, text in (
+        ("--oracle-accuracy", "noisy-oracle", "accuracy", float,
+         "use a noisy-oracle general teacher with this accuracy"),
+        ("--fixture", "fixture", "path", str,
+         "use a recorded score-fixture file as the general teacher"),
+        ("--service-url", "service", "base_url", str,
+         "use a remote scoring service as the general teacher"),
+    ):
+        teacher.add_argument(
+            flag, type=_teacher_entry(kind, field, convert), dest="llm_teacher",
+            metavar=flag[2:].replace("-", "_").upper(), help=text,
+        )
 
     gen = sub.add_parser("generate", help="write a synthetic task stream")
     gen.add_argument("--out", required=True, help="output directory")
@@ -87,10 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     insp.add_argument("--acc-prev", type=float, required=True)
     insp.add_argument("--acc-llm", type=float, required=True)
     insp.add_argument("--ir", type=float, default=1.0)
-    insp.add_argument("--alpha", type=float)
-    insp.add_argument("--theta-ds", type=float)
-    insp.add_argument("--theta-di", type=float)
-    insp.add_argument("--log-base", type=float)
+    _add_keyed_flags(insp, "", WEIGHT_FIELDS, float)
     insp.add_argument(
         "--class-count", type=int,
         help="derive the log base from this class count when --log-base is unset",
@@ -115,43 +129,11 @@ def _given_fields(args, config_class) -> dict:
     return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
 
 
-def _run_overrides(args) -> dict:
-    pairs = {
-        "manifest": args.manifest,
-        "output_dir": args.output_dir,
-        "seed": args.seed,
-        "mode": args.mode,
-        "temperature": args.temperature,
-        "optimizer.epochs": args.epochs,
-        "optimizer.batch_size": args.batch_size,
-        "optimizer.learning_rate": args.learning_rate,
-        "weights.alpha": args.alpha,
-        "weights.theta_ds": args.theta_ds,
-        "weights.theta_di": args.theta_di,
-        "weights.log_base": args.log_base,
-    }
-    overrides = {k: v for k, v in pairs.items() if v is not None}
-    teacher_flags = [
-        flag for flag in (args.oracle_accuracy, args.fixture, args.service_url)
-        if flag is not None
-    ]
-    if len(teacher_flags) > 1:
-        raise ConfigError(
-            "choose at most one of --oracle-accuracy, --fixture, --service-url"
-        )
-    if args.oracle_accuracy is not None:
-        overrides["llm_teacher"] = {
-            "kind": "noisy-oracle", "accuracy": args.oracle_accuracy,
-        }
-    elif args.fixture is not None:
-        overrides["llm_teacher"] = {"kind": "fixture", "path": args.fixture}
-    elif args.service_url is not None:
-        overrides["llm_teacher"] = {"kind": "service", "base_url": args.service_url}
-    return overrides
-
-
 def cmd_run(args) -> int:
-    cfg = load_run_config(args.config, _run_overrides(args))
+    # Every other attribute is a flag named by the config key it sets.
+    overrides = {key: value for key, value in vars(args).items() if value is not None}
+    del overrides["command"], overrides["config"]
+    cfg = load_run_config(args.config, overrides)
     manifest = load_manifest(cfg.manifest)
     settings = cfg.settings
     llm = None
@@ -159,6 +141,8 @@ def cmd_run(args) -> int:
         llm = teacher_from_config(
             cfg.llm_teacher, vocab=manifest.vocab, default_seed=settings.seed
         )
+    elif cfg.llm_teacher is not None:
+        check_teacher_spec(cfg.llm_teacher)  # recorded, never built
     out = cfg.resolved_output_dir()
     cfg.save(out / "resolved_config.json")
     run_info = {

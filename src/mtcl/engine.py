@@ -642,7 +642,7 @@ def load_checkpoint(path):
             ("seed", "feature_length", "question_length", "hidden1", "hidden2")
         )
         classes = [
-            LabelClass(int(cid), str(name), ())
+            LabelClass(int(cid), str(name))
             for cid, name in zip(header["class_ids"], header["class_names"], strict=True)
         ]
         feature_length, question_length, hidden1, hidden2 = widths

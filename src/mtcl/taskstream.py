@@ -55,11 +55,10 @@ IR_TOLERANCE = 0.1
 
 @dataclass(frozen=True)
 class LabelClass:
-    """One answer label: stable id, display name, token sequence."""
+    """One answer label: stable id and display name."""
 
     id: int
     name: str
-    tokens: tuple
 
 
 class Sample(NamedTuple):
@@ -207,13 +206,12 @@ def _parse_manifest(path: Path, payload) -> StreamManifest:
             raise DataError(
                 f"label ids must be 0..n-1 in order, found {entry['id']} at position {i}"
             )
-        tokens = tuple(entry["tokens"])
-        if tokens != tuple(vocab.encode(entry["name"])):
+        if tuple(entry["tokens"]) != tuple(vocab.encode(entry["name"])):
             raise DataError(
                 f"label {entry['name']!r} has token sequence inconsistent "
                 "with the vocabulary (manifest drift)"
             )
-        labels.append(LabelClass(id=i, name=entry["name"], tokens=tokens))
+        labels.append(LabelClass(id=i, name=entry["name"]))
     names = [c.name for c in labels]
     if len(set(names)) != len(names):
         raise DataError("label names must be unique across the stream")

@@ -437,7 +437,12 @@ class ServiceTeacher(Teacher):
             raise TeacherDimensionError(
                 f"payload holds {len(raw)} bytes, dims {dims} require {4 * count}"
             )
-        return _bridge(np.frombuffer(raw, dtype="<f4"), dims, labels, "service embedding payload")
+        values = np.frombuffer(raw, dtype="<f4")
+        # A service that sends NaN or infinity misbehaves (exit 4), where a
+        # recorded fixture holding one is a numeric failure of the bridge.
+        if not np.isfinite(values).all():
+            raise TeacherProtocolError("teacher response payload holds non-finite scores")
+        return _bridge(values, dims, labels, "service embedding payload")
 
 
 class NoisyOracleTeacher(Teacher):
@@ -482,16 +487,11 @@ _TEACHER_FIELDS = {"fixture": ("path",), "service": ("base_url", "timeout", "ret
                    "noisy-oracle": ("accuracy", "seed")}
 
 
-def teacher_from_config(
-    spec: dict, vocab: Vocabulary = None, default_seed: int = None
-) -> Teacher:
-    """Build a teacher from its JSON description.
+def check_teacher_spec(spec) -> tuple[str, tuple]:
+    """The kind of the teacher description ``spec`` and the fields it takes.
 
-    ``spec["kind"]`` selects the backend: ``fixture`` (path), ``service``
-    (base_url, optional timeout, retries), or ``noisy-oracle`` (accuracy,
-    optional seed falling back to ``default_seed``); the first two need
-    ``vocab``.  An unknown kind or field, or a missing or ill-typed one,
-    is a DataError naming it.
+    An unknown kind, or a field that kind does not take, is a DataError
+    naming it; the field values are checked only where the teacher is built.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise DataError(f"teacher description must be an object with a 'kind': {spec!r}")
@@ -503,6 +503,21 @@ def teacher_from_config(
         raise DataError(
             f"{kind} teacher has no field {unknown[0]!r}; it takes {', '.join(fields)}"
         )
+    return kind, fields
+
+
+def teacher_from_config(
+    spec: dict, vocab: Vocabulary = None, default_seed: int = None
+) -> Teacher:
+    """Build a teacher from its JSON description.
+
+    ``spec["kind"]`` selects the backend: ``fixture`` (path), ``service``
+    (base_url, optional timeout, retries), or ``noisy-oracle`` (accuracy,
+    optional seed falling back to ``default_seed``); the first two need
+    ``vocab``.  An unknown kind or field (``check_teacher_spec``), or a
+    missing or ill-typed one, is a DataError naming it.
+    """
+    kind, fields = check_teacher_spec(spec)
     if kind == "noisy-oracle":
         return NoisyOracleTeacher(spec.get("seed", default_seed), spec.get("accuracy"))
     if vocab is None:

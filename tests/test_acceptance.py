@@ -130,7 +130,7 @@ def test_criterion_2_transform_oracle():
 @criterion("3: combined-loss gradient check")
 def test_criterion_3_gradient_check():
     model = StudentModel(21, 3, 4, 8, 8)
-    model.grow_head([LabelClass(i, f"k{i}", ()) for i in range(4)])
+    model.grow_head([LabelClass(i, f"k{i}") for i in range(4)])
     assert model.n_params <= 1000
     rng = np.random.default_rng(1003)
     x = rng.normal(size=(3, 7))

@@ -379,7 +379,7 @@ class TestCliRun:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_conflicting_teacher_flags_exit_2(self, cli_workspace, tmp_path):
+    def test_conflicting_teacher_flags_exit_2(self, cli_workspace, tmp_path, capsys):
         code = main(
             [
                 "run", str(cli_workspace / "run.json"),
@@ -388,6 +388,59 @@ class TestCliRun:
             ]
         )
         assert code == 2
+        err = capsys.readouterr().err
+        assert "--oracle-accuracy" in err and "--fixture" in err
+
+    def test_non_number_oracle_accuracy_exits_2(self, cli_workspace, tmp_path, capsys):
+        code = main(
+            [
+                "run", str(cli_workspace / "run.json"), "--oracle-accuracy", "high",
+                "--output-dir", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 2
+        assert "argument --oracle-accuracy: invalid float value: 'high'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, entry",
+        [
+            ("--oracle-accuracy", "0.65", {"kind": "noisy-oracle", "accuracy": 0.65}),
+            ("--fixture", "scores.bin", {"kind": "fixture", "path": "scores.bin"}),
+            ("--service-url", "http://127.0.0.1:1",
+             {"kind": "service", "base_url": "http://127.0.0.1:1"}),
+        ],
+        ids=["oracle-accuracy", "fixture", "service-url"],
+    )
+    def test_every_override_flag_sets_its_config_key(self, cli_workspace, tmp_path,
+                                                     flag, value, entry):
+        """Each ``run`` flag lands on the config key it names and nowhere
+        else; the teacher flags replace the whole ``llm_teacher`` entry."""
+        manifest = cli_workspace / "stream" / "manifest.json"
+        out = tmp_path / "run"
+        code = main(
+            [
+                "run", str(cli_workspace / "run.json"),
+                "--manifest", str(manifest), "--output-dir", str(out), "--seed", "9",
+                "--mode", "lwf", "--epochs", "1", "--batch-size", "8",
+                "--learning-rate", "0.125", "--temperature", "3.5", "--alpha", "0.3",
+                "--theta-ds", "0.5", "--theta-di", "0.2", "--log-base", "4.0",
+                flag, value,
+            ]
+        )
+        assert code == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved.pop("output_dir") == str(out)
+        assert resolved == {
+            "manifest": str(manifest),
+            "mode": "lwf",
+            "seed": 9,
+            "temperature": 3.5,
+            "weights": {"alpha": 0.3, "theta_ds": 0.5, "theta_di": 0.2, "log_base": 4.0},
+            "optimizer": {"learning_rate": 0.125, "epochs": 1, "batch_size": 8},
+            "model": {"hidden1": 16, "hidden2": 16},
+            "llm_teacher": entry,
+        }
 
     def test_missing_manifest_exits_3(self, cli_workspace, tmp_path, capsys):
         code = main(
@@ -644,6 +697,33 @@ class TestCliRun:
         assert code == 3
         err = capsys.readouterr().err
         assert f"{spec['kind']} teacher has no field '{field}'; it takes {accepted}" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("mode", ["ft", "lwf"])
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "noisy-oracle", "accuracy": 0.7, "sead": 5},
+             "noisy-oracle teacher has no field 'sead'; it takes accuracy, seed"),
+            ({"kind": "fixture", "path": "scores.bin", "vocab": "vocab.txt"},
+             "fixture teacher has no field 'vocab'; it takes path"),
+            ({"kind": "oracle", "accuracy": 0.7}, "unknown teacher kind 'oracle'"),
+        ],
+        ids=["noisy-oracle-sead", "fixture-vocab", "unknown-kind"],
+    )
+    def test_teacher_entry_checked_outside_ours(self, cli_workspace, tmp_path, capsys,
+                                                monkeypatch, mode, spec, message):
+        """``ft`` and ``lwf`` never build the general teacher, but a config
+        whose entry they would record with a wrong kind or field stops as
+        it does in ``ours``."""
+        def no_file(path):
+            raise AssertionError(f"fixture {path!r} was opened")
+
+        monkeypatch.setattr("mtcl.teachers.read_fixture", no_file)
+        config = self.write_config(cli_workspace, tmp_path, mode=mode, llm_teacher=spec)
+        code = main(["run", str(config), "--output-dir", str(tmp_path / "x")])
+        assert code == 3
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
@@ -1078,7 +1158,7 @@ class TestCliEval:
     def test_corrupt_checkpoint_exits_3(self, cli_workspace, tmp_path, capsys):
         good = tmp_path / "good.bin"
         model = StudentModel(0, 4, 6, 8, 8).grow_head(
-            [LabelClass(id=0, name="cut", tokens=())]
+            [LabelClass(id=0, name="cut")]
         )
         save_checkpoint(good, model, 1, WeightTrace())
         data = good.read_bytes()

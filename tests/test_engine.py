@@ -110,7 +110,7 @@ class TestEncodeQuestion:
 
 
 def toy_label(i, name="c"):
-    return LabelClass(id=i, name=f"{name}{i}", tokens=())
+    return LabelClass(id=i, name=f"{name}{i}")
 
 
 class TestStudentModel:
@@ -349,10 +349,7 @@ class TestPrevModelTeacher:
     def make_model(self):
         names = ["cut", "idle", "grasp"]
         vocab = build_vocabulary(names)
-        classes = [
-            LabelClass(id=i, name=n, tokens=tuple(vocab.encode(n)))
-            for i, n in enumerate(names)
-        ]
+        classes = [LabelClass(id=i, name=n) for i, n in enumerate(names)]
         model = StudentModel(3, 2, len(vocab) + 1, 8, 8).grow_head(classes)
         return model, vocab
 
@@ -687,7 +684,7 @@ class TestTrainTask:
 
 def rigged_constant_model(n_classes, favored, vocab, feature_length=2):
     names = [f"k{i}" for i in range(n_classes)]
-    classes = [LabelClass(id=i, name=n, tokens=()) for i, n in enumerate(names)]
+    classes = [LabelClass(id=i, name=n) for i, n in enumerate(names)]
     model = StudentModel(0, feature_length, len(vocab) + 1, 4, 4).grow_head(classes)
     model.w3[:] = 0.0
     model.b3[:] = 0.0
@@ -766,7 +763,7 @@ class TestEvaluate:
     def test_uncovered_class_rejected(self):
         vocab = build_vocabulary(["k0", "k1"])
         model, classes = rigged_constant_model(1, favored=0, vocab=vocab)
-        stranger = LabelClass(id=5, name="k5", tokens=())
+        stranger = LabelClass(id=5, name="k5")
         samples = [
             Sample(id="s", features=np.zeros(2), question="q", answer=5, answer_name="k5")
         ]

@@ -3,9 +3,9 @@
 Whole-file reads and JSON parses go through ``errors.read_input`` and
 ``errors.parse_json``, and a service teacher's HTTP replies through
 ``teachers._read_reply``; a damaged run config, checkpoint or service
-reply is a ConfigError (exit 2), DataError (exit 3), TeacherQueryError
-(exit 4) or, for a token score that is not finite, NumericError (exit 5),
-never a traceback.  Every output file goes through
+reply is a ConfigError (exit 2), DataError (exit 3) or TeacherQueryError
+(exit 4), never a traceback; a service reply whose token scores are not
+all finite is exit 4 too.  Every output file goes through
 ``errors.write_output``, whole or not at all.
 """
 
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from mtcl.cli import main
 from mtcl.engine import StudentModel, save_checkpoint
 from mtcl.bridge import build_vocabulary, tokenize_labels
-from mtcl.errors import DataError, NumericError, TeacherQueryError, write_output
+from mtcl.errors import DataError, TeacherProtocolError, TeacherQueryError, write_output
 from mtcl.taskstream import LabelClass
 from mtcl.teachers import ServiceTeacher, _read_reply
 from mtcl.weights import WeightTrace
@@ -62,7 +62,7 @@ def run_main(argv):
 
 
 def checkpoint_bytes() -> bytes:
-    model = StudentModel(0, 4, 6, 2, 2).grow_head([LabelClass(id=0, name="cut", tokens=())])
+    model = StudentModel(0, 4, 6, 2, 2).grow_head([LabelClass(id=0, name="cut")])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ck.bin"
         save_checkpoint(path, model, 1, WeightTrace(), "digest")
@@ -83,11 +83,17 @@ VOCAB = build_vocabulary(LABELS)
 TOKENIZED = tokenize_labels(VOCAB, LABELS)
 
 
-def reply_body() -> bytes:
-    """A service reply with token scores for ``LABELS``."""
+def reply_body(bad=None) -> bytes:
+    """A service reply with token scores for ``LABELS``; ``bad``, if given,
+    replaces one score (a float32 bit pattern when it is an int)."""
     rng = np.random.default_rng(5)
     shape = (TOKENIZED.count, TOKENIZED.width, TOKENIZED.vocab_size)
-    payload = base64.b64encode(rng.normal(size=shape).astype("<f4").tobytes()).decode("ascii")
+    scores = rng.normal(size=shape).astype("<f4")
+    if isinstance(bad, int):
+        scores.view("<u4")[1, 0, 2] = bad
+    elif bad is not None:
+        scores[1, 0, 2] = bad
+    payload = base64.b64encode(scores.tobytes()).decode("ascii")
     return (
         f'{{"request_id": "r-1", "dims": {list(shape)}, "payload": "{payload}"}}'
     ).encode("ascii")
@@ -199,13 +205,26 @@ class TestDamagedInputs:
     @example(body=DEEP)
     @example(body=BIG_INTEGER)
     @example(body=NOT_UTF8 + reply_body())
+    @example(body=reply_body(np.nan))
+    @example(body=reply_body(np.inf))
     def test_service_reply(self, body):
         teacher = ServiceTeacher("http://127.0.0.1:1", VOCAB)
         try:
             logits = teacher._logits("r-1", body, TOKENIZED)
-        except (TeacherQueryError, NumericError):
+        except TeacherQueryError:
             return
         assert logits.shape == (3,)
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, 0x7F800001],
+        ids=["nan", "inf", "minus-inf", "signalling-nan"],
+    )
+    def test_non_finite_service_score_is_a_protocol_error(self, bad):
+        """A service (not the bridge) is at fault for a score that is not
+        finite: exit 4, like any other malformed reply."""
+        teacher = ServiceTeacher("http://127.0.0.1:1", VOCAB)
+        with pytest.raises(TeacherProtocolError, match="non-finite scores"):
+            teacher._logits("r-1", reply_body(bad), TOKENIZED)
 
     @settings(max_examples=300, deadline=None)
     @given(reply=st.sampled_from(raw_replies()).flatmap(damaged))
@@ -221,7 +240,7 @@ class TestDamagedInputs:
         try:
             status, will_close, body = _read_reply(io.BufferedReader(io.BytesIO(reply)))
             logits = teacher._logits("r-1", body, TOKENIZED)
-        except (TeacherQueryError, NumericError, OSError):
+        except (TeacherQueryError, OSError):
             return
         assert isinstance(status, int) and isinstance(will_close, bool)
         assert logits.shape == (3,)

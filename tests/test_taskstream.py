@@ -32,8 +32,7 @@ STREAM_NAMES = ("cut", "idle", "grasp")
 
 
 def toy_classes(names):
-    vocab = build_vocabulary(names)
-    return [LabelClass(id=i, name=n, tokens=tuple(vocab.encode(n))) for i, n in enumerate(names)]
+    return [LabelClass(id=i, name=n) for i, n in enumerate(names)]
 
 
 def toy_task(counts_by_id, classes, index=1):
@@ -68,10 +67,7 @@ class TestTaskDataset:
             TaskDataset(task_index=1, samples=[stray], classes=classes)
 
     def test_duplicate_class_names_rejected(self):
-        dupes = [
-            LabelClass(id=0, name="cut", tokens=(2, 0)),
-            LabelClass(id=1, name="cut", tokens=(2, 0)),
-        ]
+        dupes = [LabelClass(id=0, name="cut"), LabelClass(id=1, name="cut")]
         with pytest.raises(DataError):
             TaskDataset(task_index=1, samples=[], classes=dupes)
 
@@ -165,7 +161,7 @@ def write_stream(root, mutate=None):
         "feature_length": 2,
         "vocab_file": "vocab.txt",
         "labels": [
-            {"id": c.id, "name": c.name, "tokens": list(c.tokens)} for c in classes
+            {"id": c.id, "name": c.name, "tokens": vocab.encode(c.name)} for c in classes
         ],
         "tasks": [
             {

@@ -151,8 +151,7 @@ def any_teacher(request, tmp_path):
     elif request.param == "noisy-oracle":
         yield NoisyOracleTeacher(seed=3, accuracy=0.6)
     else:
-        classes = [LabelClass(id=i, name=n, tokens=tuple(vocab.encode(n)))
-                   for i, n in enumerate(LABELS)]
+        classes = [LabelClass(id=i, name=n) for i, n in enumerate(LABELS)]
         model = StudentModel(3, 3, len(vocab) + 1, 4, 4).grow_head(classes)
         yield PrevModelTeacher(model, vocab)
 
