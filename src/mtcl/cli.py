@@ -29,7 +29,7 @@ from .config import load_run_config
 from .engine import MODES, encode_inputs, evaluate, load_checkpoint, run_continual
 from .errors import ConfigError, MtclError, exit_code_for, write_output
 from .taskstream import GeneratorConfig, generate_synthetic_stream, load_manifest, load_task
-from .teachers import check_teacher_spec, teacher_from_config
+from .teachers import teacher_from_config
 from .weights import WeightConfig, assemble_weights, is_finite_number
 
 # Most grid points ``inspect-weights --sweep-ir`` tabulates.
@@ -136,13 +136,10 @@ def cmd_run(args) -> int:
     cfg = load_run_config(args.config, overrides)
     manifest = load_manifest(cfg.manifest)
     settings = cfg.settings
-    llm = None
-    if settings.mode == "ours":
-        llm = teacher_from_config(
-            cfg.llm_teacher, vocab=manifest.vocab, default_seed=settings.seed
-        )
-    elif cfg.llm_teacher is not None:
-        check_teacher_spec(cfg.llm_teacher)  # recorded, never built
+    # Built in every mode, which checks every field; only ``ours`` queries it.
+    llm = teacher_from_config(
+        cfg.llm_teacher, vocab=manifest.vocab, default_seed=settings.seed
+    ) if cfg.llm_teacher is not None else None
     out = cfg.resolved_output_dir()
     cfg.save(out / "resolved_config.json")
     run_info = {

@@ -130,6 +130,9 @@ def build_run_config(payload: dict, overrides: dict = None) -> RunConfig:
     if not manifest or not isinstance(manifest, str):
         problems.append("manifest path is required")
         manifest = ""
+    output_dir = merged.get("output_dir", "runs/run")
+    if not output_dir or not isinstance(output_dir, str):
+        problems.append(f"output_dir must be a non-empty path, got {output_dir!r}")
     settings = {key: merged[key] for key in _RUN_KEYS if key in merged}
     settings.update(_given(merged.get("optimizer"), _OPTIMIZER_KEYS, "optimizer", problems))
     settings.update(_given(merged.get("model"), _MODEL_KEYS, "model", problems))
@@ -158,7 +161,7 @@ def build_run_config(payload: dict, overrides: dict = None) -> RunConfig:
         raise ConfigError(problems)
     return RunConfig(
         manifest=manifest,
-        output_dir=str(merged.get("output_dir", "runs/run")),
+        output_dir=output_dir,
         llm_teacher=llm_teacher,
         **built,
     )

@@ -515,7 +515,6 @@ def run_continual(
     weight_cfg: WeightConfig,
     llm_teacher=None,
     run_dir=None,
-    observer=None,
     config_digest: str = "",
 ):
     """Train through the whole stream and evaluate after every task.
@@ -545,7 +544,7 @@ def run_continual(
         ledger.update(train_split)
         train_task(
             student, prev_teacher, llm_teacher, train_split, ledger,
-            settings, weight_cfg, manifest.vocab, t, trace, observer,
+            settings, weight_cfg, manifest.vocab, t, trace,
         )
         held_out = load_task(manifest, t, "test")
         tests.append(

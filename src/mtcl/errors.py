@@ -71,7 +71,7 @@ def read_input(path, what: str, error=DataError, text: bool = False):
     """The whole file at ``path``, as UTF-8 text when ``text``, else bytes."""
     try:
         return Path(path).read_text(encoding="utf-8") if text else Path(path).read_bytes()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -90,7 +90,8 @@ def write_output(path, data, what: str) -> None:
     """Write ``data`` (text as UTF-8, or bytes) to ``path.tmp`` under a made
     parent directory and rename it over ``path``, so ``path`` is never
     seen half written; the ``.tmp`` goes if anything fails, and any
-    ``OSError`` raises ``DataError``."""
+    ``OSError`` or ``ValueError`` (such as a NUL in the path) raises
+    ``DataError``."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
@@ -101,5 +102,5 @@ def write_output(path, data, what: str) -> None:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot write {what} {path}: {exc}") from exc

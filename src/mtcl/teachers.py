@@ -126,7 +126,12 @@ class FixtureTeacher(Teacher):
         if not isinstance(fixture_path, (str, os.PathLike)):
             raise DataError(f"teacher field 'path' must be a file path, got {fixture_path!r}")
         self.vocab = vocab
-        self.records = read_fixture(fixture_path)
+        self.path = fixture_path
+
+    @functools.cached_property
+    def records(self) -> dict:
+        """The fixture's score tensors by sample id, read at the first table."""
+        return read_fixture(self.path)
 
     def score_table(self, samples, mask_names) -> np.ndarray:
         labels = tokenize_labels(self.vocab, _candidates(mask_names))
@@ -487,11 +492,18 @@ _TEACHER_FIELDS = {"fixture": ("path",), "service": ("base_url", "timeout", "ret
                    "noisy-oracle": ("accuracy", "seed")}
 
 
-def check_teacher_spec(spec) -> tuple[str, tuple]:
-    """The kind of the teacher description ``spec`` and the fields it takes.
+def teacher_from_config(
+    spec: dict, vocab: Vocabulary = None, default_seed: int = None
+) -> Teacher:
+    """Build a teacher from its JSON description.
 
-    An unknown kind, or a field that kind does not take, is a DataError
-    naming it; the field values are checked only where the teacher is built.
+    ``spec["kind"]`` selects the backend: ``fixture`` (path), ``service``
+    (base_url, optional timeout, retries), or ``noisy-oracle`` (accuracy,
+    optional seed falling back to ``default_seed``); the first two need
+    ``vocab``.  An unknown kind or field, or a missing or ill-typed one,
+    is a DataError naming it.  Building reads no file and opens no
+    connection: the fixture is read, and the service connected to, at the
+    first score table.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise DataError(f"teacher description must be an object with a 'kind': {spec!r}")
@@ -503,21 +515,6 @@ def check_teacher_spec(spec) -> tuple[str, tuple]:
         raise DataError(
             f"{kind} teacher has no field {unknown[0]!r}; it takes {', '.join(fields)}"
         )
-    return kind, fields
-
-
-def teacher_from_config(
-    spec: dict, vocab: Vocabulary = None, default_seed: int = None
-) -> Teacher:
-    """Build a teacher from its JSON description.
-
-    ``spec["kind"]`` selects the backend: ``fixture`` (path), ``service``
-    (base_url, optional timeout, retries), or ``noisy-oracle`` (accuracy,
-    optional seed falling back to ``default_seed``); the first two need
-    ``vocab``.  An unknown kind or field (``check_teacher_spec``), or a
-    missing or ill-typed one, is a DataError naming it.
-    """
-    kind, fields = check_teacher_spec(spec)
     if kind == "noisy-oracle":
         return NoisyOracleTeacher(spec.get("seed", default_seed), spec.get("accuracy"))
     if vocab is None:

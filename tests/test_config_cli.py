@@ -91,6 +91,14 @@ class TestBuildRunConfig:
                 build_run_config(base_payload(weights={"recompute": value}))
             assert exit_code_for(info.value) == 2
 
+    def test_output_dir_checked_with_the_other_violations(self):
+        with pytest.raises(ConfigError) as info:
+            build_run_config(base_payload(output_dir=None, seed="s"))
+        assert info.value.violations == [
+            "output_dir must be a non-empty path, got None",
+            "seed must be an integer >= 0, got 's'",
+        ]
+
     def test_manifest_required(self):
         payload = base_payload()
         del payload["manifest"]
@@ -661,13 +669,16 @@ class TestCliRun:
              "base-url-number", "retries-negative",
              "accuracy-text", "seed-text", "path-number"],
     )
+    @pytest.mark.parametrize("mode", ["ours", "ft", "lwf"])
     def test_ill_typed_teacher_field_exits_3(self, cli_workspace, tmp_path, capsys,
-                                             monkeypatch, spec, field):
+                                             monkeypatch, spec, field, mode):
+        """Every mode builds the entry it records, so every mode checks
+        each field value before any file or socket is used."""
         def no_file(path):
             raise AssertionError(f"fixture {path!r} was opened")
 
         monkeypatch.setattr("mtcl.teachers.read_fixture", no_file)
-        config = self.write_config(cli_workspace, tmp_path, llm_teacher=spec)
+        config = self.write_config(cli_workspace, tmp_path, mode=mode, llm_teacher=spec)
         code = main(["run", str(config), "--output-dir", str(tmp_path / "x")])
         assert code == 3
         assert f"teacher field '{field}'" in capsys.readouterr().err
@@ -713,9 +724,9 @@ class TestCliRun:
     )
     def test_teacher_entry_checked_outside_ours(self, cli_workspace, tmp_path, capsys,
                                                 monkeypatch, mode, spec, message):
-        """``ft`` and ``lwf`` never build the general teacher, but a config
-        whose entry they would record with a wrong kind or field stops as
-        it does in ``ours``."""
+        """``ft`` and ``lwf`` never query the general teacher, but they
+        build the entry they record, so a wrong kind or field stops them
+        as it does ``ours``."""
         def no_file(path):
             raise AssertionError(f"fixture {path!r} was opened")
 
@@ -809,6 +820,65 @@ class TestCliRun:
         assert code == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["llm_teacher"] == {"kind": "fixture", "path": str(missing)}
+
+    def test_missing_fixture_found_at_the_first_table(self, cli_workspace, tmp_path, capsys):
+        """``ours`` reads the fixture when task 2 first scores it: the run
+        exits 3 and keeps task 1's files."""
+        out = tmp_path / "ours"
+        missing = tmp_path / "no-such-scores.bin"
+        code = main(
+            [
+                "run", str(cli_workspace / "run.json"), "--fixture", str(missing),
+                "--epochs", "1", "--output-dir", str(out),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"cannot read fixture file {missing}" in err
+        assert "Traceback" not in err
+        assert sorted(path.name for path in out.iterdir()) == [
+            "checkpoint_t1.bin", "metrics.csv", "resolved_config.json", "run_info.json",
+            "weight_trace.csv",
+        ]
+        assert {row.t for row in read_metrics_csv(out / "metrics.csv")} == {1}
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"output_dir": "o/a\x00b"}, "cannot write resolved config o/a\x00b"),
+            ({"manifest": "stream/mani\x00fest.json"}, "cannot read manifest"),
+            ({"llm_teacher": {"kind": "fixture", "path": "sco\x00res.bin"}},
+             "cannot read fixture file sco\x00res.bin"),
+        ],
+        ids=["output-dir", "manifest", "fixture-path"],
+    )
+    def test_nul_in_a_path_exits_3(self, cli_workspace, tmp_path, capsys, monkeypatch,
+                                   changes, message):
+        config = json.loads((cli_workspace / "run.json").read_text())
+        config.update({"manifest": str(cli_workspace / "stream" / "manifest.json"),
+                       "output_dir": "out", **changes})
+        config["optimizer"]["epochs"] = 1
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "run.json"]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "embedded null byte" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "value, flag",
+        [(None, None), (["a"], None), ("", None), ("out", "")],
+        ids=["null", "list", "empty", "empty-flag"],
+    )
+    def test_output_dir_not_a_non_empty_path_exits_2(self, cli_workspace, tmp_path, capsys,
+                                                       monkeypatch, value, flag):
+        config = self.write_config(cli_workspace, tmp_path, output_dir=value)
+        monkeypatch.chdir(tmp_path)
+        flags = [] if flag is None else ["--output-dir", flag]
+        assert main(["run", str(config), *flags]) == 2
+        expected = value if flag is None else flag
+        assert f"output_dir must be a non-empty path, got {expected!r}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [config]
 
 
 class TestRunInterrupted:

@@ -21,7 +21,13 @@ import numpy as np
 import pytest
 
 import mtcl
-from mtcl.bridge import build_vocabulary, scores_to_logits, tokenize_labels, write_fixture
+from mtcl.bridge import (
+    build_vocabulary,
+    read_fixture,
+    scores_to_logits,
+    tokenize_labels,
+    write_fixture,
+)
 from mtcl.cli import main
 from mtcl.engine import PrevModelTeacher, StudentModel
 from mtcl.errors import (
@@ -229,6 +235,21 @@ class TestFixtureTeacher:
         teacher = FixtureTeacher(path, vocab)
         with pytest.raises(TeacherDimensionError):
             teacher.query(make_sample("s-0"), ("cut", "idle"))
+
+    def test_file_read_once_at_the_first_table(self, fixture_path, vocab, monkeypatch):
+        path, _ = fixture_path
+        reads = []
+
+        def counted(fixture):
+            reads.append(fixture)
+            return read_fixture(fixture)
+
+        monkeypatch.setattr("mtcl.teachers.read_fixture", counted)
+        teacher = FixtureTeacher(path, vocab)
+        assert reads == []
+        teacher.score_table([make_sample("s-0"), make_sample("s-1")], LABELS)
+        teacher.query(make_sample("s-1"), LABELS)
+        assert reads == [path]
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -1168,6 +1189,22 @@ class TestTeacherFromConfig:
         )
         assert isinstance(oracle, NoisyOracleTeacher)
         assert oracle.seed == 17
+
+    def test_building_reads_no_file_and_opens_no_socket(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"building a teacher used {args!r}")
+
+        monkeypatch.setattr("mtcl.teachers.read_fixture", fail)
+        monkeypatch.setattr(socket, "create_connection", fail)
+        vocab = build_vocabulary(LABELS)
+        for spec, kind in (
+            ({"kind": "fixture", "path": str(tmp_path / "no-such-scores.bin")}, FixtureTeacher),
+            ({"kind": "service", "base_url": "http://127.0.0.1:1"}, ServiceTeacher),
+            ({"kind": "noisy-oracle", "accuracy": 0.7}, NoisyOracleTeacher),
+        ):
+            teacher = teacher_from_config(spec, vocab, default_seed=3)
+            assert isinstance(teacher, kind)
+            teacher.close()
 
     def test_explicit_seed_beats_default(self):
         oracle = teacher_from_config(
