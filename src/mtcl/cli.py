@@ -25,17 +25,16 @@ from dataclasses import fields
 import numpy as np
 
 from . import __version__
-from .config import load_run_config
+from .config import WEIGHT_KEYS, load_run_config
 from .engine import MODES, encode_inputs, evaluate, load_checkpoint, run_continual
 from .errors import ConfigError, MtclError, exit_code_for, write_output
 from .taskstream import GeneratorConfig, generate_synthetic_stream, load_manifest, load_task
 from .teachers import teacher_from_config
-from .weights import WeightConfig, assemble_weights, is_finite_number
+from .weights import TRACE_COLUMNS, WeightConfig, assemble_weights, trace_row
+from .weights import is_finite_number
 
 # Most grid points ``inspect-weights --sweep-ir`` tabulates.
 MAX_SWEEP_POINTS = 10**6
-# WeightConfig's fields; ``run`` and ``inspect-weights`` take a flag for each.
-WEIGHT_FIELDS = tuple(f.name for f in fields(WeightConfig))
 
 
 def _add_keyed_flags(parser, prefix: str, names, kind) -> None:
@@ -71,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_keyed_flags(run, "optimizer.", ("epochs", "batch_size"), int)
     _add_keyed_flags(run, "optimizer.", ("learning_rate",), float)
     run.add_argument("--temperature", type=float)
-    _add_keyed_flags(run, "weights.", WEIGHT_FIELDS, float)
+    _add_keyed_flags(run, "weights.", WEIGHT_KEYS, float)
     teacher = run.add_mutually_exclusive_group()
     for flag, kind, field, convert, text in (
         ("--oracle-accuracy", "noisy-oracle", "accuracy", float,
@@ -104,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     insp.add_argument("--acc-prev", type=float, required=True)
     insp.add_argument("--acc-llm", type=float, required=True)
     insp.add_argument("--ir", type=float, default=1.0)
-    _add_keyed_flags(insp, "", WEIGHT_FIELDS, float)
+    _add_keyed_flags(insp, "", WEIGHT_KEYS, float)
     insp.add_argument(
         "--class-count", type=int,
         help="derive the log base from this class count when --log-base is unset",
@@ -215,11 +214,9 @@ def cmd_inspect_weights(args) -> int:
         for ir, triple in rows:
             print(f"{ir:.6f} {triple.beta:.6f} {triple.chi:.6f}")
         return 0
-    triple, breakdown = assemble(args.ir)
-    for name in ("acc_prev", "acc_llm", "ir", "beta_ds", "chi_ds", "beta_di", "chi_di"):
-        print(f"{name} = {getattr(breakdown, name):.6f}")
-    for name in ("alpha", "beta", "chi"):
-        print(f"{name} = {getattr(triple, name):.6f}")
+    row = trace_row(0, *assemble(args.ir))
+    for name in TRACE_COLUMNS[2:]:  # the measurements and weights, not t and epoch
+        print(f"{name} = {row[name]:.6f}")
     return 0
 
 

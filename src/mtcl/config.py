@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .engine import TrainSettings
@@ -34,7 +34,8 @@ OUTPUT_ROOT_ENV = "MTCL_OUTPUT_ROOT"
 # Each name tuple lists the keys its section accepts and fixes that
 # section's key order in resolved_config.json.
 _RUN_KEYS = ("mode", "seed", "temperature")
-_WEIGHT_KEYS = ("alpha", "theta_ds", "theta_di", "log_base")
+# WeightConfig's fields; ``run`` and ``inspect-weights`` take a flag for each.
+WEIGHT_KEYS = tuple(f.name for f in fields(WeightConfig))
 _OPTIMIZER_KEYS = ("learning_rate", "epochs", "batch_size")
 _MODEL_KEYS = ("hidden1", "hidden2")
 
@@ -67,7 +68,7 @@ class RunConfig:
             "seed": self.settings.seed,
             "output_dir": self.output_dir,
             "temperature": self.settings.temperature,
-            "weights": _pick(self.weights, _WEIGHT_KEYS),
+            "weights": _pick(self.weights, WEIGHT_KEYS),
             "optimizer": _pick(self.settings, _OPTIMIZER_KEYS),
             "model": _pick(self.settings, _MODEL_KEYS),
             "llm_teacher": dict(self.llm_teacher) if self.llm_teacher else None,
@@ -136,7 +137,7 @@ def build_run_config(payload: dict, overrides: dict = None) -> RunConfig:
     settings = {key: merged[key] for key in _RUN_KEYS if key in merged}
     settings.update(_given(merged.get("optimizer"), _OPTIMIZER_KEYS, "optimizer", problems))
     settings.update(_given(merged.get("model"), _MODEL_KEYS, "model", problems))
-    weights = _given(merged.get("weights"), _WEIGHT_KEYS, "weights", problems)
+    weights = _given(merged.get("weights"), WEIGHT_KEYS, "weights", problems)
     mode = settings.get("mode", TrainSettings.mode)
     if mode == "ft":
         # Hard labels only; rewrite the weight fields so the blend

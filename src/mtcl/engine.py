@@ -23,18 +23,17 @@ its teacher is never queried.
 from __future__ import annotations
 
 import copy
-import io
 import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .bridge import SPACE_TOKEN, Vocabulary
 from .errors import ConfigError, DataError, NumericError, TeacherDimensionError
-from .errors import parse_json, read_input, write_output
+from .errors import parse_json, read_input, sized_by, write_csv, write_output
 from .losses import batch_loss, softened_softmax
 from .taskstream import (
     ImbalanceLedger,
@@ -60,8 +59,9 @@ HEAD_INIT_STD = 0.01
 
 CHECKPOINT_MAGIC = b"CLCK"
 CHECKPOINT_VERSION = 1
+# The StudentModel arguments a checkpoint header records, in argument order.
+ARCHITECTURE = ("seed", "feature_length", "question_length", "hidden1", "hidden2")
 
-METRICS_COLUMNS = ("t", "dataset", "accuracy", "macro_f1")
 AVG_DATASET = "Avg."
 
 
@@ -471,6 +471,9 @@ class MetricsRow:
     macro_f1: float
 
 
+METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow))
+
+
 def evaluate(model: StudentModel, dataset: TaskDataset, inputs: np.ndarray) -> tuple:
     """(top-1 accuracy, macro F1) on one dataset, given its design matrix.
 
@@ -528,10 +531,11 @@ def run_continual(
     the weight trace are rewritten whole with every row so far, so a run
     that stops keeps the results of the tasks it finished.
     """
-    student = StudentModel(
-        settings.seed, manifest.feature_length, len(manifest.vocab) + 1,
-        settings.hidden1, settings.hidden2,
-    )
+    with sized_by("hidden1", "hidden2"):
+        student = StudentModel(
+            settings.seed, manifest.feature_length, len(manifest.vocab) + 1,
+            settings.hidden1, settings.hidden2,
+        )
     prev_teacher = None
     ledger = ImbalanceLedger()
     trace = WeightTrace()
@@ -569,19 +573,8 @@ def run_continual(
 
 
 def write_metrics_csv(path, rows) -> None:
-    """Metrics table: one row per (time step, dataset) plus average rows.
-
-    Floats are written with full round-trip precision so equal runs
-    produce byte-identical files.
-    """
-    import csv
-
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(METRICS_COLUMNS)
-    for row in rows:
-        writer.writerow([row.t, row.dataset, repr(row.accuracy), repr(row.macro_f1)])
-    write_output(path, text.getvalue(), "metrics table")
+    """Metrics table: one row per (time step, dataset) plus average rows."""
+    write_csv(path, METRICS_COLUMNS, map(astuple, rows), "metrics table")
 
 
 def save_checkpoint(path, model: StudentModel, task_index: int,
@@ -595,11 +588,7 @@ def save_checkpoint(path, model: StudentModel, task_index: int,
     """
     header = {
         "task_index": int(task_index),
-        "seed": model.seed,
-        "feature_length": model.feature_length,
-        "question_length": model.question_length,
-        "hidden1": model.hidden1,
-        "hidden2": model.hidden2,
+        **{key: getattr(model, key) for key in ARCHITECTURE},
         "class_ids": list(model.class_ids),
         "class_names": list(model.class_names),
         "config_digest": config_digest,
@@ -636,10 +625,7 @@ def load_checkpoint(path):
         header = parse_json(raw_header, DataError, "checkpoint header is corrupt", "utf-8")
         offset += header_len
         (count,) = struct.unpack_from("<Q", data, offset)
-        seed, *widths = (
-            int(header[key]) for key in
-            ("seed", "feature_length", "question_length", "hidden1", "hidden2")
-        )
+        seed, *widths = (int(header[key]) for key in ARCHITECTURE)
         classes = [
             LabelClass(int(cid), str(name))
             for cid, name in zip(header["class_ids"], header["class_names"], strict=True)

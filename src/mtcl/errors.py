@@ -5,11 +5,15 @@ that should abort a run with a distinct status belongs here rather than
 in a bare ValueError.  ``read_input`` and ``parse_json`` pick the error
 for an input file that cannot be read and for JSON that cannot be
 parsed; ``write_output`` writes every output file whole and picks the
-error for one that cannot be written.
+error for one that cannot be written, and ``write_csv`` writes every
+table through it.  ``sized_by`` picks the error for an array too large
+to allocate.
 """
 
+import io
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -104,3 +108,29 @@ def write_output(path, data, what: str) -> None:
             raise
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def write_csv(path, columns, rows, what: str) -> None:
+    """Write a table with the header ``columns`` and one line per row of
+    ``rows`` through ``write_output``; each float is written with ``repr``,
+    which reads back exactly, so equal runs write equal bytes."""
+    import csv
+
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(columns)
+    writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+    write_output(path, text.getvalue(), what)
+
+
+@contextmanager
+def sized_by(*names):
+    """Turn numpy's refusal of an array size (a ``ValueError`` for a
+    dimension past its limit, a ``MemoryError``) inside the block into a
+    ``ConfigError`` naming the settings ``names`` that set the size."""
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(
+            f"{' and '.join(names)} ask for arrays too large to allocate: {exc!r}"
+        ) from exc

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bridge import Vocabulary, build_vocabulary
-from .errors import ConfigError, DataError, parse_json, read_input, write_output
+from .errors import ConfigError, DataError, parse_json, read_input, sized_by, write_output
 from .weights import is_finite_number, is_integer
 
 MANIFEST_VERSION = 1
@@ -534,7 +534,8 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
             name = _fresh_name(rng, label_ids)
             label_ids[name] = len(label_ids)
             new_names.append(name)
-            center = rng.standard_normal(cfg.feature_length)
+            with sized_by("samples_per_task", "feature_length"):
+                center = rng.standard_normal(cfg.feature_length)
             if t > 1 and cfg.shift > 0.0:
                 direction = rng.standard_normal(cfg.feature_length)
                 norm = float(np.linalg.norm(direction))
@@ -550,11 +551,12 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
         for name, total in zip(class_list, counts):
             n_test = max(1, int(round(TEST_FRACTION * total)))
             n_train = total - n_test
-            points = rng.normal(
-                loc=centers[name],
-                scale=cfg.cluster_std,
-                size=(total, cfg.feature_length),
-            )
+            with sized_by("samples_per_task", "feature_length"):
+                points = rng.normal(
+                    loc=centers[name],
+                    scale=cfg.cluster_std,
+                    size=(total, cfg.feature_length),
+                )
             if not np.isfinite(points).all():
                 raise ConfigError(
                     f"task {t} drew a feature value that is not finite; lower "

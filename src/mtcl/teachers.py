@@ -21,9 +21,12 @@ one logit row per sample over the candidates.  Backends:
   where no real teacher exists.
 
 Each teacher (``engine.PrevModelTeacher`` too) implements one scoring
-method, ``score_table``, which the trainer calls once per task;
-``query`` is its one-row form.  All teachers count one query per sample
-scored, so runs that claim not to consult a teacher can prove it.
+method, ``score_table``; ``query`` is its one-row form.  The trainer
+calls the general teacher's ``score_table`` once per task, and has the
+previous model score the task's already encoded design matrix once per
+task with ``PrevModelTeacher.score_inputs``.  All teachers count one
+query per sample scored, so runs that claim not to consult a teacher
+can prove it.
 """
 
 from __future__ import annotations

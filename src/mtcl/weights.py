@@ -19,15 +19,14 @@ must satisfy theta_ds + theta_di = 1 - alpha.
 
 from __future__ import annotations
 
-import io
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, write_output
+from .errors import ConfigError, write_csv
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -108,25 +107,30 @@ class WeightTriple:
     chi: float
 
     def __post_init__(self):
+        # WeightConfig lets theta_ds + theta_di miss 1 - alpha by
+        # WEIGHT_SUM_TOL, and blending the shares rounds on top of that,
+        # so a triple from any accepted config needs the wider bound.
+        tol = 2 * WEIGHT_SUM_TOL
         for name, v in (("alpha", self.alpha), ("beta", self.beta), ("chi", self.chi)):
-            if not -WEIGHT_SUM_TOL <= v <= 1.0 + WEIGHT_SUM_TOL:
+            if not -tol <= v <= 1.0 + tol:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         total = self.alpha + self.beta + self.chi
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        if abs(total - 1.0) > tol:
             raise ValueError(f"weights must sum to 1, got {total}")
 
 
 @dataclass(frozen=True)
 class WeightBreakdown:
-    """All intermediates behind one (beta, chi) assignment."""
+    """All intermediates behind one (beta, chi) assignment, in the order
+    of their ``weight_trace.csv`` columns."""
 
+    acc_prev: float
+    acc_llm: float
+    ir: float
     beta_ds: float
     chi_ds: float
     beta_di: float
     chi_di: float
-    acc_prev: float
-    acc_llm: float
-    ir: float
 
 
 def ds_shares(acc_prev: float, acc_llm: float) -> tuple[float, float]:
@@ -174,15 +178,7 @@ def assemble_weights(
     beta = cfg.theta_ds * beta_ds + cfg.theta_di * beta_di
     chi = cfg.theta_ds * chi_ds + cfg.theta_di * chi_di
     triple = WeightTriple(alpha=cfg.alpha, beta=beta, chi=chi)
-    breakdown = WeightBreakdown(
-        beta_ds=beta_ds,
-        chi_ds=chi_ds,
-        beta_di=beta_di,
-        chi_di=chi_di,
-        acc_prev=acc_prev,
-        acc_llm=acc_llm,
-        ir=ir,
-    )
+    breakdown = WeightBreakdown(acc_prev, acc_llm, ir, beta_ds, chi_ds, beta_di, chi_di)
     return triple, breakdown
 
 
@@ -204,21 +200,23 @@ def measure_teacher_accuracy(scores, truth) -> float:
     return int(correct.sum()) / len(truth)
 
 
+_MEASURED = tuple(f.name for f in fields(WeightBreakdown))
+_WEIGHTS = tuple(f.name for f in fields(WeightTriple))
 # One row per task; the epoch column is always 0.
-TRACE_COLUMNS = (
-    "t",
-    "epoch",
-    "acc_prev",
-    "acc_llm",
-    "ir",
-    "beta_ds",
-    "chi_ds",
-    "beta_di",
-    "chi_di",
-    "alpha",
-    "beta",
-    "chi",
-)
+TRACE_COLUMNS = ("t", "epoch", *_MEASURED, *_WEIGHTS)
+
+
+def trace_row(t: int, triple: WeightTriple,
+              breakdown: Optional[WeightBreakdown] = None) -> dict:
+    """One ``weight_trace.csv`` row, keyed and ordered by ``TRACE_COLUMNS``;
+    a row without a breakdown has NaN measurements."""
+    nan = float("nan")
+    return {
+        "t": t,
+        "epoch": 0,
+        **{name: getattr(breakdown, name) if breakdown else nan for name in _MEASURED},
+        **{name: getattr(triple, name) for name in _WEIGHTS},
+    }
 
 
 @dataclass
@@ -229,30 +227,7 @@ class WeightTrace:
 
     def record(self, t: int, triple: WeightTriple,
                breakdown: Optional[WeightBreakdown] = None) -> None:
-        nan = float("nan")
-        bd = breakdown
-        self.rows.append({
-            "t": t,
-            "epoch": 0,
-            "acc_prev": bd.acc_prev if bd else nan,
-            "acc_llm": bd.acc_llm if bd else nan,
-            "ir": bd.ir if bd else nan,
-            "beta_ds": bd.beta_ds if bd else nan,
-            "chi_ds": bd.chi_ds if bd else nan,
-            "beta_di": bd.beta_di if bd else nan,
-            "chi_di": bd.chi_di if bd else nan,
-            "alpha": triple.alpha,
-            "beta": triple.beta,
-            "chi": triple.chi,
-        })
+        self.rows.append(trace_row(t, triple, breakdown))
 
     def write_csv(self, path) -> None:
-        import csv
-
-        text = io.StringIO()
-        writer = csv.DictWriter(text, fieldnames=TRACE_COLUMNS)
-        writer.writeheader()
-        for row in self.rows:
-            writer.writerow({k: repr(row[k]) if isinstance(row[k], float) else row[k]
-                             for k in TRACE_COLUMNS})
-        write_output(path, text.getvalue(), "weight trace")
+        write_csv(path, TRACE_COLUMNS, (row.values() for row in self.rows), "weight trace")

@@ -628,6 +628,42 @@ class TestCliRun:
         assert code == 2
         assert f"{field} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["hidden1", "hidden2"])
+    def test_layer_too_large_to_allocate_exits_2(self, cli_workspace, tmp_path, capsys,
+                                                 field):
+        config = self.write_config(
+            cli_workspace, tmp_path, model={"hidden1": 16, "hidden2": 16, field: 10**20}
+        )
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: hidden1 and hidden2 ") and err.count("\n") == 1
+        assert not (tmp_path / "x" / "checkpoint_t1.bin").exists()
+
+    def test_student_out_of_memory_exits_2(self, cli_workspace, tmp_path, capsys,
+                                           monkeypatch):
+        def starved(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr("mtcl.engine.StudentModel", starved)
+        config = self.write_config(cli_workspace, tmp_path)
+        assert main(["run", str(config), "--output-dir", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: hidden1 and hidden2 ") and err.count("\n") == 1
+
+    def test_weights_at_the_edge_of_the_sum_tolerance_run(self, tmp_path, capsys):
+        """theta_ds + theta_di misses 1 - alpha by just under the tolerance
+        the config allows; the blended triple must be accepted too."""
+        params = json.loads((EXPERIMENTS / "stream_params.json").read_text())
+        seed = params.pop("seed")
+        manifest = generate_synthetic_stream(GeneratorConfig(**params), seed, tmp_path / "s")
+        code = main([
+            "run", str(EXPERIMENTS / "ours.json"), "--manifest", str(manifest),
+            "--output-dir", str(tmp_path / "out"), "--epochs", "2", "--alpha", "0.2",
+            "--theta-ds", "0.7589195577097951", "--theta-di", "0.04108044329020491",
+        ])
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "out" / "checkpoint_t3.bin").exists()
+
     @pytest.mark.parametrize(
         "section, value, flag",
         [
@@ -998,6 +1034,37 @@ class TestCliGenerate:
         assert sorted(tmp_path.iterdir()) == [out]
         assert out.read_text() == "not a directory"
 
+    @pytest.mark.parametrize("flag", ["--samples-per-task", "--features"])
+    def test_size_too_large_to_allocate_exits_2(self, tmp_path, capsys, flag):
+        out = tmp_path / "gen"
+        assert main(["generate", "--out", str(out), flag, str(10**20)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: samples_per_task and feature_length ")
+        assert err.count("\n") == 1
+        assert not (out / "manifest.json").exists()
+
+    def test_draw_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        class Starved:
+            """A generator whose point draws find no memory."""
+
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def normal(self, *args, **kwargs):
+                raise MemoryError()
+
+        real = np.random.default_rng
+        monkeypatch.setattr("numpy.random.default_rng", lambda seed: Starved(real(seed)))
+        out = tmp_path / "gen"
+        assert main(["generate", "--out", str(out), "--tasks", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: samples_per_task and feature_length ")
+        assert err.count("\n") == 1
+        assert not (out / "manifest.json").exists()
+
     def test_infeasible_parameters_exit_2(self, tmp_path, capsys):
         code = main(
             [
@@ -1071,6 +1138,25 @@ class TestCliInspectWeights:
         assert "beta_di = 0.500000" in printed
         assert "beta = 0.500000" in printed
         assert "chi = 0.300000" in printed
+
+    def test_single_point_prints_the_trace_columns_in_order(self, capsys):
+        code = main(["inspect-weights", "--acc-prev", "0.3", "--acc-llm", "0.6",
+                     "--ir", "4", "--class-count", "6"])
+        assert code == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(" = ")[0] for line in printed] == [
+            "acc_prev", "acc_llm", "ir", "beta_ds", "chi_ds", "beta_di", "chi_di",
+            "alpha", "beta", "chi",
+        ]
+
+    def test_weights_at_the_edge_of_the_sum_tolerance(self, capsys):
+        code = main([
+            "inspect-weights", "--acc-prev", "0", "--acc-llm", "1", "--ir", "8",
+            "--class-count", "6", "--alpha", "0.3", "--theta-ds", "0.5107588125009608",
+            "--theta-di", "0.18924118849903918",
+        ])
+        assert code == 0
+        assert "chi = 0.612411" in capsys.readouterr().out
 
     def test_sweep_table(self, capsys):
         code = main(

@@ -851,6 +851,23 @@ class TestCheckpointFormat:
         assert restored.class_ids == model.class_ids
         assert header["seed"] == 3
 
+    def test_header_layout_is_pinned(self, tmp_path):
+        model = StudentModel(3, 4, 6, 8, 7).grow_head([toy_label(0)])
+        trace = WeightTrace()
+        trace.record(1, WeightTriple(1.0, 0.0, 0.0))
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, model, 1, trace, "digest")
+        _, header = load_checkpoint(path)
+        assert list(header) == [
+            "task_index", "seed", "feature_length", "question_length", "hidden1",
+            "hidden2", "class_ids", "class_names", "config_digest", "trace_rows",
+        ]
+        assert [header[key] for key in list(header)[:6]] == [1, 3, 4, 6, 8, 7]
+        assert list(header["trace_rows"][0]) == [
+            "t", "epoch", "acc_prev", "acc_llm", "ir", "beta_ds", "chi_ds",
+            "beta_di", "chi_di", "alpha", "beta", "chi",
+        ]
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "ck.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)

@@ -6,13 +6,16 @@ Whole-file reads and JSON parses go through ``errors.read_input`` and
 reply is a ConfigError (exit 2), DataError (exit 3) or TeacherQueryError
 (exit 4), never a traceback; a service reply whose token scores are not
 all finite is exit 4 too.  Every output file goes through
-``errors.write_output``, whole or not at all.
+``errors.write_output``, whole or not at all, and every table through
+``errors.write_csv``.
 """
 
 import ast
 import base64
 import contextlib
+import csv
 import io
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -25,7 +28,8 @@ from hypothesis import strategies as st
 from mtcl.cli import main
 from mtcl.engine import StudentModel, save_checkpoint
 from mtcl.bridge import build_vocabulary, tokenize_labels
-from mtcl.errors import DataError, TeacherProtocolError, TeacherQueryError, write_output
+from mtcl.errors import DataError, TeacherProtocolError, TeacherQueryError
+from mtcl.errors import write_csv, write_output
 from mtcl.taskstream import LabelClass
 from mtcl.teachers import ServiceTeacher, _read_reply
 from mtcl.weights import WeightTrace
@@ -118,7 +122,8 @@ class TestOneReader:
         renames a file or makes a directory, so one place decides how
         their failures map.  The task-record fallback keeps ``json.loads``
         as the reference its fast path must match; ``load_task`` maps its
-        errors with file and line."""
+        errors with file and line.  Only ``errors.py`` imports ``csv``, so
+        every table is written by ``write_csv``."""
         readers = {"read_input", "parse_json", "_parse_record"}
         writers = {"write_output"}
         found = []
@@ -126,6 +131,10 @@ class TestOneReader:
         def visit(node, where, function):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 function = node.name
+            imported = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                        else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "csv" in imported and where != "errors.py":
+                found.append(f"{where}:{node.lineno} imports csv")
             if isinstance(node, ast.Call):
                 func = node.func
                 if isinstance(func, ast.Attribute):
@@ -167,6 +176,43 @@ class TestOneWriter:
             write_output(path, b"data", "blob")
         assert sorted(tmp_path.iterdir()) == [path]
         assert list(path.iterdir()) == []
+
+
+# Floats whose text form is easy to get wrong: NaN, both infinities,
+# negative zero, the smallest subnormal, a subnormal with many digits, the
+# largest normal magnitudes.
+AWKWARD_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.225073858507201e-308,
+                  1e308, -1.7976931348623157e308)
+
+
+class TestOneCsvWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.lists(
+        st.integers()
+        # csv on Python 3.10 refuses NUL; a lone surrogate is no UTF-8.
+        | st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"))
+        | st.floats() | st.sampled_from(AWKWARD_FLOATS),
+        min_size=1, max_size=6,
+    ), max_size=6))
+    @example(rows=[list(AWKWARD_FLOATS), ["a,b", 'say "hi"', "two\nlines", "cr\r", "", 7]])
+    def test_every_value_reads_back_equal(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            write_csv(path, ("x", "y"), rows, "table")
+            with open(path, newline="", encoding="utf-8") as fh:
+                header, *read = list(csv.reader(fh))
+        assert header == ["x", "y"] and len(read) == len(rows)
+        for row, cells in zip(rows, read):
+            assert len(cells) == len(row)
+            for value, cell in zip(row, cells):
+                if isinstance(value, int):
+                    assert int(cell) == value
+                elif isinstance(value, str):
+                    assert cell == value
+                elif math.isnan(value):
+                    assert math.isnan(float(cell))
+                else:  # bit for bit, so -0.0 stays negative
+                    assert struct.pack("<d", float(cell)) == struct.pack("<d", value)
 
 
 class TestDamagedInputs:

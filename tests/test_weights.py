@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 from conftest import latest_triple
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from mtcl.errors import ConfigError
 from mtcl.weights import (
-    TRACE_COLUMNS,
+    WEIGHT_SUM_TOL,
     WeightConfig,
     WeightTrace,
     WeightTriple,
@@ -144,6 +144,41 @@ class TestWeightTriple:
             WeightTriple(-0.2, 0.7, 0.5)
 
 
+@st.composite
+def accepted_configs(draw):
+    """A WeightConfig whose theta_ds + theta_di may miss 1 - alpha by as
+    much as the config allows."""
+    alpha = draw(st.floats(0.0, 1.0))
+    theta_ds = draw(st.floats(0.0, 1.0 - alpha))
+    miss = draw(st.floats(-WEIGHT_SUM_TOL, WEIGHT_SUM_TOL))
+    log_base = draw(st.none() | st.floats(1.0, 1e6, exclude_min=True))
+    try:
+        return WeightConfig(alpha=alpha, theta_ds=theta_ds,
+                            theta_di=max(0.0, 1.0 - alpha - theta_ds + miss),
+                            log_base=log_base)
+    except ConfigError:
+        assume(False)
+
+
+class TestAcceptedConfigsAssemble:
+    @given(
+        cfg=accepted_configs(),
+        acc_prev=st.floats(0.0, 1.0),
+        acc_llm=st.floats(0.0, 1.0),
+        ir=st.floats(min_value=1.0, allow_infinity=False),
+        class_count=st.integers(1, 10**6),
+    )
+    # A config that misses 1 - alpha by just under the tolerance, whose
+    # blended triple rounds past it.
+    @example(
+        cfg=WeightConfig(alpha=0.3, theta_ds=0.5107588125009608, theta_di=0.18924118849903918),
+        acc_prev=0.0, acc_llm=1.0, ir=8.0, class_count=6,
+    )
+    def test_every_accepted_config_assembles(self, cfg, acc_prev, acc_llm, ir, class_count):
+        triple, _ = assemble_weights(cfg, acc_prev, acc_llm, ir, class_count=class_count)
+        assert triple.alpha == cfg.alpha
+
+
 class TestAssembleWeights:
     CFG = WeightConfig(alpha=0.2, theta_ds=0.4, theta_di=0.4, log_base=10.0)
 
@@ -253,7 +288,9 @@ class TestWeightTrace:
     def test_empty_trace_has_no_latest(self, tmp_path):
         path = tmp_path / "trace.csv"
         WeightTrace().write_csv(path)
-        assert path.read_text().splitlines() == [",".join(TRACE_COLUMNS)]
+        assert path.read_text().splitlines() == [
+            "t,epoch,acc_prev,acc_llm,ir,beta_ds,chi_ds,beta_di,chi_di,alpha,beta,chi"
+        ]
 
     def test_csv_roundtrip_preserves_floats_exactly(self, tmp_path):
         trace = WeightTrace()
@@ -265,7 +302,10 @@ class TestWeightTrace:
         trace.write_csv(path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert list(rows[0].keys()) == list(TRACE_COLUMNS)
+        assert list(rows[0].keys()) == [
+            "t", "epoch", "acc_prev", "acc_llm", "ir", "beta_ds", "chi_ds",
+            "beta_di", "chi_di", "alpha", "beta", "chi",
+        ]
         assert float(rows[1]["beta"]) == triple.beta
         assert float(rows[1]["acc_prev"]) == 1.0 / 3.0
         assert math.isnan(float(rows[0]["ir"]))
