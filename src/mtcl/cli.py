@@ -28,7 +28,8 @@ from . import __version__
 from .config import WEIGHT_KEYS, load_run_config
 from .engine import MODES, encode_inputs, evaluate, load_checkpoint, run_continual
 from .errors import ConfigError, MtclError, exit_code_for, write_output
-from .taskstream import GeneratorConfig, generate_synthetic_stream, load_manifest, load_task
+from .taskstream import SPLITS, GeneratorConfig, generate_synthetic_stream, load_manifest
+from .taskstream import load_task
 from .teachers import teacher_from_config
 from .weights import TRACE_COLUMNS, WeightConfig, assemble_weights, trace_row
 from .weights import is_finite_number
@@ -117,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--manifest", required=True)
     ev.add_argument("--task", type=int, required=True)
-    ev.add_argument("--split", choices=("train", "test"), default="test")
+    ev.add_argument("--split", choices=SPLITS, default="test")
     return parser
 
 

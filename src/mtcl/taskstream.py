@@ -45,6 +45,10 @@ SIDECAR_NAME = "ground_truth.json"
 BLOCK_DTYPE = np.dtype("<f8")
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
+# Every task ships one split per name, in this order.  The manifest
+# names each split's record file as ``{split}_file`` and its feature
+# block as ``{split}_features``.
+SPLITS = ("train", "test")
 TEST_FRACTION = 0.2
 
 # Feasibility floor: the smallest class must survive an 80/20 split and
@@ -148,14 +152,12 @@ class FeatureBlock:
 
 @dataclass(frozen=True)
 class TaskEntry:
-    """Manifest row describing one task's files and class set."""
+    """Manifest row describing one task's class set and files: ``splits``
+    maps each name in ``SPLITS`` to its (record file, ``FeatureBlock``)."""
 
     index: int
-    train_file: str
-    test_file: str
     class_names: tuple
-    train_features: FeatureBlock
-    test_features: FeatureBlock
+    splits: dict
 
 
 @dataclass(frozen=True)
@@ -228,22 +230,18 @@ def _parse_manifest(path: Path, payload) -> StreamManifest:
                 raise DataError(
                     f"task {index} declares unknown class {name!r} (manifest drift)"
                 )
-        for key in ("train_file", "test_file"):
-            if not isinstance(entry[key], str) or "\0" in entry[key]:
+        for split in SPLITS:
+            name = entry[f"{split}_file"]
+            if not isinstance(name, str) or "\0" in name:
                 raise DataError(
-                    f"manifest {path}: task {index} {key} must be a file name, "
-                    f"got {entry[key]!r}"
+                    f"manifest {path}: task {index} {split}_file must be a file name, "
+                    f"got {name!r}"
                 )
-        tasks.append(
-            TaskEntry(
-                index=index,
-                train_file=entry["train_file"],
-                test_file=entry["test_file"],
-                class_names=tuple(entry["classes"]),
-                train_features=_parse_block(path, index, "train_features", entry),
-                test_features=_parse_block(path, index, "test_features", entry),
-            )
-        )
+        splits = {
+            split: (entry[f"{split}_file"], _parse_block(path, index, split, entry))
+            for split in SPLITS
+        }
+        tasks.append(TaskEntry(index=index, class_names=tuple(entry["classes"]), splits=splits))
     if not tasks:
         raise DataError("manifest declares no tasks")
     return StreamManifest(
@@ -262,8 +260,9 @@ def _integer(path: Path, name: str, value) -> int:
     return value
 
 
-def _parse_block(path: Path, index: int, key: str, entry: dict) -> FeatureBlock:
-    """The task entry's ``key`` block."""
+def _parse_block(path: Path, index: int, split: str, entry: dict) -> FeatureBlock:
+    """The task entry's feature block for ``split``."""
+    key = f"{split}_features"
     where = f"task {index} {key}"
     if key not in entry:
         raise DataError(f"manifest {path}: {where} is missing; each split needs a feature block")
@@ -341,13 +340,10 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
     The features come from the split's block, one row per record, and
     the records must not carry any.
     """
-    if split not in ("train", "test"):
-        raise DataError(f"split must be 'train' or 'test', got {split!r}")
+    if split not in SPLITS:
+        raise DataError(f"split must be {' or '.join(map(repr, SPLITS))}, got {split!r}")
     entry = manifest.task_entry(t)
-    if split == "train":
-        rel, block = entry.train_file, entry.train_features
-    else:
-        rel, block = entry.test_file, entry.test_features
+    rel, block = entry.splits[split]
     file_path = manifest.root / rel
     by_name = manifest.label_by_name
     declared = {name: by_name[name].id for name in entry.class_names}
@@ -394,11 +390,12 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
     return TaskDataset(task_index=t, samples=samples, classes=classes)
 
 
-def write_task(path, samples, block_path) -> dict:
+def write_task(path, samples, block_path) -> FeatureBlock:
     """Emit a split: its records (``id``, ``question``, ``answer``) as
     line-delimited JSON at ``path``, and its feature vectors as a feature
-    block at ``block_path``.  Returns the block's ``bytes`` and ``sha256``
-    for its manifest entry.
+    block at ``block_path``.  Returns the block's manifest entry, which
+    names the block by its file name, so the block belongs beside the
+    manifest.
     """
     lines = (
         json.dumps({"id": s.id, "question": s.question, "answer": s.answer_name}) + "\n"
@@ -407,7 +404,7 @@ def write_task(path, samples, block_path) -> dict:
     write_output(path, "".join(lines), "task file")
     data = np.array([s.features for s in samples], dtype=BLOCK_DTYPE).tobytes()
     write_output(block_path, data, "feature block")
-    return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    return FeatureBlock(Path(block_path).name, len(data), hashlib.sha256(data).hexdigest())
 
 
 @dataclass(frozen=True)
@@ -546,7 +543,7 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
         # floods in new-domain data while carried classes starve.
         class_list = new_names + carried
 
-        pools = {"train": [], "test": []}
+        pools = {split: [] for split in SPLITS}
         class_stats = []
         for name, total in zip(class_list, counts):
             n_test = max(1, int(round(TEST_FRACTION * total)))
@@ -562,8 +559,8 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
                     f"task {t} drew a feature value that is not finite; lower "
                     f"cluster_std ({cfg.cluster_std}) or shift ({cfg.shift})"
                 )
-            pools["train"] += [(name, row) for row in points[:n_train]]
-            pools["test"] += [(name, row) for row in points[n_train:]]
+            for split, part in zip(SPLITS, (points[:n_train], points[n_train:])):
+                pools[split] += [(name, row) for row in part]
             class_stats.append(
                 {
                     "name": name,
@@ -586,10 +583,8 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
                 serial += 1
             stem = f"task{t}.{split}"
             entry[f"{split}_file"] = f"{stem}.jsonl"
-            entry[f"{split}_features"] = {
-                "file": f"{stem}.f64",
-                **write_task(out / f"{stem}.jsonl", samples, out / f"{stem}.f64"),
-            }
+            block = write_task(out / entry[f"{split}_file"], samples, out / f"{stem}.f64")
+            entry[f"{split}_features"] = asdict(block)
         entry["classes"] = class_list
         tasks_json.append(entry)
         sidecar_tasks.append(

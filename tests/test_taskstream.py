@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from mtcl.bridge import build_vocabulary
 from mtcl.errors import ConfigError, DataError
 from mtcl.taskstream import (
+    FeatureBlock,
     GeneratorConfig,
     ImbalanceLedger,
     LabelClass,
@@ -181,7 +183,7 @@ def write_stream(root, mutate=None):
     for (task, split), samples in splits.items():
         name = f"task{task}.{split}"
         block = write_task(root / f"{name}.jsonl", samples, root / f"{name}.f64")
-        payload["tasks"][task - 1][f"{split}_features"] = {"file": f"{name}.f64", **block}
+        payload["tasks"][task - 1][f"{split}_features"] = asdict(block)
     if mutate is not None:
         mutate(payload)
     path = root / "manifest.json"
@@ -461,7 +463,7 @@ class TestFeatureBlocks:
     def test_generator_writes_a_block_per_split(self, generated):
         out, manifest, _ = generated
         for entry in manifest.tasks:
-            for block in (entry.train_features, entry.test_features):
+            for _, block in entry.splits.values():
                 data = (out / block.file).read_bytes()
                 assert len(data) == block.bytes
                 assert hashlib.sha256(data).hexdigest() == block.sha256
@@ -547,7 +549,7 @@ class TestFeatureBlocks:
         samples = load_task(load_manifest(write_stream(tmp_path)), 1).samples
         entry = write_task(tmp_path / "copy.jsonl", samples, tmp_path / "copy.f64")
         data = (tmp_path / "copy.f64").read_bytes()
-        assert entry == {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+        assert entry == FeatureBlock("copy.f64", len(data), hashlib.sha256(data).hexdigest())
         assert data == (tmp_path / "task1.train.f64").read_bytes()
         assert (tmp_path / "copy.jsonl").read_bytes() == (
             tmp_path / "task1.train.jsonl"
