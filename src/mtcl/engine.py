@@ -512,6 +512,9 @@ def evaluate(model: StudentModel, dataset: TaskDataset, inputs: np.ndarray) -> t
     return accuracy, float(np.mean(f1_values))
 
 
+# An overflow, or the NaN of infinite weights, is caught by a finiteness
+# check after it (forward pass, softmax), so it is no warning.
+@np.errstate(over="ignore", invalid="ignore")
 def run_continual(
     manifest: StreamManifest,
     settings: TrainSettings,

@@ -1,16 +1,17 @@
 """Task-stream data model, ingestion, imbalance accounting, generation.
 
 A stream is an ordered sequence of classification tasks.  Each task
-ships as an 80/20 train/test pair of splits, plus a manifest that pins
-the feature length, the label inventory with token sequences, and the
-task order.  Labels are identified by name; ids are assigned at first
-appearance and never change.
+ships one split per name in ``SPLITS`` (an 80/20 train/test pair), plus
+a manifest that pins the feature length, the label inventory with token
+sequences, and the task order.  Labels are identified by name; ids are
+assigned at first appearance and never change.
 
-A split is a line-delimited JSON file of records (id, question, answer)
-and a feature block the manifest names: raw little-endian float64,
-row-major, one row per record, pinned by its byte length and SHA-256.
-A split loads its features with one read and one ``frombuffer``, and
-its samples' feature vectors are row views of that one matrix.
+A split is a line-delimited JSON file of records (id, question, answer),
+named by the task's ``{split}_file`` key, and a feature block named by
+its ``{split}_features`` key: raw little-endian float64, row-major, one
+row per record, pinned by its byte length and SHA-256.  A split loads
+its features with one read and one ``frombuffer``, and its samples'
+feature vectors are row views of that one matrix.
 
 The synthetic generator produces streams with two controllable
 stressors: domain shift (classes new to a task get cluster centers
@@ -45,9 +46,6 @@ SIDECAR_NAME = "ground_truth.json"
 BLOCK_DTYPE = np.dtype("<f8")
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
-# Every task ships one split per name, in this order.  The manifest
-# names each split's record file as ``{split}_file`` and its feature
-# block as ``{split}_features``.
 SPLITS = ("train", "test")
 TEST_FRACTION = 0.2
 
@@ -152,8 +150,7 @@ class FeatureBlock:
 
 @dataclass(frozen=True)
 class TaskEntry:
-    """Manifest row describing one task's class set and files: ``splits``
-    maps each name in ``SPLITS`` to its (record file, ``FeatureBlock``)."""
+    """Manifest row: a task's class set and, per split, (record file, block)."""
 
     index: int
     class_names: tuple
@@ -394,8 +391,7 @@ def write_task(path, samples, block_path) -> FeatureBlock:
     """Emit a split: its records (``id``, ``question``, ``answer``) as
     line-delimited JSON at ``path``, and its feature vectors as a feature
     block at ``block_path``.  Returns the block's manifest entry, which
-    names the block by its file name, so the block belongs beside the
-    manifest.
+    names the block by its file name.
     """
     lines = (
         json.dumps({"id": s.id, "question": s.question, "answer": s.answer_name}) + "\n"
@@ -429,8 +425,11 @@ class GeneratorConfig:
         samples, classes = self.samples_per_task, self.classes_per_task
         if not is_integer(samples):
             problems.append(f"samples_per_task must be an integer, got {samples!r}")
-        elif is_integer(classes) and samples < 2 * classes:
-            problems.append(f"samples_per_task {samples} cannot cover {classes} classes")
+        elif is_integer(classes) and samples < classes * MIN_CLASS_COUNT:
+            problems.append(
+                f"samples_per_task {samples} cannot give {classes} classes "
+                f"{MIN_CLASS_COUNT} samples each"
+            )
         if not is_finite_number(self.imbalance) or self.imbalance < 1.0:
             problems.append(f"imbalance must be a finite number >= 1, got {self.imbalance}")
         if not is_finite_number(self.overlap) or not 0.0 <= self.overlap <= 1.0:
@@ -535,7 +534,8 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
                 center = rng.standard_normal(cfg.feature_length)
             if t > 1 and cfg.shift > 0.0:
                 direction = rng.standard_normal(cfg.feature_length)
-                norm = float(np.linalg.norm(direction))
+                # Exactly rounded, so no BLAS kernel can move a bit of it.
+                norm = math.sqrt(math.fsum(direction * direction))
                 if norm > 0.0:
                     center = center + cfg.shift * direction / norm
             centers[name] = center
@@ -581,9 +581,8 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
                 question = _QUESTIONS[serial % len(_QUESTIONS)]
                 samples.append(Sample(f"t{t}-{serial:05d}", row, question, label_ids[name], name))
                 serial += 1
-            stem = f"task{t}.{split}"
-            entry[f"{split}_file"] = f"{stem}.jsonl"
-            block = write_task(out / entry[f"{split}_file"], samples, out / f"{stem}.f64")
+            entry[f"{split}_file"] = f"task{t}.{split}.jsonl"
+            block = write_task(out / entry[f"{split}_file"], samples, out / f"task{t}.{split}.f64")
             entry[f"{split}_features"] = asdict(block)
         entry["classes"] = class_list
         tasks_json.append(entry)

@@ -329,6 +329,22 @@ class TestCliRun:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "0 False"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--temperature", "1e-300", "softmax input contains non-finite values"),
+        ("--learning-rate", "1e308", "student produced non-finite logits"),
+    ])
+    def test_an_overflow_exits_5_without_a_numpy_warning(
+        self, cli_workspace, tmp_path, capsys, flag, value, message
+    ):
+        """The finiteness check after an overflow reports it; numpy's own
+        RuntimeWarning (an error under the test suite's filter) is not shown."""
+        code = main(
+            ["run", str(cli_workspace / "run.json"), "--output-dir", str(tmp_path / "run"),
+             flag, value]
+        )
+        assert code == 5
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_repeat_runs_are_byte_identical(self, cli_workspace, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"

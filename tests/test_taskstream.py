@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -14,6 +17,7 @@ from conftest import classes_up_to
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtcl
 from mtcl.bridge import build_vocabulary
 from mtcl.errors import ConfigError, DataError
 from mtcl.taskstream import (
@@ -675,7 +679,9 @@ class TestStreamReaderFuzz:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        target=st.sampled_from(["manifest.json", "task1.train.jsonl", "task2.test.jsonl"]),
+        target=st.sampled_from(
+            ["manifest.json", "vocab.txt", "task1.train.jsonl", "task2.test.jsonl"]
+        ),
         data=st.data(),
     )
     def test_truncated_or_bit_flipped_stream_file(self, tmp_path_factory, target, data):
@@ -726,6 +732,17 @@ class TestGeneratorConfig:
         with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
             generate_synthetic_stream(GeneratorConfig(), seed=seed, out_dir=tmp_path / "s")
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("classes, samples", [(6, 29), (10**12, 3 * 10**12)])
+    def test_too_few_samples_for_the_classes_rejected(self, classes, samples):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=f"cannot give {classes} classes 5 samples"):
+                GeneratorConfig(classes_per_task=classes, samples_per_task=samples)
+            assert tracemalloc.get_traced_memory()[1] < 64 * 1024
+        finally:
+            tracemalloc.stop()
+        GeneratorConfig(classes_per_task=6, samples_per_task=30)
 
     def test_infeasible_imbalance_rejected(self, tmp_path):
         cfg = GeneratorConfig(classes_per_task=6, samples_per_task=60, imbalance=64.0)
@@ -791,14 +808,14 @@ GENERATOR_GOLDEN = {
     ),
     "no-overlap": (
         GeneratorConfig(overlap=0.0), 0,
-        "576925479b9326169a4e878ac17349d622fd1fde6f57915f7c9676f0431aa9df",
+        "d82d17107f747cfc718b6c797ed2e2cd95b3c368d506a107eabd155a2eab1424",
     ),
     "wide": (
         GeneratorConfig(tasks=6, classes_per_task=10, feature_length=64,
                         samples_per_task=3000, imbalance=8.0, overlap=0.3, shift=8.0,
                         cluster_std=1.0),
         17,
-        "fe21c9caa04cd2ab071c271fb820cab320d143e59e8bf47c966f4e34533177ea",
+        "f2881d7ed1c65123266318cf9c1d3be414b458b46154279d0c54020a939c2fe2",
     ),
 }
 
@@ -831,6 +848,35 @@ class TestGeneratedStream:
         generate_synthetic_stream(cfg, seed, tmp_path)
         listing = json.dumps(tree_digest(tmp_path), sort_keys=True).encode()
         assert hashlib.sha256(listing).hexdigest() == digest
+
+    def test_output_does_not_depend_on_the_blas_kernel(self, tmp_path):
+        """Every golden stream, drawn in child processes that force two
+        OpenBLAS kernels, has the bytes drawn in this process."""
+        params = json.loads((EXPERIMENTS / "stream_params.json").read_text())
+        seed = params.pop("seed")
+        golden = {"packaged": (GeneratorConfig(**params), seed)}
+        golden.update((name, (cfg, seed)) for name, (cfg, seed, _) in GENERATOR_GOLDEN.items())
+        jobs = {name: (asdict(cfg), seed) for name, (cfg, seed) in golden.items()}
+        script = (
+            "import json, sys\n"
+            "from mtcl.taskstream import GeneratorConfig, generate_synthetic_stream\n"
+            "root, jobs = sys.argv[1], json.loads(sys.argv[2])\n"
+            "for name, (params, seed) in jobs.items():\n"
+            "    generate_synthetic_stream(GeneratorConfig(**params), seed, f'{root}/{name}')\n"
+        )
+        src = str(Path(mtcl.__file__).resolve().parents[1])
+        for kernel in ("Haswell", "Prescott"):
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / kernel), json.dumps(jobs)],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": kernel},
+            )
+            assert done.returncode == 0, done.stderr
+        for name, (cfg, seed) in golden.items():
+            generate_synthetic_stream(cfg, seed, tmp_path / "here" / name)
+            here = tree_digest(tmp_path / "here" / name)
+            for kernel in ("Haswell", "Prescott"):
+                assert tree_digest(tmp_path / kernel / name) == here, (name, kernel)
 
     def test_different_seed_changes_output(self, tmp_path):
         a = tmp_path / "a"
