@@ -338,7 +338,7 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
     the records must not carry any.
     """
     if split not in SPLITS:
-        raise DataError(f"split must be {' or '.join(map(repr, SPLITS))}, got {split!r}")
+        raise DataError(f"split must be one of {SPLITS}, got {split!r}")
     entry = manifest.task_entry(t)
     rel, block = entry.splits[split]
     file_path = manifest.root / rel

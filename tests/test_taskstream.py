@@ -854,9 +854,9 @@ class TestGeneratedStream:
         OpenBLAS kernels, has the bytes drawn in this process."""
         params = json.loads((EXPERIMENTS / "stream_params.json").read_text())
         seed = params.pop("seed")
-        golden = {"packaged": (GeneratorConfig(**params), seed)}
-        golden.update((name, (cfg, seed)) for name, (cfg, seed, _) in GENERATOR_GOLDEN.items())
-        jobs = {name: (asdict(cfg), seed) for name, (cfg, seed) in golden.items()}
+        jobs = {"packaged": (params, seed)}
+        for name, (cfg, seed, _) in GENERATOR_GOLDEN.items():
+            jobs[name] = (asdict(cfg), seed)
         script = (
             "import json, sys\n"
             "from mtcl.taskstream import GeneratorConfig, generate_synthetic_stream\n"
@@ -872,8 +872,8 @@ class TestGeneratedStream:
                 env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": kernel},
             )
             assert done.returncode == 0, done.stderr
-        for name, (cfg, seed) in golden.items():
-            generate_synthetic_stream(cfg, seed, tmp_path / "here" / name)
+        for name, (params, seed) in jobs.items():
+            generate_synthetic_stream(GeneratorConfig(**params), seed, tmp_path / "here" / name)
             here = tree_digest(tmp_path / "here" / name)
             for kernel in ("Haswell", "Prescott"):
                 assert tree_digest(tmp_path / kernel / name) == here, (name, kernel)
