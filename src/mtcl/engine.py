@@ -275,28 +275,18 @@ class StudentModel:
 class PrevModelTeacher(Teacher):
     """Frozen snapshot of the student, serving logits for its whole head.
 
-    A score table is one batched forward pass over the samples' design
-    matrix; ``score_inputs`` takes a matrix the caller already encoded.
+    It scores the design matrix the trainer already encoded, with
+    ``score_inputs``, one batched forward pass; it has no ``score_table``
+    and never encodes samples itself.
     """
 
-    def __init__(self, model: StudentModel, vocab: Vocabulary):
+    def __init__(self, model: StudentModel):
         super().__init__()
         self.model = model
-        self.vocab = vocab
 
     @property
     def class_names(self) -> tuple:
         return tuple(self.model.class_names)
-
-    def score_table(self, samples, mask_names) -> np.ndarray:
-        if tuple(mask_names) != self.class_names:
-            raise DataError(
-                f"previous model scores its head {list(self.class_names)} in order, "
-                f"not {list(mask_names)}"
-            )
-        return self.score_inputs(
-            encode_inputs(samples, self.vocab, self.model.feature_length)
-        )
 
     def score_inputs(self, inputs: np.ndarray) -> np.ndarray:
         """Logits over the whole head for each row of a design matrix."""
@@ -564,7 +554,7 @@ def run_continual(
         _, accuracies, macro_f1s = zip(*scores)
         scores.append((AVG_DATASET, float(np.mean(accuracies)), float(np.mean(macro_f1s))))
         rows.extend(MetricsRow(t, *score) for score in scores)
-        prev_teacher = PrevModelTeacher(student.clone(), manifest.vocab)
+        prev_teacher = PrevModelTeacher(student.clone())
         if run_dir is not None:
             save_checkpoint(
                 os.path.join(run_dir, f"checkpoint_t{t}.bin"),

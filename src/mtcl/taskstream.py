@@ -510,7 +510,8 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
     """
     if not is_integer(seed) or seed < 0:
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    counts = _allocate_counts(cfg)
+    with sized_by("classes_per_task", "samples_per_task"):
+        counts = _allocate_counts(cfg)
     rng = np.random.default_rng([seed, 9001])
     out = Path(out_dir)
 

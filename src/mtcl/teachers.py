@@ -20,13 +20,13 @@ one logit row per sample over the candidates.  Backends:
   true label with a configurable rate.  Used by the synthetic pipeline
   where no real teacher exists.
 
-Each teacher (``engine.PrevModelTeacher`` too) implements one scoring
-method, ``score_table``; ``query`` is its one-row form.  The trainer
-calls the general teacher's ``score_table`` once per task, and has the
-previous model score the task's already encoded design matrix once per
-task with ``PrevModelTeacher.score_inputs``.  All teachers count one
-query per sample scored, so runs that claim not to consult a teacher
-can prove it.
+Each general teacher implements one scoring method, ``score_table``;
+``query`` is its one-row form.  The trainer calls the general teacher's
+``score_table`` once per task.  The previous model
+(``engine.PrevModelTeacher``) has no ``score_table``: it scores the
+design matrix the trainer already encoded, once per task, with
+``score_inputs``.  All teachers count one query per sample scored, so
+runs that claim not to consult a teacher can prove it.
 """
 
 from __future__ import annotations
@@ -91,8 +91,9 @@ def _candidates(mask_names) -> tuple:
 
 
 class Teacher:
-    """Base class: ``score_table`` is the one scoring method; the base
-    keeps the query count (one per sample scored) and ``close``."""
+    """Base class: ``score_table`` is a general teacher's one scoring
+    method (the previous model scores with ``score_inputs`` instead); the
+    base keeps the query count (one per sample scored) and ``close``."""
 
     def __init__(self):
         self.query_count = 0

@@ -185,7 +185,7 @@ def test_criterion_4_lwf_reduction(tmp_path):
         student, None, None, task1, ledger, settings, weight_cfg,
         manifest.vocab, 1, WeightTrace(),
     )
-    prev = PrevModelTeacher(student.clone(), manifest.vocab)
+    prev = PrevModelTeacher(student.clone())
     known = set(student.class_ids)
     student.grow_head([c for c in task2.classes if c.id not in known])
     ledger.update(task2)
@@ -228,7 +228,7 @@ def test_criterion_4_lwf_reduction(tmp_path):
         ft_settings.seed, manifest.feature_length, len(manifest.vocab) + 1,
         ft_settings.hidden1, ft_settings.hidden2,
     ).grow_head(classes_up_to(manifest, 2))
-    idle_prev = PrevModelTeacher(student.clone(), manifest.vocab)
+    idle_prev = PrevModelTeacher(student.clone())
     idle_llm = NoisyOracleTeacher(seed=1, accuracy=0.9)
     train_task(
         ft_student, idle_prev, idle_llm, task2, ledger, ft_settings,

@@ -1081,6 +1081,18 @@ class TestCliGenerate:
         assert err.count("\n") == 1
         assert not (out / "manifest.json").exists()
 
+    def test_class_counts_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        def starved(cfg):
+            raise MemoryError()
+
+        monkeypatch.setattr("mtcl.taskstream._allocate_counts", starved)
+        out = tmp_path / "gen"
+        assert main(["generate", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: classes_per_task and samples_per_task ")
+        assert err.count("\n") == 1
+        assert not (out / "manifest.json").exists()
+
     def test_infeasible_parameters_exit_2(self, tmp_path, capsys):
         code = main(
             [

@@ -359,68 +359,54 @@ class TestPrevModelTeacher:
             answer_name="cut",
         )
 
-    def test_serves_logits_in_mask_order(self):
-        model, vocab = self.make_model()
-        teacher = PrevModelTeacher(model, vocab)
-        s = self.sample()
-        x = np.concatenate([s.features, encode_question(s.question, vocab)])
-        full = model.forward(x[None])[0]
-        out = teacher.query(s, ("cut", "idle", "grasp"))
-        np.testing.assert_array_equal(out, full)
-
-    def test_unknown_class_rejected(self):
-        model, vocab = self.make_model()
-        teacher = PrevModelTeacher(model, vocab)
-        # It serves its whole head in head order, nothing else.
-        for mask in (
-            ("cut", "phantom"),
-            ("grasp", "cut"),
-            ("cut", "grasp", "idle"),
-            ("cut", "idle"),
-            ("idle", "grasp"),
-            ("cut", "idle", "grasp", "phantom"),
-        ):
-            with pytest.raises(DataError):
-                teacher.query(self.sample(), mask)
-            with pytest.raises(DataError):
-                teacher.score_table([self.sample()], mask)
-
-    def test_score_table_is_one_batched_forward(self):
-        model, vocab = self.make_model()
-        teacher = PrevModelTeacher(model, vocab)
+    def samples(self):
         rng = np.random.default_rng(4)
-        samples = [
+        return [
             Sample(id=f"s{i}", features=rng.normal(size=2), question=q,
                    answer=0, answer_name="cut")
             for i, q in enumerate(["what", "which tool", "", "cut it", "idle?"])
         ]
-        mask = ("cut", "idle", "grasp")
-        table = teacher.score_table(samples, mask)
-        assert teacher.query_count == len(samples)
-        stacked = np.array([
-            np.concatenate([s.features, encode_question(s.question, vocab)])
-            for s in samples
-        ])
-        np.testing.assert_array_equal(table, model.forward(stacked))
-        # One-row and many-row BLAS products may round the last bit apart.
-        queried = np.array([teacher.query(s, mask) for s in samples])
-        np.testing.assert_allclose(table, queried, rtol=0.0, atol=1e-12)
 
-    def test_score_inputs_scores_a_design_matrix(self):
+    def test_scores_the_design_matrix_with_one_forward(self):
         model, vocab = self.make_model()
-        teacher = PrevModelTeacher(model, vocab)
-        samples = [self.sample(), self.sample()]
-        inputs = encode_inputs(samples, vocab, 2)
+        teacher = PrevModelTeacher(model)
+        inputs = encode_inputs(self.samples(), vocab, 2)
         table = teacher.score_inputs(inputs)
-        assert teacher.query_count == 2
-        np.testing.assert_array_equal(table, teacher.score_table(samples, teacher.class_names))
+        assert table.tobytes() == model.forward(inputs).tobytes()
+
+    def test_counts_one_query_per_row(self):
+        model, vocab = self.make_model()
+        teacher = PrevModelTeacher(model)
+        inputs = encode_inputs(self.samples(), vocab, 2)
+        teacher.score_inputs(inputs)
+        assert teacher.query_count == len(inputs)
+        teacher.score_inputs(inputs[:2])
+        assert teacher.query_count == len(inputs) + 2
+
+    def test_class_names_are_the_frozen_head(self):
+        model, _ = self.make_model()
+        teacher = PrevModelTeacher(model.clone())
+        model.grow_head([LabelClass(id=3, name="idle hand")])
+        assert teacher.class_names == ("cut", "idle", "grasp")
+        assert PrevModelTeacher(model).class_names == ("cut", "idle", "grasp", "idle hand")
+
+    def test_scores_no_samples_itself(self):
+        model, _ = self.make_model()
+        teacher = PrevModelTeacher(model)
+        # No path of its own from samples to a design matrix.
+        assert "score_table" not in vars(PrevModelTeacher)
+        assert not hasattr(teacher, "vocab")
+        with pytest.raises(NotImplementedError):
+            teacher.query(self.sample(), teacher.class_names)
+        assert teacher.query_count == 0
 
     def test_snapshot_does_not_track_live_model(self):
         model, vocab = self.make_model()
-        teacher = PrevModelTeacher(model.clone(), vocab)
-        before = teacher.query(self.sample(), ("cut", "idle", "grasp"))
+        teacher = PrevModelTeacher(model.clone())
+        inputs = encode_inputs([self.sample()], vocab, 2)
+        before = teacher.score_inputs(inputs)
         model.w3 += 0.5
-        after = teacher.query(self.sample(), ("cut", "idle", "grasp"))
+        after = teacher.score_inputs(inputs)
         np.testing.assert_array_equal(before, after)
 
 
@@ -513,7 +499,7 @@ class TestTrainTask:
             student, None, None, task1, ledger, settings, weight_cfg,
             mini_stream.vocab, 1, WeightTrace(),
         )
-        prev = PrevModelTeacher(student.clone(), mini_stream.vocab)
+        prev = PrevModelTeacher(student.clone())
         llm = NoisyOracleTeacher(seed=2, accuracy=0.8)
         known = set(student.class_ids)
         student.grow_head([c for c in task2.classes if c.id not in known])
@@ -563,7 +549,7 @@ class TestTrainTask:
             settings.seed, mini_stream.feature_length, len(mini_stream.vocab) + 1,
             settings.hidden1, settings.hidden2,
         ).grow_head(classes_up_to(mini_stream, 2))
-        prev = PrevModelTeacher(student.clone(), mini_stream.vocab)
+        prev = PrevModelTeacher(student.clone())
         steps = []
         forward = student.forward
 
@@ -596,6 +582,29 @@ class TestTrainTask:
         assert row["alpha"] == pytest.approx(0.2)
         task2 = load_task(mini_stream, 2)
         assert llm.query_count == prev.query_count == len(task2.samples)
+
+    def test_prev_logits_are_the_frozen_model_on_the_training_matrix(self, mini_stream):
+        settings = TrainSettings(seed=5, mode="lwf", **FAST)
+        task1, task2 = load_task(mini_stream, 1), load_task(mini_stream, 2)
+        student = StudentModel(
+            settings.seed, mini_stream.feature_length, len(mini_stream.vocab) + 1,
+            settings.hidden1, settings.hidden2,
+        ).grow_head(task1.classes)
+        frozen = student.clone()
+        student.grow_head([c for c in task2.classes if c.id not in student.class_ids])
+        observed = []
+        train_task(
+            student, PrevModelTeacher(frozen), None, task2,
+            ImbalanceLedger().update(task1).update(task2), settings, standard_weights(),
+            mini_stream.vocab, 2, WeightTrace(), observer=observed.append,
+        )
+        expected = frozen.forward(
+            encode_inputs(task2.samples, mini_stream.vocab, mini_stream.feature_length)
+        )
+        row_of = {s.id: i for i, s in enumerate(task2.samples)}
+        for ctx in observed:
+            rows = [row_of[sid] for sid in ctx["sample_ids"]]
+            assert ctx["prev_logits"].tobytes() == expected[rows].tobytes()
 
     def test_single_teacher_mode_never_touches_general_teacher(self, mini_stream):
         settings = TrainSettings(seed=5, mode="lwf", **FAST)
@@ -644,7 +653,7 @@ class TestTrainTask:
             settings.seed, mini_stream.feature_length, len(mini_stream.vocab) + 1,
             settings.hidden1, settings.hidden2,
         ).grow_head(task1.classes)
-        prev = PrevModelTeacher(old, mini_stream.vocab)
+        prev = PrevModelTeacher(old)
         llm = NoisyOracleTeacher(seed=2, accuracy=0.8)
         # Every class is in the head, but the previous model's are not its prefix.
         student = StudentModel(
@@ -814,6 +823,24 @@ class TestRunContinual:
         (rows_a, _, _), _ = self.run(mini_stream, "ours")
         (rows_b, _, _), _ = self.run(mini_stream, "ours")
         assert rows_a == rows_b
+
+    def test_each_split_is_encoded_once(self, mini_stream, monkeypatch):
+        # The previous model scores the matrix train_task encoded; nothing
+        # encodes a split a second time for it.
+        encoded = []
+        real = encode_inputs
+
+        def counted(samples, *args):
+            encoded.append([s.id for s in samples])
+            return real(samples, *args)
+
+        monkeypatch.setattr("mtcl.engine.encode_inputs", counted)
+        self.run(mini_stream, "ours")
+        assert encoded == [
+            [s.id for s in load_task(mini_stream, t, split).samples]
+            for t in (1, 2, 3)
+            for split in ("train", "test")
+        ]
 
     def test_fine_tuning_never_queries_the_general_teacher(self, mini_stream):
         (rows, trace, _), llm = self.run(mini_stream, "ft")

@@ -78,7 +78,7 @@ def test_every_teacher_runs_the_base_initializer(tmp_path, monkeypatch):
     ]
     built = [teachers.teacher_from_config(spec, vocab=vocab) for spec in specs]
     student = engine.StudentModel(1, 2, len(vocab) + 1, 4, 4)
-    built.append(engine.PrevModelTeacher(student, vocab))
+    built.append(engine.PrevModelTeacher(student))
     assert [id(t) for t in made] == [id(t) for t in built]
 
 

@@ -29,14 +29,14 @@ from mtcl.bridge import (
     write_fixture,
 )
 from mtcl.cli import main
-from mtcl.engine import PrevModelTeacher, StudentModel
+from mtcl.engine import StudentModel
 from mtcl.errors import (
     DataError,
     TeacherDimensionError,
     TeacherProtocolError,
     TeacherTimeoutError,
 )
-from mtcl.taskstream import GeneratorConfig, LabelClass, generate_synthetic_stream, load_manifest
+from mtcl.taskstream import GeneratorConfig, generate_synthetic_stream, load_manifest
 from mtcl.teachers import (
     MAX_UNANSWERED_BYTES,
     FixtureTeacher,
@@ -136,7 +136,7 @@ class TestTeacherBase:
 CONTRACT_SAMPLES = [make_sample(f"s-{i}", LABELS[i % len(LABELS)]) for i in range(5)]
 
 
-@pytest.fixture(params=["fixture", "service", "noisy-oracle", "previous-model"])
+@pytest.fixture(params=["fixture", "service", "noisy-oracle"])
 def any_teacher(request, tmp_path):
     """Each teacher kind, ready to score ``CONTRACT_SAMPLES`` over ``LABELS``."""
     vocab = build_vocabulary(LABELS)
@@ -154,12 +154,8 @@ def any_teacher(request, tmp_path):
                                      vocab=vocab, timeout=5.0)
             yield teacher
             teacher.close()
-    elif request.param == "noisy-oracle":
-        yield NoisyOracleTeacher(seed=3, accuracy=0.6)
     else:
-        classes = [LabelClass(id=i, name=n) for i, n in enumerate(LABELS)]
-        model = StudentModel(3, 3, len(vocab) + 1, 4, 4).grow_head(classes)
-        yield PrevModelTeacher(model, vocab)
+        yield NoisyOracleTeacher(seed=3, accuracy=0.6)
 
 
 class TestTeacherContract:
@@ -171,11 +167,7 @@ class TestTeacherContract:
         assert table.shape == (len(CONTRACT_SAMPLES), len(LABELS))
         assert table.dtype == np.float64
         rows = np.array([any_teacher.query(sample, LABELS) for sample in CONTRACT_SAMPLES])
-        if isinstance(any_teacher, PrevModelTeacher):
-            # One-row and many-row BLAS products may round the last bit apart.
-            np.testing.assert_allclose(rows, table, rtol=0.0, atol=1e-12)
-        else:
-            assert rows.tobytes() == table.tobytes()
+        assert rows.tobytes() == table.tobytes()
 
     def test_query_count_grows_by_samples_scored(self, any_teacher):
         any_teacher.score_table(CONTRACT_SAMPLES, LABELS)
