@@ -247,9 +247,9 @@ class StudentModel:
         dh1 = dh2 @ self.w2.T
         dh1 *= 1.0 - h1 * h1
         return np.concatenate([
-            (x.T @ dh1).ravel(), dh1.sum(axis=0),
-            (h1.T @ dh2).ravel(), dh2.sum(axis=0),
-            (h2.T @ dlogits).ravel(), dlogits.sum(axis=0),
+            (x.T @ dh1).ravel(), np.add.reduce(dh1, axis=0),
+            (h1.T @ dh2).ravel(), np.add.reduce(dh2, axis=0),
+            (h2.T @ dlogits).ravel(), np.add.reduce(dlogits, axis=0),
         ])
 
     def apply_gradients(self, grads: np.ndarray, learning_rate: float) -> None:

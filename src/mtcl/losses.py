@@ -18,14 +18,16 @@ Softmax works row by row, so a row of the softened table is bit for bit
 the softened row.
 
 ``batch_loss`` combines the three terms into the batch-mean objective.
-Its logit gradient starts at zeros and accumulates ``(w * g) / b`` for
-each active term, hard labels first, then the previous model, then the
-general teacher; each addition is done elementwise in exactly that
+Its logit gradient accumulates ``(w * g) / b`` for each active term,
+hard labels first, then the previous model, then the general teacher;
+a distillation gradient covers only its teacher's ``m`` columns and is
+added into those.  Each addition is done elementwise in exactly that
 order, so the result is bit-identical to summing the terms row by row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,20 +44,19 @@ def softened_softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray
     """Softmax of logits / temperature along the last axis.
 
     Numerically stabilized by max subtraction; temperature 1 is the
-    plain softmax.  The input is copied once into a fresh C-ordered
+    plain softmax.  Dividing by the temperature writes a fresh C-ordered
     array, which the rest works on in place, so each row of a matrix is
     summed in the same order as the same row on its own (a prefix view
     ``x[:, :m]`` is strided; a teacher table may be column-major).
     """
     if temperature <= 0.0:
         raise NumericError(f"temperature must be > 0, got {temperature}")
-    z = np.array(logits, dtype=np.float64, order="C")
-    z /= temperature
+    z = np.divide(logits, temperature, dtype=np.float64, order="C")
     if not np.isfinite(z).all():
         raise NumericError("softmax input contains non-finite values")
-    z -= z.max(axis=-1, keepdims=True)
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -70,7 +71,7 @@ def cross_entropy(target: np.ndarray, prediction: np.ndarray) -> np.ndarray:
         )
     terms = np.log(np.maximum(prediction, PROB_EPS))
     terms *= target
-    return -terms.sum(axis=-1)
+    return -np.add.reduce(terms, axis=-1)
 
 
 def _logit_matrix(logits) -> np.ndarray:
@@ -100,8 +101,9 @@ def hard_label_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray,
         )
     rows = np.arange(b)
     grad = softened_softmax(logits, 1.0)
-    losses = -np.log(np.maximum(grad[rows, labels], PROB_EPS))
-    grad[rows, labels] -= 1.0
+    picked = grad[rows, labels]
+    losses = -np.log(np.maximum(picked, PROB_EPS))
+    grad[rows, labels] = picked - 1.0
     return losses, grad
 
 
@@ -115,10 +117,11 @@ def kd_loss(
     ``teacher_probs`` is ``(b, m)``: rows of a teacher table already
     softened at ``temperature``, covering the first ``m`` of the ``k``
     classes of the ``(b, k)`` ``student_logits``, so ``0 < m <= k``.
-    The returned gradient has the student's shape with zeros past column
-    ``m``.  It omits any temperature-squared rescaling, so it is the
-    exact derivative of the returned losses: d/ds CE = (softmax(s/T) -
-    p) / T on the first ``m`` entries, where ``p`` is the teacher row.
+    The returned gradient is ``(b, m)``, over the teacher's columns
+    only; padding it to the student's width is ``batch_loss``'s job.
+    It omits any temperature-squared rescaling, so it is the exact
+    derivative of the returned losses: d/ds CE = (softmax(s/T) - p) / T,
+    where ``p`` is the teacher row.
     """
     teacher_probs = np.asarray(teacher_probs, dtype=np.float64)
     student_logits = _logit_matrix(student_logits)
@@ -133,11 +136,7 @@ def kd_loss(
     losses = cross_entropy(teacher_probs, s_probs)
     s_probs -= teacher_probs
     s_probs /= temperature
-    if m == k:
-        return losses, s_probs
-    grad = np.zeros_like(student_logits)
-    grad[:, :m] = s_probs
-    return losses, grad
+    return losses, s_probs
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,7 @@ def combine_losses(
     def term(w: float, v: float) -> float:
         if w == 0.0:
             return 0.0
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise NumericError(f"non-finite loss term {v} under nonzero weight {w}")
         return w * v
 
@@ -196,16 +195,14 @@ def batch_loss(
     """
     hard, grad = hard_label_loss(logits, labels)
     b = grad.shape[0]
-    dz = np.zeros_like(grad)
-    if weights.alpha > 0.0:
-        dz += _scaled(grad, weights.alpha, b)
+    dz = _scaled(grad, weights.alpha, b) if weights.alpha > 0.0 else np.zeros_like(grad)
     kd = []
     for w, rows in ((weights.beta, prev_rows), (weights.chi, llm_rows)):
         if rows is None or w == 0.0:
             kd.append(float("nan"))
             continue
         losses, grad = kd_loss(rows, logits, temperature)
-        dz += _scaled(grad, w, b)
+        dz[:, :grad.shape[1]] += _scaled(grad, w, b)
         kd.append(float(losses.sum()) / b)
     return combine_losses(weights, float(hard.sum()) / b, *kd), dz
 

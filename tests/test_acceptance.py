@@ -5,8 +5,10 @@ output of failing tests)."""
 
 import csv
 import functools
+import hashlib
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -320,6 +322,24 @@ def test_criterion_6_synthetic_regression(regression):
     first = (runs["ours"] / "metrics.csv").read_bytes()
     second = (runs["ours_repeat"] / "metrics.csv").read_bytes()
     assert first == second, "repeated run changed metrics.csv bytes"
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="perfbench/reference.json was recorded on Python 3.11, and CI checks the "
+    "benchmark's digests on 3.11 only: its 3.10 leg may install an older numpy",
+)
+def test_ours_outputs_match_the_benchmark_reference_digests(regression):
+    """The packaged ``ours`` run writes the bytes the benchmark checks:
+    its ``metrics.csv`` and ``weight_trace.csv`` SHA-256 digests are the
+    ``regression-ours`` entries of ``perfbench/reference.json``."""
+    reference = json.loads((REPO / "perfbench" / "reference.json").read_text())
+    digests = reference["regression-ours"]
+    assert sorted(digests) == ["metrics.csv", "weight_trace.csv"]
+    out = regression["runs"]["ours"]
+    for name, digest in digests.items():
+        got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert got == digest, f"{name}: sha256 {got} != reference {digest}"
 
 
 @criterion("7: disagreeing teachers still rank the true label first")
