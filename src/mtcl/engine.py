@@ -295,65 +295,6 @@ class PrevModelTeacher(Teacher):
         return table
 
 
-def _resolve_weights(
-    settings: TrainSettings,
-    weight_cfg: WeightConfig,
-    t: int,
-    prev_teacher,
-    llm_teacher,
-    task: TaskDataset,
-    inputs: np.ndarray,
-    ledger: ImbalanceLedger,
-    head_names: tuple,
-    labels: np.ndarray,
-):
-    """Pick the task's (alpha, beta, chi) triple and score its samples.
-
-    Returns (triple, breakdown, prev table, llm table).  Each teacher
-    that can get a non-zero weight scores the training samples once,
-    into a table that both measures its accuracy and supplies the
-    distillation targets; a table is None when its term's weight is
-    zero.  The previous model scores the task's design matrix ``inputs``;
-    the general teacher's table must have one row per sample and one
-    column per head class (else TeacherDimensionError).
-    """
-    if t == 1 or settings.mode == "ft":
-        return WeightTriple(1.0, 0.0, 0.0), None, None, None
-    if settings.mode == "lwf":
-        if prev_teacher is None:
-            raise ConfigError("single-teacher distillation needs a previous model")
-        triple = WeightTriple(weight_cfg.alpha, 1.0 - weight_cfg.alpha, 0.0)
-        prev_table = None
-        if triple.beta > 0.0:
-            prev_table = prev_teacher.score_inputs(inputs)
-        return triple, None, prev_table, None
-    if prev_teacher is None or llm_teacher is None:
-        raise ConfigError(
-            "adaptive weighting needs both a previous model and a general teacher"
-        )
-    prev_table = prev_teacher.score_inputs(inputs)
-    llm_table = llm_teacher.score_table(task.samples, head_names)
-    if np.shape(llm_table) != (len(task.samples), len(head_names)):
-        raise TeacherDimensionError(
-            f"general teacher scored a table of shape {np.shape(llm_table)}, "
-            f"expected {(len(task.samples), len(head_names))} (samples, head classes)"
-        )
-    prev_truth = np.where(labels < prev_table.shape[1], labels, -1)
-    triple, breakdown = assemble_weights(
-        weight_cfg,
-        measure_teacher_accuracy(prev_table, prev_truth),
-        measure_teacher_accuracy(llm_table, labels),
-        ledger.imbalance_ratio,
-        class_count=ledger.class_count,
-    )
-    return (
-        triple,
-        breakdown,
-        prev_table if triple.beta > 0.0 else None,
-        llm_table if triple.chi > 0.0 else None,
-    )
-
-
 def train_task(
     student: StudentModel,
     prev_teacher,
@@ -363,28 +304,36 @@ def train_task(
     settings: TrainSettings,
     weight_cfg: WeightConfig,
     vocab: Vocabulary,
-    t: int,
     trace: WeightTrace,
     observer=None,
 ) -> StudentModel:
     """Mini-batch gradient descent on the weighted three-term loss.
 
-    The weights are set once per task, from one score table per teacher,
-    and each table kept for training is softened at the temperature once,
-    into the probability rows the distillation terms take; a non-finite
-    table is a NumericError before the first batch.  Teachers whose
-    weight is zero are never queried.  The task is encoded once, and the
-    previous model (a ``PrevModelTeacher``) scores that design matrix.
-    A teacher failure
-    or a non-finite loss aborts the run; terms are never dropped
-    silently.  The previous model's head must be a prefix of the
-    student's: its table of width ``m`` covers the first ``m`` columns.
+    The step is the task's ``task_index``.  The (alpha, beta, chi)
+    weights are set once per task: (1, 0, 0) at step 1 and under
+    ``ft``; (alpha, 1 - alpha, 0) under ``lwf``, which needs a previous
+    model; and under ``ours``, which needs both teachers, from each
+    teacher's measured accuracy on the task and the ledger's class
+    imbalance.  Each teacher that can get a non-zero weight scores the
+    training samples once, into a table that both measures its accuracy
+    and supplies the distillation targets; a table whose weight is zero
+    is dropped, and a teacher that cannot get a weight is never queried.
+    The task is encoded once, and the previous model (a
+    ``PrevModelTeacher``) scores that design matrix.  Its head must be a
+    prefix of the student's: its table of width ``m`` covers the first
+    ``m`` columns.  The general teacher's table must have one row per
+    sample and one column per head class (else TeacherDimensionError).
+    Each kept table is softened at the temperature once, into the
+    probability rows the distillation terms take; a non-finite table is
+    a NumericError before the first batch.  A teacher failure or a
+    non-finite loss aborts the run; terms are never dropped silently.
     ``observer``, if given, is called once per batch with a dict of that
     batch's loss ingredients (for side-by-side recomputation in tests):
     ``t``, ``epoch``, ``batch``, ``sample_ids``, ``labels``,
     ``student_logits``, ``prev_logits``, ``llm_logits`` (teacher rows or
     None), ``weights``, ``temperature`` and ``breakdown``.
     """
+    t = task.task_index
     if not task.samples:
         raise DataError(f"task {t} has no training samples")
     vocab_positions = {name: i for i, name in enumerate(student.class_names)}
@@ -404,10 +353,35 @@ def train_task(
         [vocab_positions[s.answer_name] for s in task.samples], dtype=np.int64
     )
 
-    weights, breakdown, prev_table, llm_table = _resolve_weights(
-        settings, weight_cfg, t, prev_teacher, llm_teacher, task, inputs, ledger,
-        head_names, labels,
-    )
+    weights, breakdown, prev_table, llm_table = WeightTriple(1.0, 0.0, 0.0), None, None, None
+    if t > 1 and settings.mode == "lwf":
+        if prev_teacher is None:
+            raise ConfigError("single-teacher distillation needs a previous model")
+        weights = WeightTriple(weight_cfg.alpha, 1.0 - weight_cfg.alpha, 0.0)
+        if weights.beta > 0.0:
+            prev_table = prev_teacher.score_inputs(inputs)
+    elif t > 1 and settings.mode == "ours":
+        if prev_teacher is None or llm_teacher is None:
+            raise ConfigError(
+                "adaptive weighting needs both a previous model and a general teacher"
+            )
+        prev_table = prev_teacher.score_inputs(inputs)
+        llm_table = llm_teacher.score_table(task.samples, head_names)
+        if np.shape(llm_table) != (len(task.samples), len(head_names)):
+            raise TeacherDimensionError(
+                f"general teacher scored a table of shape {np.shape(llm_table)}, "
+                f"expected {(len(task.samples), len(head_names))} (samples, head classes)"
+            )
+        prev_truth = np.where(labels < prev_table.shape[1], labels, -1)
+        weights, breakdown = assemble_weights(
+            weight_cfg,
+            measure_teacher_accuracy(prev_table, prev_truth),
+            measure_teacher_accuracy(llm_table, labels),
+            ledger.imbalance_ratio,
+            class_count=ledger.class_count,
+        )
+        prev_table = prev_table if weights.beta > 0.0 else None
+        llm_table = llm_table if weights.chi > 0.0 else None
     trace.record(t, weights, breakdown)
     # The teachers are frozen, so each table is softened once per task.
     prev_probs, llm_probs = (
@@ -541,7 +515,7 @@ def run_continual(
         ledger.update(train_split)
         train_task(
             student, prev_teacher, llm_teacher, train_split, ledger,
-            settings, weight_cfg, manifest.vocab, t, trace,
+            settings, weight_cfg, manifest.vocab, trace,
         )
         held_out = load_task(manifest, t, "test")
         tests.append(

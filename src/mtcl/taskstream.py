@@ -219,8 +219,10 @@ def _parse_manifest(path: Path, payload) -> StreamManifest:
     last_index = 0
     for entry in payload["tasks"]:
         index = _integer(path, "task index", entry["index"])
-        if index <= last_index:
-            raise DataError(f"task indices must be strictly increasing, found {index}")
+        if index <= last_index or (last_index == 0 and index != 1):
+            raise DataError(
+                f"task indices must start at 1 and be strictly increasing, found {index}"
+            )
         last_index = index
         for name in entry["classes"]:
             if name not in known:

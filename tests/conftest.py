@@ -1,12 +1,24 @@
 """Helpers shared by several test modules."""
 
 import csv
+import warnings
 
 import numpy as np
 
 from mtcl.engine import MetricsRow
 from mtcl.errors import DimensionMismatchError, NumericError
 from mtcl.weights import WeightTriple
+
+# When a property test fails, hypothesis imports its patch suggester, which
+# (where libcst is installed) raises a DeprecationWarning from libcst's own
+# imports; under ``filterwarnings = error`` that aborts the whole session.
+# Importing it once here, with that warning ignored, leaves it cached.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: hypothesis suggests no patch
+        pass
 
 
 def latest_triple(trace) -> WeightTriple:

@@ -185,7 +185,7 @@ def test_criterion_4_lwf_reduction(tmp_path):
     ledger = ImbalanceLedger().update(task1)
     train_task(
         student, None, None, task1, ledger, settings, weight_cfg,
-        manifest.vocab, 1, WeightTrace(),
+        manifest.vocab, WeightTrace(),
     )
     prev = PrevModelTeacher(student.clone())
     known = set(student.class_ids)
@@ -195,7 +195,7 @@ def test_criterion_4_lwf_reduction(tmp_path):
     observed = []
     train_task(
         student, prev, None, task2, ledger, settings, weight_cfg,
-        manifest.vocab, 2, WeightTrace(), observer=observed.append,
+        manifest.vocab, WeightTrace(), observer=observed.append,
     )
     assert len(observed) >= 100, f"only {len(observed)} batches observed"
     alpha = weight_cfg.alpha
@@ -234,7 +234,7 @@ def test_criterion_4_lwf_reduction(tmp_path):
     idle_llm = NoisyOracleTeacher(seed=1, accuracy=0.9)
     train_task(
         ft_student, idle_prev, idle_llm, task2, ledger, ft_settings,
-        weight_cfg, manifest.vocab, 2, WeightTrace(),
+        weight_cfg, manifest.vocab, WeightTrace(),
     )
     assert idle_prev.query_count == 0
     assert idle_llm.query_count == 0

@@ -1209,6 +1209,8 @@ class TestCliInspectWeights:
             ("1:1e309:3", "START and STOP must be finite"),
             ("inf:inf:2", "START and STOP must be finite"),
             ("nan:2:3", "START and STOP must be finite"),
+            ("-1e308:1e308:3", "START and STOP must be finite, as must STOP - START"),
+            ("1e308:-1e308:2", "START and STOP must be finite, as must STOP - START"),
         ],
     )
     def test_bad_sweep_spec_exits_2(self, capsys, monkeypatch, spec, message):
@@ -1219,7 +1221,7 @@ class TestCliInspectWeights:
         code = main(
             [
                 "inspect-weights", "--acc-prev", "0.5", "--acc-llm", "0.5",
-                "--sweep-ir", spec, "--class-count", "5",
+                f"--sweep-ir={spec}", "--class-count", "5",  # '=' lets START be negative
             ]
         )
         assert code == 2

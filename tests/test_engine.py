@@ -464,7 +464,7 @@ class TestTrainTask:
         bystander = NoisyOracleTeacher(seed=1, accuracy=0.9)
         train_task(
             student, None, bystander, task, ledger, settings,
-            standard_weights(), mini_stream.vocab, 1, WeightTrace(),
+            standard_weights(), mini_stream.vocab, WeightTrace(),
         )
         reference = reference_supervised_loop(mini_stream, task, settings)
         np.testing.assert_array_equal(student.get_flat(), reference.get_flat())
@@ -481,13 +481,14 @@ class TestTrainTask:
         train_task(
             student, None, NoisyOracleTeacher(seed=1, accuracy=0.9), task,
             ImbalanceLedger().update(task), settings, standard_weights(),
-            mini_stream.vocab, 1, trace,
+            mini_stream.vocab, trace,
         )
         assert latest_triple(trace).alpha == 1.0
         assert latest_triple(trace).beta == 0.0
         assert len(trace.rows) == 1
 
-    def continue_to_second_task(self, mini_stream, settings, weight_cfg, trace):
+    def continue_to_second_task(self, mini_stream, settings, weight_cfg, trace,
+                                observer=None):
         task1 = load_task(mini_stream, 1)
         task2 = load_task(mini_stream, 2)
         student = StudentModel(
@@ -497,7 +498,7 @@ class TestTrainTask:
         ledger = ImbalanceLedger().update(task1)
         train_task(
             student, None, None, task1, ledger, settings, weight_cfg,
-            mini_stream.vocab, 1, WeightTrace(),
+            mini_stream.vocab, WeightTrace(),
         )
         prev = PrevModelTeacher(student.clone())
         llm = NoisyOracleTeacher(seed=2, accuracy=0.8)
@@ -506,7 +507,7 @@ class TestTrainTask:
         ledger.update(task2)
         train_task(
             student, prev, llm, task2, ledger, settings, weight_cfg,
-            mini_stream.vocab, 2, trace,
+            mini_stream.vocab, trace, observer=observer,
         )
         return student, prev, llm
 
@@ -563,7 +564,7 @@ class TestTrainTask:
             train_task(
                 student, prev, Broken(seed=2, accuracy=0.8), task2,
                 ImbalanceLedger().update(task1).update(task2), settings,
-                standard_weights(), mini_stream.vocab, 2, WeightTrace(),
+                standard_weights(), mini_stream.vocab, WeightTrace(),
             )
         assert steps == []
         np.testing.assert_array_equal(student.get_flat(), before)
@@ -596,7 +597,7 @@ class TestTrainTask:
         train_task(
             student, PrevModelTeacher(frozen), None, task2,
             ImbalanceLedger().update(task1).update(task2), settings, standard_weights(),
-            mini_stream.vocab, 2, WeightTrace(), observer=observed.append,
+            mini_stream.vocab, WeightTrace(), observer=observed.append,
         )
         expected = frozen.forward(
             encode_inputs(task2.samples, mini_stream.vocab, mini_stream.feature_length)
@@ -609,14 +610,19 @@ class TestTrainTask:
     def test_single_teacher_mode_never_touches_general_teacher(self, mini_stream):
         settings = TrainSettings(seed=5, mode="lwf", **FAST)
         trace = WeightTrace()
+        observed = []
         _, prev, llm = self.continue_to_second_task(
-            mini_stream, settings, standard_weights(), trace
+            mini_stream, settings, standard_weights(), trace, observer=observed.append
         )
         assert llm.query_count == 0
         assert prev.query_count > 0
         triple = latest_triple(trace)
         assert triple.beta == pytest.approx(0.8)
         assert triple.chi == 0.0
+        # The step is read from the task itself.
+        step = load_task(mini_stream, 2).task_index
+        assert trace.rows[-1]["t"] == step
+        assert observed and {ctx["t"] for ctx in observed} == {step}
 
     def test_adaptive_mode_requires_both_teachers(self, mini_stream):
         task2 = load_task(mini_stream, 2)
@@ -629,7 +635,7 @@ class TestTrainTask:
         with pytest.raises(ConfigError):
             train_task(
                 student, None, None, task2, ledger, settings, standard_weights(),
-                mini_stream.vocab, 2, WeightTrace(),
+                mini_stream.vocab, WeightTrace(),
             )
 
     def test_missing_head_class_rejected(self, mini_stream):
@@ -642,7 +648,7 @@ class TestTrainTask:
         with pytest.raises(DataError, match="grow"):
             train_task(
                 student, None, None, task, ImbalanceLedger().update(task),
-                settings, standard_weights(), mini_stream.vocab, 1, WeightTrace(),
+                settings, standard_weights(), mini_stream.vocab, WeightTrace(),
             )
 
     def test_head_must_extend_previous_model_head(self, mini_stream):
@@ -664,7 +670,7 @@ class TestTrainTask:
         with pytest.raises(DataError, match="does not extend"):
             train_task(
                 student, prev, llm, task2, ledger, settings, standard_weights(),
-                mini_stream.vocab, 2, WeightTrace(),
+                mini_stream.vocab, WeightTrace(),
             )
         assert prev.query_count == llm.query_count == 0
 
@@ -678,7 +684,7 @@ class TestTrainTask:
         seen = []
         train_task(
             student, None, None, task, ImbalanceLedger().update(task), settings,
-            standard_weights(), mini_stream.vocab, 1, WeightTrace(),
+            standard_weights(), mini_stream.vocab, WeightTrace(),
             observer=seen.append,
         )
         per_epoch = math.ceil(len(task.samples) / settings.batch_size)
@@ -743,7 +749,7 @@ class TestEvaluate:
         ).grow_head(task.classes)
         train_task(
             student, None, None, task, ImbalanceLedger().update(task), settings,
-            standard_weights(), mini_stream.vocab, 1, WeightTrace(),
+            standard_weights(), mini_stream.vocab, WeightTrace(),
         )
         test = load_task(mini_stream, 1, split="test")
         inputs = encode_inputs(test.samples, mini_stream.vocab, mini_stream.feature_length)

@@ -264,12 +264,22 @@ class TestManifestValidation:
         with pytest.raises(DataError, match="phantom"):
             load_manifest(write_stream(tmp_path, stray))
 
-    def test_task_indices_strictly_increasing(self, tmp_path):
-        def reorder(payload):
-            payload["tasks"][1]["index"] = 1
+    @pytest.mark.parametrize("indices, found", [((1, 1), 1), ((2, 3), 2), ((0, 1), 0)],
+                             ids=["repeated", "starts-at-2", "starts-at-0"])
+    def test_task_indices_strictly_increasing(self, tmp_path, indices, found):
+        def renumber(payload):
+            for entry, index in zip(payload["tasks"], indices, strict=True):
+                entry["index"] = index
 
-        with pytest.raises(DataError, match="increasing"):
-            load_manifest(write_stream(tmp_path, reorder))
+        rule = "start at 1 and be strictly increasing"
+        with pytest.raises(DataError, match=f"{rule}, found {found}$"):
+            load_manifest(write_stream(tmp_path, renumber))
+
+    def test_gaps_after_the_first_task_are_allowed(self, tmp_path):
+        def skip(payload):
+            payload["tasks"][1]["index"] = 3
+
+        assert [e.index for e in load_manifest(write_stream(tmp_path, skip)).tasks] == [1, 3]
 
     def test_no_tasks_rejected(self, tmp_path):
         def clear(payload):
