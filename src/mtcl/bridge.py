@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionMismatchError, NumericError, read_input, write_output
+from .errors import DataError, DimensionMismatchError, NumericError, parse_input, write_output
 
 PAUSE_TOKEN = "<pause>"
 PAUSE_ID = 0
@@ -108,7 +108,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        return cls.from_text(read_input(path, "vocabulary file", text=True))
+        return parse_input(path, "vocabulary file", cls.from_text, text=True)
 
 
 def build_vocabulary(labels) -> Vocabulary:
@@ -234,15 +234,18 @@ def read_fixture(path) -> dict:
     against the bytes left in the file, so a corrupt or truncated file is
     a DataError, never a huge allocation.
     """
-    data = read_input(path, "fixture file")
+    return parse_input(path, "fixture file", _parse_fixture)
+
+
+def _parse_fixture(data: bytes) -> dict:
     if not data.startswith(FIXTURE_MAGIC):
-        raise DataError(f"{path} is not a score-fixture file (bad magic)")
+        raise DataError("not a score-fixture file (bad magic)")
     offset = len(FIXTURE_MAGIC)
 
     def take(n, what):
         nonlocal offset
         if n > len(data) - offset:
-            raise DataError(f"fixture file {path} truncated while reading {what}")
+            raise DataError(f"truncated while reading {what}")
         offset += n
         return memoryview(data)[offset - n : offset]
 
@@ -250,18 +253,13 @@ def read_fixture(path) -> dict:
     if version != FIXTURE_VERSION:
         raise DataError(f"unsupported fixture version {version}")
     records = {}
-    try:
-        while offset < len(data):
-            (id_len,) = struct.unpack("<H", take(2, "record header"))
-            sample_id = str(take(id_len, "sample id"), "utf-8")
-            shape = struct.unpack("<III", take(12, "tensor shape"))
-            raw = take(4 * math.prod(shape), f"tensor data for {sample_id!r}")
-            tensor = np.frombuffer(raw, dtype="<f4").reshape(shape)
-            if sample_id in records:
-                raise DataError(f"duplicate sample id {sample_id!r} in fixture")
-            records[sample_id] = tensor
-    except ValueError as exc:
-        # A sample id that is not UTF-8, or an empty tensor whose other
-        # dimensions overflow numpy's size limit.
-        raise DataError(f"fixture file {path} is corrupt: {exc}") from exc
+    while offset < len(data):
+        (id_len,) = struct.unpack("<H", take(2, "record header"))
+        sample_id = str(take(id_len, "sample id"), "utf-8")
+        shape = struct.unpack("<III", take(12, "tensor shape"))
+        raw = take(4 * math.prod(shape), f"tensor data for {sample_id!r}")
+        tensor = np.frombuffer(raw, dtype="<f4").reshape(shape)
+        if sample_id in records:
+            raise DataError(f"duplicate sample id {sample_id!r}")
+        records[sample_id] = tensor
     return records

@@ -33,7 +33,7 @@ import numpy as np
 
 from .bridge import SPACE_TOKEN, Vocabulary
 from .errors import ConfigError, DataError, NumericError, TeacherDimensionError
-from .errors import parse_json, read_input, sized_by, write_csv, write_output
+from .errors import parse_input, parse_json, sized_by, write_csv, write_output
 from .losses import batch_loss, softened_softmax
 from .taskstream import (
     ImbalanceLedger,
@@ -580,42 +580,40 @@ def load_checkpoint(path):
     the header's architecture before a model is built, and every
     parameter must be finite.
     """
-    data = read_input(path, "checkpoint")
+    return parse_input(path, "checkpoint", _parse_checkpoint)
+
+
+def _parse_checkpoint(data: bytes):
     if not data.startswith(CHECKPOINT_MAGIC):
-        raise DataError(f"{path} is not a checkpoint file (bad magic)")
-    try:
-        version, header_len = struct.unpack_from("<HI", data, len(CHECKPOINT_MAGIC))
-        if version != CHECKPOINT_VERSION:
-            raise DataError(f"unsupported checkpoint version {version}")
-        offset = len(CHECKPOINT_MAGIC) + struct.calcsize("<HI")
-        raw_header = data[offset : offset + header_len]
-        header = parse_json(raw_header, DataError, "checkpoint header is corrupt", "utf-8")
-        offset += header_len
-        (count,) = struct.unpack_from("<Q", data, offset)
-        seed, *widths = (int(header[key]) for key in ARCHITECTURE)
-        classes = [
-            LabelClass(int(cid), str(name))
-            for cid, name in zip(header["class_ids"], header["class_names"], strict=True)
-        ]
-        feature_length, question_length, hidden1, hidden2 = widths
-        expected = StudentModel.count_params(
-            feature_length + question_length, hidden1, hidden2, len(classes)
+        raise DataError("not a checkpoint file (bad magic)")
+    version, header_len = struct.unpack_from("<HI", data, len(CHECKPOINT_MAGIC))
+    if version != CHECKPOINT_VERSION:
+        raise DataError(f"unsupported checkpoint version {version}")
+    offset = len(CHECKPOINT_MAGIC) + struct.calcsize("<HI")
+    raw_header = data[offset : offset + header_len]
+    header = parse_json(raw_header, DataError, "header is corrupt", "utf-8")
+    offset += header_len
+    (count,) = struct.unpack_from("<Q", data, offset)
+    seed, *widths = (int(header[key]) for key in ARCHITECTURE)
+    classes = [
+        LabelClass(int(cid), str(name))
+        for cid, name in zip(header["class_ids"], header["class_names"], strict=True)
+    ]
+    feature_length, question_length, hidden1, hidden2 = widths
+    expected = StudentModel.count_params(
+        feature_length + question_length, hidden1, hidden2, len(classes)
+    )
+    if min(widths) < 1 or count != expected:
+        raise DataError(
+            f"header (layer widths {widths}, {len(classes)} classes) "
+            f"does not describe its {count} parameters"
         )
-        if min(widths) < 1 or count != expected:
-            raise DataError(
-                f"checkpoint header (layer widths {widths}, {len(classes)} classes) "
-                f"does not describe its {count} parameters"
-            )
-        blob = data[offset + 8 : offset + 8 + 8 * count]
-        if len(blob) != 8 * count:
-            raise DataError("checkpoint truncated inside the parameter blob")
-        model = StudentModel(seed, *widths).grow_head(classes)
-    except struct.error as exc:
-        raise DataError(f"checkpoint truncated before the parameter blob: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"checkpoint header is malformed: {exc!r}") from exc
+    blob = data[offset + 8 : offset + 8 + 8 * count]
+    if len(blob) != 8 * count:
+        raise DataError("truncated inside the parameter blob")
     params = np.frombuffer(blob, dtype="<f8")
     if not np.isfinite(params).all():
-        raise DataError("checkpoint parameters are not finite")
+        raise DataError("parameters are not finite")
+    model = StudentModel(seed, *widths).grow_head(classes)
     model.set_flat(params)
     return model, header

@@ -4,7 +4,9 @@ Each class states the process exit code the CLI gives it, so anything
 that should abort a run with a distinct status belongs here rather than
 in a bare ValueError.  ``read_input`` and ``parse_json`` pick the error
 for an input file that cannot be read and for JSON that cannot be
-parsed; ``write_output`` writes every output file whole and picks the
+parsed; ``parse_input`` parses a whole input file and is the one place
+that names the file in a parse error, as ``<what> <path>: <reason>``;
+``write_output`` writes every output file whole and picks the
 error for one that cannot be written, and ``write_csv`` writes every
 table through it.  ``sized_by`` picks the error for an array too large
 to allocate.
@@ -13,6 +15,7 @@ to allocate.
 import io
 import json
 import os
+import struct
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -77,6 +80,23 @@ def read_input(path, what: str, error=DataError, text: bool = False):
         return Path(path).read_text(encoding="utf-8") if text else Path(path).read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
         raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def parse_input(path, what: str, parse, text: bool = False):
+    """``parse`` of the file at ``path`` as ``read_input`` reads it.  Its
+    DataError gets ``what`` and ``path`` before the reason, a ``struct.error``
+    says the file is truncated, and a ``KeyError``, ``TypeError``,
+    ``ValueError`` or ``OverflowError`` (``int`` of JSON's 1e400) that it
+    is malformed."""
+    data = read_input(path, what, text=text)
+    try:
+        return parse(data)
+    except DataError as exc:
+        raise type(exc)(f"{what} {path}: {exc}") from exc
+    except struct.error as exc:
+        raise DataError(f"{what} {path} is truncated: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{what} {path} is malformed: {exc!r}") from exc
 
 
 def parse_json(data, error, where: str, encoding: str = None):

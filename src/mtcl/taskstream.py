@@ -22,6 +22,7 @@ largest and smallest class so their ratio hits a target).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -34,7 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bridge import Vocabulary, build_vocabulary
-from .errors import ConfigError, DataError, parse_json, read_input, sized_by, write_output
+from .errors import ConfigError, DataError, parse_input, parse_json, read_input, sized_by
+from .errors import write_output
 from .weights import is_finite_number, is_integer
 
 MANIFEST_VERSION = 1
@@ -180,24 +182,17 @@ class StreamManifest:
 
 def load_manifest(path) -> StreamManifest:
     path = Path(path)
-    text = read_input(path, "manifest", text=True)
-    payload = parse_json(text, DataError, f"manifest {path} is not valid JSON")
-    try:
-        return _parse_manifest(path, payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"manifest {path} is malformed: {exc!r}") from exc
+    parse = functools.partial(_parse_manifest, path.parent)
+    return parse_input(path, "manifest", parse, text=True)
 
 
-def _parse_manifest(path: Path, payload) -> StreamManifest:
-    for key in ("format_version", "feature_length", "vocab_file", "labels", "tasks"):
-        if key not in payload:
-            raise DataError(f"manifest {path} is missing {key!r}")
+def _parse_manifest(root: Path, text: str) -> StreamManifest:
+    payload = parse_json(text, DataError, "not valid JSON")
     if payload["format_version"] != MANIFEST_VERSION:
         raise DataError(f"unsupported manifest version {payload['format_version']}")
-    feature_length = _integer(path, "feature_length", payload["feature_length"])
+    feature_length = _integer("feature_length", payload["feature_length"])
     if feature_length < 1:
         raise DataError(f"feature length must be >= 1, got {feature_length}")
-    root = path.parent
     vocab = Vocabulary.load(root / payload["vocab_file"])
     labels = []
     for i, entry in enumerate(payload["labels"]):
@@ -218,65 +213,54 @@ def _parse_manifest(path: Path, payload) -> StreamManifest:
     tasks = []
     last_index = 0
     for entry in payload["tasks"]:
-        index = _integer(path, "task index", entry["index"])
+        index = _integer("task index", entry["index"])
         if index <= last_index or (last_index == 0 and index != 1):
             raise DataError(
                 f"task indices must start at 1 and be strictly increasing, found {index}"
             )
         last_index = index
-        for name in entry["classes"]:
+        for name, count in Counter(entry["classes"]).items():
             if name not in known:
                 raise DataError(
                     f"task {index} declares unknown class {name!r} (manifest drift)"
                 )
+            if count > 1:
+                raise DataError(f"task {index} lists class {name!r} more than once")
+        splits = {}
         for split in SPLITS:
             name = entry[f"{split}_file"]
             if not isinstance(name, str) or "\0" in name:
-                raise DataError(
-                    f"manifest {path}: task {index} {split}_file must be a file name, "
-                    f"got {name!r}"
-                )
-        splits = {
-            split: (entry[f"{split}_file"], _parse_block(path, index, split, entry))
-            for split in SPLITS
-        }
+                raise DataError(f"task {index} {split}_file must be a file name, got {name!r}")
+            splits[split] = (name, _parse_block(index, split, entry))
         tasks.append(TaskEntry(index=index, class_names=tuple(entry["classes"]), splits=splits))
     if not tasks:
         raise DataError("manifest declares no tasks")
-    return StreamManifest(
-        root=root,
-        feature_length=feature_length,
-        vocab=vocab,
-        labels=tuple(labels),
-        tasks=tuple(tasks),
-    )
+    return StreamManifest(root, feature_length, vocab, tuple(labels), tuple(tasks))
 
 
-def _integer(path: Path, name: str, value) -> int:
+def _integer(name: str, value) -> int:
     """``value`` if it is a JSON integer (not a bool), else DataError."""
     if not is_integer(value):
-        raise DataError(f"manifest {path}: {name} must be an integer, got {value!r}")
+        raise DataError(f"{name} must be an integer, got {value!r}")
     return value
 
 
-def _parse_block(path: Path, index: int, split: str, entry: dict) -> FeatureBlock:
+def _parse_block(index: int, split: str, entry: dict) -> FeatureBlock:
     """The task entry's feature block for ``split``."""
     key = f"{split}_features"
     where = f"task {index} {key}"
     if key not in entry:
-        raise DataError(f"manifest {path}: {where} is missing; each split needs a feature block")
+        raise DataError(f"{where} is missing; each split needs a feature block")
     spec = entry[key]
     if not isinstance(spec, dict):
-        raise DataError(f"manifest {path}: {where} must be an object, got {spec!r}")
+        raise DataError(f"{where} must be an object, got {spec!r}")
     file, size, digest = spec["file"], spec["bytes"], spec["sha256"]
     if not isinstance(file, str) or not file or "\0" in file:
-        raise DataError(f"manifest {path}: {where} file must be a file name, got {file!r}")
-    if _integer(path, f"{where} bytes", size) < 0:
-        raise DataError(f"manifest {path}: {where} bytes must be >= 0, got {size}")
+        raise DataError(f"{where} file must be a file name, got {file!r}")
+    if _integer(f"{where} bytes", size) < 0:
+        raise DataError(f"{where} bytes must be >= 0, got {size}")
     if not isinstance(digest, str) or not _SHA256_HEX.fullmatch(digest):
-        raise DataError(
-            f"manifest {path}: {where} sha256 must be 64 lowercase hex digits, got {digest!r}"
-        )
+        raise DataError(f"{where} sha256 must be 64 lowercase hex digits, got {digest!r}")
     return FeatureBlock(file=file, bytes=size, sha256=digest)
 
 
@@ -287,28 +271,25 @@ def _read_block(root: Path, block: FeatureBlock, rows: int, feature_length: int)
 
     The file is read whole, so a declared size never sets an allocation.
     """
-    path = root / block.file
-    data = read_input(path, "feature block")
-    if len(data) != block.bytes:
-        raise DataError(
-            f"feature block {path} holds {len(data)} bytes, the manifest says {block.bytes}"
-        )
-    if hashlib.sha256(data).hexdigest() != block.sha256:
-        raise DataError(f"feature block {path} does not match its SHA-256 digest")
-    expected = rows * feature_length * BLOCK_DTYPE.itemsize
-    if block.bytes != expected:
-        raise DataError(
-            f"feature block {path} holds {block.bytes} bytes; {rows} records of "
-            f"{feature_length} float64 features need {expected}"
-        )
-    matrix = np.frombuffer(data, dtype=BLOCK_DTYPE).reshape(rows, feature_length)
-    finite = np.isfinite(matrix).all(axis=1)
-    if not finite.all():
-        raise DataError(
-            f"feature block {path}: row {int(np.argmin(finite)) + 1} holds a "
-            "non-finite value"
-        )
-    return matrix
+
+    def parse(data: bytes) -> np.ndarray:
+        if len(data) != block.bytes:
+            raise DataError(f"holds {len(data)} bytes, the manifest says {block.bytes}")
+        if hashlib.sha256(data).hexdigest() != block.sha256:
+            raise DataError("does not match its SHA-256 digest")
+        expected = rows * feature_length * BLOCK_DTYPE.itemsize
+        if block.bytes != expected:
+            raise DataError(
+                f"holds {block.bytes} bytes; {rows} records of "
+                f"{feature_length} float64 features need {expected}"
+            )
+        matrix = np.frombuffer(data, dtype=BLOCK_DTYPE).reshape(rows, feature_length)
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            raise DataError(f"row {int(np.argmin(finite)) + 1} holds a non-finite value")
+        return matrix
+
+    return parse_input(root / block.file, "feature block", parse)
 
 
 # The C scanner behind ``json.loads``, without the wrapper's whitespace,

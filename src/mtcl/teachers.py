@@ -144,7 +144,8 @@ class FixtureTeacher(Teacher):
             self.query_count += 1
             tensor = self.records.get(sample.id)
             if tensor is None:
-                raise DataError(f"fixture has no score tensor for sample {sample.id!r}")
+                raise DataError(f"fixture file {self.path}: no score tensor for "
+                                f"sample {sample.id!r}")
             table[i] = _bridge(tensor, tensor.shape, labels,
                                f"fixture tensor for {sample.id!r}")
         return table

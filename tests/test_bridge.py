@@ -327,8 +327,8 @@ class TestFixtureFormat:
                 before = tracemalloc.get_traced_memory()[0]
                 try:
                     read_fixture(path)
-                except DataError:
-                    pass
+                except DataError as exc:
+                    assert str(exc).startswith(f"fixture file {path}"), exc
                 # No length field may make the reader allocate beyond the
                 # file's size, plus the file object's read buffer.
                 assert tracemalloc.get_traced_memory()[1] - before < 64 * 1024

@@ -598,6 +598,22 @@ class TestCliRun:
         assert code == 3
         assert str(manifest) in capsys.readouterr().err
 
+    def test_task_listing_a_class_twice_exits_3_before_any_file(self, cli_workspace,
+                                                                tmp_path, capsys):
+        stream = tmp_path / "stream"
+        shutil.copytree(cli_workspace / "stream", stream)
+        manifest = stream / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        first = payload["tasks"][1]["classes"][0]
+        payload["tasks"][1]["classes"].append(first)
+        manifest.write_text(json.dumps(payload))
+        code = main(["run", str(cli_workspace / "run.json"), "--manifest", str(manifest),
+                     "--output-dir", str(tmp_path / "x")])
+        assert code == 3
+        assert f"manifest {manifest}: task 2 lists class {first!r} more than once" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize(
         "name, expected",
         [
@@ -969,7 +985,8 @@ class TestRunInterrupted:
             for name in ("full", "short")
         ]
         assert codes == [0, 3]
-        assert "fixture has no score tensor for sample 't3-" in capsys.readouterr().err
+        missing = f"fixture file {tmp_path / 'short.bin'}: no score tensor for sample 't3-"
+        assert missing in capsys.readouterr().err
         short, full = tmp_path / "short", tmp_path / "full"
         assert not (short / "checkpoint_t3.bin").exists()
         assert {r.t for r in read_metrics_csv(short / "metrics.csv")} == {1, 2}
@@ -1399,7 +1416,8 @@ class TestCliEval:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert main(argv) == 3
-            assert "checkpoint parameters are not finite" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"checkpoint {checkpoint}: parameters are not finite" in err
 
 
 class TestCliTopLevel:

@@ -1,13 +1,14 @@
 """Every input from outside the program ends with its documented exit code.
 
 Whole-file reads and JSON parses go through ``errors.read_input`` and
-``errors.parse_json``, and a service teacher's HTTP replies through
-``teachers._read_reply``; a damaged run config, checkpoint or service
-reply is a ConfigError (exit 2), DataError (exit 3) or TeacherQueryError
-(exit 4), never a traceback; a service reply whose token scores are not
-all finite is exit 4 too.  Every output file goes through
-``errors.write_output``, whole or not at all, and every table through
-``errors.write_csv``.
+``errors.parse_json``, whole-file data parses through
+``errors.parse_input``, which names the file, and a service teacher's
+HTTP replies through ``teachers._read_reply``; a damaged run config,
+checkpoint or service reply is a ConfigError (exit 2), DataError (exit 3,
+naming the checkpoint) or TeacherQueryError (exit 4), never a traceback;
+a service reply whose token scores are not all finite is exit 4 too.
+Every output file goes through ``errors.write_output``, whole or not at
+all, and every table through ``errors.write_csv``.
 """
 
 import ast
@@ -236,6 +237,7 @@ class TestDamagedInputs:
     @example(contents=with_header(DEEP))
     @example(contents=with_header(BIG_INTEGER))
     @example(contents=with_header(NOT_UTF8 + b"{}"))
+    @example(contents=with_header(b'{"seed": 1e400}'))  # int() of an infinite float
     def test_checkpoint(self, tmp_path_factory, contents):
         root = tmp_path_factory.mktemp("checkpoint")
         (root / "ck.bin").write_bytes(contents)
@@ -245,6 +247,7 @@ class TestDamagedInputs:
         )
         # A checkpoint that still loads stops at the manifest, which is not there.
         assert code == 3, err
+        assert f"checkpoint {root / 'ck.bin'}" in err or "cannot read manifest" in err, err
 
     @settings(max_examples=200, deadline=None)
     @given(body=damaged(reply_body()))

@@ -289,6 +289,28 @@ class TestManifestValidation:
             load_manifest(write_stream(tmp_path, clear))
 
     @pytest.mark.parametrize(
+        "mutate, reason",
+        [
+            (lambda m: m.update(format_version=2), "unsupported manifest version 2"),
+            (lambda m: m.update(feature_length=0), "feature length must be >= 1, got 0"),
+            (lambda m: m["labels"].reverse(), "label ids must be 0..n-1 in order"),
+            (lambda m: m["tasks"][0].update(index=2), "task indices must start at 1"),
+            (lambda m: m["tasks"][1]["classes"].append("phantom"),
+             "task 2 declares unknown class 'phantom'"),
+            (lambda m: m.update(tasks=[]), "manifest declares no tasks"),
+            (lambda m: m["tasks"][1]["classes"].append("idle"),
+             "task 2 lists class 'idle' more than once"),
+        ],
+        ids=["version-2", "feature-length-0", "label-ids-out-of-order", "first-index-2",
+             "unknown-class", "no-tasks", "repeated-class"],
+    )
+    def test_field_errors_name_the_manifest(self, tmp_path, mutate, reason):
+        path = write_stream(tmp_path, mutate)
+        with pytest.raises(DataError) as info:
+            load_manifest(path)
+        assert str(info.value).startswith(f"manifest {path}: {reason}")
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("feature_length", 2.0),
@@ -436,15 +458,17 @@ def pin_block(root, task, split, data):
     path.write_text(json.dumps(payload))
 
 
-def load_or_data_error(load):
-    """``load()``, or None when it raises DataError.  It must allocate less
+def load_or_data_error(load, named=None):
+    """``load()``, or None when it raises DataError, whose message must
+    then hold one of the paths ``named``, if given.  It must allocate less
     than 64 KiB: no length that a file declares may set an allocation."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         try:
             return load()
-        except DataError:
+        except DataError as exc:
+            assert named is None or any(str(p) in str(exc) for p in named), exc
             return None
         finally:
             assert tracemalloc.get_traced_memory()[1] - before < 64 * 1024
@@ -706,7 +730,14 @@ class TestStreamReaderFuzz:
             flipped[bit // 8] ^= 1 << (bit % 8)
             damaged = bytes(flipped)
         (root / target).write_bytes(damaged)
-        load_or_data_error(lambda: load_all(load_manifest(root / "manifest.json")))
+        # The error names the damaged file or the file it disagrees with:
+        # the manifest for a vocabulary, the block for a task file's record
+        # count, and for the manifest any file of the stream it names.
+        named = {
+            "manifest.json": [root],
+            "vocab.txt": [root / "vocab.txt", root / "manifest.json"],
+        }.get(target, [root / target, root / target.replace(".jsonl", ".f64")])
+        load_or_data_error(lambda: load_all(load_manifest(root / "manifest.json")), named)
 
 
 class TestGeneratorConfig:

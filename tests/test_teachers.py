@@ -219,7 +219,8 @@ class TestFixtureTeacher:
     def test_missing_sample_rejected(self, fixture_path, vocab):
         path, _ = fixture_path
         teacher = FixtureTeacher(path, vocab)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=re.escape(
+                f"fixture file {path}: no score tensor for sample 'absent'")):
             teacher.query(make_sample("absent"), LABELS)
 
     def test_candidate_count_mismatch_rejected(self, fixture_path, vocab):
