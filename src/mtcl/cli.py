@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .config import WEIGHT_KEYS, load_run_config
 from .engine import MODES, encode_inputs, evaluate, load_checkpoint, run_continual
-from .errors import ConfigError, MtclError, exit_code_for, write_output
+from .errors import ConfigError, DataError, MtclError, exit_code_for, write_output
 from .taskstream import SPLITS, GeneratorConfig, generate_synthetic_stream, load_manifest
 from .taskstream import load_task
 from .teachers import teacher_from_config
@@ -142,10 +142,11 @@ def cmd_run(args) -> int:
     ) if cfg.llm_teacher is not None else None
     out = cfg.resolved_output_dir()
     cfg.save(out / "resolved_config.json")
+    digest = cfg.digest()
     run_info = {
         "tool_version": __version__,
         "seed": settings.seed,
-        "config_digest": cfg.digest(),
+        "config_digest": digest,
         "mode": settings.mode,
     }
     write_output(out / "run_info.json", json.dumps(run_info, indent=2) + "\n", "run info")
@@ -156,7 +157,7 @@ def cmd_run(args) -> int:
             cfg.weights,
             llm_teacher=llm,
             run_dir=str(out),
-            config_digest=cfg.digest(),
+            config_digest=digest,
         )
     finally:
         # The teacher opens its connection on the first query, inside the run.
@@ -227,6 +228,14 @@ def cmd_inspect_weights(args) -> int:
 def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
+    widths = (model.feature_length, model.question_length)
+    expected = (manifest.feature_length, len(manifest.vocab) + 1)
+    if widths != expected:
+        raise DataError(
+            f"checkpoint {args.checkpoint} takes {widths[0]} features and questions "
+            f"of width {widths[1]}; manifest {args.manifest} gives {expected[0]} and "
+            f"{expected[1]}"
+        )
     dataset = load_task(manifest, args.task, args.split)
     accuracy, macro_f1 = evaluate(
         model, dataset, encode_inputs(dataset.samples, manifest.vocab, model.feature_length)

@@ -161,13 +161,18 @@ class TaskEntry:
 
 @dataclass(frozen=True)
 class StreamManifest:
-    """Parsed manifest: feature length, label inventory, task order."""
+    """Parsed manifest: its path, feature length, label inventory, task order."""
 
-    root: Path
+    path: Path
     feature_length: int
     vocab: Vocabulary
     labels: tuple
     tasks: tuple
+
+    @property
+    def root(self) -> Path:
+        """The directory the manifest names its files in."""
+        return self.path.parent
 
     @property
     def label_by_name(self) -> dict:
@@ -177,23 +182,23 @@ class StreamManifest:
         for entry in self.tasks:
             if entry.index == t:
                 return entry
-        raise DataError(f"manifest has no task with index {t}")
+        raise DataError(f"manifest {self.path}: no task with index {t}")
 
 
 def load_manifest(path) -> StreamManifest:
     path = Path(path)
-    parse = functools.partial(_parse_manifest, path.parent)
+    parse = functools.partial(_parse_manifest, path)
     return parse_input(path, "manifest", parse, text=True)
 
 
-def _parse_manifest(root: Path, text: str) -> StreamManifest:
+def _parse_manifest(path: Path, text: str) -> StreamManifest:
     payload = parse_json(text, DataError, "not valid JSON")
     if payload["format_version"] != MANIFEST_VERSION:
         raise DataError(f"unsupported manifest version {payload['format_version']}")
     feature_length = _integer("feature_length", payload["feature_length"])
     if feature_length < 1:
         raise DataError(f"feature length must be >= 1, got {feature_length}")
-    vocab = Vocabulary.load(root / payload["vocab_file"])
+    vocab = Vocabulary.load(path.parent / payload["vocab_file"])
     labels = []
     for i, entry in enumerate(payload["labels"]):
         if entry["id"] != i:
@@ -235,7 +240,7 @@ def _parse_manifest(root: Path, text: str) -> StreamManifest:
         tasks.append(TaskEntry(index=index, class_names=tuple(entry["classes"]), splits=splits))
     if not tasks:
         raise DataError("manifest declares no tasks")
-    return StreamManifest(root, feature_length, vocab, tuple(labels), tuple(tasks))
+    return StreamManifest(path, feature_length, vocab, tuple(labels), tuple(tasks))
 
 
 def _integer(name: str, value) -> int:
@@ -318,7 +323,7 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
     """Read one task split into memory, recounting classes as it goes.
 
     The features come from the split's block, one row per record, and
-    the records must not carry any.
+    the records must not carry any.  A split must hold a record.
     """
     if split not in SPLITS:
         raise DataError(f"split must be one of {SPLITS}, got {split!r}")
@@ -361,6 +366,8 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
                 f"for task {t}"
             )
         records.append((sample_id, question, answer, answer_name))
+    if not records:
+        raise DataError(f"task file {file_path}: the {split} split has no records")
     vectors = _read_block(manifest.root, block, len(records), manifest.feature_length)
     samples = [
         Sample(sample_id, features, question, answer, answer_name)

@@ -1,12 +1,18 @@
 """Helpers shared by several test modules."""
 
+import contextlib
 import csv
+import http.client
+import json
+import socket
+import threading
 import warnings
 
 import numpy as np
 
 from mtcl.engine import MetricsRow
 from mtcl.errors import DimensionMismatchError, NumericError
+from mtcl.taskstream import GeneratorConfig
 from mtcl.weights import WeightTriple
 
 # When a property test fails, hypothesis imports its patch suggester, which
@@ -19,6 +25,10 @@ with warnings.catch_warnings():
         import hypothesis.extra._patching  # noqa: F401
     except ImportError:  # no libcst: hypothesis suggests no patch
         pass
+
+# A two-task stream small enough to run a whole CLI command per test.
+SMALL = GeneratorConfig(tasks=2, classes_per_task=3, feature_length=4, samples_per_task=60,
+                        imbalance=2.0, overlap=0.5, shift=2.0)
 
 
 def latest_triple(trace) -> WeightTriple:
@@ -84,3 +94,39 @@ def grad_check(loss_and_grad, params: np.ndarray, step: float = 1e-4) -> float:
         err = abs(a - numeric) / max(1.0, abs(a))
         worst = max(worst, err)
     return worst
+
+
+def _read_request(stream) -> dict:
+    """The JSON body of one HTTP request read from a socket file."""
+    stream.readline()
+    headers = http.client.parse_headers(stream)
+    return json.loads(stream.read(int(headers["Content-Length"])))
+
+
+@contextlib.contextmanager
+def raw_reply(reply: bytes):
+    """A TCP server that answers each connection's first request with the
+    raw bytes ``reply`` and closes it; yields its URL and the requests."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    received, stop = [], threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            conn.settimeout(5.0)
+            with conn, conn.makefile("rb") as stream:
+                received.append(_read_request(stream))
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}", received
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)
+        listener.close()

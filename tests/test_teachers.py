@@ -2,7 +2,6 @@
 
 import base64
 import contextlib
-import http.client
 import io
 import json
 import math
@@ -19,6 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import raw_reply
 
 import mtcl
 from mtcl.bridge import (
@@ -302,42 +302,6 @@ def serving(handler):
 def mock_server():
     with serving(_Handler) as server:
         yield server
-
-
-def _read_request(stream) -> dict:
-    """The JSON body of one HTTP request read from a socket file."""
-    stream.readline()
-    headers = http.client.parse_headers(stream)
-    return json.loads(stream.read(int(headers["Content-Length"])))
-
-
-@contextlib.contextmanager
-def raw_reply(reply: bytes):
-    """A TCP server that answers each connection's first request with the
-    raw bytes ``reply`` and closes it; yields its URL and the requests."""
-    listener = socket.create_server(("127.0.0.1", 0))
-    listener.settimeout(0.05)
-    received, stop = [], threading.Event()
-
-    def serve():
-        while not stop.is_set():
-            try:
-                conn, _ = listener.accept()
-            except TimeoutError:
-                continue
-            conn.settimeout(5.0)
-            with conn, conn.makefile("rb") as stream:
-                received.append(_read_request(stream))
-                conn.sendall(reply)
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{listener.getsockname()[1]}", received
-    finally:
-        stop.set()
-        thread.join(timeout=5.0)
-        listener.close()
 
 
 def embedding_response(body, tensor):
