@@ -18,7 +18,6 @@ communication error, 5 numeric failure, 130 interrupted (Ctrl-C).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 
@@ -26,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .config import WEIGHT_KEYS, load_run_config
-from .engine import MODES, encode_inputs, evaluate, load_checkpoint, run_continual
-from .errors import ConfigError, DataError, MtclError, exit_code_for, write_output
+from .engine import MODES, RunDir, encode_inputs, evaluate, load_checkpoint, run_continual
+from .errors import ConfigError, DataError, MtclError, exit_code_for
 from .taskstream import SPLITS, GeneratorConfig, generate_synthetic_stream, load_manifest
 from .taskstream import load_task
 from .teachers import teacher_from_config
@@ -140,31 +139,17 @@ def cmd_run(args) -> int:
     llm = teacher_from_config(
         cfg.llm_teacher, vocab=manifest.vocab, default_seed=settings.seed
     ) if cfg.llm_teacher is not None else None
-    out = cfg.resolved_output_dir()
-    cfg.save(out / "resolved_config.json")
-    digest = cfg.digest()
-    run_info = {
-        "tool_version": __version__,
-        "seed": settings.seed,
-        "config_digest": digest,
-        "mode": settings.mode,
-    }
-    write_output(out / "run_info.json", json.dumps(run_info, indent=2) + "\n", "run info")
+    run_dir = RunDir(cfg.resolved_output_dir(), cfg.digest())
+    run_dir.start(cfg.resolved_dict())
     try:
-        rows, _, _ = run_continual(
-            manifest,
-            settings,
-            cfg.weights,
-            llm_teacher=llm,
-            run_dir=str(out),
-            config_digest=digest,
-        )
+        rows, _, _ = run_continual(manifest, settings, cfg.weights, llm_teacher=llm,
+                                   run_dir=run_dir)
     finally:
         # The teacher opens its connection on the first query, inside the run.
         if llm is not None:
             llm.close()
     final_t = max(row.t for row in rows)
-    print(f"results after task {final_t} (run dir: {out})")
+    print(f"results after task {final_t} (run dir: {run_dir.path})")
     for row in rows:
         if row.t == final_t:
             print(

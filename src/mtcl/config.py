@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .engine import TrainSettings
-from .errors import ConfigError, parse_json, read_input, write_output
+from .errors import ConfigError, parse_json, read_input
 from .weights import WeightConfig
 
 OUTPUT_ROOT_ENV = "MTCL_OUTPUT_ROOT"
@@ -80,9 +80,6 @@ class RunConfig:
         payload.pop("output_dir")
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-    def save(self, path) -> None:
-        write_output(path, json.dumps(self.resolved_dict(), indent=2) + "\n", "resolved config")
 
 
 def _given(section, names, where: str, problems: list) -> dict:

@@ -25,15 +25,17 @@ from __future__ import annotations
 import copy
 import json
 import math
-import os
+import re
 import struct
 from dataclasses import astuple, dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .bridge import SPACE_TOKEN, Vocabulary
 from .errors import ConfigError, DataError, NumericError, TeacherDimensionError
-from .errors import parse_input, parse_json, sized_by, write_csv, write_output
+from .errors import parse_input, parse_json, remove_outputs, sized_by, write_csv, write_output
 from .losses import batch_loss, softened_softmax
 from .taskstream import (
     ImbalanceLedger,
@@ -484,8 +486,7 @@ def run_continual(
     settings: TrainSettings,
     weight_cfg: WeightConfig,
     llm_teacher=None,
-    run_dir=None,
-    config_digest: str = "",
+    run_dir: RunDir | None = None,
 ):
     """Train through the whole stream and evaluate after every task.
 
@@ -494,9 +495,8 @@ def run_continual(
     so far plus an average row (each held-out split is encoded once, when
     it is loaded); the frozen copy of the student becomes
     the previous-model teacher for task t + 1.  With ``run_dir`` set,
-    each task's checkpoint is written there, then the metrics table and
-    the weight trace are rewritten whole with every row so far, so a run
-    that stops keeps the results of the tasks it finished.
+    each task's files are written there (``RunDir.write_task``), so a
+    run that stops keeps the results of the tasks it finished.
     """
     with sized_by("hidden1", "hidden2"):
         student = StudentModel(
@@ -530,13 +530,34 @@ def run_continual(
         rows.extend(MetricsRow(t, *score) for score in scores)
         prev_teacher = PrevModelTeacher(student.clone())
         if run_dir is not None:
-            save_checkpoint(
-                os.path.join(run_dir, f"checkpoint_t{t}.bin"),
-                student, t, trace, config_digest,
-            )
-            write_metrics_csv(os.path.join(run_dir, "metrics.csv"), rows)
-            trace.write_csv(os.path.join(run_dir, "weight_trace.csv"))
+            run_dir.write_task(t, student, rows, trace)
     return rows, trace, student
+
+
+@dataclass(frozen=True)
+class RunDir:
+    """A run's output directory, and the one place that names and writes its files."""
+
+    path: Path
+    config_digest: str = ""
+
+    def start(self, resolved_config: dict) -> None:
+        """Remove the run files an earlier run left (no other file), then
+        write ``resolved_config`` (``RunConfig.resolved_dict()``) and the run info."""
+        names = ("resolved_config.json", "run_info.json", "metrics.csv", "weight_trace.csv")
+        remove_outputs(self.path, lambda name: name in names
+                       or re.fullmatch(r"checkpoint_t[0-9]+\.bin", name), "run files")
+        run_info = {"tool_version": __version__, "seed": resolved_config["seed"],
+                    "config_digest": self.config_digest, "mode": resolved_config["mode"]}
+        for name, what, payload in (("resolved_config.json", "resolved config", resolved_config),
+                                    ("run_info.json", "run info", run_info)):
+            write_output(self.path / name, json.dumps(payload, indent=2) + "\n", what)
+
+    def write_task(self, t: int, student: StudentModel, rows, trace: WeightTrace) -> None:
+        """Task ``t``'s checkpoint, then the whole metrics table and weight trace."""
+        save_checkpoint(self.path / f"checkpoint_t{t}.bin", student, t, trace, self.config_digest)
+        write_metrics_csv(self.path / "metrics.csv", rows)
+        trace.write_csv(self.path / "weight_trace.csv")
 
 
 def write_metrics_csv(path, rows) -> None:
@@ -594,11 +615,12 @@ def _parse_checkpoint(data: bytes):
     header = parse_json(raw_header, DataError, "header is corrupt", "utf-8")
     offset += header_len
     (count,) = struct.unpack_from("<Q", data, offset)
-    seed, *widths = (int(header[key]) for key in ARCHITECTURE)
-    classes = [
-        LabelClass(int(cid), str(name))
-        for cid, name in zip(header["class_ids"], header["class_names"], strict=True)
-    ]
+    seed, *widths = architecture = [header[key] for key in ARCHITECTURE]
+    ids, names = header["class_ids"], header["class_names"]
+    if not all(map(is_integer, architecture + ids)) or not all(isinstance(n, str) for n in names):
+        raise DataError(f"header fields {', '.join(ARCHITECTURE)} and class_ids must hold "
+                        "integers, and class_names strings")
+    classes = [LabelClass(*c) for c in zip(ids, names, strict=True)]
     feature_length, question_length, hidden1, hidden2 = widths
     expected = StudentModel.count_params(
         feature_length + question_length, hidden1, hidden2, len(classes)

@@ -6,10 +6,10 @@ in a bare ValueError.  ``read_input`` and ``parse_json`` pick the error
 for an input file that cannot be read and for JSON that cannot be
 parsed; ``parse_input`` parses a whole input file and is the one place
 that names the file in a parse error, as ``<what> <path>: <reason>``;
-``write_output`` writes every output file whole and picks the
-error for one that cannot be written, and ``write_csv`` writes every
-table through it.  ``sized_by`` picks the error for an array too large
-to allocate.
+``write_output`` writes every output file whole and ``remove_outputs``
+removes them, each picking the error for a file it cannot write or
+remove; ``write_csv`` writes every table through ``write_output``.
+``sized_by`` picks the error for an array too large to allocate.
 """
 
 import io
@@ -128,6 +128,17 @@ def write_output(path, data, what: str) -> None:
             raise
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def remove_outputs(directory, owned, what: str) -> None:
+    """Remove every file in ``directory``, if it is one, whose name ``owned``
+    accepts; any ``OSError`` raises ``DataError``."""
+    try:
+        for path in sorted(directory.iterdir()) if directory.is_dir() else ():
+            if owned(path.name):
+                path.unlink()
+    except OSError as exc:
+        raise DataError(f"cannot remove {what} from {directory}: {exc}") from exc
 
 
 def write_csv(path, columns, rows, what: str) -> None:

@@ -6,10 +6,12 @@ Each documented failure is a row of ``test_failures.py``.
 import ast
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ import mtcl
 from mtcl.bridge import tokenize_labels, write_fixture
 from mtcl.cli import main
 from mtcl.config import OUTPUT_ROOT_ENV, build_run_config, load_run_config
+from mtcl.engine import RunDir
 from mtcl.errors import (
     ConfigError,
     DataError,
@@ -176,10 +179,9 @@ class TestDigest:
 
     def test_save_roundtrips_through_load(self, tmp_path):
         cfg = build_run_config(base_payload(manifest=str(tmp_path / "m.json")))
-        path = tmp_path / "resolved.json"
-        cfg.save(path)
+        RunDir(tmp_path, cfg.digest()).start(cfg.resolved_dict())
         # resolved files carry no unknown keys and reload to the same digest
-        reloaded = load_run_config(path)
+        reloaded = load_run_config(tmp_path / "resolved_config.json")
         assert reloaded.digest() == cfg.digest()
 
 
@@ -307,6 +309,25 @@ class TestCliRun:
         assert (
             out_a / "weight_trace.csv"
         ).read_bytes() == (out_b / "weight_trace.csv").read_bytes()
+
+    def test_a_new_run_replaces_an_earlier_runs_files(self, cli_workspace, tmp_path):
+        """A 3-task run, then a 2-task run into the same directory, leave
+        exactly the 2-task run's files, byte for byte as a run into a new
+        directory writes them; a file no run writes stays."""
+        three = generate_synthetic_stream(replace(SMALL, tasks=3), 5, tmp_path / "three")
+        out = tmp_path / "out"
+        run = ["run", str(cli_workspace / "run.json"), "--mode", "ft", "--epochs", "1",
+               "--output-dir", str(out)]
+        assert main([*run, "--seed", "7"]) == 0
+        fresh = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(fresh) == 6
+        shutil.rmtree(out)
+        assert main([*run, "--manifest", str(three)]) == 0
+        assert (out / "checkpoint_t3.bin").is_file()
+        (out / "notes.txt").write_text("mine")
+        assert main([*run, "--seed", "7"]) == 0
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == {
+            **fresh, "notes.txt": b"mine"}
 
     def test_mode_override_reaches_the_run(self, cli_workspace, tmp_path):
         out = tmp_path / "ft"

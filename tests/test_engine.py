@@ -11,6 +11,7 @@ from mtcl.bridge import build_vocabulary
 from mtcl.engine import (
     AVG_DATASET,
     PrevModelTeacher,
+    RunDir,
     StudentModel,
     TrainSettings,
     encode_inputs,
@@ -795,13 +796,12 @@ class TestEvaluate:
 
 
 class TestRunContinual:
-    def run(self, manifest, mode, run_dir=None, **kw):
+    def run(self, manifest, mode, run_dir=None):
         settings = TrainSettings(seed=5, mode=mode, **FAST)
         llm = NoisyOracleTeacher(seed=5, accuracy=0.8)
         return (
             run_continual(
-                manifest, settings, standard_weights(),
-                llm_teacher=llm, run_dir=run_dir, **kw,
+                manifest, settings, standard_weights(), llm_teacher=llm, run_dir=run_dir,
             ),
             llm,
         )
@@ -855,7 +855,7 @@ class TestRunContinual:
 
     def test_artifacts_written_and_reload(self, mini_stream, tmp_path):
         (rows, trace, student), _ = self.run(
-            mini_stream, "ours", run_dir=tmp_path, config_digest="abc123"
+            mini_stream, "ours", run_dir=RunDir(tmp_path, "abc123")
         )
         for t in (1, 2, 3):
             assert (tmp_path / f"checkpoint_t{t}.bin").exists()

@@ -113,6 +113,11 @@ def fail(*args, **kwargs):
     raise AssertionError(f"called with {args} {kwargs}")
 
 
+def unlisted(directory):
+    """A directory listing refused, as for a directory without read permission."""
+    raise PermissionError(13, "Permission denied", str(directory))
+
+
 def starved(*args, **kwargs):
     raise MemoryError()
 
@@ -155,6 +160,18 @@ def checkpoint(damage=None, features=SMALL.feature_length):
             data = damage(Path("ck.bin").read_bytes())
             Path("ck.bin").unlink() if data is None else Path("ck.bin").write_bytes(data)
     return setup
+
+
+def header_field(key, value):
+    """A checkpoint damage: the header's ``key`` set to ``value``, or to
+    ``value`` of the field's value when ``value`` is callable."""
+    def damage(data):
+        (length,) = struct.unpack_from("<I", data, 6)
+        header = json.loads(data[10:10 + length])
+        header[key] = value(header[key]) if callable(value) else value
+        raw = json.dumps(header).encode()
+        return data[:6] + struct.pack("<I", len(raw)) + raw + data[10 + length:]
+    return damage
 
 
 def params_at(data) -> int:
@@ -443,6 +460,15 @@ CASES = [
     *[Case("checkpoint", EVAL, 3, r"^error: checkpoint ck\.bin: parameters are not finite$",
            checkpoint(flipped_last_bias(value)))
       for value in (1.0, 1.5)],
+    # Each of these loaded as a header of the same model before the types
+    # were checked.
+    *[Case("checkpoint", EVAL, 3, r"^error: checkpoint ck\.bin: header fields seed, "
+           r"feature_length, .*, hidden2 and class_ids must hold integers, and "
+           r"class_names strings$", checkpoint(header_field(key, value)))
+      for key, value in [("feature_length", SMALL.feature_length + 0.7), ("seed", "5"),
+                         ("seed", True), ("hidden1", 8.0),
+                         ("class_ids", lambda ids: [i + 0.5 for i in ids]),
+                         ("class_names", lambda names: [[n] for n in names])]],
     *[Case("manifest-feature-block", (*RUN, "--epochs", "1"), 3,
            rf"^error: manifest stream/manifest\.json: task {task} {key} is missing",
            manifest(lambda m, task=task, key=key: m["tasks"][task - 1].pop(key)))
@@ -468,6 +494,12 @@ CASES = [
     Case("output-unwritable", (*GENERATE, "--features", "4"), 3,
          r"^error: cannot write task file out/task1\.train\.jsonl",
          write("out", b"not a directory")),
+    Case("output-unwritable", RUN, 3,
+         r"^error: cannot remove run files from out: .*Is a directory: 'out/metrics\.csv'$",
+         lambda monkeypatch: Path("out/metrics.csv").mkdir(parents=True)),
+    Case("output-unwritable", RUN, 3,
+         r"^error: cannot remove run files from out: .*Permission denied",
+         steps(lambda monkeypatch: Path("out").mkdir(), patch("pathlib.Path.iterdir", unlisted))),
     *[Case("nul-in-path", RUN, 3, f"{message}.*embedded null byte",
            config({"optimizer.epochs": 1, **changes}), left)
       for changes, message, left in [

@@ -8,7 +8,8 @@ checkpoint or service reply is a ConfigError (exit 2), DataError (exit 3,
 naming the checkpoint) or TeacherQueryError (exit 4), never a traceback;
 a service reply whose token scores are not all finite is exit 4 too.
 Every output file goes through ``errors.write_output``, whole or not at
-all, and every table through ``errors.write_csv``.
+all, every table through ``errors.write_csv``, every removal through
+``errors.remove_outputs``, and only ``engine.RunDir`` names a run file.
 """
 
 import ast
@@ -119,14 +120,15 @@ def raw_replies() -> list:
 class TestOneReader:
     def test_reads_and_parses_only_in_the_errors_module(self):
         """Only ``read_input`` reads a whole file, only ``parse_json``
-        calls ``json.loads`` and only ``write_output`` opens, writes or
-        renames a file or makes a directory, so one place decides how
-        their failures map.  The task-record fallback keeps ``json.loads``
+        calls ``json.loads``, only ``write_output`` opens, writes or
+        renames a file or makes a directory, and only ``remove_outputs``
+        and ``write_output`` remove one, so one place decides how their
+        failures map.  The task-record fallback keeps ``json.loads``
         as the reference its fast path must match; ``load_task`` maps its
         errors with file and line.  Only ``errors.py`` imports ``csv``, so
         every table is written by ``write_csv``."""
         readers = {"read_input", "parse_json", "_parse_record"}
-        writers = {"write_output"}
+        writers = {"write_output", "remove_outputs"}
         found = []
 
         def visit(node, where, function):
@@ -144,12 +146,40 @@ class TestOneReader:
                 else:
                     name, owner = getattr(func, "id", None), None
                 reads = name in ("read_text", "read_bytes") or (owner, name) == ("json", "loads")
-                writes = (name in ("open", "write_text", "write_bytes", "mkdir")
-                          or (owner, name) == ("os", "replace"))
+                writes = (name in ("open", "write_text", "write_bytes", "mkdir", "unlink")
+                          or (owner, name) in (("os", "replace"), ("os", "remove")))
                 if (reads and function not in readers) or (writes and function not in writers):
                     found.append(f"{where}:{node.lineno} {name} in {function}")
             for child in ast.iter_child_nodes(node):
                 visit(child, where, function)
+
+        for path in sorted(SRC.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+        assert found == []
+
+
+# Substrings of every name a run writes into its output directory.
+RUN_FILES = ("metrics.csv", "weight_trace.csv", "checkpoint_t", "resolved_config.json",
+             "run_info.json")
+
+
+class TestOneRunDir:
+    def test_only_run_dir_names_a_run_file(self):
+        """No string literal in the package outside ``engine.RunDir``
+        spells a run file's name, so one place owns the run directory's
+        layout.  Docstrings may name the files they document."""
+        found = []
+
+        def visit(node, where, owner):
+            if isinstance(node, ast.ClassDef):
+                owner = node.name
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+                return  # a docstring
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and owner != "RunDir":
+                found.extend(f"{where}:{node.lineno} {name}"
+                             for name in RUN_FILES if name in node.value)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where, owner)
 
         for path in sorted(SRC.glob("*.py")):
             visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)

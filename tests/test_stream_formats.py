@@ -1,10 +1,11 @@
-"""A packaged stream's run loads each split once and encodes it once."""
+"""A packaged stream's run loads each split once and encodes it once,
+also while it writes its run directory."""
 
 import json
 from pathlib import Path
 
 from mtcl import engine
-from mtcl.engine import TrainSettings, encode_inputs, run_continual
+from mtcl.engine import RunDir, TrainSettings, encode_inputs, run_continual
 from mtcl.taskstream import GeneratorConfig, generate_synthetic_stream, load_manifest, load_task
 from mtcl.teachers import NoisyOracleTeacher
 from mtcl.weights import WeightConfig
@@ -36,6 +37,7 @@ def test_packaged_stream_encodes_each_split_once(tmp_path, monkeypatch):
         TrainSettings(epochs=1, seed=seed, mode="ours"),
         WeightConfig(alpha=0.2, theta_ds=0.4, theta_di=0.4),
         llm_teacher=NoisyOracleTeacher(seed=seed, accuracy=0.7),
+        run_dir=RunDir(tmp_path / "run"),
     )
     assert sum(loaded) == sum(len(ids) for ids in encoded) == 2700
     assert len(encoded) == len(set(encoded)) == 2 * len(manifest.tasks)
