@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DimensionMismatchError, NumericError, parse_input, write_output
+from .errors import DataError, NumericError, parse_input, write_output
 
 PAUSE_TOKEN = "<pause>"
 PAUSE_ID = 0
@@ -184,12 +184,12 @@ def scores_to_logits(scores: np.ndarray, labels: TokenizedLabelSet) -> np.ndarra
     """
     scores = np.asarray(scores)
     if scores.ndim != 3:
-        raise DimensionMismatchError(
+        raise DataError(
             f"expected a (candidates, positions, vocab) tensor, got shape {scores.shape}"
         )
     n, width, vocab_size = scores.shape
     if (n, width) != (labels.count, labels.width) or vocab_size != labels.vocab_size:
-        raise DimensionMismatchError(
+        raise DataError(
             f"score tensor {scores.shape} does not match token table "
             f"({labels.count}, {labels.width}) over vocabulary of {labels.vocab_size}"
         )

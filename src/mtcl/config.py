@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .engine import TrainSettings
 from .errors import ConfigError, parse_json, read_input
-from .weights import WeightConfig
+from .weights import WeightConfig, must_be
 
 OUTPUT_ROOT_ENV = "MTCL_OUTPUT_ROOT"
 
@@ -124,13 +124,10 @@ def build_run_config(payload: dict, overrides: dict = None) -> RunConfig:
         else:
             problems.append(f"override key too deep: {dotted}")
 
-    manifest = merged.get("manifest")
-    if not manifest or not isinstance(manifest, str):
-        problems.append("manifest path is required")
-        manifest = ""
-    output_dir = merged.get("output_dir", "runs/run")
-    if not output_dir or not isinstance(output_dir, str):
-        problems.append(f"output_dir must be a non-empty path, got {output_dir!r}")
+    manifest, output_dir = merged.get("manifest"), merged.get("output_dir", "runs/run")
+    for name, path in (("manifest", manifest), ("output_dir", output_dir)):
+        if not path or not isinstance(path, str):
+            problems.append(must_be(name, "a non-empty path", path))
     settings = {key: merged[key] for key in _RUN_KEYS if key in merged}
     settings.update(_given(merged.get("optimizer"), _OPTIMIZER_KEYS, "optimizer", problems))
     settings.update(_given(merged.get("model"), _MODEL_KEYS, "model", problems))
@@ -142,7 +139,7 @@ def build_run_config(payload: dict, overrides: dict = None) -> RunConfig:
         weights.update(alpha=1.0, theta_ds=0.0, theta_di=0.0)
     llm_teacher = merged.get("llm_teacher")
     if llm_teacher is not None and not isinstance(llm_teacher, dict):
-        problems.append("llm_teacher must be an object or null")
+        problems.append(must_be("llm_teacher", "an object or null", llm_teacher))
         llm_teacher = None
     if mode == "ours" and llm_teacher is None:
         problems.append("mode 'ours' needs an llm_teacher entry")

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .bridge import SPACE_TOKEN, Vocabulary
-from .errors import ConfigError, DataError, NumericError, TeacherDimensionError
+from .errors import ConfigError, DataError, NumericError, TeacherQueryError
 from .errors import parse_input, parse_json, remove_outputs, sized_by, write_csv, write_output
 from .losses import batch_loss, softened_softmax
 from .taskstream import (
@@ -46,13 +46,19 @@ from .taskstream import (
 )
 from .teachers import Teacher
 from .weights import (
+    TRACE_COLUMNS,
     WeightConfig,
     WeightTriple,
     WeightTrace,
     assemble_weights,
-    is_finite_number,
+    check_settings,
+    integer_setting,
     is_integer,
+    is_number,
     measure_teacher_accuracy,
+    must_be,
+    number_setting,
+    setting,
 )
 
 MODES = ("ours", "ft", "lwf")
@@ -111,30 +117,17 @@ def encode_inputs(samples, vocab: Vocabulary, feature_length: int) -> np.ndarray
 class TrainSettings:
     """Optimizer and architecture knobs for the training loop."""
 
-    learning_rate: float = 0.05
-    epochs: int = 30
-    batch_size: int = 32
-    temperature: float = 2.0
-    seed: int = 0
-    hidden1: int = 32
-    hidden2: int = 32
-    mode: str = "ours"
+    learning_rate: float = number_setting(0.05, ">", 0)
+    epochs: int = integer_setting(30, 1)
+    batch_size: int = integer_setting(32, 1)
+    temperature: float = number_setting(2.0, ">", 0)
+    seed: int = integer_setting(0, 0)
+    hidden1: int = integer_setting(32, 1)
+    hidden2: int = integer_setting(32, 1)
+    mode: str = setting("ours", f"one of {MODES}", lambda v: v in MODES)
 
     def __post_init__(self):
-        problems = []
-        for name in ("learning_rate", "temperature"):
-            value = getattr(self, name)
-            if not is_finite_number(value) or value <= 0.0:
-                problems.append(f"{name} must be a finite number > 0, got {value!r}")
-        for name, low in (("epochs", 1), ("batch_size", 1), ("hidden1", 1),
-                          ("hidden2", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not is_integer(value) or value < low:
-                problems.append(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.mode not in MODES:
-            problems.append(f"mode must be one of {MODES}, got {self.mode!r}")
-        if problems:
-            raise ConfigError(problems)
+        check_settings(self)
         # A whole-number temperature is kept as a float, so it is written
         # to resolved_config.json (and digested) the same either way.
         object.__setattr__(self, "temperature", float(self.temperature))
@@ -324,7 +317,7 @@ def train_task(
     ``PrevModelTeacher``) scores that design matrix.  Its head must be a
     prefix of the student's: its table of width ``m`` covers the first
     ``m`` columns.  The general teacher's table must have one row per
-    sample and one column per head class (else TeacherDimensionError).
+    sample and one column per head class (else TeacherQueryError).
     Each kept table is softened at the temperature once, into the
     probability rows the distillation terms take; a non-finite table is
     a NumericError before the first batch.  A teacher failure or a
@@ -370,7 +363,7 @@ def train_task(
         prev_table = prev_teacher.score_inputs(inputs)
         llm_table = llm_teacher.score_table(task.samples, head_names)
         if np.shape(llm_table) != (len(task.samples), len(head_names)):
-            raise TeacherDimensionError(
+            raise TeacherQueryError(
                 f"general teacher scored a table of shape {np.shape(llm_table)}, "
                 f"expected {(len(task.samples), len(head_names))} (samples, head classes)"
             )
@@ -604,6 +597,18 @@ def load_checkpoint(path):
     return parse_input(path, "checkpoint", _parse_checkpoint)
 
 
+# The header fields no model is built from, each with its rule; a trace
+# row's measurements are NaN at step 1.
+_HEADER_RULES = (
+    ("task_index", "an integer >= 1", lambda v: is_integer(v) and v >= 1),
+    ("config_digest", "a string", lambda v: isinstance(v, str)),
+    ("trace_rows", f"a list of objects keyed by {', '.join(TRACE_COLUMNS)}",
+     lambda v: isinstance(v, list) and all(
+         isinstance(row, dict) and row.keys() == set(TRACE_COLUMNS)
+         and all(map(is_number, row.values())) for row in v)),
+)
+
+
 def _parse_checkpoint(data: bytes):
     if not data.startswith(CHECKPOINT_MAGIC):
         raise DataError("not a checkpoint file (bad magic)")
@@ -620,6 +625,9 @@ def _parse_checkpoint(data: bytes):
     if not all(map(is_integer, architecture + ids)) or not all(isinstance(n, str) for n in names):
         raise DataError(f"header fields {', '.join(ARCHITECTURE)} and class_ids must hold "
                         "integers, and class_names strings")
+    for name, wanted, valid in _HEADER_RULES:
+        if not valid(header[name]):
+            raise DataError(f"header field {must_be(name, wanted, header[name])}")
     classes = [LabelClass(*c) for c in zip(ids, names, strict=True)]
     feature_length, question_length, hidden1, hidden2 = widths
     expected = StudentModel.count_params(

@@ -1,8 +1,9 @@
-"""Exception hierarchy shared across the package.
+"""Exception classes shared across the package.
 
-Each class states the process exit code the CLI gives it, so anything
-that should abort a run with a distinct status belongs here rather than
-in a bare ValueError.  ``read_input`` and ``parse_json`` pick the error
+There is one class per failure exit code, and each states the code the
+CLI gives it, so anything that should abort a run with a distinct
+status raises one of them rather than a bare ValueError; its message
+says what failed.  ``read_input`` and ``parse_json`` pick the error
 for an input file that cannot be read and for JSON that cannot be
 parsed; ``parse_input`` parses a whole input file and is the one place
 that names the file in a parse error, as ``<what> <path>: <reason>``;
@@ -42,26 +43,10 @@ class DataError(MtclError):
     exit_code = 3
 
 
-class DimensionMismatchError(DataError):
-    """Tensor dimensions disagree with the tokenized label set."""
-
-
 class TeacherQueryError(MtclError):
     """A teacher backend failed to produce logits."""
 
     exit_code = 4
-
-
-class TeacherTimeoutError(TeacherQueryError):
-    """Teacher endpoint unreachable or timed out after all retries."""
-
-
-class TeacherProtocolError(TeacherQueryError):
-    """Teacher endpoint answered with a malformed or mismatched response."""
-
-
-class TeacherDimensionError(TeacherProtocolError):
-    """Teacher payload dimensions disagree with the candidate label set."""
 
 
 class NumericError(MtclError):
@@ -92,7 +77,7 @@ def parse_input(path, what: str, parse, text: bool = False):
     try:
         return parse(data)
     except DataError as exc:
-        raise type(exc)(f"{what} {path}: {exc}") from exc
+        raise DataError(f"{what} {path}: {exc}") from exc
     except struct.error as exc:
         raise DataError(f"{what} {path} is truncated: {exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NumericError
+from .errors import DataError, NumericError
 from .weights import WeightTriple
 
 # Floor applied to probabilities inside log() so empty-support targets
@@ -66,7 +66,7 @@ def cross_entropy(target: np.ndarray, prediction: np.ndarray) -> np.ndarray:
     target = np.asarray(target, dtype=np.float64)
     prediction = np.asarray(prediction, dtype=np.float64)
     if target.shape != prediction.shape:
-        raise DimensionMismatchError(
+        raise DataError(
             f"target shape {target.shape} != prediction shape {prediction.shape}"
         )
     terms = np.log(np.maximum(prediction, PROB_EPS))
@@ -77,7 +77,7 @@ def cross_entropy(target: np.ndarray, prediction: np.ndarray) -> np.ndarray:
 def _logit_matrix(logits) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[0] == 0:
-        raise DimensionMismatchError(
+        raise DataError(
             f"expected a non-empty (batch, classes) logit matrix, got shape {logits.shape}"
         )
     return logits
@@ -94,9 +94,9 @@ def hard_label_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray,
     labels = np.asarray(labels, dtype=np.int64)
     b, k = logits.shape
     if labels.shape != (b,):
-        raise DimensionMismatchError(f"{labels.shape} labels for a batch of {b} rows")
+        raise DataError(f"{labels.shape} labels for a batch of {b} rows")
     if labels.min() < 0 or labels.max() >= k:
-        raise DimensionMismatchError(
+        raise DataError(
             f"label indices {labels.min()}..{labels.max()} out of range for {k} classes"
         )
     rows = np.arange(b)
@@ -128,7 +128,7 @@ def kd_loss(
     b, k = student_logits.shape
     m = teacher_probs.shape[-1] if teacher_probs.ndim == 2 else 0
     if teacher_probs.shape != (b, m) or not 0 < m <= k:
-        raise DimensionMismatchError(
+        raise DataError(
             f"teacher gave {teacher_probs.shape} probabilities for {b} rows "
             f"over {k} student classes"
         )

@@ -37,7 +37,8 @@ import numpy as np
 from .bridge import Vocabulary, build_vocabulary
 from .errors import ConfigError, DataError, parse_input, parse_json, read_input, sized_by
 from .errors import write_output
-from .weights import is_finite_number, is_integer
+from .weights import check_settings, integer_setting, is_finite_number, is_integer
+from .weights import must_be, number_setting, setting
 
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -246,7 +247,7 @@ def _parse_manifest(path: Path, text: str) -> StreamManifest:
 def _integer(name: str, value) -> int:
     """``value`` if it is a JSON integer (not a bool), else DataError."""
     if not is_integer(value):
-        raise DataError(f"{name} must be an integer, got {value!r}")
+        raise DataError(must_be(name, "an integer", value))
     return value
 
 
@@ -397,39 +398,21 @@ def write_task(path, samples, block_path) -> FeatureBlock:
 class GeneratorConfig:
     """Knobs for the synthetic stream generator."""
 
-    tasks: int = 3
-    classes_per_task: int = 6
-    feature_length: int = 16
-    samples_per_task: int = 1200
-    imbalance: float = 1.0
-    overlap: float = 0.5
-    shift: float = 4.0
-    cluster_std: float = 1.0
+    tasks: int = integer_setting(3, 1)
+    classes_per_task: int = integer_setting(6, 2)
+    feature_length: int = integer_setting(16, 1)
+    samples_per_task: int = setting(1200, "an integer", is_integer)
+    imbalance: float = number_setting(1.0, ">=", 1)
+    overlap: float = setting(0.5, "a number in [0, 1]",
+                             lambda v: is_finite_number(v) and 0.0 <= v <= 1.0)
+    shift: float = number_setting(4.0, ">=", 0)
+    cluster_std: float = number_setting(1.0, ">", 0)
 
     def __post_init__(self):
-        problems = []
-        for name, low in (("tasks", 1), ("classes_per_task", 2), ("feature_length", 1)):
-            value = getattr(self, name)
-            if not is_integer(value) or value < low:
-                problems.append(f"{name} must be an integer >= {low}, got {value!r}")
         samples, classes = self.samples_per_task, self.classes_per_task
-        if not is_integer(samples):
-            problems.append(f"samples_per_task must be an integer, got {samples!r}")
-        elif is_integer(classes) and samples < classes * MIN_CLASS_COUNT:
-            problems.append(
-                f"samples_per_task {samples} cannot give {classes} classes "
-                f"{MIN_CLASS_COUNT} samples each"
-            )
-        if not is_finite_number(self.imbalance) or self.imbalance < 1.0:
-            problems.append(f"imbalance must be a finite number >= 1, got {self.imbalance}")
-        if not is_finite_number(self.overlap) or not 0.0 <= self.overlap <= 1.0:
-            problems.append(f"overlap must be a finite number in [0, 1], got {self.overlap}")
-        if not is_finite_number(self.shift) or self.shift < 0.0:
-            problems.append(f"shift must be a finite number >= 0, got {self.shift}")
-        if not is_finite_number(self.cluster_std) or self.cluster_std <= 0.0:
-            problems.append(f"cluster_std must be a finite number > 0, got {self.cluster_std}")
-        if problems:
-            raise ConfigError(problems)
+        short = is_integer(samples) and is_integer(classes) and samples < classes * MIN_CLASS_COUNT
+        check_settings(self, [f"samples_per_task {samples} cannot give {classes} classes "
+                              f"{MIN_CLASS_COUNT} samples each"] if short else ())
 
 
 def _allocate_counts(cfg: GeneratorConfig) -> list:
@@ -499,7 +482,7 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
     counts, and overlap sets for test use only.
     """
     if not is_integer(seed) or seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+        raise ConfigError(must_be("seed", "an integer >= 0", seed))
     with sized_by("classes_per_task", "samples_per_task"):
         counts = _allocate_counts(cfg)
     rng = np.random.default_rng([seed, 9001])

@@ -47,14 +47,8 @@ from urllib.parse import quote, urlsplit
 import numpy as np
 
 from .bridge import TokenizedLabelSet, Vocabulary, read_fixture, scores_to_logits, tokenize_labels
-from .errors import (
-    DataError,
-    TeacherDimensionError,
-    TeacherProtocolError,
-    TeacherTimeoutError,
-    parse_json,
-)
-from .weights import is_finite_number, is_integer, is_number
+from .errors import DataError, TeacherQueryError, parse_json
+from .weights import is_finite_number, is_integer, is_number, must_be
 
 # Pre-softmax margin the oracle puts on its chosen label.
 ORACLE_MARGIN = 2.0
@@ -79,7 +73,7 @@ def _checked(name: str, value, valid, wanted: str):
     """``value`` if it is ``valid``, else DataError naming the field."""
     if valid(value):
         return value
-    raise DataError(f"teacher field {name!r} must be {wanted}, got {value!r}")
+    raise DataError(f"teacher field {must_be(repr(name), wanted, value)}")
 
 
 def _candidates(mask_names) -> tuple:
@@ -115,7 +109,7 @@ def _bridge(values: np.ndarray, shape, labels: TokenizedLabelSet, source: str) -
     of the tokenized candidates ``labels``."""
     expected = (labels.count, labels.width, labels.vocab_size)
     if tuple(shape) != expected:
-        raise TeacherDimensionError(
+        raise TeacherQueryError(
             f"{source} has shape {tuple(shape)}, expected {expected} "
             "(candidates, token positions, vocabulary)"
         )
@@ -198,7 +192,7 @@ def _reply_line(reader, what: str) -> bytes:
     """One line of a reply, newline included; b"" at the end of the input."""
     line = reader.readline(_MAX_LINE + 1)
     if len(line) > _MAX_LINE:
-        raise TeacherProtocolError(f"teacher reply has a {what} line over {_MAX_LINE} bytes")
+        raise TeacherQueryError(f"teacher reply has a {what} line over {_MAX_LINE} bytes")
     return line
 
 
@@ -211,9 +205,9 @@ def _read_headers(reader, what: str) -> dict:
             return headers
         name, colon, value = line.partition(b":")
         if not colon or not line.endswith(b"\n"):
-            raise TeacherProtocolError(f"teacher reply has a malformed {what} line {line[:80]!r}")
+            raise TeacherQueryError(f"teacher reply has a malformed {what} line {line[:80]!r}")
         headers.setdefault(name.strip().lower(), value.strip())
-    raise TeacherProtocolError(f"teacher reply has more than {_MAX_HEADERS} {what} lines")
+    raise TeacherQueryError(f"teacher reply has more than {_MAX_HEADERS} {what} lines")
 
 
 def _read_body(reader, size: int) -> bytes:
@@ -222,7 +216,7 @@ def _read_body(reader, size: int) -> bytes:
     while size > 0:
         piece = reader.read(min(size, _MAX_READ))
         if not piece:
-            raise TeacherProtocolError("teacher endpoint sent a body cut short")
+            raise TeacherQueryError("teacher endpoint sent a body cut short")
         pieces.append(piece)
         size -= len(piece)
     return b"".join(pieces)
@@ -235,14 +229,14 @@ def _read_chunked(reader) -> bytes:
         line = _reply_line(reader, "chunk size")
         match = _CHUNK_SIZE_LINE.fullmatch(line)
         if match is None:
-            raise TeacherProtocolError(f"teacher reply has a malformed chunk size {line[:80]!r}")
+            raise TeacherQueryError(f"teacher reply has a malformed chunk size {line[:80]!r}")
         size = int(match[1], 16)
         if not size:
             _read_headers(reader, "trailer")
             return b"".join(pieces)
         pieces.append(_read_body(reader, size))
         if _read_body(reader, 2) != b"\r\n":
-            raise TeacherProtocolError("teacher reply has a chunk without its line end")
+            raise TeacherQueryError("teacher reply has a chunk without its line end")
 
 
 def _read_reply(reader) -> tuple[int, bool, bytes]:
@@ -255,7 +249,7 @@ def _read_reply(reader) -> tuple[int, bool, bytes]:
     closes the connection after this reply: ``Connection: close``, an
     HTTP/1.0 reply without keep-alive, or a body the end of input frames.
     The connection closed before a status line is ConnectionResetError;
-    any other malformed reply is TeacherProtocolError.
+    any other malformed reply is TeacherQueryError.
     """
     while True:
         line = _reply_line(reader, "status")
@@ -263,7 +257,7 @@ def _read_reply(reader) -> tuple[int, bool, bytes]:
             raise ConnectionResetError("teacher endpoint closed the connection without a reply")
         status_line = _STATUS_LINE.fullmatch(line)
         if status_line is None:
-            raise TeacherProtocolError(f"teacher reply has a malformed status line {line[:80]!r}")
+            raise TeacherQueryError(f"teacher reply has a malformed status line {line[:80]!r}")
         headers = _read_headers(reader, "header")
         status = int(status_line[2])
         if status != 100:
@@ -282,7 +276,7 @@ def _read_reply(reader) -> tuple[int, bool, bytes]:
         return status, True, reader.read()
     # Over 18 digits is more than any body (and than Python turns into an int).
     if not length.isdigit() or len(length) > 18:
-        raise TeacherProtocolError(f"teacher reply has a malformed Content-Length {length[:80]!r}")
+        raise TeacherQueryError(f"teacher reply has a malformed Content-Length {length[:80]!r}")
     return status, will_close, _read_body(reader, int(length))
 
 
@@ -406,7 +400,7 @@ class ServiceTeacher(Teacher):
                     continue
                 failures += 1
                 if failures > self.retries:
-                    raise TeacherTimeoutError(
+                    raise TeacherQueryError(
                         f"teacher endpoint unreachable after {failures} attempts: {exc}"
                     ) from exc
                 self.retry_count += 1
@@ -419,39 +413,39 @@ class ServiceTeacher(Teacher):
             else:
                 self._kept_open = True
             if status != 200:
-                raise TeacherProtocolError(f"teacher endpoint returned HTTP {status}")
+                raise TeacherQueryError(f"teacher endpoint returned HTTP {status}")
             yield request_id, reply
 
     def _logits(self, request_id: str, reply: bytes, labels: TokenizedLabelSet) -> np.ndarray:
         """The logits of the tokenized candidates ``labels`` from the token
         scores in one reply body."""
-        payload = parse_json(reply, TeacherProtocolError, "teacher endpoint returned invalid JSON")
+        payload = parse_json(reply, TeacherQueryError, "teacher endpoint returned invalid JSON")
         try:
             echoed = payload["request_id"]
             dims = payload["dims"]
             raw = base64.b64decode(payload["payload"], validate=True)
         except (KeyError, TypeError, ValueError) as exc:
-            raise TeacherProtocolError(
+            raise TeacherQueryError(
                 f"teacher response missing or malformed fields: {exc}"
             ) from exc
         if not isinstance(dims, list) or not all(is_integer(d) and d >= 0 for d in dims):
-            raise TeacherProtocolError(
+            raise TeacherQueryError(
                 f"teacher response dims must be an array of integers >= 0, got {dims!r}"
             )
         if echoed != request_id:
-            raise TeacherProtocolError(
+            raise TeacherQueryError(
                 f"teacher echoed request id {echoed!r}, expected {request_id!r}"
             )
         count = math.prod(dims) if dims else 0
         if len(raw) != 4 * count:
-            raise TeacherDimensionError(
+            raise TeacherQueryError(
                 f"payload holds {len(raw)} bytes, dims {dims} require {4 * count}"
             )
         values = np.frombuffer(raw, dtype="<f4")
         # A service that sends NaN or infinity misbehaves (exit 4), where a
         # recorded fixture holding one is a numeric failure of the bridge.
         if not np.isfinite(values).all():
-            raise TeacherProtocolError("teacher response payload holds non-finite scores")
+            raise TeacherQueryError("teacher response payload holds non-finite scores")
         return _bridge(values, dims, labels, "service embedding payload")
 
 

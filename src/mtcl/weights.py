@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -50,6 +51,39 @@ def is_finite_number(value) -> bool:
         return False
 
 
+def must_be(name: str, wanted: str, value) -> str:
+    """The one wording of a violation: ``<name> must be <wanted>, got <value>``."""
+    return f"{name} must be {wanted}, got {value!r}"
+
+
+def setting(default, wanted: str, valid):
+    """A settings field holding ``default``, whose value must pass ``valid``;
+    ``wanted`` describes such a value."""
+    return field(default=default, metadata={"wanted": wanted, "valid": valid})
+
+
+def integer_setting(default: int, low: int):
+    """A setting that must be an integer >= ``low``."""
+    return setting(default, f"an integer >= {low}", lambda v: is_integer(v) and v >= low)
+
+
+def number_setting(default: float, bound: str, low: int):
+    """A setting that must be a finite number ``bound`` (``>`` or ``>=``) ``low``."""
+    above = {">": operator.gt, ">=": operator.ge}[bound]
+    return setting(default, f"a finite number {bound} {low}",
+                   lambda v: is_finite_number(v) and above(v, low))
+
+
+def check_settings(settings, cross=()) -> None:
+    """Raise ConfigError listing, in field order, the violation of each
+    field of ``settings`` that its check refuses, then ``cross``, the
+    violations across fields, if there is any."""
+    problems = [must_be(f.name, f.metadata["wanted"], getattr(settings, f.name))
+                for f in fields(settings) if not f.metadata["valid"](getattr(settings, f.name))]
+    if problems or cross:
+        raise ConfigError([*problems, *cross])
+
+
 @dataclass(frozen=True)
 class WeightConfig:
     """Hyperparameters for the weight assignment scheme.
@@ -59,34 +93,23 @@ class WeightConfig:
     step" (never below 2).
     """
 
-    alpha: float = 0.2
-    theta_ds: float = 0.4
-    theta_di: float = 0.4
-    log_base: Optional[float] = None
+    alpha: float = setting(0.2, "a number in [0, 1]",
+                           lambda v: is_finite_number(v) and 0.0 <= v <= 1.0)
+    theta_ds: float = number_setting(0.4, ">=", 0)
+    theta_di: float = number_setting(0.4, ">=", 0)
+    log_base: Optional[float] = setting(
+        None, "a finite number > 1",
+        lambda v: v is None or (is_number(v) and 1.0 < v < math.inf),
+    )
 
     def __post_init__(self):
-        problems = []
-        if not is_finite_number(self.alpha) or not 0.0 <= self.alpha <= 1.0:
-            problems.append(f"alpha must be a number in [0, 1], got {self.alpha!r}")
-        for name in ("theta_ds", "theta_di"):
-            value = getattr(self, name)
-            if not is_finite_number(value) or value < 0.0:
-                problems.append(f"{name} must be a finite number >= 0, got {value!r}")
         shares = (self.alpha, self.theta_ds, self.theta_di)
-        if all(map(is_finite_number, shares)) and (
-            # float() first: two finite integers may sum past the float range.
-            abs(float(self.theta_ds) + self.theta_di - (1.0 - self.alpha)) > WEIGHT_SUM_TOL
-        ):
-            problems.append(
-                "theta_ds + theta_di must equal 1 - alpha "
-                f"(got {self.theta_ds} + {self.theta_di} != 1 - {self.alpha})"
-            )
-        if self.log_base is not None and (
-            not is_number(self.log_base) or not 1.0 < self.log_base < math.inf
-        ):
-            problems.append(f"log_base must be a finite number > 1, got {self.log_base!r}")
-        if problems:
-            raise ConfigError(problems)
+        # float() first: two finite integers may sum past the float range.
+        off = all(map(is_finite_number, shares)) and abs(
+            float(self.theta_ds) + self.theta_di - (1.0 - self.alpha)) > WEIGHT_SUM_TOL
+        check_settings(self, ["theta_ds + theta_di must equal 1 - alpha "
+                              f"(got {self.theta_ds} + {self.theta_di} != 1 - {self.alpha})"]
+                       if off else ())
 
     def resolve_log_base(self, class_count: Optional[int] = None) -> float:
         if self.log_base is not None:

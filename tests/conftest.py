@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 
 from mtcl.engine import MetricsRow
-from mtcl.errors import DimensionMismatchError, NumericError
+from mtcl.errors import DataError, NumericError
 from mtcl.taskstream import GeneratorConfig
 from mtcl.weights import WeightTriple
 
@@ -75,7 +75,7 @@ def grad_check(loss_and_grad, params: np.ndarray, step: float = 1e-4) -> float:
     _, analytic = loss_and_grad(params)
     analytic = np.asarray(analytic, dtype=np.float64)
     if analytic.shape != params.shape:
-        raise DimensionMismatchError(
+        raise DataError(
             f"gradient shape {analytic.shape} != parameter shape {params.shape}"
         )
     worst = 0.0

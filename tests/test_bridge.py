@@ -6,6 +6,7 @@ implementation.  It is written before the tests that rely on it.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -27,7 +28,7 @@ from mtcl.bridge import (
     tokenize_labels,
     write_fixture,
 )
-from mtcl.errors import DataError, DimensionMismatchError, NumericError
+from mtcl.errors import DataError, NumericError
 
 
 def transform_oracle(scores, token_ids, eps):
@@ -95,6 +96,8 @@ class TestVocabulary:
         vocab = build_vocabulary(["grasping", "cutting tool"])
         again = Vocabulary.from_text(vocab.to_text())
         assert again.tokens == vocab.tokens
+        spaced = Vocabulary.from_text("\n" + vocab.to_text().replace("\n", "\n \n"))
+        assert spaced.tokens == vocab.tokens
 
     def test_file_roundtrip(self, tmp_path):
         vocab = build_vocabulary(["one", "two"])
@@ -115,6 +118,33 @@ class TestVocabulary:
             Vocabulary.from_text("<pause>\t0\na\t2\n")
         with pytest.raises(DataError):
             Vocabulary.from_text("<pause>\t0\na\t1\nb\t1\n")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Vocabulary((PAUSE_TOKEN, "a\tb")), re.escape(repr("a\tb"))),
+    (lambda: Vocabulary((PAUSE_TOKEN, "")), "unserializable token ''"),
+    (lambda: Vocabulary((PAUSE_TOKEN, "a", "b", "a")), "contains duplicates"),
+    (lambda: build_vocabulary(["cut", ""]), "empty label name"),
+    (lambda: TokenizedLabelSet(np.zeros((0, 2), dtype=np.int64), 3),
+     r"must be 2-d and non-empty, got shape \(0, 2\)"),
+    (lambda: TokenizedLabelSet(np.zeros(3, dtype=np.int64), 3),
+     r"must be 2-d and non-empty, got shape \(3,\)"),
+    (lambda: TokenizedLabelSet(np.array([[1, 3, 0]]), 3), "out of range for vocabulary of 3"),
+    (lambda: TokenizedLabelSet(np.array([[-1, 0]]), 3), "out of range for vocabulary of 3"),
+    (lambda: TokenizedLabelSet(np.array([[1, 0], [0, 1]]), 3), "must end with the pause token"),
+    (lambda: tokenize_labels(build_vocabulary(["cut"]), []), "cannot tokenize an empty label"),
+    (lambda: write_fixture("unused.bin", {"s": np.zeros((2, 2))}),
+     r"tensor for 's' must be 3-d, got shape \(2, 2\)"),
+    (lambda: write_fixture("unused.bin", {"s" * 0x10000: np.zeros((1, 1, 1))}),
+     "sample id too long"),
+], ids=["tab-token", "empty-token", "duplicate-token", "empty-label", "no-rows", "one-axis",
+        "id-too-large", "negative-id", "no-final-pause", "no-labels", "fixture-2d",
+        "fixture-long-id"])
+def test_inconsistent_bridge_input_is_a_data_error(build, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(DataError, match=message):
+        build()
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestTokenizeLabels:
@@ -226,11 +256,11 @@ class TestScoresToLogits:
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(2007)
         labels = random_label_set(rng, 3, 3, 5)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match=r"does not match token table"):
             scores_to_logits(np.zeros((2, 3, 5)), labels)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match=r"does not match token table"):
             scores_to_logits(np.zeros((3, 3, 4)), labels)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match=r"expected a \(candidates, positions, vocab\) tensor"):
             scores_to_logits(np.zeros((3, 3)), labels)
 
     def test_nonfinite_scores_rejected(self):

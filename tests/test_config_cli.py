@@ -6,6 +6,7 @@ Each documented failure is a row of ``test_failures.py``.
 import ast
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -26,18 +27,16 @@ from mtcl.engine import RunDir
 from mtcl.errors import (
     ConfigError,
     DataError,
-    DimensionMismatchError,
     MtclError,
     NumericError,
-    TeacherDimensionError,
-    TeacherProtocolError,
-    TeacherTimeoutError,
+    TeacherQueryError,
     exit_code_for,
 )
 from mtcl.taskstream import GeneratorConfig, generate_synthetic_stream, load_manifest, load_task
 
 
 EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
+README = EXPERIMENTS.parent / "README.md"
 
 
 def base_payload(**extra):
@@ -231,12 +230,24 @@ class TestExitCodes:
     def test_mapping(self):
         assert exit_code_for(ConfigError(["x"])) == 2
         assert exit_code_for(DataError("x")) == 3
-        assert exit_code_for(DimensionMismatchError("x")) == 3
-        assert exit_code_for(TeacherTimeoutError("x")) == 4
-        assert exit_code_for(TeacherProtocolError("x")) == 4
-        assert exit_code_for(TeacherDimensionError("x")) == 4
+        assert exit_code_for(TeacherQueryError("x")) == 4
         assert exit_code_for(NumericError("x")) == 5
         assert exit_code_for(MtclError("x")) == 1
+
+    def test_one_class_per_documented_code(self):
+        """``MtclError``'s direct subclasses are the classes README's table
+        names, with its codes, and nothing in the package subclasses them."""
+        table = README.read_text(encoding="utf-8").split("\n## Exit codes\n")[1]
+        documented = {name: int(code) for code, name in
+                      re.findall(r"^\| (\d+) +\|.*\| `(\w+Error)` +\|$", table, re.MULTILINE)}
+        classes = MtclError.__subclasses__()
+        assert {cls.__name__: cls.exit_code for cls in classes} == documented
+        assert sorted(documented.values()) == [2, 3, 4, 5]
+        bases = {node.id for path in Path(mtcl.__file__).parent.glob("*.py")
+                 for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(cls, ast.ClassDef) for node in cls.bases
+                 if isinstance(node, ast.Name)}
+        assert bases.isdisjoint(documented), bases
 
 
 @pytest.fixture(scope="module")

@@ -639,6 +639,33 @@ class TestTrainTask:
                 mini_stream.vocab, WeightTrace(),
             )
 
+    def test_single_teacher_mode_requires_a_previous_model(self, mini_stream):
+        task2 = load_task(mini_stream, 2)
+        settings = TrainSettings(seed=5, mode="lwf", **FAST)
+        student = StudentModel(
+            settings.seed, mini_stream.feature_length, len(mini_stream.vocab) + 1,
+            settings.hidden1, settings.hidden2,
+        ).grow_head(classes_up_to(mini_stream, 2))
+        with pytest.raises(ConfigError, match="single-teacher distillation needs a previous"):
+            train_task(
+                student, None, None, task2, ImbalanceLedger().update(task2), settings,
+                standard_weights(), mini_stream.vocab, WeightTrace(),
+            )
+
+    def test_task_without_training_samples_rejected(self, mini_stream):
+        task = load_task(mini_stream, 1)
+        empty = TaskDataset(task_index=1, samples=[], classes=task.classes)
+        settings = TrainSettings(seed=5, mode="ft", **FAST)
+        student = StudentModel(
+            settings.seed, mini_stream.feature_length, len(mini_stream.vocab) + 1,
+            settings.hidden1, settings.hidden2,
+        ).grow_head(task.classes)
+        with pytest.raises(DataError, match="task 1 has no training samples"):
+            train_task(
+                student, None, None, empty, ImbalanceLedger(), settings,
+                standard_weights(), mini_stream.vocab, WeightTrace(),
+            )
+
     def test_missing_head_class_rejected(self, mini_stream):
         task = load_task(mini_stream, 1)
         settings = TrainSettings(seed=5, mode="ft", **FAST)

@@ -32,7 +32,7 @@ from mtcl.engine import MODES, StudentModel, save_checkpoint
 from mtcl.errors import MtclError, exit_code_for
 from mtcl.taskstream import GeneratorConfig, generate_synthetic_stream, load_manifest
 from mtcl.taskstream import load_task
-from mtcl.weights import WeightTrace
+from mtcl.weights import TRACE_COLUMNS, WeightTrace, WeightTriple, trace_row
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -89,6 +89,11 @@ def config(changes):
             *section, name = key.split(".")
             (payload[section[0]] if section else payload)[name] = value
     return lambda monkeypatch: edit_json("run.json", change)
+
+
+def without(key):
+    """Set-up: ``run.json`` without its ``key``."""
+    return lambda monkeypatch: edit_json("run.json", lambda payload: payload.pop(key))
 
 
 def manifest(change):
@@ -199,6 +204,10 @@ def fixture_record(sample_id: bytes, shape) -> bytes:
         FIXTURE_MAGIC + struct.pack("<HH", FIXTURE_VERSION, len(sample_id)) + sample_id
         + struct.pack("<III", *shape) + bytes(16)
     )
+
+
+# One record (magic and version included) for a sample task 2 scores.
+DUPLICATE_RECORD = fixture_record(b"t2-00000", (1, 1, 4))
 
 
 def nan_fixture(monkeypatch):
@@ -359,6 +368,24 @@ CASES = [
            config({"output_dir": value}))
       for value, flags, shown in [(None, [], None), (["a"], [], ["a"]), ("", [], ""),
                                   ("out", ["--output-dir", ""], "")]],
+    *[Case("config-object", RUN, 2, "^error: run config must be a JSON object$",
+           write("run.json", data))
+      for data in (b"[]", b"5", b"null", b'"run"')],
+    *[Case("config-unknown-key", RUN, 2, f"^error: unknown key {key}$", config({key: 3}))
+      for key in ("epoch", "optimizer.epoch", "model.hidden3")],
+    *[Case("config-mode", RUN, 2,
+           re.escape(f"error: mode must be one of {MODES}, got {value!r}"), config({"mode": value}))
+      for value in ("magic", "OURS", 5, None)],
+    *[Case("config-teacher", RUN, 2, message, setup)
+      for setup, message in [
+          (config({"llm_teacher": 5}), "^error: llm_teacher must be an object or null, got 5;"),
+          (config({"llm_teacher": ["noisy-oracle"]}), "llm_teacher must be an object or null"),
+          (config({"llm_teacher": None}), "^error: mode 'ours' needs an llm_teacher entry$"),
+          (without("llm_teacher"), "^error: mode 'ours' needs an llm_teacher entry$")]],
+    *[Case("config-manifest", RUN, 2,
+           re.escape(f"error: manifest must be a non-empty path, got {value!r}"), setup)
+      for setup, value in [(without("manifest"), None), (config({"manifest": 5}), 5),
+                           (config({"manifest": ""}), ""), (config({"manifest": None}), None)]],
     *[Case("config-too-large", RUN, 2, "^error: hidden1 and hidden2 ask for arrays too large",
            config({f"model.{field}": 10**20}), STARTED) for field in ("hidden1", "hidden2")],
     Case("config-too-large", RUN, 2, "^error: hidden1 and hidden2 ask for arrays too large",
@@ -436,7 +463,8 @@ CASES = [
                     *[write("scores.bin", data) for data in (
                         fixture_record(b"\xff\xfe", (1, 1, 1)),
                         fixture_record(b"t2-00000", (2**31, 2**31, 4)),
-                        fixture_record(b"t2-00000", (2**16, 2**16, 2**6)))])],
+                        fixture_record(b"t2-00000", (2**16, 2**16, 2**6)),
+                        DUPLICATE_RECORD + DUPLICATE_RECORD[len(FIXTURE_MAGIC) + 2:])])],
     Case("manifest", (*RUN, "--manifest", "nowhere/manifest.json"), 3,
          r"^error: cannot read manifest nowhere/manifest\.json"),
     Case("manifest", RUN, 3, r"^error: manifest stream/manifest\.json: not valid JSON",
@@ -469,6 +497,18 @@ CASES = [
                          ("seed", True), ("hidden1", 8.0),
                          ("class_ids", lambda ids: [i + 0.5 for i in ids]),
                          ("class_names", lambda names: [[n] for n in names])]],
+    # Nothing reads these three fields yet; each loaded before it was checked.
+    *[Case("checkpoint", EVAL, 3, "^" + re.escape(
+           f"error: checkpoint ck.bin: header field {key} must be {wanted}, got {value!r}"),
+           checkpoint(header_field(key, value)))
+      for key, wanted, value in [
+          ("task_index", "an integer >= 1", "x"), ("task_index", "an integer >= 1", 0),
+          ("task_index", "an integer >= 1", 2.0), ("config_digest", "a string", 5),
+          *[("trace_rows", f"a list of objects keyed by {', '.join(TRACE_COLUMNS)}", rows)
+            for rows in ({"a": 1}, [{"a": 1}],
+                         [{**trace_row(1, WeightTriple(1.0, 0.0, 0.0)), "t": "1"}])]]],
+    Case("checkpoint", EVAL, 3, r"^error: checkpoint ck\.bin: unsupported checkpoint version 2$",
+         checkpoint(lambda data: data[:4] + struct.pack("<H", 2) + data[6:])),
     *[Case("manifest-feature-block", (*RUN, "--epochs", "1"), 3,
            rf"^error: manifest stream/manifest\.json: task {task} {key} is missing",
            manifest(lambda m, task=task, key=key: m["tasks"][task - 1].pop(key)))

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from mtcl.cli import main
 from mtcl.engine import StudentModel, save_checkpoint
 from mtcl.bridge import build_vocabulary, tokenize_labels
-from mtcl.errors import DataError, TeacherProtocolError, TeacherQueryError
+from mtcl.errors import DataError, TeacherQueryError
 from mtcl.errors import write_csv, write_output
 from mtcl.taskstream import LabelClass
 from mtcl.teachers import ServiceTeacher, _read_reply
@@ -302,7 +302,7 @@ class TestDamagedInputs:
         """A service (not the bridge) is at fault for a score that is not
         finite: exit 4, like any other malformed reply."""
         teacher = ServiceTeacher("http://127.0.0.1:1", VOCAB)
-        with pytest.raises(TeacherProtocolError, match="non-finite scores"):
+        with pytest.raises(TeacherQueryError, match="non-finite scores"):
             teacher._logits("r-1", reply_body(bad), TOKENIZED)
 
     @settings(max_examples=300, deadline=None)

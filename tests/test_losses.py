@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from conftest import grad_check
 
-from mtcl.errors import DimensionMismatchError, NumericError
+from mtcl.errors import DataError, NumericError
 from mtcl.losses import (
     PROB_EPS,
     batch_loss,
@@ -193,7 +193,7 @@ class TestCrossEntropy:
         assert abs(value - (-math.log(PROB_EPS))) <= 1e-9
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="target shape"):
             cross_entropy(np.array([1.0, 0.0]), np.array([0.5, 0.25, 0.25]))
 
 
@@ -229,15 +229,15 @@ class TestHardLabelLoss:
                 np.testing.assert_array_equal(plus[others], losses[others])
 
     def test_bad_label_rejected(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="out of range"):
             hard_label_loss(np.zeros((1, 3)), [3])
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="out of range"):
             hard_label_loss(np.zeros((2, 3)), [0, -1])
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="labels for a batch of 2 rows"):
             hard_label_loss(np.zeros((2, 3)), [0])
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="logit matrix"):
             hard_label_loss(np.zeros(3), [0])
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="logit matrix"):
             hard_label_loss(np.zeros((0, 3)), [])
 
 
@@ -318,17 +318,17 @@ class TestKdLoss:
                     assert numeric == 0.0
 
     def test_empty_mask_rejected(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="teacher gave"):
             kd_loss(np.zeros((1, 0)), np.array([[1.0, 2.0]]), 1.0)
 
     def test_coverage_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="teacher gave"):
             kd_loss(np.array([[1.0, 2.0, 3.0]]), np.array([[1.0, 2.0]]), 1.0)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="teacher gave"):
             kd_loss(np.array([[1.0], [2.0]]), np.array([[1.0, 2.0]]), 1.0)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="teacher gave"):
             kd_loss(np.array([1.0]), np.array([[1.0, 2.0]]), 1.0)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="logit matrix"):
             kd_loss(np.array([1.0]), np.array([1.0, 2.0]), 1.0)
 
 
@@ -505,9 +505,9 @@ class TestBatchLoss:
 
     def test_teacher_width_and_empty_mask_rejected(self):
         weights = WeightTriple(0.5, 0.5, 0.0)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="teacher gave"):
             batch_loss(np.zeros((2, 3)), [0, 1], weights, 2.0, np.zeros((2, 4)), None)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match="teacher gave"):
             batch_loss(np.zeros((2, 3)), [0, 1], weights, 2.0, np.zeros((2, 0)), None)
 
 

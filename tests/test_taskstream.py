@@ -382,6 +382,19 @@ class TestLoadTaskErrors:
         with pytest.raises(DataError, match="malformed"):
             load_task(load_manifest(manifest_path), 1)
 
+    def test_blank_lines_are_skipped_but_counted(self, tmp_path):
+        manifest_path = write_stream(tmp_path)
+        task_file = tmp_path / "task1.train.jsonl"
+        records = task_file.read_text().splitlines()
+        before = load_task(load_manifest(manifest_path), 1)
+        task_file.write_text("\n" + "\n \t\n".join(records) + "\n\n")
+        after = load_task(load_manifest(manifest_path), 1)
+        assert [(s.id, s.question, s.answer, s.features.tolist()) for s in after.samples] == [
+            (s.id, s.question, s.answer, s.features.tolist()) for s in before.samples]
+        task_file.write_text("\n \nnot json\n")
+        with pytest.raises(DataError, match=r"task1\.train\.jsonl:3: malformed record"):
+            load_task(load_manifest(manifest_path), 1)
+
     @pytest.mark.parametrize(
         "key, value",
         [("id", None), ("id", 7), ("id", ["t1-9"]), ("question", 7), ("question", None),

@@ -30,12 +30,7 @@ from mtcl.bridge import (
 )
 from mtcl.cli import main
 from mtcl.engine import StudentModel
-from mtcl.errors import (
-    DataError,
-    TeacherDimensionError,
-    TeacherProtocolError,
-    TeacherTimeoutError,
-)
+from mtcl.errors import DataError, TeacherQueryError
 from mtcl.taskstream import GeneratorConfig, generate_synthetic_stream, load_manifest
 from mtcl.teachers import (
     MAX_UNANSWERED_BYTES,
@@ -226,7 +221,8 @@ class TestFixtureTeacher:
     def test_candidate_count_mismatch_rejected(self, fixture_path, vocab):
         path, _ = fixture_path
         teacher = FixtureTeacher(path, vocab)
-        with pytest.raises(TeacherDimensionError):
+        shapes = r"has shape \(3, 6, 14\), expected \(2, 5, 14\) \(candidates, token positions"
+        with pytest.raises(TeacherQueryError, match=shapes):
             teacher.query(make_sample("s-0"), ("cut", "idle"))
 
     def test_file_read_once_at_the_first_table(self, fixture_path, vocab, monkeypatch):
@@ -343,11 +339,11 @@ class TestServiceTeacher:
 
     def test_logits_reply_rejected(self, mock_server):
         """A reply of one logit per candidate instead of token scores is a
-        TeacherDimensionError (exit 4)."""
+        TeacherQueryError (exit 4)."""
         mock_server.behavior = lambda path, body: (200, embedding_response(body, LOGITS))
         url = f"http://127.0.0.1:{mock_server.server_address[1]}"
         teacher = ServiceTeacher(url, VOCAB, timeout=2.0)
-        with pytest.raises(TeacherDimensionError, match=r"shape \(3,\), expected \(3, "):
+        with pytest.raises(TeacherQueryError, match=r"shape \(3,\), expected \(3, "):
             teacher.query(make_sample(), LABELS)
 
     def test_vocab_size_mismatch_rejected(self, mock_server):
@@ -356,7 +352,8 @@ class TestServiceTeacher:
         mock_server.behavior = lambda path, body: (200, embedding_response(body, wrong))
         url = f"http://127.0.0.1:{mock_server.server_address[1]}"
         teacher = ServiceTeacher(url, vocab=vocab, timeout=2.0)
-        with pytest.raises(TeacherDimensionError):
+        shapes = r"has shape \(3, 7, 16\), expected \(3, 6, 14\) \(candidates, token positions"
+        with pytest.raises(TeacherQueryError, match=shapes):
             teacher.query(make_sample(), LABELS)
 
     def test_payload_dims_disagreement_rejected(self, mock_server):
@@ -368,7 +365,8 @@ class TestServiceTeacher:
         mock_server.behavior = behavior
         url = f"http://127.0.0.1:{mock_server.server_address[1]}"
         teacher = ServiceTeacher(url, VOCAB, timeout=2.0)
-        with pytest.raises(TeacherDimensionError):
+        sizes = r"payload holds 672 bytes, dims \[3, 6, 14\] require 1008"
+        with pytest.raises(TeacherQueryError, match=sizes):
             teacher.query(make_sample(), LABELS)
 
     @pytest.mark.parametrize(
@@ -387,9 +385,8 @@ class TestServiceTeacher:
         )
         url = f"http://127.0.0.1:{mock_server.server_address[1]}"
         teacher = ServiceTeacher(url, VOCAB, timeout=2.0)
-        with pytest.raises(TeacherProtocolError, match="dims") as caught:
+        with pytest.raises(TeacherQueryError, match="dims must be an array of integers >= 0"):
             teacher.query(make_sample(), LABELS)
-        assert type(caught.value) is TeacherProtocolError
 
     def test_huge_dims_are_counted_exactly(self, mock_server):
         def behavior(path, body):
@@ -398,7 +395,7 @@ class TestServiceTeacher:
         mock_server.behavior = behavior
         url = f"http://127.0.0.1:{mock_server.server_address[1]}"
         teacher = ServiceTeacher(url, VOCAB, timeout=2.0)
-        with pytest.raises(TeacherDimensionError, match=f"require {4 * 2**80}"):
+        with pytest.raises(TeacherQueryError, match=f"require {4 * 2**80}"):
             teacher.query(make_sample(), LABELS)
 
     def test_request_id_mismatch_rejected(self, mock_server):
@@ -408,18 +405,18 @@ class TestServiceTeacher:
         mock_server.behavior = behavior
         url = f"http://127.0.0.1:{mock_server.server_address[1]}"
         teacher = ServiceTeacher(url, VOCAB, timeout=2.0)
-        with pytest.raises(TeacherProtocolError):
+        with pytest.raises(TeacherQueryError, match="echoed request id"):
             teacher.query(make_sample(), LABELS)
 
     def test_http_error_and_garbage_rejected(self, mock_server):
         url = f"http://127.0.0.1:{mock_server.server_address[1]}"
         teacher = ServiceTeacher(url, VOCAB, timeout=2.0)
         mock_server.behavior = lambda path, body: (503, {})
-        with pytest.raises(TeacherProtocolError):
+        with pytest.raises(TeacherQueryError, match="returned HTTP 503"):
             teacher.query(make_sample(), LABELS)
         for garbage in (b"this is not json", b"[" * 100_000):
             mock_server.behavior = lambda path, body: (200, garbage)
-            with pytest.raises(TeacherProtocolError, match="invalid JSON"):
+            with pytest.raises(TeacherQueryError, match="invalid JSON"):
                 teacher.query(make_sample(), LABELS)
 
     def test_unreachable_endpoint_times_out(self):
@@ -430,7 +427,7 @@ class TestServiceTeacher:
         teacher = ServiceTeacher(
             f"http://127.0.0.1:{dead_port}", VOCAB, timeout=0.2, retries=1
         )
-        with pytest.raises(TeacherTimeoutError):
+        with pytest.raises(TeacherQueryError, match="unreachable after 2 attempts"):
             teacher.query(make_sample(), LABELS)
 
     def test_retry_reuses_request_id(self, mock_server):
@@ -509,7 +506,7 @@ class TestServiceTeacher:
         )
         with raw_reply(reply) as (url, received):
             teacher = ServiceTeacher(url, VOCAB, timeout=2.0, retries=2)
-            with pytest.raises(TeacherProtocolError):
+            with pytest.raises(TeacherQueryError, match="body cut short"):
                 teacher.query(make_sample(), LABELS)
         assert len(received) == 1
 
@@ -535,7 +532,7 @@ class TestServiceTeacher:
     def test_malformed_status_line_fails_fast(self):
         with raw_reply(b"garbage instead of a status line\r\n\r\n") as (url, received):
             teacher = ServiceTeacher(url, VOCAB, timeout=2.0, retries=2)
-            with pytest.raises(TeacherProtocolError):
+            with pytest.raises(TeacherQueryError, match="malformed status line"):
                 teacher.query(make_sample(), LABELS)
         assert len(received) == 1
         assert teacher.retry_count == 0
@@ -547,7 +544,7 @@ class TestServiceTeacher:
         mock_server.behavior = behavior
         url = f"http://127.0.0.1:{mock_server.server_address[1]}"
         teacher = ServiceTeacher(url, VOCAB, timeout=2.0)
-        with pytest.raises(TeacherProtocolError):
+        with pytest.raises(TeacherQueryError, match="missing or malformed fields"):
             teacher.query(make_sample(), LABELS)
 
     def test_works_without_requests_installed(self, mock_server, monkeypatch):
@@ -675,7 +672,7 @@ class TestServiceConnection:
     def test_https_to_a_plain_text_server_is_unreachable(self, mock_server):
         url = f"https://127.0.0.1:{mock_server.server_address[1]}"
         teacher = ServiceTeacher(url, VOCAB, timeout=0.5, retries=2)
-        with pytest.raises(TeacherTimeoutError, match="unreachable after 3 attempts"):
+        with pytest.raises(TeacherQueryError, match="unreachable after 3 attempts"):
             teacher.query(make_sample(), LABELS)
         assert teacher.retry_count == 2
         assert teacher._sock is None
@@ -960,7 +957,7 @@ class TestServiceTeacherPipeline:
             )
             url = f"http://127.0.0.1:{server.server_address[1]}"
             teacher = ServiceTeacher(url, VOCAB, timeout=2.0)
-            with pytest.raises(TeacherProtocolError):
+            with pytest.raises(TeacherQueryError, match="returned HTTP 503"):
                 teacher.score_table(samples, LABELS)
             assert teacher._sock is None
             table = teacher.score_table(samples[:4], LABELS)
@@ -995,7 +992,8 @@ class TestReadReply:
         b"0\r\n" + b"X: 1\r\n" * 101 + b"\r\n",  # too many trailer lines
     ], ids=["unfinished", "overlong", "not-hex", "signed", "huge", "trailers"])
     def test_malformed_chunked_body_rejected(self, chunks):
-        with pytest.raises(TeacherProtocolError):
+        chunking = "malformed chunk size|chunk without its line end|cut short|100 trailer"
+        with pytest.raises(TeacherQueryError, match=chunking):
             read_reply(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunks)
 
     def test_100_continue_skipped(self):
@@ -1033,16 +1031,16 @@ class TestReadReply:
         assert read_reply(reply(long_line))[0] == (200, False, b"ok")
         assert read_reply(reply(b"X: 1\r\n" * 99))[0] == (200, False, b"ok")
         for headers in (b"X: a" + long_line[3:], b"X: 1\r\n" * 100):
-            with pytest.raises(TeacherProtocolError, match="65536 bytes|100 header"):
+            with pytest.raises(TeacherQueryError, match="65536 bytes|100 header"):
                 read_reply(reply(headers))
 
     @pytest.mark.parametrize("length", [b"-1", b"abc", b"", b"+2", b"1" * 5000])
     def test_malformed_content_length_rejected(self, length):
-        with pytest.raises(TeacherProtocolError, match="Content-Length"):
+        with pytest.raises(TeacherQueryError, match="Content-Length"):
             read_reply(b"HTTP/1.1 200 OK\r\nContent-Length: " + length + b"\r\n\r\nok")
 
     def test_body_cut_short_rejected(self):
-        with pytest.raises(TeacherProtocolError, match="cut short"):
+        with pytest.raises(TeacherQueryError, match="cut short"):
             read_reply(b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nok")
 
     @pytest.mark.parametrize("reply", [
@@ -1057,7 +1055,8 @@ class TestReadReply:
     ], ids=["garbage", "http-2", "four-digits", "below-100", "unfinished-status",
             "no-colon", "unfinished-headers", "long-status"])
     def test_malformed_head_rejected(self, reply):
-        with pytest.raises(TeacherProtocolError):
+        head = "malformed (status|header) line|status line over 65536 bytes"
+        with pytest.raises(TeacherQueryError, match=head):
             read_reply(reply)
 
     def test_closed_before_the_status_line_is_a_connection_error(self):
