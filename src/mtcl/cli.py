@@ -30,7 +30,7 @@ from .errors import ConfigError, DataError, MtclError, exit_code_for
 from .taskstream import SPLITS, GeneratorConfig, generate_synthetic_stream, load_manifest
 from .taskstream import load_task
 from .teachers import teacher_from_config
-from .weights import TRACE_COLUMNS, WeightConfig, assemble_weights, trace_row
+from .weights import TRACE_COLUMNS, WeightConfig, assemble_weights, checked, trace_row
 from .weights import is_finite_number
 
 # Most grid points ``inspect-weights --sweep-ir`` tabulates.
@@ -168,20 +168,11 @@ def cmd_generate(args) -> int:
 
 def cmd_inspect_weights(args) -> int:
     cfg = WeightConfig(**_given_fields(args, WeightConfig))
-    if args.class_count is not None and not (
-        is_finite_number(args.class_count) and args.class_count >= 1
-    ):
-        raise ConfigError(
-            f"--class-count must be an integer >= 1 that a float holds, got {args.class_count}"
-        )
+    checked("--class-count", args.class_count, "an integer >= 1 that a float holds",
+            lambda v: v is None or (is_finite_number(v) and v >= 1), ConfigError)
 
     def assemble(ir):
-        try:
-            return assemble_weights(
-                cfg, args.acc_prev, args.acc_llm, ir, class_count=args.class_count
-            )
-        except ValueError as exc:  # a measurement out of its range
-            raise ConfigError(str(exc)) from exc
+        return assemble_weights(cfg, args.acc_prev, args.acc_llm, ir, class_count=args.class_count)
 
     if args.sweep_ir:
         try:
@@ -194,10 +185,8 @@ def cmd_inspect_weights(args) -> int:
                 f"--sweep-ir START and STOP must be finite, as must STOP - START, "
                 f"got {start}:{stop}"
             )
-        if not 0 <= count <= MAX_SWEEP_POINTS:
-            raise ConfigError(
-                f"--sweep-ir COUNT must be in [0, {MAX_SWEEP_POINTS}], got {count}"
-            )
+        checked("--sweep-ir COUNT", count, f"in [0, {MAX_SWEEP_POINTS}]",
+                lambda v: 0 <= v <= MAX_SWEEP_POINTS, ConfigError)
         grid = np.linspace(start, stop, count)
         rows = [(ir, assemble(float(ir))[0]) for ir in grid]
         print("ir beta chi")

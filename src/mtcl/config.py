@@ -140,8 +140,7 @@ def build_run_config(payload: dict, overrides: dict = None) -> RunConfig:
     llm_teacher = merged.get("llm_teacher")
     if llm_teacher is not None and not isinstance(llm_teacher, dict):
         problems.append(must_be("llm_teacher", "an object or null", llm_teacher))
-        llm_teacher = None
-    if mode == "ours" and llm_teacher is None:
+    elif mode == "ours" and llm_teacher is None:
         problems.append("mode 'ours' needs an llm_teacher entry")
 
     built = {}

@@ -52,11 +52,11 @@ from .weights import (
     WeightTrace,
     assemble_weights,
     check_settings,
+    checked,
     integer_setting,
     is_integer,
     is_number,
     measure_teacher_accuracy,
-    must_be,
     number_setting,
     setting,
 )
@@ -491,12 +491,7 @@ def run_continual(
     each task's files are written there (``RunDir.write_task``), so a
     run that stops keeps the results of the tasks it finished.
     """
-    with sized_by("hidden1", "hidden2"):
-        student = StudentModel(
-            settings.seed, manifest.feature_length, len(manifest.vocab) + 1,
-            settings.hidden1, settings.hidden2,
-        )
-    prev_teacher = None
+    student = prev_teacher = None
     ledger = ImbalanceLedger()
     trace = WeightTrace()
     rows = []
@@ -504,6 +499,14 @@ def run_continual(
     for entry in manifest.tasks:
         t = entry.index
         train_split = load_task(manifest, t, "train")
+        # Built once task 1's features have loaded, so that a feature length
+        # its block does not hold is the block's fault, not the model's size.
+        if student is None:
+            with sized_by("hidden1", "hidden2"):
+                student = StudentModel(
+                    settings.seed, manifest.feature_length, len(manifest.vocab) + 1,
+                    settings.hidden1, settings.hidden2,
+                )
         student.grow_head([c for c in train_split.classes if c.id not in student.class_ids])
         ledger.update(train_split)
         train_task(
@@ -597,9 +600,13 @@ def load_checkpoint(path):
     return parse_input(path, "checkpoint", _parse_checkpoint)
 
 
-# The header fields no model is built from, each with its rule; a trace
-# row's measurements are NaN at step 1.
+# Each header field with its rule; a trace row's measurements are NaN at step 1.
 _HEADER_RULES = (
+    ("seed", "an integer >= 0", lambda v: is_integer(v) and v >= 0),
+    *((key, "an integer >= 1", lambda v: is_integer(v) and v >= 1) for key in ARCHITECTURE[1:]),
+    ("class_ids", "a list of integers", lambda v: isinstance(v, list) and all(map(is_integer, v))),
+    ("class_names", "a list of strings",
+     lambda v: isinstance(v, list) and all(isinstance(name, str) for name in v)),
     ("task_index", "an integer >= 1", lambda v: is_integer(v) and v >= 1),
     ("config_digest", "a string", lambda v: isinstance(v, str)),
     ("trace_rows", f"a list of objects keyed by {', '.join(TRACE_COLUMNS)}",
@@ -620,20 +627,16 @@ def _parse_checkpoint(data: bytes):
     header = parse_json(raw_header, DataError, "header is corrupt", "utf-8")
     offset += header_len
     (count,) = struct.unpack_from("<Q", data, offset)
-    seed, *widths = architecture = [header[key] for key in ARCHITECTURE]
-    ids, names = header["class_ids"], header["class_names"]
-    if not all(map(is_integer, architecture + ids)) or not all(isinstance(n, str) for n in names):
-        raise DataError(f"header fields {', '.join(ARCHITECTURE)} and class_ids must hold "
-                        "integers, and class_names strings")
     for name, wanted, valid in _HEADER_RULES:
-        if not valid(header[name]):
-            raise DataError(f"header field {must_be(name, wanted, header[name])}")
+        checked(f"header field {name}", header[name], wanted, valid, DataError)
+    seed, *widths = [header[key] for key in ARCHITECTURE]
+    ids, names = header["class_ids"], header["class_names"]
     classes = [LabelClass(*c) for c in zip(ids, names, strict=True)]
     feature_length, question_length, hidden1, hidden2 = widths
     expected = StudentModel.count_params(
         feature_length + question_length, hidden1, hidden2, len(classes)
     )
-    if min(widths) < 1 or count != expected:
+    if count != expected:
         raise DataError(
             f"header (layer widths {widths}, {len(classes)} classes) "
             f"does not describe its {count} parameters"

@@ -3,14 +3,17 @@
 There is one class per failure exit code, and each states the code the
 CLI gives it, so anything that should abort a run with a distinct
 status raises one of them rather than a bare ValueError; its message
-says what failed.  ``read_input`` and ``parse_json`` pick the error
-for an input file that cannot be read and for JSON that cannot be
-parsed; ``parse_input`` parses a whole input file and is the one place
-that names the file in a parse error, as ``<what> <path>: <reason>``;
-``write_output`` writes every output file whole and ``remove_outputs``
-removes them, each picking the error for a file it cannot write or
-remove; ``write_csv`` writes every table through ``write_output``.
-``sized_by`` picks the error for an array too large to allocate.
+says what failed.  A single refused value goes through
+``weights.checked``, which raises the class its caller names with the
+one wording ``<name> must be <wanted>, got <value>``.  ``read_input``
+and ``parse_json`` pick the error for an input file that cannot be read
+and for JSON that cannot be parsed; ``parse_input`` parses a whole
+input file and is the one place that names the file in a parse error,
+as ``<what> <path>: <reason>``; ``write_output`` writes every output
+file whole and ``remove_outputs`` removes them, each picking the error
+for a file it cannot write or remove; ``write_csv`` writes every table
+through ``write_output``.  ``sized_by`` picks the error for an array too
+large to allocate.
 """
 
 import io

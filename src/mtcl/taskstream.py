@@ -37,8 +37,8 @@ import numpy as np
 from .bridge import Vocabulary, build_vocabulary
 from .errors import ConfigError, DataError, parse_input, parse_json, read_input, sized_by
 from .errors import write_output
-from .weights import check_settings, integer_setting, is_finite_number, is_integer
-from .weights import must_be, number_setting, setting
+from .weights import check_settings, checked, integer_setting, is_finite_number, is_integer
+from .weights import number_setting, setting
 
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -196,9 +196,8 @@ def _parse_manifest(path: Path, text: str) -> StreamManifest:
     payload = parse_json(text, DataError, "not valid JSON")
     if payload["format_version"] != MANIFEST_VERSION:
         raise DataError(f"unsupported manifest version {payload['format_version']}")
-    feature_length = _integer("feature_length", payload["feature_length"])
-    if feature_length < 1:
-        raise DataError(f"feature length must be >= 1, got {feature_length}")
+    feature_length = checked("feature_length", payload["feature_length"], "an integer >= 1",
+                             lambda v: is_integer(v) and v >= 1, DataError)
     vocab = Vocabulary.load(path.parent / payload["vocab_file"])
     labels = []
     for i, entry in enumerate(payload["labels"]):
@@ -219,7 +218,7 @@ def _parse_manifest(path: Path, text: str) -> StreamManifest:
     tasks = []
     last_index = 0
     for entry in payload["tasks"]:
-        index = _integer("task index", entry["index"])
+        index = checked("task index", entry["index"], "an integer", is_integer, DataError)
         if index <= last_index or (last_index == 0 and index != 1):
             raise DataError(
                 f"task indices must start at 1 and be strictly increasing, found {index}"
@@ -234,21 +233,13 @@ def _parse_manifest(path: Path, text: str) -> StreamManifest:
                 raise DataError(f"task {index} lists class {name!r} more than once")
         splits = {}
         for split in SPLITS:
-            name = entry[f"{split}_file"]
-            if not isinstance(name, str) or "\0" in name:
-                raise DataError(f"task {index} {split}_file must be a file name, got {name!r}")
+            name = checked(f"task {index} {split}_file", entry[f"{split}_file"], "a file name",
+                           lambda v: isinstance(v, str) and "\0" not in v, DataError)
             splits[split] = (name, _parse_block(index, split, entry))
         tasks.append(TaskEntry(index=index, class_names=tuple(entry["classes"]), splits=splits))
     if not tasks:
         raise DataError("manifest declares no tasks")
     return StreamManifest(path, feature_length, vocab, tuple(labels), tuple(tasks))
-
-
-def _integer(name: str, value) -> int:
-    """``value`` if it is a JSON integer (not a bool), else DataError."""
-    if not is_integer(value):
-        raise DataError(must_be(name, "an integer", value))
-    return value
 
 
 def _parse_block(index: int, split: str, entry: dict) -> FeatureBlock:
@@ -257,17 +248,15 @@ def _parse_block(index: int, split: str, entry: dict) -> FeatureBlock:
     where = f"task {index} {key}"
     if key not in entry:
         raise DataError(f"{where} is missing; each split needs a feature block")
-    spec = entry[key]
-    if not isinstance(spec, dict):
-        raise DataError(f"{where} must be an object, got {spec!r}")
-    file, size, digest = spec["file"], spec["bytes"], spec["sha256"]
-    if not isinstance(file, str) or not file or "\0" in file:
-        raise DataError(f"{where} file must be a file name, got {file!r}")
-    if _integer(f"{where} bytes", size) < 0:
-        raise DataError(f"{where} bytes must be >= 0, got {size}")
-    if not isinstance(digest, str) or not _SHA256_HEX.fullmatch(digest):
-        raise DataError(f"{where} sha256 must be 64 lowercase hex digits, got {digest!r}")
-    return FeatureBlock(file=file, bytes=size, sha256=digest)
+    spec = checked(where, entry[key], "an object", lambda v: isinstance(v, dict), DataError)
+    return FeatureBlock(
+        file=checked(f"{where} file", spec["file"], "a file name",
+                     lambda v: isinstance(v, str) and v and "\0" not in v, DataError),
+        bytes=checked(f"{where} bytes", spec["bytes"], "an integer >= 0",
+                      lambda v: is_integer(v) and v >= 0, DataError),
+        sha256=checked(f"{where} sha256", spec["sha256"], "64 lowercase hex digits",
+                       lambda v: isinstance(v, str) and _SHA256_HEX.fullmatch(v), DataError),
+    )
 
 
 def _read_block(root: Path, block: FeatureBlock, rows: int, feature_length: int) -> np.ndarray:
@@ -481,8 +470,7 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
     Returns the manifest path.  The sidecar file records centers,
     counts, and overlap sets for test use only.
     """
-    if not is_integer(seed) or seed < 0:
-        raise ConfigError(must_be("seed", "an integer >= 0", seed))
+    checked("seed", seed, "an integer >= 0", lambda v: is_integer(v) and v >= 0, ConfigError)
     with sized_by("classes_per_task", "samples_per_task"):
         counts = _allocate_counts(cfg)
     rng = np.random.default_rng([seed, 9001])

@@ -48,7 +48,7 @@ import numpy as np
 
 from .bridge import TokenizedLabelSet, Vocabulary, read_fixture, scores_to_logits, tokenize_labels
 from .errors import DataError, TeacherQueryError, parse_json
-from .weights import is_finite_number, is_integer, is_number, must_be
+from .weights import checked, is_finite_number, is_integer, is_number
 
 # Pre-softmax margin the oracle puts on its chosen label.
 ORACLE_MARGIN = 2.0
@@ -67,13 +67,6 @@ _MAX_HEADERS = 100
 _MAX_READ = 1 << 20
 _STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) ([1-9][0-9][0-9])(?: [^\r\n]*)?\r?\n")
 _CHUNK_SIZE_LINE = re.compile(rb"([0-9A-Fa-f]+)[ \t]*(?:;[^\r\n]*)?\r?\n")
-
-
-def _checked(name: str, value, valid, wanted: str):
-    """``value`` if it is ``valid``, else DataError naming the field."""
-    if valid(value):
-        return value
-    raise DataError(f"teacher field {must_be(repr(name), wanted, value)}")
 
 
 def _candidates(mask_names) -> tuple:
@@ -121,10 +114,9 @@ class FixtureTeacher(Teacher):
 
     def __init__(self, fixture_path, vocab: Vocabulary):
         super().__init__()
-        if not isinstance(fixture_path, (str, os.PathLike)):
-            raise DataError(f"teacher field 'path' must be a file path, got {fixture_path!r}")
         self.vocab = vocab
-        self.path = fixture_path
+        self.path = checked("teacher field 'path'", fixture_path, "a file path",
+                            lambda v: isinstance(v, (str, os.PathLike)), DataError)
 
     @functools.cached_property
     def records(self) -> dict:
@@ -149,8 +141,8 @@ def _endpoint(base_url) -> tuple[str, int, bool, bytes]:
     """(host, port, tls, request head up to the Content-Length value) of
     ``base_url``, an http(s) URL with a host, optional port and path
     prefix, and no user info, query or fragment (else DataError)."""
-    if not isinstance(base_url, str) or not base_url.startswith(("http://", "https://")):
-        raise DataError(f"teacher field 'base_url' must be an http(s) URL, got {base_url!r}")
+    checked("teacher field 'base_url'", base_url, "an http(s) URL",
+            lambda v: isinstance(v, str) and v.startswith(("http://", "https://")), DataError)
     try:
         parts = urlsplit(base_url)
         tls = parts.scheme == "https"
@@ -300,11 +292,12 @@ class ServiceTeacher(Teacher):
     def __init__(self, base_url: str, vocab: Vocabulary, timeout: float = 10.0,
                  retries: int = 2):
         super().__init__()
-        timeout = _checked("timeout", timeout,
-                           lambda v: is_finite_number(v) and 0.0 < v <= threading.TIMEOUT_MAX,
-                           f"a number of seconds in (0, {threading.TIMEOUT_MAX:g}]")
-        self.retries = _checked("retries", retries, lambda v: is_integer(v) and v >= 0,
-                                "an integer >= 0")
+        timeout = checked("teacher field 'timeout'", timeout,
+                          f"a number of seconds in (0, {threading.TIMEOUT_MAX:g}]",
+                          lambda v: is_finite_number(v) and 0.0 < v <= threading.TIMEOUT_MAX,
+                          DataError)
+        self.retries = checked("teacher field 'retries'", retries, "an integer >= 0",
+                               lambda v: is_integer(v) and v >= 0, DataError)
         self.vocab = vocab
         self._host, self._port, self._tls, self._head = _endpoint(base_url)
         self._timeout = timeout
@@ -428,10 +421,9 @@ class ServiceTeacher(Teacher):
             raise TeacherQueryError(
                 f"teacher response missing or malformed fields: {exc}"
             ) from exc
-        if not isinstance(dims, list) or not all(is_integer(d) and d >= 0 for d in dims):
-            raise TeacherQueryError(
-                f"teacher response dims must be an array of integers >= 0, got {dims!r}"
-            )
+        checked("teacher response dims", dims, "an array of integers >= 0",
+                lambda v: isinstance(v, list) and all(is_integer(d) and d >= 0 for d in v),
+                TeacherQueryError)
         if echoed != request_id:
             raise TeacherQueryError(
                 f"teacher echoed request id {echoed!r}, expected {request_id!r}"
@@ -459,10 +451,9 @@ class NoisyOracleTeacher(Teacher):
 
     def __init__(self, seed: int, accuracy: float):
         super().__init__()
-        self.accuracy = _checked("accuracy", accuracy,
-                                 lambda v: is_number(v) and 0.0 < v <= 1.0,
-                                 "a number in (0, 1]")
-        self.seed = _checked("seed", seed, is_integer, "an integer")
+        self.accuracy = checked("teacher field 'accuracy'", accuracy, "a number in (0, 1]",
+                                lambda v: is_number(v) and 0.0 < v <= 1.0, DataError)
+        self.seed = checked("teacher field 'seed'", seed, "an integer", is_integer, DataError)
 
     def score_table(self, samples, mask_names) -> np.ndarray:
         mask_names = _candidates(mask_names)

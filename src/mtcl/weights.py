@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, write_csv
+from .errors import ConfigError, DataError, write_csv
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -54,6 +54,14 @@ def is_finite_number(value) -> bool:
 def must_be(name: str, wanted: str, value) -> str:
     """The one wording of a violation: ``<name> must be <wanted>, got <value>``."""
     return f"{name} must be {wanted}, got {value!r}"
+
+
+def checked(name: str, value, wanted: str, valid, error):
+    """``value`` if it passes ``valid``, else ``error`` with the ``must_be``
+    wording; ``wanted`` describes a value that passes."""
+    if valid(value):
+        return value
+    raise error(must_be(name, wanted, value))
 
 
 def setting(default, wanted: str, valid):
@@ -123,7 +131,7 @@ class WeightConfig:
 
 @dataclass(frozen=True)
 class WeightTriple:
-    """Normalized (alpha, beta, chi) with unit sum."""
+    """Normalized (alpha, beta, chi) with unit sum (else ConfigError)."""
 
     alpha: float
     beta: float
@@ -135,11 +143,9 @@ class WeightTriple:
         # so a triple from any accepted config needs the wider bound.
         tol = 2 * WEIGHT_SUM_TOL
         for name, v in (("alpha", self.alpha), ("beta", self.beta), ("chi", self.chi)):
-            if not -tol <= v <= 1.0 + tol:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        total = self.alpha + self.beta + self.chi
-        if abs(total - 1.0) > tol:
-            raise ValueError(f"weights must sum to 1, got {total}")
+            checked(name, v, "in [0, 1]", lambda v: -tol <= v <= 1.0 + tol, ConfigError)
+        checked("alpha + beta + chi", self.alpha + self.beta + self.chi, "1",
+                lambda total: abs(total - 1.0) <= tol, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -160,11 +166,11 @@ def ds_shares(acc_prev: float, acc_llm: float) -> tuple[float, float]:
     """Split 1.0 between the two teachers by relative accuracy.
 
     Both accuracies zero is the degenerate no-information case and falls
-    back to an even (0.5, 0.5) split.
+    back to an even (0.5, 0.5) split.  An accuracy outside [0, 1] (NaN
+    included) is a ConfigError.
     """
     for name, v in (("acc_prev", acc_prev), ("acc_llm", acc_llm)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {v}")
+        checked(name, v, "in [0, 1]", lambda v: 0.0 <= v <= 1.0, ConfigError)
     denom = acc_prev + acc_llm
     if denom == 0.0:
         return 0.5, 0.5
@@ -177,11 +183,11 @@ def di_shares(ir: float, log_base: float) -> tuple[float, float]:
 
     A balanced history (ir == 1) gives the previous-step teacher the
     whole share; the general teacher's share grows with log_base(ir).
+    An ``ir`` below 1 or a ``log_base`` not above 1 (NaN included) is a
+    ConfigError.
     """
-    if not ir >= 1.0:
-        raise ValueError(f"imbalance ratio ir must be >= 1, got {ir}")
-    if log_base <= 1.0:
-        raise ValueError(f"log_base must be > 1, got {log_base}")
+    checked("imbalance ratio ir", ir, ">= 1", lambda v: v >= 1.0, ConfigError)
+    checked("log_base", log_base, "> 1", lambda v: v > 1.0, ConfigError)
     damped = math.log(ir) / math.log(log_base)
     beta_di = 1.0 / (1.0 + damped)
     return beta_di, 1.0 - beta_di
@@ -211,13 +217,11 @@ def measure_teacher_accuracy(scores, truth) -> float:
     ``scores`` holds one row of candidate logits per training sample;
     ``truth`` holds each sample's true column, or -1 when the true label
     is not a candidate (the teacher cannot possibly get it right, so the
-    sample counts as wrong).
+    sample counts as wrong).  An empty table is a DataError.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or 0 in scores.shape:
-        raise ValueError(
-            f"teacher accuracy needs a non-empty score table, got shape {scores.shape}"
-        )
+    checked("teacher score table shape", scores.shape, "(samples, candidates), both >= 1",
+            lambda shape: len(shape) == 2 and min(shape) >= 1, DataError)
     truth = np.asarray(truth, dtype=np.int64)
     correct = (truth >= 0) & (scores.argmax(axis=1) == truth)
     return int(correct.sum()) / len(truth)

@@ -249,6 +249,34 @@ class TestExitCodes:
                  if isinstance(node, ast.Name)}
         assert bases.isdisjoint(documented), bases
 
+    def test_package_raises_only_its_exit_code_classes(self):
+        """Every ``raise`` in the package raises one of the four exit-code
+        classes, ``error(...)`` (a class its caller picked) or re-raises,
+        but for three exceptions that never leave their module: the base
+        ``Teacher.score_table``'s NotImplementedError, the ValueError that
+        ``_endpoint`` catches itself, and ``_read_reply``'s
+        ConnectionResetError, which the client retries as an OSError."""
+        allowed = {"ConfigError", "DataError", "TeacherQueryError", "NumericError", "error"}
+        named = {("Teacher.score_table", "NotImplementedError"), ("_endpoint", "ValueError"),
+                 ("_read_reply", "ConnectionResetError")}
+        strays = []
+        for path in sorted(Path(mtcl.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            scope = {}  # each node by the qualified name of its innermost class or def
+            for node in ast.walk(tree):  # outer definitions come before inner ones
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                    name = f"{scope[node]}.{node.name}" if node in scope else node.name
+                    for inner in ast.walk(node):
+                        scope[inner] = name
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    raised = exc.id if isinstance(exc, ast.Name) else ast.unparse(exc)
+                    where = scope.get(node, "")
+                    if raised not in allowed and (where, raised) not in named:
+                        strays.append(f"{path.name}:{node.lineno} {where} raises {raised}")
+        assert strays == []
+
 
 @pytest.fixture(scope="module")
 def cli_workspace(tmp_path_factory):

@@ -32,7 +32,8 @@ from mtcl.engine import MODES, StudentModel, save_checkpoint
 from mtcl.errors import MtclError, exit_code_for
 from mtcl.taskstream import GeneratorConfig, generate_synthetic_stream, load_manifest
 from mtcl.taskstream import load_task
-from mtcl.weights import TRACE_COLUMNS, WeightTrace, WeightTriple, trace_row
+from mtcl.weights import TRACE_COLUMNS, WeightTrace, WeightTriple, di_shares, ds_shares
+from mtcl.weights import measure_teacher_accuracy, trace_row
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -378,7 +379,7 @@ CASES = [
       for value in ("magic", "OURS", 5, None)],
     *[Case("config-teacher", RUN, 2, message, setup)
       for setup, message in [
-          (config({"llm_teacher": 5}), "^error: llm_teacher must be an object or null, got 5;"),
+          (config({"llm_teacher": 5}), "^error: llm_teacher must be an object or null, got 5$"),
           (config({"llm_teacher": ["noisy-oracle"]}), "llm_teacher must be an object or null"),
           (config({"llm_teacher": None}), "^error: mode 'ours' needs an llm_teacher entry$"),
           (without("llm_teacher"), "^error: mode 'ours' needs an llm_teacher entry$")]],
@@ -440,6 +441,13 @@ CASES = [
     Case("api-overlap", lambda: GeneratorConfig(overlap=1.5), 2, r"overlap must be .* \[0, 1\]"),
     Case("api-seed", lambda: generate_synthetic_stream(SMALL, seed=-1, out_dir="out"), 2,
          "seed must be an integer >= 0, got -1"),
+    *[Case("api-weights", call, code, "^" + re.escape(message) + "$")
+      for call, code, message in [
+          (lambda: ds_shares(1.5, 0.6), 2, "acc_prev must be in [0, 1], got 1.5"),
+          (lambda: di_shares(0.5, 12.0), 2, "imbalance ratio ir must be >= 1, got 0.5"),
+          (lambda: WeightTriple(0.2, 0.5, 0.5), 2, "alpha + beta + chi must be 1, got 1.2"),
+          (lambda: measure_teacher_accuracy(np.zeros((0, 3)), []), 3,
+           "teacher score table shape must be (samples, candidates), both >= 1, got (0, 3)")]],
 
     # Code 3: data missing or malformed; a check that compares two inputs.
     Case("manifest-tokens", RUN, 3,
@@ -448,6 +456,13 @@ CASES = [
     Case("block-length", RUN, 3,
          r"^error: feature block stream/task1\.train\.f64: holds 1536 bytes; 47 records",
          rewrite("stream/task1.train.jsonl", lambda data: data.split(b"\n", 1)[1]), STARTED),
+    # A feature length no block holds, and too large for the student's
+    # arrays (past the address space, so no allocation is tried), is the
+    # block's fault: the student is built after task 1's block loads.
+    Case("block-length", RUN, 3,
+         r"^error: feature block stream/task1\.train\.f64: holds 1536 bytes; 48 records "
+         r"of 10000000000000 float64 features need 3840000000000000$",
+         manifest(lambda m: m.update(feature_length=10**13)), STARTED),
     Case("eval-class-names", EVAL, 3,
          "model head names class ids differently: .*"
          + re.escape("0 ('vatu' in the head, 'vezo' in the data)"),
@@ -488,20 +503,18 @@ CASES = [
     *[Case("checkpoint", EVAL, 3, r"^error: checkpoint ck\.bin: parameters are not finite$",
            checkpoint(flipped_last_bias(value)))
       for value in (1.0, 1.5)],
-    # Each of these loaded as a header of the same model before the types
-    # were checked.
-    *[Case("checkpoint", EVAL, 3, r"^error: checkpoint ck\.bin: header fields seed, "
-           r"feature_length, .*, hidden2 and class_ids must hold integers, and "
-           r"class_names strings$", checkpoint(header_field(key, value)))
-      for key, value in [("feature_length", SMALL.feature_length + 0.7), ("seed", "5"),
-                         ("seed", True), ("hidden1", 8.0),
-                         ("class_ids", lambda ids: [i + 0.5 for i in ids]),
-                         ("class_names", lambda names: [[n] for n in names])]],
-    # Nothing reads these three fields yet; each loaded before it was checked.
+    # Each header field is checked by its own rule, and the message names
+    # the field and shows the value.
     *[Case("checkpoint", EVAL, 3, "^" + re.escape(
-           f"error: checkpoint ck.bin: header field {key} must be {wanted}, got {value!r}"),
-           checkpoint(header_field(key, value)))
+           f"error: checkpoint ck.bin: header field {key} must be {wanted}, got {value!r}")
+           + "$", checkpoint(header_field(key, value)))
       for key, wanted, value in [
+          ("feature_length", "an integer >= 1", SMALL.feature_length + 0.7),
+          ("seed", "an integer >= 0", "5"), ("seed", "an integer >= 0", True),
+          ("seed", "an integer >= 0", -1), ("hidden1", "an integer >= 1", 8.0),
+          ("hidden2", "an integer >= 1", 0),
+          ("class_ids", "a list of integers", [0.5, 1.5, 2.5, 3.5]),
+          ("class_names", "a list of strings", [["vatu"]]), ("class_ids", "a list of integers", 5),
           ("task_index", "an integer >= 1", "x"), ("task_index", "an integer >= 1", 0),
           ("task_index", "an integer >= 1", 2.0), ("config_digest", "a string", 5),
           *[("trace_rows", f"a list of objects keyed by {', '.join(TRACE_COLUMNS)}", rows)

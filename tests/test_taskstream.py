@@ -292,7 +292,8 @@ class TestManifestValidation:
         "mutate, reason",
         [
             (lambda m: m.update(format_version=2), "unsupported manifest version 2"),
-            (lambda m: m.update(feature_length=0), "feature length must be >= 1, got 0"),
+            (lambda m: m.update(feature_length=0),
+             "feature_length must be an integer >= 1, got 0"),
             (lambda m: m["labels"].reverse(), "label ids must be 0..n-1 in order"),
             (lambda m: m["tasks"][0].update(index=2), "task indices must start at 1"),
             (lambda m: m["tasks"][1]["classes"].append("phantom"),

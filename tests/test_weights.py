@@ -2,13 +2,14 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
 from conftest import latest_triple
 from hypothesis import assume, example, given, strategies as st
 
-from mtcl.errors import ConfigError
+from mtcl.errors import ConfigError, DataError
 from mtcl.weights import (
     WEIGHT_SUM_TOL,
     WeightConfig,
@@ -54,10 +55,12 @@ class TestDsShares:
         assert scaled[0] == pytest.approx(direct[0], abs=1e-12)
 
     def test_out_of_range_accuracy_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^acc_prev must be in \[0, 1\], got -0\.1$"):
             ds_shares(-0.1, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^acc_llm must be in \[0, 1\], got 1\.1$"):
             ds_shares(0.5, 1.1)
+        with pytest.raises(ConfigError, match=r"^acc_llm must be in \[0, 1\], got nan$"):
+            ds_shares(0.5, float("nan"))
 
 
 class TestDiShares:
@@ -94,10 +97,12 @@ class TestDiShares:
         assert values[0] == 0.0
 
     def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^imbalance ratio ir must be >= 1, got 0\.5$"):
             di_shares(0.5, 10.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^log_base must be > 1, got 1\.0$"):
             di_shares(2.0, 1.0)
+        with pytest.raises(ConfigError, match=r"^log_base must be > 1, got nan$"):
+            di_shares(2.0, float("nan"))
 
 
 class TestWeightConfig:
@@ -136,11 +141,11 @@ class TestWeightConfig:
 class TestWeightTriple:
     def test_unit_sum_enforced(self):
         WeightTriple(0.2, 0.5, 0.3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^alpha \+ beta \+ chi must be 1, got 1\.1"):
             WeightTriple(0.2, 0.5, 0.4)
 
     def test_components_must_be_probabilities(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^alpha must be in \[0, 1\], got -0\.2$"):
             WeightTriple(-0.2, 0.7, 0.5)
 
 
@@ -268,10 +273,11 @@ class TestMeasureTeacherAccuracy:
         assert measure_teacher_accuracy(scores, [1, 1]) == 1.0
 
     def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            measure_teacher_accuracy(np.zeros((1, 0)), [0])
-        with pytest.raises(ValueError):
-            measure_teacher_accuracy(np.zeros((0, 1)), [])
+        for shape in ((1, 0), (0, 1), (3,)):
+            with pytest.raises(DataError, match=re.escape(
+                    "teacher score table shape must be (samples, candidates), both >= 1, "
+                    f"got {shape}")):
+                measure_teacher_accuracy(np.zeros(shape), [0] * shape[0])
 
 
 class TestWeightTrace:
