@@ -91,23 +91,24 @@ def encode_question(question: str, vocab: Vocabulary) -> np.ndarray:
     return counts
 
 
-def encode_inputs(samples, vocab: Vocabulary, feature_length: int) -> np.ndarray:
+def encode_inputs(dataset: TaskDataset, vocab: Vocabulary, feature_length: int) -> np.ndarray:
     """Design matrix: each sample's features, then its question encoding.
 
-    The features are copied in as one stacked matrix, and each distinct
-    question text is encoded once and gathered into its rows.
+    The split's feature matrix is copied in with one assignment, and
+    each distinct question text is encoded once and gathered into its
+    rows.
     """
+    features = dataset.features
+    if features.shape != (len(features), feature_length):
+        raise DataError(
+            f"task {dataset.task_index} has features of shape {features.shape}, "
+            f"expected {feature_length} per sample"
+        )
     slots = {}
-    rows = []
-    for s in samples:
-        if s.features.shape != (feature_length,):
-            raise DataError(
-                f"sample {s.id!r} has {s.features.shape} features, expected {feature_length}"
-            )
-        rows.append(slots.setdefault(s.question, len(slots)))
+    rows = [slots.setdefault(q, len(slots)) for q in dataset.questions]
     inputs = np.empty((len(rows), feature_length + len(vocab) + 1), dtype=np.float64)
+    inputs[:, :feature_length] = features
     if rows:
-        np.stack([s.features for s in samples], out=inputs[:, :feature_length])
         codes = np.stack([encode_question(q, vocab) for q in slots])
         np.take(codes, rows, axis=0, out=inputs[:, feature_length:])
     return inputs
@@ -329,11 +330,12 @@ def train_task(
     None), ``weights``, ``temperature`` and ``breakdown``.
     """
     t = task.task_index
-    if not task.samples:
+    n = len(task.ids)
+    if not n:
         raise DataError(f"task {t} has no training samples")
-    vocab_positions = {name: i for i, name in enumerate(student.class_names)}
+    head_positions = {name: i for i, name in enumerate(student.class_names)}
     for name in task.class_names:
-        if name not in vocab_positions:
+        if name not in head_positions:
             raise DataError(f"student head is missing class {name!r}; grow it first")
     head_names = tuple(student.class_names)
     prev_names = prev_teacher.class_names if prev_teacher else ()
@@ -343,10 +345,10 @@ def train_task(
             f"head {list(prev_names)}"
         )
 
-    inputs = encode_inputs(task.samples, vocab, student.feature_length)
-    labels = np.array(
-        [vocab_positions[s.answer_name] for s in task.samples], dtype=np.int64
-    )
+    inputs = encode_inputs(task, vocab, student.feature_length)
+    # Each task class's position in the head, taken for every sample at once.
+    labels = np.array([head_positions[name] for name in task.class_names],
+                      dtype=np.int64).take(task.answers)
 
     weights, breakdown, prev_table, llm_table = WeightTriple(1.0, 0.0, 0.0), None, None, None
     if t > 1 and settings.mode == "lwf":
@@ -362,10 +364,10 @@ def train_task(
             )
         prev_table = prev_teacher.score_inputs(inputs)
         llm_table = llm_teacher.score_table(task.samples, head_names)
-        if np.shape(llm_table) != (len(task.samples), len(head_names)):
+        if np.shape(llm_table) != (n, len(head_names)):
             raise TeacherQueryError(
                 f"general teacher scored a table of shape {np.shape(llm_table)}, "
-                f"expected {(len(task.samples), len(head_names))} (samples, head classes)"
+                f"expected {(n, len(head_names))} (samples, head classes)"
             )
         prev_truth = np.where(labels < prev_table.shape[1], labels, -1)
         weights, breakdown = assemble_weights(
@@ -385,7 +387,6 @@ def train_task(
     )
 
     shuffle_rng = np.random.default_rng([settings.seed, 2, int(t)])
-    n = len(task.samples)
     for epoch in range(settings.epochs):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, settings.batch_size):
@@ -403,7 +404,7 @@ def train_task(
                         "t": t,
                         "epoch": epoch,
                         "batch": start // settings.batch_size,
-                        "sample_ids": [task.samples[int(i)].id for i in batch_idx],
+                        "sample_ids": [task.ids[int(i)] for i in batch_idx],
                         "labels": y.copy(),
                         "student_logits": logits.copy(),
                         "prev_logits": _rows(prev_table, batch_idx),
@@ -440,7 +441,7 @@ def evaluate(model: StudentModel, dataset: TaskDataset, inputs: np.ndarray) -> t
     class-id order; each per-class precision, recall, and F1 treats 0/0
     as 0.
     """
-    if not dataset.samples:
+    if not len(dataset.ids):
         raise DataError(f"dataset for task {dataset.task_index} is empty")
     head_names = dict(zip(model.class_ids, model.class_names))
     missing = [c.name for c in dataset.classes if c.id not in head_names]
@@ -455,7 +456,7 @@ def evaluate(model: StudentModel, dataset: TaskDataset, inputs: np.ndarray) -> t
     # so the counts take one slot per head class whatever the ids are.
     rank = {cid: r for r, cid in enumerate(sorted(model.class_ids))}
     predicted = np.array([rank[cid] for cid in model.class_ids])[logits.argmax(axis=1)]
-    truth = np.array([rank[s.answer] for s in dataset.samples])
+    truth = np.array([rank[c.id] for c in dataset.classes]).take(dataset.answers)
     accuracy = float((predicted == truth).mean())
 
     f1_values = []
@@ -515,7 +516,7 @@ def run_continual(
         )
         held_out = load_task(manifest, t, "test")
         tests.append(
-            (held_out, encode_inputs(held_out.samples, manifest.vocab, manifest.feature_length))
+            (held_out, encode_inputs(held_out, manifest.vocab, manifest.feature_length))
         )
         scores = [
             (f"task{test.task_index}", *evaluate(student, test, inputs))

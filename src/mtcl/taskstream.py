@@ -9,9 +9,11 @@ assigned at first appearance and never change.
 A split is a line-delimited JSON file of records (id, question, answer),
 named by the task's ``{split}_file`` key, and a feature block named by
 its ``{split}_features`` key: raw little-endian float64, row-major, one
-row per record, pinned by its byte length and SHA-256.  A split loads
-its features with one read and one ``frombuffer``, and its samples'
-feature vectors are row views of that one matrix.
+row per record, pinned by its byte length and SHA-256.  A loaded split
+is columns: the records' ids, questions and answers (each an index into
+the task's classes), and the block's read-only matrix as read with one
+``frombuffer``, uncopied.  A ``Sample`` is built only when one is read
+through ``TaskDataset.samples``.
 
 The synthetic generator produces streams with two controllable
 stressors: domain shift (classes new to a task get cluster centers
@@ -28,6 +30,7 @@ import json
 import math
 import re
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import NamedTuple
@@ -70,8 +73,8 @@ class Sample(NamedTuple):
     """One record: feature vector, question text, answer label.
 
     A tuple, so its fields are read-only and it is cheap to build.  A
-    loaded sample holds a read-only row view of its split's feature
-    block as ``features``.
+    sample read from a loaded split holds a read-only row view of the
+    split's feature block as ``features``.
     """
 
     id: str
@@ -83,11 +86,19 @@ class Sample(NamedTuple):
 
 @dataclass
 class TaskDataset:
-    """All samples of one task split, with per-class counts."""
+    """One task split as columns, with per-class counts.
+
+    ``answers[i]`` is the position in ``classes`` of sample i's class,
+    and row i of ``features`` is its feature vector.  ``samples`` reads
+    the same split one ``Sample`` at a time.
+    """
 
     task_index: int
-    samples: list
     classes: list
+    ids: list
+    questions: list
+    answers: np.ndarray
+    features: np.ndarray
     class_counts: dict = field(init=False)
 
     def __post_init__(self):
@@ -96,19 +107,44 @@ class TaskDataset:
         names = [c.name for c in self.classes]
         if len(set(names)) != len(names):
             raise DataError(f"duplicate class names in task {self.task_index}")
-        known = {c.id for c in self.classes}
-        counts = Counter(s.answer for s in self.samples)
-        if not counts.keys() <= known:
-            stray = next(s for s in self.samples if s.answer not in known)
+        lengths = [len(self.ids), len(self.questions), len(self.answers), len(self.features)]
+        if len(set(lengths)) != 1:
             raise DataError(
-                f"sample {stray.id!r} answers class id {stray.answer}, "
-                f"not in task {self.task_index}'s class set"
+                f"task {self.task_index}'s columns (ids, questions, answers, features) "
+                f"have unequal lengths {lengths}"
             )
-        self.class_counts = dict(counts)
+        stray = (self.answers < 0) | (self.answers >= len(self.classes))
+        if stray.any():
+            i = int(stray.argmax())
+            raise DataError(
+                f"sample {self.ids[i]!r} answers class position {self.answers[i]}, "
+                f"not in task {self.task_index}'s {len(self.classes)} classes"
+            )
+        counts = np.bincount(self.answers, minlength=len(self.classes)).tolist()
+        self.class_counts = {c.id: n for c, n in zip(self.classes, counts) if n}
 
     @property
     def class_names(self) -> list:
         return [c.name for c in self.classes]
+
+    @property
+    def samples(self) -> "_Samples":
+        return _Samples(self)
+
+
+class _Samples(Sequence):
+    """Read-only view of a split's rows; each access builds one ``Sample``."""
+
+    def __init__(self, dataset: TaskDataset):
+        self._dataset = dataset
+
+    def __len__(self) -> int:
+        return len(self._dataset.ids)
+
+    def __getitem__(self, i: int) -> Sample:
+        d = self._dataset
+        label = d.classes[d.answers[i]]
+        return Sample(d.ids[i], d.features[i], d.questions[i], label.id, label.name)
 
 
 @dataclass
@@ -194,17 +230,15 @@ def load_manifest(path) -> StreamManifest:
 
 def _parse_manifest(path: Path, text: str) -> StreamManifest:
     payload = parse_json(text, DataError, "not valid JSON")
-    if payload["format_version"] != MANIFEST_VERSION:
-        raise DataError(f"unsupported manifest version {payload['format_version']}")
+    checked("format_version", payload["format_version"], f"the integer {MANIFEST_VERSION}",
+            lambda v: is_integer(v) and v == MANIFEST_VERSION, DataError)
     feature_length = checked("feature_length", payload["feature_length"], "an integer >= 1",
                              lambda v: is_integer(v) and v >= 1, DataError)
     vocab = Vocabulary.load(path.parent / payload["vocab_file"])
     labels = []
     for i, entry in enumerate(payload["labels"]):
-        if entry["id"] != i:
-            raise DataError(
-                f"label ids must be 0..n-1 in order, found {entry['id']} at position {i}"
-            )
+        checked(f"label id at position {i}", entry["id"], f"the integer {i} (ids run 0..n-1)",
+                lambda v: is_integer(v) and v == i, DataError)
         if tuple(entry["tokens"]) != tuple(vocab.encode(entry["name"])):
             raise DataError(
                 f"label {entry['name']!r} has token sequence inconsistent "
@@ -310,10 +344,10 @@ def _parse_record(line: str):
 
 
 def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDataset:
-    """Read one task split into memory, recounting classes as it goes.
+    """Read one task split into its columns, checking each record once.
 
-    The features come from the split's block, one row per record, and
-    the records must not carry any.  A split must hold a record.
+    The features are the split's block, one row per record, and the
+    records must not carry any.  A split must hold a record.
     """
     if split not in SPLITS:
         raise DataError(f"split must be one of {SPLITS}, got {split!r}")
@@ -321,8 +355,8 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
     rel, block = entry.splits[split]
     file_path = manifest.root / rel
     by_name = manifest.label_by_name
-    declared = {name: by_name[name].id for name in entry.class_names}
-    records = []
+    declared = {name: i for i, name in enumerate(entry.class_names)}
+    ids, questions, answers = [], [], []
     lines = read_input(file_path, "task file", text=True).splitlines()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -355,16 +389,19 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
                 f"{file_path}:{lineno}: class {answer_name!r} is not declared "
                 f"for task {t}"
             )
-        records.append((sample_id, question, answer, answer_name))
-    if not records:
+        ids.append(sample_id)
+        questions.append(question)
+        answers.append(answer)
+    if not ids:
         raise DataError(f"task file {file_path}: the {split} split has no records")
-    vectors = _read_block(manifest.root, block, len(records), manifest.feature_length)
-    samples = [
-        Sample(sample_id, features, question, answer, answer_name)
-        for (sample_id, question, answer, answer_name), features in zip(records, vectors)
-    ]
-    classes = [by_name[name] for name in entry.class_names]
-    return TaskDataset(task_index=t, samples=samples, classes=classes)
+    return TaskDataset(
+        task_index=t,
+        classes=[by_name[name] for name in entry.class_names],
+        ids=ids,
+        questions=questions,
+        answers=np.array(answers, dtype=np.int64),
+        features=_read_block(manifest.root, block, len(ids), manifest.feature_length),
+    )
 
 
 def write_task(path, samples, block_path) -> FeatureBlock:

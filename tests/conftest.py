@@ -12,7 +12,7 @@ import numpy as np
 
 from mtcl.engine import MetricsRow
 from mtcl.errors import DataError, NumericError
-from mtcl.taskstream import GeneratorConfig
+from mtcl.taskstream import GeneratorConfig, TaskDataset
 from mtcl.weights import WeightTriple
 
 # When a property test fails, hypothesis imports its patch suggester, which
@@ -29,6 +29,28 @@ with warnings.catch_warnings():
 # A two-task stream small enough to run a whole CLI command per test.
 SMALL = GeneratorConfig(tasks=2, classes_per_task=3, feature_length=4, samples_per_task=60,
                         imbalance=2.0, overlap=0.5, shift=2.0)
+
+
+def dataset_of(task_index, samples, classes, feature_length=None) -> TaskDataset:
+    """The split whose rows are ``samples`` (``Sample`` tuples), as columns.
+
+    Each answer is the position of the sample's class id in ``classes``;
+    an id not there becomes ``len(classes)``, which the dataset refuses.
+    ``feature_length`` sizes the feature matrix of a split with no rows.
+    """
+    position = {c.id: i for i, c in enumerate(classes)}
+    if feature_length is None:
+        feature_length = len(samples[0].features) if samples else 0
+    return TaskDataset(
+        task_index=task_index,
+        classes=classes,
+        ids=[s.id for s in samples],
+        questions=[s.question for s in samples],
+        answers=np.array([position.get(s.answer, len(classes)) for s in samples],
+                         dtype=np.int64),
+        features=np.array([s.features for s in samples],
+                          dtype=np.float64).reshape(len(samples), feature_length),
+    )
 
 
 def latest_triple(trace) -> WeightTriple:

@@ -342,6 +342,35 @@ def test_ours_outputs_match_the_benchmark_reference_digests(regression):
         assert got == digest, f"{name}: sha256 {got} != reference {digest}"
 
 
+# The packaged baseline runs' SHA-256 digests, recorded on Python 3.11 like
+# the ``ours`` digests in perfbench/reference.json.
+BASELINE_DIGESTS = {
+    "ft": {
+        "metrics.csv": "44b13f913356e88aa918e42e99644945a34827a8d89ca63f0ed806b361640ee5",
+        "weight_trace.csv": "e680e8f83b54b759d70424a4d076a892d5aba7be1d83470cda0c689aa11ec35d",
+    },
+    "lwf": {
+        "metrics.csv": "a5bd58b17cf652e719e519fe94234a46cc94b9d1ead7386dc2ccffe20ec1e042",
+        "weight_trace.csv": "5050a4d7a377996a4b692ee2c545783465979f6cf1a53be44dd42dc4e289413f",
+    },
+}
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="the digests were recorded on Python 3.11, like perfbench/reference.json; "
+    "CI's 3.10 leg may install an older numpy",
+)
+@pytest.mark.parametrize("label", sorted(BASELINE_DIGESTS))
+def test_baseline_outputs_match_their_recorded_digests(regression, label):
+    """The packaged ``ft`` and ``lwf`` runs write the bytes they wrote when
+    their digests were recorded."""
+    out = regression["runs"][label]
+    for name, digest in BASELINE_DIGESTS[label].items():
+        got = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert got == digest, f"{label} {name}: sha256 {got} != recorded {digest}"
+
+
 @criterion("7: disagreeing teachers still rank the true label first")
 def test_criterion_7_case_study(regression, tmp_path):
     trace_file = regression["runs"]["ours"] / "weight_trace.csv"

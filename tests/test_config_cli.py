@@ -658,6 +658,24 @@ class TestCliEval:
         assert "task1 (test)" in printed
         assert "accuracy=" in printed
 
+    def test_prints_the_runs_own_metrics_row(self, cli_workspace, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(
+            ["run", str(cli_workspace / "run.json"), "--output-dir", str(out)]
+        ) == 0
+        capsys.readouterr()
+        rows = [row for row in read_metrics_csv(out / "metrics.csv") if row.t == 2]
+        assert [row.dataset for row in rows] == ["task1", "task2", "Avg."]
+        for row in rows[:-1]:
+            task = row.dataset.removeprefix("task")
+            assert main(
+                ["eval", "--checkpoint", str(out / "checkpoint_t2.bin"),
+                 "--manifest", str(cli_workspace / "stream/manifest.json"), "--task", task]
+            ) == 0
+            assert capsys.readouterr().out == (
+                f"task{task} (test)  accuracy={row.accuracy:.4f}  macro_f1={row.macro_f1:.4f}\n"
+            )
+
 class TestCliTopLevel:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

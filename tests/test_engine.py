@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import classes_up_to, latest_triple, read_metrics_csv
+from conftest import classes_up_to, dataset_of, latest_triple, read_metrics_csv
 
 from mtcl.bridge import build_vocabulary
 from mtcl.engine import (
@@ -30,7 +30,6 @@ from mtcl.taskstream import (
     ImbalanceLedger,
     LabelClass,
     Sample,
-    TaskDataset,
     generate_synthetic_stream,
     load_manifest,
     load_task,
@@ -88,25 +87,26 @@ class TestEncodeQuestion:
         assert v[sp_id] == pytest.approx(1.0)
 
     def test_encode_inputs_shape_and_validation(self):
-        samples = [
+        dataset = dataset_of(1, [
             Sample(id="a", features=np.zeros(3), question="q", answer=0, answer_name="cut")
-        ]
-        design = encode_inputs(samples, self.VOCAB, 3)
+        ], [LabelClass(id=0, name="cut")])
+        design = encode_inputs(dataset, self.VOCAB, 3)
         assert design.shape == (1, 3 + len(self.VOCAB) + 1)
         with pytest.raises(DataError):
-            encode_inputs(samples, self.VOCAB, 7)
+            encode_inputs(dataset, self.VOCAB, 7)
 
     def test_encode_inputs_equals_row_by_row_concatenation(self, mini_stream):
         vocab = mini_stream.vocab
         for t in (1, 2, 3):
-            samples = load_task(mini_stream, t).samples
+            task = load_task(mini_stream, t)
             rows = np.array([
                 np.concatenate([s.features, encode_question(s.question, vocab)])
-                for s in samples
+                for s in task.samples
             ])
-            design = encode_inputs(samples, vocab, mini_stream.feature_length)
+            design = encode_inputs(task, vocab, mini_stream.feature_length)
             assert design.tobytes() == rows.tobytes()
-        empty = encode_inputs([], vocab, mini_stream.feature_length)
+        empty = encode_inputs(dataset_of(1, [], task.classes, mini_stream.feature_length),
+                              vocab, mini_stream.feature_length)
         assert empty.shape == (0, mini_stream.feature_length + len(vocab) + 1)
 
 
@@ -360,25 +360,25 @@ class TestPrevModelTeacher:
             answer_name="cut",
         )
 
-    def samples(self):
+    def dataset(self):
         rng = np.random.default_rng(4)
-        return [
+        return dataset_of(1, [
             Sample(id=f"s{i}", features=rng.normal(size=2), question=q,
                    answer=0, answer_name="cut")
             for i, q in enumerate(["what", "which tool", "", "cut it", "idle?"])
-        ]
+        ], [LabelClass(id=0, name="cut")])
 
     def test_scores_the_design_matrix_with_one_forward(self):
         model, vocab = self.make_model()
         teacher = PrevModelTeacher(model)
-        inputs = encode_inputs(self.samples(), vocab, 2)
+        inputs = encode_inputs(self.dataset(), vocab, 2)
         table = teacher.score_inputs(inputs)
         assert table.tobytes() == model.forward(inputs).tobytes()
 
     def test_counts_one_query_per_row(self):
         model, vocab = self.make_model()
         teacher = PrevModelTeacher(model)
-        inputs = encode_inputs(self.samples(), vocab, 2)
+        inputs = encode_inputs(self.dataset(), vocab, 2)
         teacher.score_inputs(inputs)
         assert teacher.query_count == len(inputs)
         teacher.score_inputs(inputs[:2])
@@ -404,7 +404,8 @@ class TestPrevModelTeacher:
     def test_snapshot_does_not_track_live_model(self):
         model, vocab = self.make_model()
         teacher = PrevModelTeacher(model.clone())
-        inputs = encode_inputs([self.sample()], vocab, 2)
+        inputs = encode_inputs(dataset_of(1, [self.sample()], [LabelClass(id=0, name="cut")]),
+                               vocab, 2)
         before = teacher.score_inputs(inputs)
         model.w3 += 0.5
         after = teacher.score_inputs(inputs)
@@ -433,7 +434,7 @@ def reference_supervised_loop(manifest, task, settings):
     )
     model.grow_head(task.classes)
     position = {name: i for i, name in enumerate(model.class_names)}
-    inputs = encode_inputs(task.samples, vocab, manifest.feature_length)
+    inputs = encode_inputs(task, vocab, manifest.feature_length)
     labels = np.array([position[s.answer_name] for s in task.samples])
     rng = np.random.default_rng([settings.seed, 2, 1])
     n = len(task.samples)
@@ -601,7 +602,7 @@ class TestTrainTask:
             mini_stream.vocab, WeightTrace(), observer=observed.append,
         )
         expected = frozen.forward(
-            encode_inputs(task2.samples, mini_stream.vocab, mini_stream.feature_length)
+            encode_inputs(task2, mini_stream.vocab, mini_stream.feature_length)
         )
         row_of = {s.id: i for i, s in enumerate(task2.samples)}
         for ctx in observed:
@@ -654,7 +655,7 @@ class TestTrainTask:
 
     def test_task_without_training_samples_rejected(self, mini_stream):
         task = load_task(mini_stream, 1)
-        empty = TaskDataset(task_index=1, samples=[], classes=task.classes)
+        empty = dataset_of(1, [], task.classes, mini_stream.feature_length)
         settings = TrainSettings(seed=5, mode="ft", **FAST)
         student = StudentModel(
             settings.seed, mini_stream.feature_length, len(mini_stream.vocab) + 1,
@@ -751,7 +752,7 @@ def metrics_oracle(predicted, truth):
 
 
 def evaluated(model, dataset, vocab):
-    return evaluate(model, dataset, encode_inputs(dataset.samples, vocab, model.feature_length))
+    return evaluate(model, dataset, encode_inputs(dataset, vocab, model.feature_length))
 
 
 class TestEvaluate:
@@ -763,7 +764,7 @@ class TestEvaluate:
                    answer=i % 2, answer_name=f"k{i % 2}")
             for i in range(4)
         ]
-        dataset = TaskDataset(task_index=1, samples=samples, classes=classes)
+        dataset = dataset_of(1, samples, classes)
         accuracy, macro_f1 = evaluated(model, dataset, vocab)
         assert accuracy == pytest.approx(0.5)
         assert macro_f1 == pytest.approx(1.0 / 3.0)
@@ -780,7 +781,7 @@ class TestEvaluate:
             standard_weights(), mini_stream.vocab, WeightTrace(),
         )
         test = load_task(mini_stream, 1, split="test")
-        inputs = encode_inputs(test.samples, mini_stream.vocab, mini_stream.feature_length)
+        inputs = encode_inputs(test, mini_stream.vocab, mini_stream.feature_length)
         accuracy, macro_f1 = evaluate(student, test, inputs)
         predicted = [
             student.class_ids[int(k)] for k in student.forward(inputs).argmax(axis=1)
@@ -798,7 +799,7 @@ class TestEvaluate:
                    answer=1, answer_name="k1")
             for i in range(3)
         ]
-        dataset = TaskDataset(task_index=1, samples=samples, classes=classes)
+        dataset = dataset_of(1, samples, classes)
         accuracy, macro_f1 = evaluated(model, dataset, vocab)
         assert accuracy == 1.0
         assert macro_f1 == 1.0
@@ -810,16 +811,63 @@ class TestEvaluate:
         samples = [
             Sample(id="s", features=np.zeros(2), question="q", answer=5, answer_name="k5")
         ]
-        dataset = TaskDataset(task_index=1, samples=samples, classes=[stranger])
+        dataset = dataset_of(1, samples, [stranger])
         with pytest.raises(DataError):
             evaluated(model, dataset, vocab)
 
     def test_empty_dataset_rejected(self):
         vocab = build_vocabulary(["k0"])
         model, classes = rigged_constant_model(1, favored=0, vocab=vocab)
-        dataset = TaskDataset(task_index=1, samples=[], classes=classes)
+        dataset = dataset_of(1, [], classes, model.feature_length)
         with pytest.raises(DataError):
             evaluated(model, dataset, vocab)
+
+
+class TestPerClassTables:
+    """Training labels and evaluation truth are taken through per-class
+    tables; on a head whose class ids are out of order and include 2**70
+    they equal the per-sample formulas they replaced, kept here as oracles."""
+
+    HEAD = [LabelClass(id=2**70, name="cut"), LabelClass(id=7, name="idle"),
+            LabelClass(id=0, name="grasp"), LabelClass(id=3, name="wait")]
+
+    def dataset(self):
+        # The task lists its classes in another order than the head, and not all of them.
+        classes = [self.HEAD[2], self.HEAD[0], self.HEAD[1]]
+        rng = np.random.default_rng(11)
+        centers = 3.0 * rng.normal(size=(len(classes), 2))
+        picks = rng.integers(len(classes), size=48)
+        return dataset_of(1, [
+            Sample(id=f"s{i}", features=centers[k] + rng.normal(size=2),
+                   question=("what", "which")[i % 2],
+                   answer=classes[k].id, answer_name=classes[k].name)
+            for i, k in enumerate(picks.tolist())
+        ], classes)
+
+    def test_labels_and_truth_equal_the_per_sample_formulas(self):
+        vocab = build_vocabulary([c.name for c in self.HEAD])
+        task = self.dataset()
+        settings = TrainSettings(seed=5, mode="ft", **FAST)
+        student = StudentModel(settings.seed, 2, len(vocab) + 1, settings.hidden1,
+                               settings.hidden2).grow_head(self.HEAD)
+        observed = []
+        train_task(student, None, None, task, ImbalanceLedger().update(task), settings,
+                   standard_weights(), vocab, WeightTrace(), observer=observed.append)
+        position = {name: i for i, name in enumerate(student.class_names)}
+        label_of = {s.id: position[s.answer_name] for s in task.samples}
+        for ctx in observed:
+            assert ctx["labels"].tolist() == [label_of[sid] for sid in ctx["sample_ids"]]
+
+        inputs = encode_inputs(task, vocab, student.feature_length)
+        rank = {cid: r for r, cid in enumerate(sorted(student.class_ids))}
+        predicted = [rank[student.class_ids[int(k)]]
+                     for k in student.forward(inputs).argmax(axis=1)]
+        truth = [rank[s.answer] for s in task.samples]
+        assert len(set(predicted)) > 1 and len(set(truth)) == 3
+        accuracy, macro_f1 = evaluate(student, task, inputs)
+        acc, f1 = metrics_oracle(predicted, truth)
+        assert accuracy == pytest.approx(acc, abs=1e-12) and accuracy > 0.5
+        assert macro_f1 == pytest.approx(f1, abs=1e-12)
 
 
 class TestRunContinual:
@@ -863,9 +911,9 @@ class TestRunContinual:
         encoded = []
         real = encode_inputs
 
-        def counted(samples, *args):
-            encoded.append([s.id for s in samples])
-            return real(samples, *args)
+        def counted(dataset, *args):
+            encoded.append(list(dataset.ids))
+            return real(dataset, *args)
 
         monkeypatch.setattr("mtcl.engine.encode_inputs", counted)
         self.run(mini_stream, "ours")
@@ -894,7 +942,7 @@ class TestRunContinual:
         assert header["class_names"] == student.class_names
         assert len(header["trace_rows"]) == len(trace.rows)
         test = load_task(mini_stream, 3, split="test")
-        inputs = encode_inputs(test.samples, mini_stream.vocab, mini_stream.feature_length)
+        inputs = encode_inputs(test, mini_stream.vocab, mini_stream.feature_length)
         np.testing.assert_array_equal(model.forward(inputs), student.forward(inputs))
 
 

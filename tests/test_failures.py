@@ -487,6 +487,15 @@ CASES = [
     Case("manifest", RUN, 3,
          r"^error: manifest stream/manifest\.json: cannot read vocabulary file stream/vocab\.txt",
          lambda monkeypatch: Path("stream/vocab.txt").unlink()),
+    # A version or label id must be a JSON integer, not a float or a bool equal to one.
+    *[Case("manifest", RUN, 3, "^" + re.escape(f"error: manifest stream/manifest.json: {reason}")
+           + "$", manifest(change))
+      for change, reason in [
+          (lambda m: m.update(format_version=True), "format_version must be the integer 1, got True"),
+          (lambda m: m["labels"][0].update(id=0.0),
+           "label id at position 0 must be the integer 0 (ids run 0..n-1), got 0.0"),
+          (lambda m: m["labels"][1].update(id=True),
+           "label id at position 1 must be the integer 1 (ids run 0..n-1), got True")]],
     *[Case("task-file", (*RUN, "--epochs", "1"), 3,
            r"^error: stream/task1\.train\.jsonl:1: ", first_record(field, value), STARTED)
       for field, value in [("features", 5), ("answer", [1])]],

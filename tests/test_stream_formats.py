@@ -26,9 +26,9 @@ def test_packaged_stream_encodes_each_split_once(tmp_path, monkeypatch):
         loaded.append(len(task.samples))
         return task
 
-    def counted_encode(samples, *args):
-        encoded.append(tuple(s.id for s in samples))
-        return encode_inputs(samples, *args)
+    def counted_encode(dataset, *args):
+        encoded.append(tuple(dataset.ids))
+        return encode_inputs(dataset, *args)
 
     monkeypatch.setattr(engine, "load_task", counted_load)
     monkeypatch.setattr(engine, "encode_inputs", counted_encode)

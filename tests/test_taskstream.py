@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import classes_up_to
+from conftest import classes_up_to, dataset_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,7 +56,7 @@ def toy_task(counts_by_id, classes, index=1):
                 )
             )
             serial += 1
-    return TaskDataset(task_index=index, samples=samples, classes=classes)
+    return dataset_of(index, samples, classes)
 
 
 class TestTaskDataset:
@@ -69,17 +69,43 @@ class TestTaskDataset:
     def test_sample_outside_class_set_rejected(self):
         classes = toy_classes(("cut", "idle"))
         stray = Sample(id="x", features=np.zeros(2), question="q", answer=5, answer_name="?")
-        with pytest.raises(DataError):
-            TaskDataset(task_index=1, samples=[stray], classes=classes)
+        with pytest.raises(DataError, match="sample 'x' answers class position 2, not in "
+                           "task 1's 2 classes"):
+            dataset_of(1, [stray], classes)
 
     def test_duplicate_class_names_rejected(self):
         dupes = [LabelClass(id=0, name="cut"), LabelClass(id=1, name="cut")]
         with pytest.raises(DataError):
-            TaskDataset(task_index=1, samples=[], classes=dupes)
+            dataset_of(1, [], dupes)
 
     def test_task_index_must_be_positive(self):
         with pytest.raises(DataError):
-            TaskDataset(task_index=0, samples=[], classes=[])
+            dataset_of(0, [], [])
+
+    @pytest.mark.parametrize("column", ["ids", "questions", "answers", "features"])
+    def test_columns_of_unequal_length_rejected(self, column):
+        task = toy_task({0: 2, 1: 1}, toy_classes(STREAM_NAMES))
+        columns = {name: getattr(task, name)
+                   for name in ("ids", "questions", "answers", "features")}
+        columns[column] = columns[column][:-1]
+        with pytest.raises(DataError, match=r"have unequal lengths \["):
+            TaskDataset(task_index=1, classes=task.classes, **columns)
+
+    def test_samples_is_a_lazy_read_only_view(self, monkeypatch):
+        task = toy_task({0: 2, 1: 1}, toy_classes(STREAM_NAMES))
+        built = []
+
+        def counted(*fields):
+            built.append(fields[0])
+            return Sample(*fields)
+
+        monkeypatch.setattr("mtcl.taskstream.Sample", counted)
+        samples = task.samples
+        assert len(samples) == 3 and built == []
+        assert samples[-1].answer_name == "idle" and built == ["s-2"]
+        assert [s.id for s in samples] == ["s-0", "s-1", "s-2"]
+        with pytest.raises(TypeError):
+            samples[0] = None
 
 
 SAMPLE_FIELDS = ("id", "features", "question", "answer", "answer_name")
@@ -291,10 +317,11 @@ class TestManifestValidation:
     @pytest.mark.parametrize(
         "mutate, reason",
         [
-            (lambda m: m.update(format_version=2), "unsupported manifest version 2"),
+            (lambda m: m.update(format_version=2), "format_version must be the integer 1, got 2"),
             (lambda m: m.update(feature_length=0),
              "feature_length must be an integer >= 1, got 0"),
-            (lambda m: m["labels"].reverse(), "label ids must be 0..n-1 in order"),
+            (lambda m: m["labels"].reverse(),
+             "label id at position 0 must be the integer 0 (ids run 0..n-1), got 2"),
             (lambda m: m["tasks"][0].update(index=2), "task indices must start at 1"),
             (lambda m: m["tasks"][1]["classes"].append("phantom"),
              "task 2 declares unknown class 'phantom'"),
@@ -511,6 +538,19 @@ class TestFeatureBlocks:
                 with pytest.raises(AttributeError):
                     setattr(s, name, None)
         assert np.shares_memory(first, task.samples[-1].features.base)
+
+    def test_features_are_the_block_matrix_uncopied(self, tmp_path, monkeypatch):
+        read = []
+        real = mtcl.taskstream._read_block
+
+        def kept(*args):
+            read.append(real(*args))
+            return read[-1]
+
+        monkeypatch.setattr(mtcl.taskstream, "_read_block", kept)
+        task = load_task(load_manifest(write_stream(tmp_path)), 1)
+        assert task.features is read[0]
+        assert not task.features.flags.writeable
 
     def test_generator_writes_a_block_per_split(self, generated):
         out, manifest, _ = generated
