@@ -26,12 +26,11 @@ import numpy as np
 from . import __version__
 from .config import WEIGHT_KEYS, load_run_config
 from .engine import MODES, RunDir, encode_inputs, evaluate, load_checkpoint, run_continual
-from .errors import ConfigError, DataError, MtclError, exit_code_for
+from .errors import ConfigError, DataError, MtclError, checked, exit_code_for, is_finite_number
 from .taskstream import SPLITS, GeneratorConfig, generate_synthetic_stream, load_manifest
 from .taskstream import load_task
 from .teachers import teacher_from_config
-from .weights import TRACE_COLUMNS, WeightConfig, assemble_weights, checked, trace_row
-from .weights import is_finite_number
+from .weights import TRACE_COLUMNS, WeightConfig, assemble_weights, trace_row
 
 # Most grid points ``inspect-weights --sweep-ir`` tabulates.
 MAX_SWEEP_POINTS = 10**6

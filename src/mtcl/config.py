@@ -25,8 +25,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .engine import TrainSettings
-from .errors import ConfigError, parse_json, read_input
-from .weights import WeightConfig, must_be
+from .errors import ConfigError, must_be, parse_json, read_input
+from .weights import WeightConfig
 
 OUTPUT_ROOT_ENV = "MTCL_OUTPUT_ROOT"
 

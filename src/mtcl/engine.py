@@ -34,32 +34,15 @@ import numpy as np
 
 from . import __version__
 from .bridge import SPACE_TOKEN, Vocabulary
-from .errors import ConfigError, DataError, NumericError, TeacherQueryError
-from .errors import parse_input, parse_json, remove_outputs, sized_by, write_csv, write_output
+from .errors import ConfigError, DataError, NumericError, TeacherQueryError, check_settings
+from .errors import checked, integer_rule, integer_setting, is_integer, is_number, number_setting
+from .errors import parse_input, parse_json, remove_outputs, setting, sized_by, write_csv
+from .errors import write_output
 from .losses import batch_loss, softened_softmax
-from .taskstream import (
-    ImbalanceLedger,
-    LabelClass,
-    StreamManifest,
-    TaskDataset,
-    load_task,
-)
+from .taskstream import ImbalanceLedger, LabelClass, StreamManifest, TaskDataset, load_task
 from .teachers import Teacher
-from .weights import (
-    TRACE_COLUMNS,
-    WeightConfig,
-    WeightTriple,
-    WeightTrace,
-    assemble_weights,
-    check_settings,
-    checked,
-    integer_setting,
-    is_integer,
-    is_number,
-    measure_teacher_accuracy,
-    number_setting,
-    setting,
-)
+from .weights import TRACE_COLUMNS, WeightConfig, WeightTriple, WeightTrace, assemble_weights
+from .weights import measure_teacher_accuracy
 
 MODES = ("ours", "ft", "lwf")
 
@@ -539,11 +522,12 @@ class RunDir:
     config_digest: str = ""
 
     def start(self, resolved_config: dict) -> None:
-        """Remove the run files an earlier run left (no other file), then
-        write ``resolved_config`` (``RunConfig.resolved_dict()``) and the run info."""
+        """Remove the run files an earlier run left, and the ``.tmp`` of one
+        that a kill left half written (no other file), then write
+        ``resolved_config`` (``RunConfig.resolved_dict()``) and the run info."""
         names = ("resolved_config.json", "run_info.json", "metrics.csv", "weight_trace.csv")
-        remove_outputs(self.path, lambda name: name in names
-                       or re.fullmatch(r"checkpoint_t[0-9]+\.bin", name), "run files")
+        remove_outputs(self.path, lambda name: name.removesuffix(".tmp") in names
+                       or re.fullmatch(r"checkpoint_t[0-9]+\.bin(\.tmp)?", name), "run files")
         run_info = {"tool_version": __version__, "seed": resolved_config["seed"],
                     "config_digest": self.config_digest, "mode": resolved_config["mode"]}
         for name, what, payload in (("resolved_config.json", "resolved config", resolved_config),
@@ -551,10 +535,11 @@ class RunDir:
             write_output(self.path / name, json.dumps(payload, indent=2) + "\n", what)
 
     def write_task(self, t: int, student: StudentModel, rows, trace: WeightTrace) -> None:
-        """Task ``t``'s checkpoint, then the whole metrics table and weight trace."""
-        save_checkpoint(self.path / f"checkpoint_t{t}.bin", student, t, trace, self.config_digest)
+        """The whole metrics table and weight trace, then task ``t``'s
+        checkpoint last, so that task ``t`` is finished iff it exists."""
         write_metrics_csv(self.path / "metrics.csv", rows)
         trace.write_csv(self.path / "weight_trace.csv")
+        save_checkpoint(self.path / f"checkpoint_t{t}.bin", student, t, trace, self.config_digest)
 
 
 def write_metrics_csv(path, rows) -> None:
@@ -603,12 +588,12 @@ def load_checkpoint(path):
 
 # Each header field with its rule; a trace row's measurements are NaN at step 1.
 _HEADER_RULES = (
-    ("seed", "an integer >= 0", lambda v: is_integer(v) and v >= 0),
-    *((key, "an integer >= 1", lambda v: is_integer(v) and v >= 1) for key in ARCHITECTURE[1:]),
+    ("seed", *integer_rule(0)),
+    *((key, *integer_rule(1)) for key in ARCHITECTURE[1:]),
     ("class_ids", "a list of integers", lambda v: isinstance(v, list) and all(map(is_integer, v))),
     ("class_names", "a list of strings",
      lambda v: isinstance(v, list) and all(isinstance(name, str) for name in v)),
-    ("task_index", "an integer >= 1", lambda v: is_integer(v) and v >= 1),
+    ("task_index", *integer_rule(1)),
     ("config_digest", "a string", lambda v: isinstance(v, str)),
     ("trace_rows", f"a list of objects keyed by {', '.join(TRACE_COLUMNS)}",
      lambda v: isinstance(v, list) and all(

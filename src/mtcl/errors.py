@@ -1,26 +1,31 @@
-"""Exception classes shared across the package.
+"""The failure form: one exception class per exit code, and every value rule.
 
-There is one class per failure exit code, and each states the code the
-CLI gives it, so anything that should abort a run with a distinct
-status raises one of them rather than a bare ValueError; its message
-says what failed.  A single refused value goes through
-``weights.checked``, which raises the class its caller names with the
-one wording ``<name> must be <wanted>, got <value>``.  ``read_input``
-and ``parse_json`` pick the error for an input file that cannot be read
-and for JSON that cannot be parsed; ``parse_input`` parses a whole
-input file and is the one place that names the file in a parse error,
-as ``<what> <path>: <reason>``; ``write_output`` writes every output
-file whole and ``remove_outputs`` removes them, each picking the error
-for a file it cannot write or remove; ``write_csv`` writes every table
-through ``write_output``.  ``sized_by`` picks the error for an array too
-large to allocate.
+Each class states the code the CLI gives it, so anything that should
+abort a run with a distinct status raises one of them rather than a
+bare ValueError; its message says what failed.  A single refused value
+goes through ``checked``, which raises the class its caller names with
+the one wording ``<name> must be <wanted>, got <value>``; a rule is a
+``(wanted, valid)`` pair, and ``setting`` keeps one as a settings
+field's metadata for ``check_settings``.  ``read_input`` and
+``parse_json`` pick the error for an input file that cannot be read and
+for JSON that cannot be parsed; ``parse_input`` parses a whole input
+file and is the one place that names the file in a parse error, as
+``<what> <path>: <reason>``; ``write_output`` writes every output file
+whole and ``remove_outputs`` removes them, each picking the error for a
+file it cannot write or remove; ``write_csv`` writes every table through
+``write_output``.  ``sized_by`` picks the error for an array too large
+to allocate.
 """
 
 import io
 import json
+import math
+import numbers
+import operator
 import os
 import struct
 from contextlib import contextmanager
+from dataclasses import field, fields
 from pathlib import Path
 
 
@@ -60,6 +65,75 @@ class NumericError(MtclError):
 
 def exit_code_for(exc: Exception) -> int:
     return getattr(exc, "exit_code", 1)
+
+
+def is_number(value) -> bool:
+    """True for a real number that is not a bool (JSON ``true`` is no number)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_integer(value) -> bool:
+    """True for an ``int`` that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """True for a number (see ``is_number``) that a float holds as a finite value;
+    an integer too large for a float is not one."""
+    try:
+        return is_number(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def integer_rule(low: int):
+    """The ``(wanted, valid)`` pair of an integer >= ``low``."""
+    return f"an integer >= {low}", lambda v: is_integer(v) and v >= low
+
+
+# The (wanted, valid) pair of a finite number in [0, 1].
+UNIT_RULE = ("a number in [0, 1]", lambda v: is_finite_number(v) and 0.0 <= v <= 1.0)
+
+
+def must_be(name: str, wanted: str, value) -> str:
+    """The one wording of a violation: ``<name> must be <wanted>, got <value>``."""
+    return f"{name} must be {wanted}, got {value!r}"
+
+
+def checked(name: str, value, wanted: str, valid, error):
+    """``value`` if it passes ``valid``, else ``error`` with the ``must_be``
+    wording; ``wanted`` describes a value that passes."""
+    if valid(value):
+        return value
+    raise error(must_be(name, wanted, value))
+
+
+def setting(default, wanted: str, valid):
+    """A settings field holding ``default``, whose value must pass ``valid``;
+    ``wanted`` describes such a value."""
+    return field(default=default, metadata={"wanted": wanted, "valid": valid})
+
+
+def integer_setting(default: int, low: int):
+    """A setting that must be an integer >= ``low``."""
+    return setting(default, *integer_rule(low))
+
+
+def number_setting(default: float, bound: str, low: int):
+    """A setting that must be a finite number ``bound`` (``>`` or ``>=``) ``low``."""
+    above = {">": operator.gt, ">=": operator.ge}[bound]
+    return setting(default, f"a finite number {bound} {low}",
+                   lambda v: is_finite_number(v) and above(v, low))
+
+
+def check_settings(settings, cross=()) -> None:
+    """Raise ConfigError listing, in field order, the violation of each
+    field of ``settings`` that its check refuses, then ``cross``, the
+    violations across fields, if there is any."""
+    problems = [must_be(f.name, f.metadata["wanted"], getattr(settings, f.name))
+                for f in fields(settings) if not f.metadata["valid"](getattr(settings, f.name))]
+    if problems or cross:
+        raise ConfigError([*problems, *cross])
 
 
 def read_input(path, what: str, error=DataError, text: bool = False):

@@ -38,10 +38,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .bridge import Vocabulary, build_vocabulary
-from .errors import ConfigError, DataError, parse_input, parse_json, read_input, sized_by
-from .errors import write_output
-from .weights import check_settings, checked, integer_setting, is_finite_number, is_integer
-from .weights import number_setting, setting
+from .errors import UNIT_RULE, ConfigError, DataError, check_settings, checked, integer_rule
+from .errors import integer_setting, is_integer, number_setting, parse_input, parse_json
+from .errors import read_input, setting, sized_by, write_output
 
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -232,8 +231,8 @@ def _parse_manifest(path: Path, text: str) -> StreamManifest:
     payload = parse_json(text, DataError, "not valid JSON")
     checked("format_version", payload["format_version"], f"the integer {MANIFEST_VERSION}",
             lambda v: is_integer(v) and v == MANIFEST_VERSION, DataError)
-    feature_length = checked("feature_length", payload["feature_length"], "an integer >= 1",
-                             lambda v: is_integer(v) and v >= 1, DataError)
+    feature_length = checked("feature_length", payload["feature_length"], *integer_rule(1),
+                             DataError)
     vocab = Vocabulary.load(path.parent / payload["vocab_file"])
     labels = []
     for i, entry in enumerate(payload["labels"]):
@@ -286,8 +285,7 @@ def _parse_block(index: int, split: str, entry: dict) -> FeatureBlock:
     return FeatureBlock(
         file=checked(f"{where} file", spec["file"], "a file name",
                      lambda v: isinstance(v, str) and v and "\0" not in v, DataError),
-        bytes=checked(f"{where} bytes", spec["bytes"], "an integer >= 0",
-                      lambda v: is_integer(v) and v >= 0, DataError),
+        bytes=checked(f"{where} bytes", spec["bytes"], *integer_rule(0), DataError),
         sha256=checked(f"{where} sha256", spec["sha256"], "64 lowercase hex digits",
                        lambda v: isinstance(v, str) and _SHA256_HEX.fullmatch(v), DataError),
     )
@@ -429,8 +427,7 @@ class GeneratorConfig:
     feature_length: int = integer_setting(16, 1)
     samples_per_task: int = setting(1200, "an integer", is_integer)
     imbalance: float = number_setting(1.0, ">=", 1)
-    overlap: float = setting(0.5, "a number in [0, 1]",
-                             lambda v: is_finite_number(v) and 0.0 <= v <= 1.0)
+    overlap: float = setting(0.5, *UNIT_RULE)
     shift: float = number_setting(4.0, ">=", 0)
     cluster_std: float = number_setting(1.0, ">", 0)
 
@@ -507,7 +504,7 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
     Returns the manifest path.  The sidecar file records centers,
     counts, and overlap sets for test use only.
     """
-    checked("seed", seed, "an integer >= 0", lambda v: is_integer(v) and v >= 0, ConfigError)
+    checked("seed", seed, *integer_rule(0), ConfigError)
     with sized_by("classes_per_task", "samples_per_task"):
         counts = _allocate_counts(cfg)
     rng = np.random.default_rng([seed, 9001])

@@ -47,8 +47,8 @@ from urllib.parse import quote, urlsplit
 import numpy as np
 
 from .bridge import TokenizedLabelSet, Vocabulary, read_fixture, scores_to_logits, tokenize_labels
-from .errors import DataError, TeacherQueryError, parse_json
-from .weights import checked, is_finite_number, is_integer, is_number
+from .errors import DataError, TeacherQueryError, checked, integer_rule, is_finite_number
+from .errors import is_integer, is_number, parse_json
 
 # Pre-softmax margin the oracle puts on its chosen label.
 ORACLE_MARGIN = 2.0
@@ -189,7 +189,9 @@ def _reply_line(reader, what: str) -> bytes:
 
 
 def _read_headers(reader, what: str) -> dict:
-    """The header (or trailer) lines up to the blank line, by lower-case name."""
+    """The header (or trailer) lines up to the blank line, by lower-case
+    name; the first of a repeated name is kept, but a second
+    ``Content-Length`` that differs would misframe the body."""
     headers = {}
     for _ in range(_MAX_HEADERS + 1):
         line = _reply_line(reader, what)
@@ -198,7 +200,10 @@ def _read_headers(reader, what: str) -> dict:
         name, colon, value = line.partition(b":")
         if not colon or not line.endswith(b"\n"):
             raise TeacherQueryError(f"teacher reply has a malformed {what} line {line[:80]!r}")
-        headers.setdefault(name.strip().lower(), value.strip())
+        name, value = name.strip().lower(), value.strip()
+        if headers.setdefault(name, value) != value and name == b"content-length":
+            raise TeacherQueryError("teacher reply has conflicting Content-Length values "
+                                    f"{headers[name][:80]!r} and {value[:80]!r}")
     raise TeacherQueryError(f"teacher reply has more than {_MAX_HEADERS} {what} lines")
 
 
@@ -296,8 +301,7 @@ class ServiceTeacher(Teacher):
                           f"a number of seconds in (0, {threading.TIMEOUT_MAX:g}]",
                           lambda v: is_finite_number(v) and 0.0 < v <= threading.TIMEOUT_MAX,
                           DataError)
-        self.retries = checked("teacher field 'retries'", retries, "an integer >= 0",
-                               lambda v: is_integer(v) and v >= 0, DataError)
+        self.retries = checked("teacher field 'retries'", retries, *integer_rule(0), DataError)
         self.vocab = vocab
         self._host, self._port, self._tls, self._head = _endpoint(base_url)
         self._timeout = timeout

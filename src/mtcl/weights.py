@@ -1,4 +1,4 @@
-"""Adaptive loss-weight assignment for the three supervision signals.
+"""The paper's adaptive weight rule for the three supervision signals.
 
 The trainer mixes three loss terms: hard labels, distillation from the
 previous-step model, and distillation from a general-knowledge teacher.
@@ -6,90 +6,31 @@ The mixing weights (alpha, beta, chi) sum to one.  alpha is a fixed
 hyperparameter; beta and chi are computed once per task from two
 measurements on that task's training set:
 
-* the two teachers' classification accuracies (how familiar each teacher
-  is with the incoming data), and
-* the imbalance ratio of the cumulative class counts (how starved the
-  rare classes are).
+* the two teachers' accuracies (how familiar each teacher is with the
+  incoming data): beta_ds = acc_prev / (acc_prev + acc_llm), and
+* the imbalance ratio ir of the cumulative class counts (how starved the
+  rare classes are): beta_di = 1 / (1 + log_b(ir)).
 
-Each measurement produces a pair of shares that splits 1.0 between the
-two teachers; the pairs are blended with the hyperparameters theta_ds
+Each share pair splits 1.0 between the two teachers (chi_ds = 1 -
+beta_ds, chi_di = 1 - beta_di); the pairs are blended with theta_ds
 (domain-shift emphasis) and theta_di (data-imbalance emphasis), which
-must satisfy theta_ds + theta_di = 1 - alpha.
+must satisfy theta_ds + theta_di = 1 - alpha, into beta = theta_ds *
+beta_ds + theta_di * beta_di and chi likewise.  The trace keeps every
+measurement and weight, one row per task.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, write_csv
+from .errors import UNIT_RULE, ConfigError, DataError, check_settings, checked, is_finite_number
+from .errors import is_number, number_setting, setting, write_csv
 
 WEIGHT_SUM_TOL = 1e-9
-
-
-def is_number(value) -> bool:
-    """True for a real number that is not a bool (JSON ``true`` is no number)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def is_integer(value) -> bool:
-    """True for an ``int`` that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def is_finite_number(value) -> bool:
-    """True for a number (see ``is_number``) that a float holds as a finite value;
-    an integer too large for a float is not one."""
-    try:
-        return is_number(value) and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def must_be(name: str, wanted: str, value) -> str:
-    """The one wording of a violation: ``<name> must be <wanted>, got <value>``."""
-    return f"{name} must be {wanted}, got {value!r}"
-
-
-def checked(name: str, value, wanted: str, valid, error):
-    """``value`` if it passes ``valid``, else ``error`` with the ``must_be``
-    wording; ``wanted`` describes a value that passes."""
-    if valid(value):
-        return value
-    raise error(must_be(name, wanted, value))
-
-
-def setting(default, wanted: str, valid):
-    """A settings field holding ``default``, whose value must pass ``valid``;
-    ``wanted`` describes such a value."""
-    return field(default=default, metadata={"wanted": wanted, "valid": valid})
-
-
-def integer_setting(default: int, low: int):
-    """A setting that must be an integer >= ``low``."""
-    return setting(default, f"an integer >= {low}", lambda v: is_integer(v) and v >= low)
-
-
-def number_setting(default: float, bound: str, low: int):
-    """A setting that must be a finite number ``bound`` (``>`` or ``>=``) ``low``."""
-    above = {">": operator.gt, ">=": operator.ge}[bound]
-    return setting(default, f"a finite number {bound} {low}",
-                   lambda v: is_finite_number(v) and above(v, low))
-
-
-def check_settings(settings, cross=()) -> None:
-    """Raise ConfigError listing, in field order, the violation of each
-    field of ``settings`` that its check refuses, then ``cross``, the
-    violations across fields, if there is any."""
-    problems = [must_be(f.name, f.metadata["wanted"], getattr(settings, f.name))
-                for f in fields(settings) if not f.metadata["valid"](getattr(settings, f.name))]
-    if problems or cross:
-        raise ConfigError([*problems, *cross])
 
 
 @dataclass(frozen=True)
@@ -101,8 +42,7 @@ class WeightConfig:
     step" (never below 2).
     """
 
-    alpha: float = setting(0.2, "a number in [0, 1]",
-                           lambda v: is_finite_number(v) and 0.0 <= v <= 1.0)
+    alpha: float = setting(0.2, *UNIT_RULE)
     theta_ds: float = number_setting(0.4, ">=", 0)
     theta_di: float = number_setting(0.4, ">=", 0)
     log_base: Optional[float] = setting(

@@ -3,10 +3,12 @@
 import contextlib
 import csv
 import http.client
+import itertools
 import json
 import socket
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -82,6 +84,21 @@ def read_metrics_csv(path) -> list:
                 )
             )
     return rows
+
+
+def interrupt_write(monkeypatch, n: int) -> None:
+    """Raise KeyboardInterrupt inside the ``n``th file write from now on,
+    after half its bytes are written.  ``errors.write_output`` writes every
+    output file, each with one ``Path.write_bytes`` of its ``.tmp``."""
+    write_bytes, calls = Path.write_bytes, itertools.count(1)
+
+    def interrupted(path, data):
+        if next(calls) == n:
+            write_bytes(path, data[: len(data) // 2])
+            raise KeyboardInterrupt
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", interrupted)
 
 
 def grad_check(loss_and_grad, params: np.ndarray, step: float = 1e-4) -> float:

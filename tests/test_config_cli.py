@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import SMALL, read_metrics_csv
+from conftest import SMALL, interrupt_write, read_metrics_csv
 
 import mtcl
 from mtcl.bridge import tokenize_labels, write_fixture
@@ -277,6 +277,27 @@ class TestExitCodes:
                         strays.append(f"{path.name}:{node.lineno} {where} raises {raised}")
         assert strays == []
 
+    def test_errors_alone_owns_the_value_rules(self):
+        """No module but ``errors`` defines a value check (a leading ``_``
+        does not hide a copy), and the stream, teacher and bridge modules
+        import nothing from ``weights``, which holds the weight rule alone."""
+        rules = {"checked", "must_be", "is_integer", "is_number", "is_finite_number"}
+        strays = []
+        for path in sorted(Path(mtcl.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.Assign)) and path.name != "errors.py":
+                    names = [node.name] if isinstance(node, ast.FunctionDef) else [
+                        target.id for target in node.targets if isinstance(target, ast.Name)]
+                    strays += [f"{path.name}:{node.lineno} defines {name}"
+                               for name in names if name.lstrip("_") in rules]
+                if (isinstance(node, (ast.Import, ast.ImportFrom))
+                        and path.name in ("taskstream.py", "teachers.py", "bridge.py")):
+                    modules = [getattr(node, "module", None) or "",
+                               *(alias.name for alias in node.names)]
+                    strays += [f"{path.name}:{node.lineno} imports {module}"
+                               for module in modules if "weights" in module.split(".")]
+        assert strays == []
+
 
 @pytest.fixture(scope="module")
 def cli_workspace(tmp_path_factory):
@@ -352,7 +373,8 @@ class TestCliRun:
     def test_a_new_run_replaces_an_earlier_runs_files(self, cli_workspace, tmp_path):
         """A 3-task run, then a 2-task run into the same directory, leave
         exactly the 2-task run's files, byte for byte as a run into a new
-        directory writes them; a file no run writes stays."""
+        directory writes them.  The ``.tmp`` a kill leaves of a run file
+        goes too; a file no run writes stays, ``.tmp`` or not."""
         three = generate_synthetic_stream(replace(SMALL, tasks=3), 5, tmp_path / "three")
         out = tmp_path / "out"
         run = ["run", str(cli_workspace / "run.json"), "--mode", "ft", "--epochs", "1",
@@ -363,10 +385,12 @@ class TestCliRun:
         shutil.rmtree(out)
         assert main([*run, "--manifest", str(three)]) == 0
         assert (out / "checkpoint_t3.bin").is_file()
-        (out / "notes.txt").write_text("mine")
+        mine = {"notes.txt": b"mine", "notes.txt.tmp": b"half"}
+        left = {**mine, "checkpoint_t4.bin.tmp": b"half", "metrics.csv.tmp": b"t,"}
+        for name, data in left.items():
+            (out / name).write_bytes(data)
         assert main([*run, "--seed", "7"]) == 0
-        assert {path.name: path.read_bytes() for path in out.iterdir()} == {
-            **fresh, "notes.txt": b"mine"}
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == {**fresh, **mine}
 
     def test_mode_override_reaches_the_run(self, cli_workspace, tmp_path):
         out = tmp_path / "ft"
@@ -534,6 +558,53 @@ class TestRunInterrupted:
         for name in ("metrics.csv", "weight_trace.csv"):
             assert (full / name).read_bytes().startswith((short / name).read_bytes()), name
 
+    def test_every_stop_inside_a_write_leaves_a_directory_the_rule_reads(
+            self, tmp_path, monkeypatch, capsys):
+        """A Ctrl-C inside the Nth file write of a 3-task run, for every N,
+        exits 130 and leaves no ``.tmp``.  The tasks whose
+        ``checkpoint_tK.bin`` is there are finished: they are 1..K, and
+        their checkpoints, metrics rows and trace rows are the whole
+        run's.  Only task K + 1, which did not finish, has rows past
+        them, and the files written as the run starts are whole."""
+        stream = GeneratorConfig(tasks=3, classes_per_task=2, feature_length=4,
+                                 samples_per_task=40, imbalance=2.0, shift=2.0)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "manifest": str(generate_synthetic_stream(stream, seed=5, out_dir=tmp_path / "s")),
+            "mode": "ours", "seed": 5, "optimizer": {"epochs": 1, "batch_size": 16},
+            "model": {"hidden1": 8, "hidden2": 8},
+            "llm_teacher": {"kind": "noisy-oracle", "accuracy": 0.8},
+        }))
+        # Every run writes into one directory, so all have one config digest.
+        run = ["run", str(config), "--output-dir", str(tmp_path / "out")]
+        assert main(run) == 0
+        full = shutil.copytree(tmp_path / "out", tmp_path / "full")
+
+        def rows(path, k):
+            """The rows of the table at ``path`` (all but its header), and those of tasks <= k."""
+            lines = path.read_text().splitlines()[1:] if path.exists() else []
+            return lines, [line for line in lines if int(line.split(",")[0]) <= k]
+
+        writes = 2 + 3 * 3  # the run's two files, then three per task
+        for n in range(1, writes + 1):
+            with monkeypatch.context() as patch:
+                interrupt_write(patch, n)
+                assert main(run) == 130, n
+            assert capsys.readouterr().err == "interrupted\n"
+            left = sorted(path.name for path in (tmp_path / "out").iterdir())
+            assert not [name for name in left if name.endswith(".tmp")], n
+            finished = [name for name in left if name.startswith("checkpoint_t")]
+            k = len(finished)
+            assert finished == [f"checkpoint_t{t}.bin" for t in range(1, k + 1)], n
+            for name in left:
+                if name.endswith((".bin", ".json")):
+                    assert (tmp_path / "out" / name).read_bytes() == (full / name).read_bytes()
+            for name in ("metrics.csv", "weight_trace.csv"):
+                lines, done = rows(tmp_path / "out" / name, k)
+                assert done == rows(full / name, k)[1], (n, name)
+                assert all(int(line.split(",")[0]) <= k + 1 for line in lines), (n, name)
+                assert bool(lines) or not k, (n, name)
+
     def test_ctrl_c_exits_130_without_a_traceback(self, tmp_path):
         stream = GeneratorConfig(tasks=3, classes_per_task=3, feature_length=8,
                                  samples_per_task=300)
@@ -554,8 +625,8 @@ class TestRunInterrupted:
         )
         try:
             deadline = time.monotonic() + 60
-            # The weight trace is the last file task 1 writes, after its checkpoint.
-            while not (out / "weight_trace.csv").exists():
+            # The checkpoint is the last file task 1 writes, after its tables.
+            while not (out / "checkpoint_t1.bin").exists():
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.005)
             proc.send_signal(signal.SIGINT)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from conftest import SMALL, raw_reply
+from conftest import SMALL, interrupt_write, raw_reply
 
 import mtcl.engine
 from mtcl.bridge import FIXTURE_MAGIC, FIXTURE_VERSION, tokenize_labels, write_fixture
@@ -57,6 +57,10 @@ INSPECT = ("inspect-weights", "--acc-prev", "0.5", "--acc-llm", "0.5")
 # What a run leaves when it stops before task 1 trains, and after it.
 STARTED = ("out/resolved_config.json", "out/run_info.json")
 TASK1 = (*STARTED, "out/checkpoint_t1.bin", "out/metrics.csv", "out/weight_trace.csv")
+# What a run leaves when it stops inside its Nth file write: two files as
+# it starts, then metrics, trace and checkpoint per task.
+IN_WRITE = {3: STARTED, 4: (*STARTED, "out/metrics.csv"),
+            5: (*STARTED, "out/metrics.csv", "out/weight_trace.csv"), 6: TASK1, 7: TASK1, 8: TASK1}
 DEEP = b"[" * 100_000
 
 
@@ -593,6 +597,11 @@ CASES = [
     Case("teacher-reply", (*RUN, "--epochs", "1"), 4, "teacher endpoint returned invalid JSON",
          lambda monkeypatch: service_replying(
              b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nnope"), TASK1),
+    Case("teacher-reply", (*RUN, "--epochs", "1"), 4,
+         r"conflicting Content-Length values b'2' and b'5'$",
+         lambda monkeypatch: service_replying(
+             b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhello"),
+         TASK1),
     Case("teacher-table-shape", (*RUN, "--epochs", "1"), 4,
          r"general teacher scored a table of shape \(48, 1\)",
          patch("mtcl.teachers.NoisyOracleTeacher.score_table",
@@ -608,6 +617,9 @@ CASES = [
 
     # Code 130: interrupted.
     Case("interrupted", RUN, 130, "^interrupted$", interrupted_at_task_2, TASK1),
+    *[Case("interrupted", RUN, 130, "^interrupted$",
+           lambda monkeypatch, n=n: interrupt_write(monkeypatch, n), left)
+      for n, left in IN_WRITE.items()],
 ]
 
 

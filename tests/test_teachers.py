@@ -976,6 +976,15 @@ class TestReadReply:
         reply = b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nabc"
         assert read_reply(reply + b"HTTP/1.1") == ((200, False, b"abc"), b"HTTP/1.1")
 
+    def test_conflicting_content_lengths_rejected(self):
+        """Differing ``Content-Length`` values cannot frame the body
+        (RFC 9112 section 6.3); a repeated equal one can."""
+        with pytest.raises(TeacherQueryError,
+                           match=r"conflicting Content-Length values b'2' and b'5'$"):
+            read_reply(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhello")
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\nContent-length: 3\r\n\r\nabc"
+        assert read_reply(reply + b"next") == ((200, False, b"abc"), b"next")
+
     def test_chunked_body_with_extension_and_trailer(self):
         reply = (
             b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
