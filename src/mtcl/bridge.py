@@ -58,7 +58,8 @@ class Vocabulary:
         if len(set(self.tokens)) != len(self.tokens):
             raise DataError("token inventory contains duplicates")
         for tok in self.tokens:
-            if not tok or "\t" in tok or "\n" in tok:
+            # Read as text, a lone "\r" would end the line.
+            if not tok or any(ch in tok for ch in "\t\n\r"):
                 raise DataError(f"unserializable token {tok!r}")
 
     def __len__(self) -> int:
@@ -85,7 +86,7 @@ class Vocabulary:
     @classmethod
     def from_text(cls, text: str) -> "Vocabulary":
         entries = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
             parts = line.split("\t")

@@ -12,8 +12,8 @@ its ``{split}_features`` key: raw little-endian float64, row-major, one
 row per record, pinned by its byte length and SHA-256.  A loaded split
 is columns: the records' ids, questions and answers (each an index into
 the task's classes), and the block's read-only matrix as read with one
-``frombuffer``, uncopied.  A ``Sample`` is built only when one is read
-through ``TaskDataset.samples``.
+``frombuffer``, uncopied; ``write_task`` writes the same columns.  A
+``Sample`` is built only for a read through ``TaskDataset.samples``.
 
 The synthetic generator produces streams with two controllable
 stressors: domain shift (classes new to a task get cluster centers
@@ -69,11 +69,11 @@ class LabelClass:
 
 
 class Sample(NamedTuple):
-    """One record: feature vector, question text, answer label.
+    """One row of a split, as ``TaskDataset.samples`` reads it.
 
-    A tuple, so its fields are read-only and it is cheap to build.  A
-    sample read from a loaded split holds a read-only row view of the
-    split's feature block as ``features``.
+    A tuple, so its fields are read-only and it is cheap to build.  Its
+    ``features`` is a row view of the split's matrix, read-only when the
+    split was loaded.
     """
 
     id: str
@@ -85,7 +85,7 @@ class Sample(NamedTuple):
 
 @dataclass
 class TaskDataset:
-    """One task split as columns, with per-class counts.
+    """One task split as columns, as ``load_task`` reads and ``write_task`` writes it.
 
     ``answers[i]`` is the position in ``classes`` of sample i's class,
     and row i of ``features`` is its feature vector.  ``samples`` reads
@@ -98,7 +98,6 @@ class TaskDataset:
     questions: list
     answers: np.ndarray
     features: np.ndarray
-    class_counts: dict = field(init=False)
 
     def __post_init__(self):
         if self.task_index < 1:
@@ -119,8 +118,6 @@ class TaskDataset:
                 f"sample {self.ids[i]!r} answers class position {self.answers[i]}, "
                 f"not in task {self.task_index}'s {len(self.classes)} classes"
             )
-        counts = np.bincount(self.answers, minlength=len(self.classes)).tolist()
-        self.class_counts = {c.id: n for c, n in zip(self.classes, counts) if n}
 
     @property
     def class_names(self) -> list:
@@ -148,7 +145,7 @@ class _Samples(Sequence):
 
 @dataclass
 class ImbalanceLedger:
-    """Cumulative per-class sample counts over every task seen so far.
+    """Per-class counts, by class id, of the ``answers`` of every split so far.
 
     Only classes that have appeared are stored, so counts are always
     positive and the imbalance ratio is always defined once the first
@@ -158,11 +155,10 @@ class ImbalanceLedger:
     cumulative_counts: dict = field(default_factory=dict)
 
     def update(self, task: TaskDataset) -> "ImbalanceLedger":
-        for class_id, count in task.class_counts.items():
-            if count > 0:
-                self.cumulative_counts[class_id] = (
-                    self.cumulative_counts.get(class_id, 0) + count
-                )
+        counts = np.bincount(task.answers, minlength=len(task.classes)).tolist()
+        for label, count in zip(task.classes, counts):
+            if count:
+                self.cumulative_counts[label.id] = self.cumulative_counts.get(label.id, 0) + count
         return self
 
     @property
@@ -355,7 +351,7 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
     by_name = manifest.label_by_name
     declared = {name: i for i, name in enumerate(entry.class_names)}
     ids, questions, answers = [], [], []
-    lines = read_input(file_path, "task file", text=True).splitlines()
+    lines = read_input(file_path, "task file", text=True).split("\n")
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -402,18 +398,19 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
     )
 
 
-def write_task(path, samples, block_path) -> FeatureBlock:
-    """Emit a split: its records (``id``, ``question``, ``answer``) as
-    line-delimited JSON at ``path``, and its feature vectors as a feature
-    block at ``block_path``.  Returns the block's manifest entry, which
-    names the block by its file name.
+def write_task(path, split: TaskDataset, block_path) -> FeatureBlock:
+    """Emit a split as ``load_task`` reads it back: its records (``id``,
+    ``question``, ``answer``) as line-delimited JSON at ``path``, and its
+    ``features`` as a feature block at ``block_path``.  Returns the
+    block's manifest entry, which names the block by its file name.
     """
+    names = split.class_names
     lines = (
-        json.dumps({"id": s.id, "question": s.question, "answer": s.answer_name}) + "\n"
-        for s in samples
+        json.dumps({"id": i, "question": q, "answer": names[a]}) + "\n"
+        for i, q, a in zip(split.ids, split.questions, split.answers.tolist())
     )
     write_output(path, "".join(lines), "task file")
-    data = np.array([s.features for s in samples], dtype=BLOCK_DTYPE).tobytes()
+    data = np.asarray(split.features, dtype=BLOCK_DTYPE).tobytes()
     write_output(block_path, data, "feature block")
     return FeatureBlock(Path(block_path).name, len(data), hashlib.sha256(data).hexdigest())
 
@@ -539,7 +536,7 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
         # floods in new-domain data while carried classes starve.
         class_list = new_names + carried
 
-        pools = {split: [] for split in SPLITS}
+        draws = {split: [] for split in SPLITS}
         class_stats = []
         for name, total in zip(class_list, counts):
             n_test = max(1, int(round(TEST_FRACTION * total)))
@@ -556,7 +553,7 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
                     f"cluster_std ({cfg.cluster_std}) or shift ({cfg.shift})"
                 )
             for split, part in zip(SPLITS, (points[:n_train], points[n_train:])):
-                pools[split] += [(name, row) for row in part]
+                draws[split].append(part)
             class_stats.append(
                 {
                     "name": name,
@@ -569,16 +566,17 @@ def generate_synthetic_stream(cfg: GeneratorConfig, seed: int, out_dir) -> Path:
             )
 
         entry = {"index": t}
-        serial = 0
-        for split, pool in pools.items():
-            samples = []
-            for i in rng.permutation(len(pool)):
-                name, row = pool[int(i)]
-                question = _QUESTIONS[serial % len(_QUESTIONS)]
-                samples.append(Sample(f"t{t}-{serial:05d}", row, question, label_ids[name], name))
-                serial += 1
+        classes = [LabelClass(label_ids[name], name) for name in class_list]
+        serials = range(0)  # each split's record serials follow the last split's
+        for split, parts in draws.items():
+            positions = np.repeat(np.arange(len(classes)), [len(part) for part in parts])
+            order = rng.permutation(len(positions))
+            serials = range(serials.stop, serials.stop + len(order))
+            data = TaskDataset(t, classes, [f"t{t}-{s:05d}" for s in serials],
+                               [_QUESTIONS[s % len(_QUESTIONS)] for s in serials],
+                               positions[order], np.concatenate(parts)[order])
             entry[f"{split}_file"] = f"task{t}.{split}.jsonl"
-            block = write_task(out / entry[f"{split}_file"], samples, out / f"task{t}.{split}.f64")
+            block = write_task(out / entry[f"{split}_file"], data, out / f"task{t}.{split}.f64")
             entry[f"{split}_features"] = asdict(block)
         entry["classes"] = class_list
         tasks_json.append(entry)

@@ -191,7 +191,8 @@ def _reply_line(reader, what: str) -> bytes:
 def _read_headers(reader, what: str) -> dict:
     """The header (or trailer) lines up to the blank line, by lower-case
     name; the first of a repeated name is kept, but a second
-    ``Content-Length`` that differs would misframe the body."""
+    ``Content-Length`` that differs would misframe the body, and so would
+    ``Transfer-Encoding`` lines that together are not one ``chunked``."""
     headers = {}
     for _ in range(_MAX_HEADERS + 1):
         line = _reply_line(reader, what)
@@ -201,6 +202,10 @@ def _read_headers(reader, what: str) -> dict:
         if not colon or not line.endswith(b"\n"):
             raise TeacherQueryError(f"teacher reply has a malformed {what} line {line[:80]!r}")
         name, value = name.strip().lower(), value.strip()
+        if name == b"transfer-encoding" and (name in headers or value.lower() != b"chunked"):
+            coding = headers[name] + b", " + value if name in headers else value
+            raise TeacherQueryError(f"teacher reply has Transfer-Encoding {coding[:80]!r}; "
+                                    "only a lone chunked can be read")
         if headers.setdefault(name, value) != value and name == b"content-length":
             raise TeacherQueryError("teacher reply has conflicting Content-Length values "
                                     f"{headers[name][:80]!r} and {value[:80]!r}")
@@ -240,7 +245,7 @@ def _read_reply(reader) -> tuple[int, bool, bytes]:
     """(status, will_close, body) of the next HTTP/1.x reply on ``reader``,
     a connection's buffered binary reader.
 
-    An interim ``100 Continue`` is skipped.  The body is framed by
+    Interim 1xx replies are skipped.  The body is framed by
     ``Transfer-Encoding: chunked``, else by ``Content-Length``, else by
     the end of the connection.  ``will_close`` is set when the server
     closes the connection after this reply: ``Connection: close``, an
@@ -257,16 +262,16 @@ def _read_reply(reader) -> tuple[int, bool, bytes]:
             raise TeacherQueryError(f"teacher reply has a malformed status line {line[:80]!r}")
         headers = _read_headers(reader, "header")
         status = int(status_line[2])
-        if status != 100:
+        if status >= 200:
             break
     connection = headers.get(b"connection", b"").lower()
     if status_line[1] == b"0":
         will_close = b"keep-alive" not in connection
     else:
         will_close = b"close" in connection
-    if status < 200 or status in (204, 304):
+    if status in (204, 304):
         return status, will_close, b""
-    if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+    if b"transfer-encoding" in headers:
         return status, will_close, _read_chunked(reader)
     length = headers.get(b"content-length")
     if length is None:

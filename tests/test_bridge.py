@@ -107,6 +107,20 @@ class TestVocabulary:
         first_line = path.read_text().splitlines()[0]
         assert first_line == f"{PAUSE_TOKEN}\t0"
 
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.text(min_size=1), min_size=1, max_size=4))
+    @example(labels=["cut", "a\u2028b", "\x85 \u2029"])
+    def test_saved_vocabulary_loads_equal_or_is_refused(self, tmp_path_factory, labels):
+        try:
+            vocab = build_vocabulary(labels)
+        except DataError as exc:
+            assert "unserializable token" in str(exc)
+            assert any(ch in "".join(labels) for ch in "\t\n\r")
+            return
+        path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
+        vocab.save(path)
+        assert Vocabulary.load(path) == vocab
+
     def test_malformed_lines_rejected(self):
         with pytest.raises(DataError):
             Vocabulary.from_text("<pause>\t0\nbroken line\n")
@@ -123,6 +137,7 @@ class TestVocabulary:
 @pytest.mark.parametrize("build, message", [
     (lambda: Vocabulary((PAUSE_TOKEN, "a\tb")), re.escape(repr("a\tb"))),
     (lambda: Vocabulary((PAUSE_TOKEN, "")), "unserializable token ''"),
+    (lambda: build_vocabulary(["cut", "a\rb"]), re.escape("unserializable token '\\r'")),
     (lambda: Vocabulary((PAUSE_TOKEN, "a", "b", "a")), "contains duplicates"),
     (lambda: build_vocabulary(["cut", ""]), "empty label name"),
     (lambda: TokenizedLabelSet(np.zeros((0, 2), dtype=np.int64), 3),
@@ -137,9 +152,9 @@ class TestVocabulary:
      r"tensor for 's' must be 3-d, got shape \(2, 2\)"),
     (lambda: write_fixture("unused.bin", {"s" * 0x10000: np.zeros((1, 1, 1))}),
      "sample id too long"),
-], ids=["tab-token", "empty-token", "duplicate-token", "empty-label", "no-rows", "one-axis",
-        "id-too-large", "negative-id", "no-final-pause", "no-labels", "fixture-2d",
-        "fixture-long-id"])
+], ids=["tab-token", "empty-token", "return-token", "duplicate-token", "empty-label",
+        "no-rows", "one-axis", "id-too-large", "negative-id", "no-final-pause", "no-labels",
+        "fixture-2d", "fixture-long-id"])
 def test_inconsistent_bridge_input_is_a_data_error(build, message, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(DataError, match=message):

@@ -602,6 +602,11 @@ CASES = [
          lambda monkeypatch: service_replying(
              b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhello"),
          TASK1),
+    Case("teacher-reply", (*RUN, "--epochs", "1"), 4,
+         r"Transfer-Encoding b'gzip, chunked'; only a lone chunked can be read$",
+         lambda monkeypatch: service_replying(
+             b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip, chunked\r\n\r\n"
+             b"2\r\nok\r\n0\r\n\r\n"), TASK1),
     Case("teacher-table-shape", (*RUN, "--epochs", "1"), 4,
          r"general teacher scored a table of shape \(48, 1\)",
          patch("mtcl.teachers.NoisyOracleTeacher.score_table",

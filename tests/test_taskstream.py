@@ -9,12 +9,11 @@ import sys
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import classes_up_to, dataset_of
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mtcl
@@ -63,7 +62,7 @@ class TestTaskDataset:
     def test_recount_fills_class_counts(self):
         classes = toy_classes(STREAM_NAMES)
         task = toy_task({0: 4, 1: 2, 2: 8}, classes)
-        assert task.class_counts == {0: 4, 1: 2, 2: 8}
+        assert ImbalanceLedger().update(task).cumulative_counts == {0: 4, 1: 2, 2: 8}
         assert task.class_names == list(STREAM_NAMES)
 
     def test_sample_outside_class_set_rejected(self):
@@ -157,7 +156,7 @@ class TestImbalanceLedger:
 
     def test_zero_counts_never_recorded(self):
         ledger = ImbalanceLedger()
-        ledger.update(SimpleNamespace(class_counts={0: 0, 1: 5}))
+        ledger.update(toy_task({1: 5}, toy_classes(("cut", "idle"))))
         assert ledger.cumulative_counts == {1: 5}
 
 
@@ -212,7 +211,8 @@ def write_stream(root, mutate=None):
     }
     for (task, split), samples in splits.items():
         name = f"task{task}.{split}"
-        block = write_task(root / f"{name}.jsonl", samples, root / f"{name}.f64")
+        data = dataset_of(task, samples, classes)
+        block = write_task(root / f"{name}.jsonl", data, root / f"{name}.f64")
         payload["tasks"][task - 1][f"{split}_features"] = asdict(block)
     if mutate is not None:
         mutate(payload)
@@ -230,7 +230,7 @@ class TestManifestRoundtrip:
         task = load_task(manifest, 1, split="train")
         assert [s.id for s in task.samples] == ["t1-0", "t1-1", "t1-2"]
         assert [s.answer_name for s in task.samples] == ["cut", "idle", "cut"]
-        assert task.class_counts == {0: 2, 1: 1}
+        assert task.answers.tolist() == [0, 1, 0]
         np.testing.assert_array_equal(task.samples[1].features, [1.0, -1.0])
         test = load_task(manifest, 2, split="test")
         assert [s.answer_name for s in test.samples] == ["grasp"]
@@ -638,8 +638,8 @@ class TestFeatureBlocks:
             load_manifest(write_stream(tmp_path, strip))
 
     def test_write_task_returns_the_entry_of_the_block_it_wrote(self, tmp_path):
-        samples = load_task(load_manifest(write_stream(tmp_path)), 1).samples
-        entry = write_task(tmp_path / "copy.jsonl", samples, tmp_path / "copy.f64")
+        split = load_task(load_manifest(write_stream(tmp_path)), 1)
+        entry = write_task(tmp_path / "copy.jsonl", split, tmp_path / "copy.f64")
         data = (tmp_path / "copy.f64").read_bytes()
         assert entry == FeatureBlock("copy.f64", len(data), hashlib.sha256(data).hexdigest())
         assert data == (tmp_path / "task1.train.f64").read_bytes()
@@ -707,6 +707,51 @@ class TestRecordParse:
     )
     def test_edge_lines(self, line):
         assert parsed(_parse_record, line) == parsed(json.loads, line)
+
+
+# Finite float64 values, -0.0 and the subnormals among them.
+FEATURE_VALUES = FINITE | st.sampled_from([-0.0, 5e-324, -5e-324, 2.225073858507201e-308])
+
+
+class TestWriteTaskRoundtrip:
+    """``load_task`` reads back what ``write_task`` wrote, column for
+    column, and writing the loaded split again gives the same bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(
+        st.tuples(st.text(), st.text(), st.integers(0, len(STREAM_NAMES) - 1),
+                  st.lists(FEATURE_VALUES, min_size=2, max_size=2)),
+        min_size=1, max_size=6,
+    ))
+    @example(rows=[("t1-\u2028", "a\x85b\u2029c\rd", 2, [-0.0, 5e-324])])
+    def test_load_reads_what_write_wrote(self, tmp_path_factory, rows):
+        root = tmp_path_factory.mktemp("roundtrip")
+
+        def every_class(payload):
+            payload["tasks"][0]["classes"] = list(STREAM_NAMES)
+
+        manifest_path = write_stream(root, every_class)
+        ids, questions, answers, features = map(list, zip(*rows))
+        split = TaskDataset(1, toy_classes(STREAM_NAMES), ids, questions,
+                            np.array(answers, dtype=np.int64), np.array(features))
+        records, block = root / "task1.train.jsonl", root / "task1.train.f64"
+        write_task(records, split, block)
+        pin_block(root, 1, "train", block.read_bytes())
+        loaded = load_task(load_manifest(manifest_path), 1)
+        assert (loaded.ids, loaded.questions) == (ids, questions)
+        assert loaded.answers.tolist() == answers
+        assert loaded.features.tobytes() == split.features.tobytes()
+        written = records.read_bytes(), block.read_bytes()
+        write_task(records, loaded, block)
+        assert (records.read_bytes(), block.read_bytes()) == written
+
+    def test_a_raw_line_separator_inside_a_record_is_text(self, tmp_path):
+        manifest = load_manifest(write_stream(tmp_path))
+        question = "cut\u2028here\x85or\u2029there"
+        record = {"id": "t1-0", "question": question, "answer": "idle"}
+        (tmp_path / "task1.test.jsonl").write_text(
+            json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert load_task(manifest, 1, "test").questions == [question]
 
 
 class TestStreamReaderFuzz:
@@ -1040,11 +1085,13 @@ class TestGeneratedStream:
             t = record["index"]
             train = load_task(manifest, t, split="train")
             test = load_task(manifest, t, split="test")
+            train_counts = ImbalanceLedger().update(train).cumulative_counts
+            test_counts = ImbalanceLedger().update(test).cumulative_counts
             by_name = manifest.label_by_name
             for c in record["classes"]:
                 class_id = by_name[c["name"]].id
-                assert train.class_counts.get(class_id, 0) == c["count_train"]
-                assert test.class_counts.get(class_id, 0) == c["count_test"]
+                assert train_counts.get(class_id, 0) == c["count_train"]
+                assert test_counts.get(class_id, 0) == c["count_test"]
 
     def test_label_ids_follow_first_appearance(self, generated):
         _, manifest, _ = generated

@@ -992,6 +992,21 @@ class TestReadReply:
         )
         assert read_reply(reply + b"next") == ((200, False, b"abc0123456789"), b"next")
 
+    @pytest.mark.parametrize("codings, named", [
+        ([b"gzip", b"chunked"], b"gzip"),
+        ([b"gzip, chunked"], b"gzip, chunked"),
+        ([b"chunked", b"Chunked"], b"chunked, Chunked"),
+        ([b"identity"], b"identity"),
+    ], ids=["gzip-then-chunked-lines", "gzip-chunked-list", "chunked-twice", "identity"])
+    def test_transfer_coding_other_than_one_chunked_rejected(self, codings, named):
+        """Only a lone ``chunked`` can be framed; any other coding, in one
+        field line or over several, would leave the body misframed."""
+        head = b"".join(b"Transfer-Encoding: " + coding + b"\r\n" for coding in codings)
+        reply = b"HTTP/1.1 200 OK\r\n" + head + b"\r\n2\r\nok\r\n0\r\n\r\n"
+        message = re.escape(f"Transfer-Encoding {named!r}; only a lone chunked can be read")
+        with pytest.raises(TeacherQueryError, match=message):
+            read_reply(reply + b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
+
     @pytest.mark.parametrize("chunks", [
         b"3\r\nabc\r\n",  # no last chunk
         b"3\r\nabcd\r\n0\r\n\r\n",  # chunk longer than declared
@@ -1006,11 +1021,14 @@ class TestReadReply:
             read_reply(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunks)
 
     def test_100_continue_skipped(self):
-        reply = (
-            b"HTTP/1.1 100 Continue\r\n\r\n"
-            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
-        )
-        assert read_reply(reply) == ((200, False, b"ok"), b"")
+        """Every interim 1xx reply is skipped, not only ``100 Continue``."""
+        final = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+        for interim in (
+            b"HTTP/1.1 100 Continue\r\n\r\n",
+            b"HTTP/1.1 103 Early Hints\r\nLink: </style.css>; rel=preload\r\n\r\n"
+            b"HTTP/1.1 100 Continue\r\n\r\n",
+        ):
+            assert read_reply(interim + final + b"next") == ((200, False, b"ok"), b"next")
 
     @pytest.mark.parametrize("reply, will_close", [
         (b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok", True),
