@@ -22,6 +22,7 @@ fixture format used to replay recorded score tensors offline.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -65,18 +66,22 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
+    @functools.cached_property
     def index(self) -> dict:
         return {tok: i for i, tok in enumerate(self.tokens)}
 
+    def token_ids(self, text: str) -> list:
+        """Each character's token id: a space is ``SPACE_TOKEN``, an unknown one ``len(self)``."""
+        index, unknown = self.index, len(self.tokens)
+        return [index.get(SPACE_TOKEN if ch == " " else ch, unknown) for ch in text]
+
     def encode(self, label: str) -> list:
-        idx = self.index
-        ids = []
-        for ch in label:
-            tok = SPACE_TOKEN if ch == " " else ch
-            if tok not in idx:
-                raise DataError(f"label {label!r} uses unknown token {tok!r}")
-            ids.append(idx[tok])
+        ids = self.token_ids(label)
+        if len(self.tokens) in ids:
+            ch = label[ids.index(len(self.tokens))]
+            raise DataError(
+                f"label {label!r} uses unknown token {SPACE_TOKEN if ch == ' ' else ch!r}"
+            )
         return ids
 
     def to_text(self) -> str:

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bridge import SPACE_TOKEN, Vocabulary
+from .bridge import Vocabulary
 from .errors import ConfigError, DataError, NumericError, TeacherQueryError, check_settings
 from .errors import checked, integer_rule, integer_setting, is_integer, is_number, number_setting
 from .errors import parse_input, parse_json, remove_outputs, setting, sized_by, write_csv
@@ -63,15 +63,9 @@ def encode_question(question: str, vocab: Vocabulary) -> np.ndarray:
     tokens, so any question encodes without error.  Empty text gives
     the zero vector.
     """
-    counts = np.zeros(len(vocab) + 1, dtype=np.float64)
-    idx = vocab.index
-    for ch in question:
-        tok = SPACE_TOKEN if ch == " " else ch
-        counts[idx.get(tok, len(vocab))] += 1.0
+    counts = np.bincount(vocab.token_ids(question), minlength=len(vocab) + 1).astype(np.float64)
     norm = np.linalg.norm(counts)
-    if norm > 0.0:
-        counts /= norm
-    return counts
+    return counts / norm if norm > 0.0 else counts
 
 
 def encode_inputs(dataset: TaskDataset, vocab: Vocabulary, feature_length: int) -> np.ndarray:
@@ -120,6 +114,9 @@ class TrainSettings:
 class StudentModel:
     """Two-hidden-layer tanh classifier with a growable output head.
 
+    The head is ``classes``, one ``LabelClass`` per output column in
+    column order; it only grows by appending.  A split's class is found
+    in it by id and must carry the head's name (``head_positions``).
     The trunk is seeded from the run seed alone; every output-head
     column is seeded from (run seed, class id), so growing the head in
     two steps or one produces identical parameters, and existing class
@@ -144,8 +141,7 @@ class StudentModel:
         self._adopt(np.concatenate([
             w1.ravel(), np.zeros(hidden1), w2.ravel(), np.zeros(hidden2),
         ]), 0)
-        self.class_ids = []
-        self.class_names = []
+        self.classes = []
 
     def _adopt(self, flat: np.ndarray, n_classes: int) -> None:
         """Make ``flat`` the parameter vector of a head of ``n_classes``."""
@@ -161,7 +157,7 @@ class StudentModel:
 
     @property
     def n_classes(self) -> int:
-        return len(self.class_ids)
+        return len(self.classes)
 
     @property
     def n_params(self) -> int:
@@ -176,11 +172,11 @@ class StudentModel:
     def grow_head(self, new_classes) -> "StudentModel":
         """Append one seeded small-variance output column per new class."""
         new_classes = list(new_classes)
-        ids = list(self.class_ids)
+        ids = {c.id for c in self.classes}
         for c in new_classes:
             if c.id in ids:
                 raise DataError(f"class {c.name!r} (id {c.id}) already in the head")
-            ids.append(c.id)
+            ids.add(c.id)
         if not new_classes:
             return self
         columns = [
@@ -192,10 +188,25 @@ class StudentModel:
         w3 = np.concatenate([self.w3, np.stack(columns, axis=1)], axis=1)
         b3 = np.concatenate([self.b3, np.zeros(len(new_classes))])
         head = self._flat.size - self.w3.size - self.b3.size
-        self._adopt(np.concatenate([self._flat[:head], w3.ravel(), b3]), len(ids))
-        self.class_ids.extend(int(c.id) for c in new_classes)
-        self.class_names.extend(c.name for c in new_classes)
+        self.classes.extend(LabelClass(int(c.id), c.name) for c in new_classes)
+        self._adopt(np.concatenate([self._flat[:head], w3.ravel(), b3]), self.n_classes)
         return self
+
+    def head_positions(self, classes) -> np.ndarray:
+        """The head column of each of ``classes``, found by id, as int64.
+
+        A class whose id the head lacks, or whose name differs from the
+        head's for that id, is a DataError naming every such class.
+        """
+        column = {c.id: i for i, c in enumerate(self.classes)}
+        missing = [c.name for c in classes if c.id not in column]
+        if missing:
+            raise DataError(f"model head does not cover classes {missing}")
+        renamed = [f"{c.id} ({head.name!r} in the head, {c.name!r} in the data)"
+                   for c in classes if (head := self.classes[column[c.id]]).name != c.name]
+        if renamed:
+            raise DataError(f"model head names class ids differently: {', '.join(renamed)}")
+        return np.array([column[c.id] for c in classes], dtype=np.int64)
 
     def forward(self, x: np.ndarray, want_cache: bool = False):
         x = np.asarray(x, dtype=np.float64)
@@ -246,14 +257,14 @@ class StudentModel:
     def clone(self) -> "StudentModel":
         twin = copy.copy(self)
         twin._adopt(self._flat.copy(), self.n_classes)
-        twin.class_ids = list(self.class_ids)
-        twin.class_names = list(self.class_names)
+        twin.classes = list(self.classes)
         return twin
 
 
 class PrevModelTeacher(Teacher):
     """Frozen snapshot of the student, serving logits for its whole head.
 
+    Its head is ``model.classes``, which the student's head must extend.
     It scores the design matrix the trainer already encoded, with
     ``score_inputs``, one batched forward pass; it has no ``score_table``
     and never encodes samples itself.
@@ -262,10 +273,6 @@ class PrevModelTeacher(Teacher):
     def __init__(self, model: StudentModel):
         super().__init__()
         self.model = model
-
-    @property
-    def class_names(self) -> tuple:
-        return tuple(self.model.class_names)
 
     def score_inputs(self, inputs: np.ndarray) -> np.ndarray:
         """Logits over the whole head for each row of a design matrix."""
@@ -297,11 +304,14 @@ def train_task(
     training samples once, into a table that both measures its accuracy
     and supplies the distillation targets; a table whose weight is zero
     is dropped, and a teacher that cannot get a weight is never queried.
-    The task is encoded once, and the previous model (a
-    ``PrevModelTeacher``) scores that design matrix.  Its head must be a
-    prefix of the student's: its table of width ``m`` covers the first
-    ``m`` columns.  The general teacher's table must have one row per
-    sample and one column per head class (else TeacherQueryError).
+    Each sample's label is its class's head column, found by id
+    (``StudentModel.head_positions``: a class the head lacks, or names
+    differently, is a DataError).  The task is encoded once, and the
+    previous model (a ``PrevModelTeacher``) scores that design matrix.
+    Its head must be a prefix of the student's: its table of width ``m``
+    covers the first ``m`` columns.  The general teacher scores over the
+    head's names; its table must have one row per sample and one column
+    per head class (else TeacherQueryError).
     Each kept table is softened at the temperature once, into the
     probability rows the distillation terms take; a non-finite table is
     a NumericError before the first batch.  A teacher failure or a
@@ -316,22 +326,15 @@ def train_task(
     n = len(task.ids)
     if not n:
         raise DataError(f"task {t} has no training samples")
-    head_positions = {name: i for i, name in enumerate(student.class_names)}
-    for name in task.class_names:
-        if name not in head_positions:
-            raise DataError(f"student head is missing class {name!r}; grow it first")
-    head_names = tuple(student.class_names)
-    prev_names = prev_teacher.class_names if prev_teacher else ()
-    if head_names[: len(prev_names)] != prev_names:
+    labels = student.head_positions(task.classes).take(task.answers)
+    head_names = tuple(c.name for c in student.classes)
+    prev_head = prev_teacher.model.classes if prev_teacher else []
+    if student.classes[: len(prev_head)] != prev_head:
         raise DataError(
             f"student head {list(head_names)} does not extend the previous model's "
-            f"head {list(prev_names)}"
+            f"head {[c.name for c in prev_head]}"
         )
-
     inputs = encode_inputs(task, vocab, student.feature_length)
-    # Each task class's position in the head, taken for every sample at once.
-    labels = np.array([head_positions[name] for name in task.class_names],
-                      dtype=np.int64).take(task.answers)
 
     weights, breakdown, prev_table, llm_table = WeightTriple(1.0, 0.0, 0.0), None, None, None
     if t > 1 and settings.mode == "lwf":
@@ -420,34 +423,23 @@ METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 def evaluate(model: StudentModel, dataset: TaskDataset, inputs: np.ndarray) -> tuple:
     """(top-1 accuracy, macro F1) on one dataset, given its design matrix.
 
-    F1 is averaged over the classes actually present in the dataset, in
-    class-id order; each per-class precision, recall, and F1 treats 0/0
-    as 0.
+    Each sample's truth is its class's head column, found by id as in
+    training (``StudentModel.head_positions``).  F1 is averaged over the
+    classes actually present in the dataset, in class-id order; each
+    per-class precision, recall, and F1 treats 0/0 as 0.
     """
     if not len(dataset.ids):
         raise DataError(f"dataset for task {dataset.task_index} is empty")
-    head_names = dict(zip(model.class_ids, model.class_names))
-    missing = [c.name for c in dataset.classes if c.id not in head_names]
-    if missing:
-        raise DataError(f"model head does not cover classes {missing}")
-    renamed = [f"{c.id} ({head_names[c.id]!r} in the head, {c.name!r} in the data)"
-               for c in dataset.classes if head_names[c.id] != c.name]
-    if renamed:
-        raise DataError(f"model head names class ids differently: {', '.join(renamed)}")
-    logits = model.forward(inputs)
-    # Each class is counted in the slot of its rank among the head's ids,
-    # so the counts take one slot per head class whatever the ids are.
-    rank = {cid: r for r, cid in enumerate(sorted(model.class_ids))}
-    predicted = np.array([rank[cid] for cid in model.class_ids])[logits.argmax(axis=1)]
-    truth = np.array([rank[c.id] for c in dataset.classes]).take(dataset.answers)
+    truth = model.head_positions(dataset.classes).take(dataset.answers)
+    predicted = model.forward(inputs).argmax(axis=1)
     accuracy = float((predicted == truth).mean())
 
+    # Each head column's counts, taken in the order of the columns' class ids.
+    by_id = sorted(range(model.n_classes), key=lambda i: model.classes[i].id)
+    counts = [np.bincount(columns, minlength=model.n_classes)[by_id].tolist()
+              for columns in (truth[predicted == truth], predicted, truth)]
     f1_values = []
-    for tp, called, actual in zip(
-        np.bincount(truth[predicted == truth], minlength=len(rank)).tolist(),
-        np.bincount(predicted, minlength=len(rank)).tolist(),
-        np.bincount(truth, minlength=len(rank)).tolist(),
-    ):
+    for tp, called, actual in zip(*counts):
         if actual:
             precision = tp / called if called else 0.0
             recall = tp / actual
@@ -491,7 +483,7 @@ def run_continual(
                     settings.seed, manifest.feature_length, len(manifest.vocab) + 1,
                     settings.hidden1, settings.hidden2,
                 )
-        student.grow_head([c for c in train_split.classes if c.id not in student.class_ids])
+        student.grow_head([c for c in train_split.classes if c not in student.classes])
         ledger.update(train_split)
         train_task(
             student, prev_teacher, llm_teacher, train_split, ledger,
@@ -559,8 +551,8 @@ def save_checkpoint(path, model: StudentModel, task_index: int,
     header = {
         "task_index": int(task_index),
         **{key: getattr(model, key) for key in ARCHITECTURE},
-        "class_ids": list(model.class_ids),
-        "class_names": list(model.class_names),
+        "class_ids": [c.id for c in model.classes],
+        "class_names": [c.name for c in model.classes],
         "config_digest": config_digest,
         "trace_rows": trace.rows,
     }

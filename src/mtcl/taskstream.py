@@ -234,7 +234,9 @@ def _parse_manifest(path: Path, text: str) -> StreamManifest:
     for i, entry in enumerate(payload["labels"]):
         checked(f"label id at position {i}", entry["id"], f"the integer {i} (ids run 0..n-1)",
                 lambda v: is_integer(v) and v == i, DataError)
-        if tuple(entry["tokens"]) != tuple(vocab.encode(entry["name"])):
+        tokens = checked(f"label {entry['name']!r} tokens", entry["tokens"], "a list of integers",
+                         lambda v: isinstance(v, list) and all(map(is_integer, v)), DataError)
+        if tokens != vocab.encode(entry["name"]):
             raise DataError(
                 f"label {entry['name']!r} has token sequence inconsistent "
                 "with the vocabulary (manifest drift)"

@@ -188,7 +188,7 @@ def test_criterion_4_lwf_reduction(tmp_path):
         manifest.vocab, WeightTrace(),
     )
     prev = PrevModelTeacher(student.clone())
-    known = set(student.class_ids)
+    known = {c.id for c in student.classes}
     student.grow_head([c for c in task2.classes if c.id not in known])
     ledger.update(task2)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,6 +115,14 @@ def toy_label(i, name="c"):
     return LabelClass(id=i, name=f"{name}{i}")
 
 
+def head_ids(model):
+    return [c.id for c in model.classes]
+
+
+def head_names(model):
+    return [c.name for c in model.classes]
+
+
 class TestStudentModel:
     def test_trunk_depends_only_on_seed(self):
         a = StudentModel(3, 4, 6, 8, 8)
@@ -131,7 +140,7 @@ class TestStudentModel:
         at_once = StudentModel(3, 4, 6, 8, 8).grow_head(classes)
         np.testing.assert_array_equal(staged.w3, at_once.w3)
         np.testing.assert_array_equal(staged.b3, at_once.b3)
-        assert staged.class_ids == at_once.class_ids
+        assert head_ids(staged) == head_ids(at_once)
 
     def test_growth_leaves_existing_columns_alone(self):
         model = StudentModel(3, 4, 6, 8, 8).grow_head([toy_label(0), toy_label(1)])
@@ -174,9 +183,9 @@ class TestStudentModel:
         np.testing.assert_array_equal(twin.get_flat(), before)
         model.w1 += 1.0
         model.w3 += 1.0
-        model.class_ids.append(99)
+        model.classes.append(toy_label(99))
         np.testing.assert_array_equal(twin.get_flat(), before)
-        assert twin.class_ids == [0]
+        assert head_ids(twin) == [0]
 
     def test_backward_matches_central_differences(self):
         from mtcl.losses import batch_loss
@@ -231,8 +240,7 @@ class DictStudent:
         self.b2 = np.zeros(hidden2)
         self.w3 = np.zeros((hidden2, 0))
         self.b3 = np.zeros(0)
-        self.class_ids = []
-        self.class_names = []
+        self.classes = []
 
     NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -246,8 +254,7 @@ class DictStudent:
             column = rng.normal(0.0, 0.01, size=self.hidden2)
             self.w3 = np.concatenate([self.w3, column[:, None]], axis=1)
             self.b3 = np.append(self.b3, 0.0)
-            self.class_ids.append(int(c.id))
-            self.class_names.append(c.name)
+            self.classes.append(LabelClass(int(c.id), c.name))
         return self
 
     def forward(self, x):
@@ -278,8 +285,7 @@ class DictStudent:
                            self.hidden1, self.hidden2)
         for name in self.NAMES:
             setattr(twin, name, getattr(self, name).copy())
-        twin.class_ids = list(self.class_ids)
-        twin.class_names = list(self.class_names)
+        twin.classes = list(self.classes)
         return twin
 
 
@@ -321,7 +327,7 @@ class TestFlatStudentAgainstReference:
             for c in group:
                 model.grow_head([c])
             reference.grow_head(group)
-            assert model.class_ids == reference.class_ids
+            assert head_ids(model) == head_ids(reference)
             self.steps(model, reference, rng, 6)
             self.steps(frozen, frozen_reference, rng, 2)
         trace = WeightTrace()
@@ -388,8 +394,8 @@ class TestPrevModelTeacher:
         model, _ = self.make_model()
         teacher = PrevModelTeacher(model.clone())
         model.grow_head([LabelClass(id=3, name="idle hand")])
-        assert teacher.class_names == ("cut", "idle", "grasp")
-        assert PrevModelTeacher(model).class_names == ("cut", "idle", "grasp", "idle hand")
+        assert head_names(teacher.model) == ["cut", "idle", "grasp"]
+        assert head_names(PrevModelTeacher(model).model) == ["cut", "idle", "grasp", "idle hand"]
 
     def test_scores_no_samples_itself(self):
         model, _ = self.make_model()
@@ -398,7 +404,7 @@ class TestPrevModelTeacher:
         assert "score_table" not in vars(PrevModelTeacher)
         assert not hasattr(teacher, "vocab")
         with pytest.raises(NotImplementedError):
-            teacher.query(self.sample(), teacher.class_names)
+            teacher.query(self.sample(), head_names(teacher.model))
         assert teacher.query_count == 0
 
     def test_snapshot_does_not_track_live_model(self):
@@ -433,7 +439,7 @@ def reference_supervised_loop(manifest, task, settings):
         settings.hidden1, settings.hidden2,
     )
     model.grow_head(task.classes)
-    position = {name: i for i, name in enumerate(model.class_names)}
+    position = {name: i for i, name in enumerate(head_names(model))}
     inputs = encode_inputs(task, vocab, manifest.feature_length)
     labels = np.array([position[s.answer_name] for s in task.samples])
     rng = np.random.default_rng([settings.seed, 2, 1])
@@ -504,7 +510,7 @@ class TestTrainTask:
         )
         prev = PrevModelTeacher(student.clone())
         llm = NoisyOracleTeacher(seed=2, accuracy=0.8)
-        known = set(student.class_ids)
+        known = set(head_ids(student))
         student.grow_head([c for c in task2.classes if c.id not in known])
         ledger.update(task2)
         train_task(
@@ -594,7 +600,7 @@ class TestTrainTask:
             settings.hidden1, settings.hidden2,
         ).grow_head(task1.classes)
         frozen = student.clone()
-        student.grow_head([c for c in task2.classes if c.id not in student.class_ids])
+        student.grow_head([c for c in task2.classes if c.id not in head_ids(student)])
         observed = []
         train_task(
             student, PrevModelTeacher(frozen), None, task2,
@@ -674,7 +680,39 @@ class TestTrainTask:
             settings.seed, mini_stream.feature_length, len(mini_stream.vocab) + 1,
             settings.hidden1, settings.hidden2,
         )
-        with pytest.raises(DataError, match="grow"):
+        with pytest.raises(DataError, match="does not cover"):
+            train_task(
+                student, None, None, task, ImbalanceLedger().update(task),
+                settings, standard_weights(), mini_stream.vocab, WeightTrace(),
+            )
+
+    def head_with(self, mini_stream, task, first):
+        """A student whose head is the task's classes with the first replaced."""
+        return StudentModel(
+            5, mini_stream.feature_length, len(mini_stream.vocab) + 1, 16, 16,
+        ).grow_head([first, *task.classes[1:]])
+
+    def test_class_found_by_name_under_another_id_rejected(self, mini_stream):
+        # Labels are found by id: a head that holds the class's name under
+        # another id does not hold the class.
+        task = load_task(mini_stream, 1)
+        first = task.classes[0]
+        student = self.head_with(mini_stream, task, LabelClass(id=99, name=first.name))
+        settings = TrainSettings(seed=5, mode="ft", **FAST)
+        with pytest.raises(DataError, match=re.escape(f"does not cover classes [{first.name!r}]")):
+            train_task(
+                student, None, None, task, ImbalanceLedger().update(task),
+                settings, standard_weights(), mini_stream.vocab, WeightTrace(),
+            )
+
+    def test_head_id_with_another_name_rejected(self, mini_stream):
+        task = load_task(mini_stream, 1)
+        first = task.classes[0]
+        student = self.head_with(mini_stream, task, LabelClass(id=first.id, name="other"))
+        settings = TrainSettings(seed=5, mode="ft", **FAST)
+        with pytest.raises(DataError, match=re.escape(
+                f"names class ids differently: {first.id} ('other' in the head, "
+                f"{first.name!r} in the data)")):
             train_task(
                 student, None, None, task, ImbalanceLedger().update(task),
                 settings, standard_weights(), mini_stream.vocab, WeightTrace(),
@@ -784,7 +822,7 @@ class TestEvaluate:
         inputs = encode_inputs(test, mini_stream.vocab, mini_stream.feature_length)
         accuracy, macro_f1 = evaluate(student, test, inputs)
         predicted = [
-            student.class_ids[int(k)] for k in student.forward(inputs).argmax(axis=1)
+            head_ids(student)[int(k)] for k in student.forward(inputs).argmax(axis=1)
         ]
         truth = [s.answer for s in test.samples]
         acc, f1 = metrics_oracle(predicted, truth)
@@ -853,14 +891,14 @@ class TestPerClassTables:
         observed = []
         train_task(student, None, None, task, ImbalanceLedger().update(task), settings,
                    standard_weights(), vocab, WeightTrace(), observer=observed.append)
-        position = {name: i for i, name in enumerate(student.class_names)}
+        position = {name: i for i, name in enumerate(head_names(student))}
         label_of = {s.id: position[s.answer_name] for s in task.samples}
         for ctx in observed:
             assert ctx["labels"].tolist() == [label_of[sid] for sid in ctx["sample_ids"]]
 
         inputs = encode_inputs(task, vocab, student.feature_length)
-        rank = {cid: r for r, cid in enumerate(sorted(student.class_ids))}
-        predicted = [rank[student.class_ids[int(k)]]
+        rank = {cid: r for r, cid in enumerate(sorted(head_ids(student)))}
+        predicted = [rank[head_ids(student)[int(k)]]
                      for k in student.forward(inputs).argmax(axis=1)]
         truth = [rank[s.answer] for s in task.samples]
         assert len(set(predicted)) > 1 and len(set(truth)) == 3
@@ -939,7 +977,7 @@ class TestRunContinual:
         model, header = load_checkpoint(tmp_path / "checkpoint_t3.bin")
         assert header["task_index"] == 3
         assert header["config_digest"] == "abc123"
-        assert header["class_names"] == student.class_names
+        assert header["class_names"] == head_names(student)
         assert len(header["trace_rows"]) == len(trace.rows)
         test = load_task(mini_stream, 3, split="test")
         inputs = encode_inputs(test, mini_stream.vocab, mini_stream.feature_length)
@@ -956,7 +994,7 @@ class TestCheckpointFormat:
         save_checkpoint(path, model, 1, trace, "digest")
         restored, header = load_checkpoint(path)
         np.testing.assert_array_equal(restored.get_flat(), model.get_flat())
-        assert restored.class_ids == model.class_ids
+        assert head_ids(restored) == head_ids(model)
         assert header["seed"] == 3
 
     def test_header_layout_is_pinned(self, tmp_path):

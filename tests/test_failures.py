@@ -491,7 +491,8 @@ CASES = [
     Case("manifest", RUN, 3,
          r"^error: manifest stream/manifest\.json: cannot read vocabulary file stream/vocab\.txt",
          lambda monkeypatch: Path("stream/vocab.txt").unlink()),
-    # A version or label id must be a JSON integer, not a float or a bool equal to one.
+    # A version, label id or token id must be a JSON integer, not a float or a bool
+    # equal to one (label 3, 'vara guta', has the tokens [11, 2, 8, 2, 1, 5, 10, 9, 2]).
     *[Case("manifest", RUN, 3, "^" + re.escape(f"error: manifest stream/manifest.json: {reason}")
            + "$", manifest(change))
       for change, reason in [
@@ -499,7 +500,11 @@ CASES = [
           (lambda m: m["labels"][0].update(id=0.0),
            "label id at position 0 must be the integer 0 (ids run 0..n-1), got 0.0"),
           (lambda m: m["labels"][1].update(id=True),
-           "label id at position 1 must be the integer 1 (ids run 0..n-1), got True")]],
+           "label id at position 1 must be the integer 1 (ids run 0..n-1), got True"),
+          *[(lambda m, tokens=tokens: m["labels"][3].update(tokens=tokens),
+             f"label 'vara guta' tokens must be a list of integers, got {tokens!r}")
+            for tokens in ([11, 2, 8, 2, True, 5, 10, 9, 2], [11.0, 2, 8, 2, 1, 5, 10, 9, 2],
+                           [11, 2, 8, 2, "1", 5, 10, 9, 2])]]],
     *[Case("task-file", (*RUN, "--epochs", "1"), 3,
            r"^error: stream/task1\.train\.jsonl:1: ", first_record(field, value), STARTED)
       for field, value in [("features", 5), ("answer", [1])]],
