@@ -211,7 +211,8 @@ def cmd_eval(args) -> int:
         )
     dataset = load_task(manifest, args.task, args.split)
     accuracy, macro_f1 = evaluate(
-        model, dataset, encode_inputs(dataset, manifest.vocab, model.feature_length)
+        model, model.head_columns(dataset),
+        encode_inputs(dataset, manifest.vocab, model.feature_length),
     )
     print(f"task{args.task} ({args.split})  accuracy={accuracy:.4f}  macro_f1={macro_f1:.4f}")
     return 0

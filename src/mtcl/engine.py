@@ -208,6 +208,11 @@ class StudentModel:
             raise DataError(f"model head names class ids differently: {', '.join(renamed)}")
         return np.array([column[c.id] for c in classes], dtype=np.int64)
 
+    def head_columns(self, split: TaskDataset) -> np.ndarray:
+        """The head column of each sample's class in ``split``, through
+        ``head_positions``: a training label or an evaluation truth."""
+        return self.head_positions(split.classes).take(split.answers)
+
     def forward(self, x: np.ndarray, want_cache: bool = False):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.w1.shape[0]:
@@ -305,7 +310,7 @@ def train_task(
     and supplies the distillation targets; a table whose weight is zero
     is dropped, and a teacher that cannot get a weight is never queried.
     Each sample's label is its class's head column, found by id
-    (``StudentModel.head_positions``: a class the head lacks, or names
+    (``StudentModel.head_columns``: a class the head lacks, or names
     differently, is a DataError).  The task is encoded once, and the
     previous model (a ``PrevModelTeacher``) scores that design matrix.
     Its head must be a prefix of the student's: its table of width ``m``
@@ -326,7 +331,7 @@ def train_task(
     n = len(task.ids)
     if not n:
         raise DataError(f"task {t} has no training samples")
-    labels = student.head_positions(task.classes).take(task.answers)
+    labels = student.head_columns(task)
     head_names = tuple(c.name for c in student.classes)
     prev_head = prev_teacher.model.classes if prev_teacher else []
     if student.classes[: len(prev_head)] != prev_head:
@@ -420,17 +425,22 @@ class MetricsRow:
 METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 
 
-def evaluate(model: StudentModel, dataset: TaskDataset, inputs: np.ndarray) -> tuple:
-    """(top-1 accuracy, macro F1) on one dataset, given its design matrix.
+def evaluate(model: StudentModel, truth: np.ndarray, inputs: np.ndarray) -> tuple:
+    """(top-1 accuracy, macro F1) on one dataset, given its truth and design matrix.
 
-    Each sample's truth is its class's head column, found by id as in
-    training (``StudentModel.head_positions``).  F1 is averaged over the
-    classes actually present in the dataset, in class-id order; each
-    per-class precision, recall, and F1 treats 0/0 as 0.
+    ``truth[i]`` is the head column of row i's class
+    (``StudentModel.head_columns`` of the split).  It can be taken once,
+    when the split is loaded: the head only appends, and a class never
+    changes its id or name, so a class's column never moves.  F1 is
+    averaged over the classes actually present in the dataset, in
+    class-id order; each per-class precision, recall, and F1 treats 0/0
+    as 0.
     """
-    if not len(dataset.ids):
-        raise DataError(f"dataset for task {dataset.task_index} is empty")
-    truth = model.head_positions(dataset.classes).take(dataset.answers)
+    if not len(truth) or len(truth) != len(inputs):
+        raise DataError(
+            f"evaluation needs one truth per design-matrix row and at least one row, "
+            f"got {len(truth)} truths for {len(inputs)} rows"
+        )
     predicted = model.forward(inputs).argmax(axis=1)
     accuracy = float((predicted == truth).mean())
 
@@ -461,11 +471,17 @@ def run_continual(
 
     Returns (metrics rows, weight trace, final student).  After task t
     the student is evaluated on the held-out split of every task seen
-    so far plus an average row (each held-out split is encoded once, when
-    it is loaded); the frozen copy of the student becomes
+    so far plus an average row; the frozen copy of the student becomes
     the previous-model teacher for task t + 1.  With ``run_dir`` set,
     each task's files are written there (``RunDir.write_task``), so a
     run that stops keeps the results of the tasks it finished.
+
+    A split is held only within its own task.  The train split is
+    dropped once that task is trained and its held-out split taken (the
+    ledger keeps its class counts).  Of each held-out split, the run
+    keeps for its remaining tasks only what ``evaluate`` reads: its truth
+    and its design matrix, both taken once, when it is loaded
+    (``_held_out``).
     """
     student = prev_teacher = None
     ledger = ImbalanceLedger()
@@ -489,13 +505,12 @@ def run_continual(
             student, prev_teacher, llm_teacher, train_split, ledger,
             settings, weight_cfg, manifest.vocab, trace,
         )
-        held_out = load_task(manifest, t, "test")
-        tests.append(
-            (held_out, encode_inputs(held_out, manifest.vocab, manifest.feature_length))
-        )
+        tests.append((t, *_held_out(manifest, t, student)))
+        # Dropped after the held-out split is taken: dropped before, its pages
+        # went back to the system and the next task's load faulted them in again.
+        del train_split
         scores = [
-            (f"task{test.task_index}", *evaluate(student, test, inputs))
-            for test, inputs in tests
+            (f"task{i}", *evaluate(student, truth, inputs)) for i, truth, inputs in tests
         ]
         _, accuracies, macro_f1s = zip(*scores)
         scores.append((AVG_DATASET, float(np.mean(accuracies)), float(np.mean(macro_f1s))))
@@ -504,6 +519,14 @@ def run_continual(
         if run_dir is not None:
             run_dir.write_task(t, student, rows, trace)
     return rows, trace, student
+
+
+def _held_out(manifest: StreamManifest, t: int, student: StudentModel) -> tuple:
+    """(truth, design matrix) of task ``t``'s held-out split, which is
+    not kept: what ``evaluate`` reads of it at every later task."""
+    split = load_task(manifest, t, "test")
+    return (student.head_columns(split),
+            encode_inputs(split, manifest.vocab, manifest.feature_length))
 
 
 @dataclass(frozen=True)

@@ -234,14 +234,16 @@ def _parse_manifest(path: Path, text: str) -> StreamManifest:
     for i, entry in enumerate(payload["labels"]):
         checked(f"label id at position {i}", entry["id"], f"the integer {i} (ids run 0..n-1)",
                 lambda v: is_integer(v) and v == i, DataError)
-        tokens = checked(f"label {entry['name']!r} tokens", entry["tokens"], "a list of integers",
+        name = checked(f"label name at position {i}", entry["name"], "a string",
+                       lambda v: isinstance(v, str), DataError)
+        tokens = checked(f"label {name!r} tokens", entry["tokens"], "a list of integers",
                          lambda v: isinstance(v, list) and all(map(is_integer, v)), DataError)
-        if tokens != vocab.encode(entry["name"]):
+        if tokens != vocab.encode(name):
             raise DataError(
-                f"label {entry['name']!r} has token sequence inconsistent "
+                f"label {name!r} has token sequence inconsistent "
                 "with the vocabulary (manifest drift)"
             )
-        labels.append(LabelClass(id=i, name=entry["name"]))
+        labels.append(LabelClass(id=i, name=name))
     names = [c.name for c in labels]
     if len(set(names)) != len(names):
         raise DataError("label names must be unique across the stream")
@@ -255,7 +257,10 @@ def _parse_manifest(path: Path, text: str) -> StreamManifest:
                 f"task indices must start at 1 and be strictly increasing, found {index}"
             )
         last_index = index
-        for name, count in Counter(entry["classes"]).items():
+        classes = checked(f"task {index} classes", entry["classes"], "a list of strings",
+                          lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v),
+                          DataError)
+        for name, count in Counter(classes).items():
             if name not in known:
                 raise DataError(
                     f"task {index} declares unknown class {name!r} (manifest drift)"
@@ -267,7 +272,7 @@ def _parse_manifest(path: Path, text: str) -> StreamManifest:
             name = checked(f"task {index} {split}_file", entry[f"{split}_file"], "a file name",
                            lambda v: isinstance(v, str) and "\0" not in v, DataError)
             splits[split] = (name, _parse_block(index, split, entry))
-        tasks.append(TaskEntry(index=index, class_names=tuple(entry["classes"]), splits=splits))
+        tasks.append(TaskEntry(index=index, class_names=tuple(classes), splits=splits))
     if not tasks:
         raise DataError("manifest declares no tasks")
     return StreamManifest(path, feature_length, vocab, tuple(labels), tuple(tasks))

@@ -1,8 +1,10 @@
 """Training engine: model growth, task loop, evaluation, checkpoints."""
 
+import gc
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -790,7 +792,8 @@ def metrics_oracle(predicted, truth):
 
 
 def evaluated(model, dataset, vocab):
-    return evaluate(model, dataset, encode_inputs(dataset, vocab, model.feature_length))
+    return evaluate(model, model.head_columns(dataset),
+                    encode_inputs(dataset, vocab, model.feature_length))
 
 
 class TestEvaluate:
@@ -820,7 +823,7 @@ class TestEvaluate:
         )
         test = load_task(mini_stream, 1, split="test")
         inputs = encode_inputs(test, mini_stream.vocab, mini_stream.feature_length)
-        accuracy, macro_f1 = evaluate(student, test, inputs)
+        accuracy, macro_f1 = evaluate(student, student.head_columns(test), inputs)
         predicted = [
             head_ids(student)[int(k)] for k in student.forward(inputs).argmax(axis=1)
         ]
@@ -857,8 +860,38 @@ class TestEvaluate:
         vocab = build_vocabulary(["k0"])
         model, classes = rigged_constant_model(1, favored=0, vocab=vocab)
         dataset = dataset_of(1, [], classes, model.feature_length)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="got 0 truths for 0 rows"):
             evaluated(model, dataset, vocab)
+
+    def test_truth_of_another_length_rejected(self):
+        vocab = build_vocabulary(["k0"])
+        model, classes = rigged_constant_model(1, favored=0, vocab=vocab)
+        with pytest.raises(DataError, match="got 2 truths for 3 rows"):
+            evaluate(model, np.zeros(2, dtype=np.int64), np.zeros((3, 2 + len(vocab) + 1)))
+
+    def test_truth_taken_at_load_scores_as_the_final_heads(self, mini_stream):
+        """Each held-out split's truth, taken when it loads, gives after the
+        head has grown the same (accuracy, macro F1), bit for bit, as the
+        truth taken through the final head."""
+        settings = TrainSettings(seed=5, mode="ft", **FAST)
+        student = StudentModel(
+            settings.seed, mini_stream.feature_length, len(mini_stream.vocab) + 1,
+            settings.hidden1, settings.hidden2,
+        )
+        ledger, trace, held_out = ImbalanceLedger(), WeightTrace(), []
+        for t in (1, 2, 3):
+            task = load_task(mini_stream, t)
+            student.grow_head([c for c in task.classes if c not in student.classes])
+            train_task(student, None, None, task, ledger.update(task), settings,
+                       standard_weights(), mini_stream.vocab, trace)
+            test = load_task(mini_stream, t, split="test")
+            inputs = encode_inputs(test, mini_stream.vocab, mini_stream.feature_length)
+            held_out.append((test, student.head_columns(test), inputs, student.n_classes))
+        assert held_out[0][3] < held_out[1][3] < student.n_classes
+        for test, truth, inputs, _ in held_out:
+            final_truth = student.head_columns(test)
+            np.testing.assert_array_equal(truth, final_truth)
+            assert evaluate(student, truth, inputs) == evaluate(student, final_truth, inputs)
 
 
 class TestPerClassTables:
@@ -902,7 +935,7 @@ class TestPerClassTables:
                      for k in student.forward(inputs).argmax(axis=1)]
         truth = [rank[s.answer] for s in task.samples]
         assert len(set(predicted)) > 1 and len(set(truth)) == 3
-        accuracy, macro_f1 = evaluate(student, task, inputs)
+        accuracy, macro_f1 = evaluate(student, student.head_columns(task), inputs)
         acc, f1 = metrics_oracle(predicted, truth)
         assert accuracy == pytest.approx(acc, abs=1e-12) and accuracy > 0.5
         assert macro_f1 == pytest.approx(f1, abs=1e-12)
@@ -959,6 +992,37 @@ class TestRunContinual:
             [s.id for s in load_task(mini_stream, t, split).samples]
             for t in (1, 2, 3)
             for split in ("train", "test")
+        ]
+
+    @pytest.mark.parametrize("mode", ["ft", "lwf", "ours"])
+    def test_a_finished_task_holds_no_split(self, mini_stream, monkeypatch, mode):
+        # Evaluation keeps each held-out split's truth and design matrix, not
+        # the split; the train split is dropped once its task is trained and
+        # its held-out split taken.  So at each split load and each
+        # train_task entry, no split of an earlier task is alive.
+        loaded, events = [], []
+
+        def snapshot(event):
+            gc.collect()
+            events.append((event, [(t, split) for t, split, ref in loaded if ref() is not None]))
+
+        def watched_load(manifest, t, split="train"):
+            snapshot(f"load {t} {split}")
+            dataset = load_task(manifest, t, split)
+            loaded.append((t, split, weakref.ref(dataset)))
+            return dataset
+
+        def watched_train(student, prev_teacher, llm_teacher, task, *args, **kwargs):
+            snapshot(f"train {task.task_index}")
+            return train_task(student, prev_teacher, llm_teacher, task, *args, **kwargs)
+
+        monkeypatch.setattr("mtcl.engine.load_task", watched_load)
+        monkeypatch.setattr("mtcl.engine.train_task", watched_train)
+        self.run(mini_stream, mode)
+        assert events == [
+            event for t in (1, 2, 3)
+            for event in ((f"load {t} train", []), (f"train {t}", [(t, "train")]),
+                          (f"load {t} test", [(t, "train")]))
         ]
 
     def test_fine_tuning_never_queries_the_general_teacher(self, mini_stream):

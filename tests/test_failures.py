@@ -504,7 +504,14 @@ CASES = [
           *[(lambda m, tokens=tokens: m["labels"][3].update(tokens=tokens),
              f"label 'vara guta' tokens must be a list of integers, got {tokens!r}")
             for tokens in ([11, 2, 8, 2, True, 5, 10, 9, 2], [11.0, 2, 8, 2, 1, 5, 10, 9, 2],
-                           [11, 2, 8, 2, "1", 5, 10, 9, 2])]]],
+                           [11, 2, 8, 2, "1", 5, 10, 9, 2])],
+          # A string is not read as its characters, nor a list as a name.
+          *[(lambda m, name=name: m["labels"][0].update(name=name),
+             f"label name at position 0 must be a string, got {name!r}")
+            for name in (5, ["a"])],
+          *[(lambda m, classes=classes: m["tasks"][0].update(classes=classes),
+             f"task 1 classes must be a list of strings, got {classes!r}")
+            for classes in ("abc", 5, ["vatu", 5])]]],
     *[Case("task-file", (*RUN, "--epochs", "1"), 3,
            r"^error: stream/task1\.train\.jsonl:1: ", first_record(field, value), STARTED)
       for field, value in [("features", 5), ("answer", [1])]],
