@@ -20,11 +20,12 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import WEIGHT_KEYS, load_run_config
+from .config import LAYOUT, load_run_config
 from .engine import MODES, RunDir, encode_inputs, evaluate, load_checkpoint, run_continual
 from .errors import ConfigError, DataError, MtclError, checked, exit_code_for, is_finite_number
 from .taskstream import SPLITS, GeneratorConfig, generate_synthetic_stream, load_manifest
@@ -36,11 +37,10 @@ from .weights import TRACE_COLUMNS, WeightConfig, assemble_weights, trace_row
 MAX_SWEEP_POINTS = 10**6
 
 
-def _add_keyed_flags(parser, prefix: str, names, kind) -> None:
-    """``--name NAME`` for each of ``names``, setting the config key ``prefix + name``."""
+def _add_keyed_flags(parser, names, kind) -> None:
+    """``--name NAME`` for each of ``names``, setting the setting ``name``."""
     for name in names:
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, type=kind, dest=prefix + name, metavar=name.upper())
+        parser.add_argument("--" + name.replace("_", "-"), type=kind, metavar=name.upper())
 
 
 def _teacher_entry(kind: str, field: str, convert):
@@ -66,10 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output-dir", help="override the output directory")
     run.add_argument("--seed", type=int, help="override the run seed")
     run.add_argument("--mode", choices=MODES, help="override the mode")
-    _add_keyed_flags(run, "optimizer.", ("epochs", "batch_size"), int)
-    _add_keyed_flags(run, "optimizer.", ("learning_rate",), float)
-    run.add_argument("--temperature", type=float)
-    _add_keyed_flags(run, "weights.", WEIGHT_KEYS, float)
+    _add_keyed_flags(run, ("epochs", "batch_size"), int)
+    _add_keyed_flags(run, ("learning_rate", "temperature", *LAYOUT["weights"]), float)
     teacher = run.add_mutually_exclusive_group()
     for flag, kind, field, convert, text in (
         ("--oracle-accuracy", "noisy-oracle", "accuracy", float,
@@ -102,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     insp.add_argument("--acc-prev", type=float, required=True)
     insp.add_argument("--acc-llm", type=float, required=True)
     insp.add_argument("--ir", type=float, default=1.0)
-    _add_keyed_flags(insp, "", WEIGHT_KEYS, float)
+    _add_keyed_flags(insp, LAYOUT["weights"], float)
     insp.add_argument(
         "--class-count", type=int,
         help="derive the log base from this class count when --log-base is unset",
@@ -128,7 +126,7 @@ def _given_fields(args, config_class) -> dict:
 
 
 def cmd_run(args) -> int:
-    # Every other attribute is a flag named by the config key it sets.
+    # Every other attribute is a flag named by the setting it sets.
     overrides = {key: value for key, value in vars(args).items() if value is not None}
     del overrides["command"], overrides["config"]
     cfg = load_run_config(args.config, overrides)
@@ -138,7 +136,7 @@ def cmd_run(args) -> int:
     llm = teacher_from_config(
         cfg.llm_teacher, vocab=manifest.vocab, default_seed=settings.seed
     ) if cfg.llm_teacher is not None else None
-    run_dir = RunDir(cfg.resolved_output_dir(), cfg.digest())
+    run_dir = RunDir(Path(cfg.output_dir), cfg.digest())
     run_dir.start(cfg.resolved_dict())
     try:
         rows, _, _ = run_continual(manifest, settings, cfg.weights, llm_teacher=llm,

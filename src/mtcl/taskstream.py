@@ -50,6 +50,10 @@ SIDECAR_NAME = "ground_truth.json"
 # A feature block holds float64 in this byte order, row-major.
 BLOCK_DTYPE = np.dtype("<f8")
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
+# The (wanted, valid) pairs of the manifest's file names, arrays and objects.
+_FILE_NAME = ("a file name", lambda v: isinstance(v, str) and v and "\0" not in v)
+_ARRAY = ("an array", lambda v: isinstance(v, list))
+_OBJECT = ("an object", lambda v: isinstance(v, dict))
 
 SPLITS = ("train", "test")
 TEST_FRACTION = 0.2
@@ -229,13 +233,15 @@ def _parse_manifest(path: Path, text: str) -> StreamManifest:
             lambda v: is_integer(v) and v == MANIFEST_VERSION, DataError)
     feature_length = checked("feature_length", payload["feature_length"], *integer_rule(1),
                              DataError)
-    vocab = Vocabulary.load(path.parent / payload["vocab_file"])
+    vocab = Vocabulary.load(
+        path.parent / checked("vocab_file", payload["vocab_file"], *_FILE_NAME, DataError))
     labels = []
-    for i, entry in enumerate(payload["labels"]):
+    for i, entry in enumerate(checked("labels", payload["labels"], *_ARRAY, DataError)):
+        checked(f"label at position {i}", entry, *_OBJECT, DataError)
         checked(f"label id at position {i}", entry["id"], f"the integer {i} (ids run 0..n-1)",
                 lambda v: is_integer(v) and v == i, DataError)
-        name = checked(f"label name at position {i}", entry["name"], "a string",
-                       lambda v: isinstance(v, str), DataError)
+        name = checked(f"label name at position {i}", entry["name"], "a non-empty string",
+                       lambda v: isinstance(v, str) and v, DataError)
         tokens = checked(f"label {name!r} tokens", entry["tokens"], "a list of integers",
                          lambda v: isinstance(v, list) and all(map(is_integer, v)), DataError)
         if tokens != vocab.encode(name):
@@ -250,7 +256,8 @@ def _parse_manifest(path: Path, text: str) -> StreamManifest:
     known = set(names)
     tasks = []
     last_index = 0
-    for entry in payload["tasks"]:
+    for i, entry in enumerate(checked("tasks", payload["tasks"], *_ARRAY, DataError)):
+        checked(f"task at position {i}", entry, *_OBJECT, DataError)
         index = checked("task index", entry["index"], "an integer", is_integer, DataError)
         if index <= last_index or (last_index == 0 and index != 1):
             raise DataError(
@@ -269,8 +276,8 @@ def _parse_manifest(path: Path, text: str) -> StreamManifest:
                 raise DataError(f"task {index} lists class {name!r} more than once")
         splits = {}
         for split in SPLITS:
-            name = checked(f"task {index} {split}_file", entry[f"{split}_file"], "a file name",
-                           lambda v: isinstance(v, str) and "\0" not in v, DataError)
+            name = checked(f"task {index} {split}_file", entry[f"{split}_file"], *_FILE_NAME,
+                           DataError)
             splits[split] = (name, _parse_block(index, split, entry))
         tasks.append(TaskEntry(index=index, class_names=tuple(classes), splits=splits))
     if not tasks:
@@ -284,10 +291,9 @@ def _parse_block(index: int, split: str, entry: dict) -> FeatureBlock:
     where = f"task {index} {key}"
     if key not in entry:
         raise DataError(f"{where} is missing; each split needs a feature block")
-    spec = checked(where, entry[key], "an object", lambda v: isinstance(v, dict), DataError)
+    spec = checked(where, entry[key], *_OBJECT, DataError)
     return FeatureBlock(
-        file=checked(f"{where} file", spec["file"], "a file name",
-                     lambda v: isinstance(v, str) and v and "\0" not in v, DataError),
+        file=checked(f"{where} file", spec["file"], *_FILE_NAME, DataError),
         bytes=checked(f"{where} bytes", spec["bytes"], *integer_rule(0), DataError),
         sha256=checked(f"{where} sha256", spec["sha256"], "64 lowercase hex digits",
                        lambda v: isinstance(v, str) and _SHA256_HEX.fullmatch(v), DataError),

@@ -12,18 +12,20 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import SMALL, interrupt_write, read_metrics_csv
 
 import mtcl
 from mtcl.bridge import tokenize_labels, write_fixture
 from mtcl.cli import main
-from mtcl.config import OUTPUT_ROOT_ENV, build_run_config, load_run_config
-from mtcl.engine import RunDir
+from mtcl.config import LAYOUT, SETTING_NAMES, build_run_config, load_run_config
+from mtcl.engine import MODES, RunDir, TrainSettings
 from mtcl.errors import (
     ConfigError,
     DataError,
@@ -33,6 +35,7 @@ from mtcl.errors import (
     exit_code_for,
 )
 from mtcl.taskstream import GeneratorConfig, generate_synthetic_stream, load_manifest, load_task
+from mtcl.weights import WeightConfig
 
 
 EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
@@ -47,6 +50,39 @@ def base_payload(**extra):
     }
     payload.update(extra)
     return payload
+
+
+def nest(flat):
+    """The settings ``flat`` in a config file's layout."""
+    payload = {}
+    for key, section in LAYOUT.items():
+        if section is None and key in flat:
+            payload[key] = flat[key]
+        elif section is not None and any(name in flat for name in section):
+            payload[key] = {name: flat[name] for name in section if name in flat}
+    return payload
+
+
+@st.composite
+def valid_settings(draw):
+    """Every setting of a run, each valid, flat."""
+    alpha, share = draw(st.floats(0, 1)), draw(st.floats(0, 1))
+    flat = draw(st.fixed_dictionaries({
+        "manifest": st.just("stream/manifest.json"),
+        "mode": st.sampled_from(MODES),
+        "seed": st.integers(0, 2**64),
+        "output_dir": st.sampled_from(["runs/a", "out"]),
+        "temperature": st.floats(1e-3, 1e3) | st.integers(1, 9),
+        "log_base": st.none() | st.floats(1.5, 1e6),
+        "learning_rate": st.floats(1e-6, 10),
+        "epochs": st.integers(1, 100),
+        "batch_size": st.integers(1, 10**9),
+        "hidden1": st.integers(1, 64),
+        "hidden2": st.integers(1, 64),
+        "llm_teacher": st.just({"kind": "noisy-oracle", "accuracy": 0.8}),
+    }))
+    return {**flat, "alpha": alpha, "theta_ds": (1 - alpha) * share,
+            "theta_di": (1 - alpha) * (1 - share)}
 
 
 class TestBuildRunConfig:
@@ -124,18 +160,40 @@ class TestBuildRunConfig:
             build_run_config(payload)
 
     def test_overrides_win_over_file(self):
+        """An override names its setting, not the section the file keeps it in."""
         cfg = build_run_config(
-            base_payload(seed=1),
-            {"seed": 9, "weights.alpha": 0.5, "weights.theta_ds": 0.25,
-             "weights.theta_di": 0.25, "optimizer.epochs": 7},
+            base_payload(seed=1, optimizer={"epochs": 3}, weights=None),
+            {"seed": 9, "alpha": 0.5, "theta_ds": 0.25, "theta_di": 0.25, "epochs": 7},
         )
         assert cfg.settings.seed == 9
         assert cfg.weights.alpha == 0.5
         assert cfg.settings.epochs == 7
 
-    def test_too_deep_override_rejected(self):
-        with pytest.raises(ConfigError, match="too deep"):
-            build_run_config(base_payload(), {"weights.alpha.extra": 1})
+    def test_layout_names_each_setting_once(self):
+        """The file's sections hold every field of the two settings classes,
+        and the plain keys the rest of a run's settings, each once."""
+        expected = [f.name for cls in (TrainSettings, WeightConfig) for f in fields(cls)]
+        expected += ["manifest", "output_dir", "llm_teacher"]
+        assert sorted(SETTING_NAMES) == sorted(expected)
+        assert len(set(SETTING_NAMES)) == len(SETTING_NAMES)
+
+    @settings(max_examples=100, deadline=None)
+    @given(flat=valid_settings(), moved=st.sets(st.sampled_from(SETTING_NAMES)))
+    def test_a_setting_resolves_alike_in_the_file_or_as_an_override(self, flat, moved):
+        in_file = build_run_config(nest(flat))
+        mixed = build_run_config(nest({k: v for k, v in flat.items() if k not in moved}),
+                                 {name: flat[name] for name in moved})
+        assert mixed.resolved_dict() == in_file.resolved_dict()
+        assert mixed.digest() == in_file.digest()
+        if flat["mode"] == "ft":
+            flat.update(alpha=1.0, theta_ds=0.0, theta_di=0.0)
+        assert in_file.resolved_dict() == nest(flat)
+
+    @pytest.mark.parametrize("name", ["foo", "optimizer.epochs", "weights", "optimizer"])
+    def test_override_of_no_setting_rejected(self, name):
+        with pytest.raises(ConfigError) as info:
+            build_run_config(base_payload(), {name: 1})
+        assert info.value.violations == [f"unknown key {name}"]
 
     @pytest.mark.parametrize(
         "name, digest",
@@ -215,15 +273,6 @@ class TestLoadRunConfig:
             bad.write_text(text)
             with pytest.raises(ConfigError, match="JSON"):
                 load_run_config(bad)
-
-
-class TestOutputRoot:
-    def test_env_root_prepended(self, monkeypatch, tmp_path):
-        cfg = build_run_config(base_payload(output_dir="runs/x"))
-        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
-        assert cfg.resolved_output_dir() == tmp_path / "runs/x"
-        monkeypatch.delenv(OUTPUT_ROOT_ENV)
-        assert cfg.resolved_output_dir() == __import__("pathlib").Path("runs/x")
 
 
 class TestExitCodes:
@@ -404,17 +453,6 @@ class TestCliRun:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["mode"] == "ft"
         assert resolved["weights"]["alpha"] == 1.0
-
-    def test_env_output_root_applies(self, cli_workspace, tmp_path, monkeypatch):
-        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
-        code = main(
-            [
-                "run", str(cli_workspace / "run.json"),
-                "--output-dir", "nested/run", "--mode", "lwf", "--epochs", "1",
-            ]
-        )
-        assert code == 0
-        assert (tmp_path / "nested/run/metrics.csv").exists()
 
     @pytest.mark.parametrize(
         "flag, value, entry",

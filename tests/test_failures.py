@@ -304,6 +304,16 @@ ILL_TYPED_MANIFESTS = [
     lambda m: m["tasks"][0]["test_features"].update(
         bytes=str(m["tasks"][0]["test_features"]["bytes"])),
 ]
+
+
+def nameless(payload):
+    """Label 0, 'vatu', renamed in the manifest to the empty name, which
+    the vocabulary encodes as no tokens."""
+    payload["labels"][0].update(name="", tokens=[])
+    for task in payload["tasks"]:
+        task["classes"] = ["" if name == "vatu" else name for name in task["classes"]]
+
+
 SECTIONS_NOT_OBJECTS = [  # (section, value, a flag that sets one of its keys)
     ("weights", 5, ["--alpha", "0.3"]),
     ("optimizer", "abc", ["--epochs", "1"]),
@@ -507,11 +517,22 @@ CASES = [
                            [11, 2, 8, 2, "1", 5, 10, 9, 2])],
           # A string is not read as its characters, nor a list as a name.
           *[(lambda m, name=name: m["labels"][0].update(name=name),
-             f"label name at position 0 must be a string, got {name!r}")
+             f"label name at position 0 must be a non-empty string, got {name!r}")
             for name in (5, ["a"])],
           *[(lambda m, classes=classes: m["tasks"][0].update(classes=classes),
              f"task 1 classes must be a list of strings, got {classes!r}")
-            for classes in ("abc", 5, ["vatu", 5])]]],
+            for classes in ("abc", 5, ["vatu", 5])],
+          (nameless, "label name at position 0 must be a non-empty string, got ''"),
+          *[(lambda m, value=value: m.update(vocab_file=value),
+             f"vocab_file must be a file name, got {value!r}") for value in (5, "", None)],
+          (lambda m: m["tasks"][0].update(train_file=""),
+           "task 1 train_file must be a file name, got ''"),
+          *[(lambda m, key=key, value=value: m.update({key: value}),
+             f"{key} must be an array, got {value!r}")
+            for key, value in [("labels", 5), ("labels", {"0": "vatu"}), ("tasks", "abc")]],
+          (lambda m: m["labels"].__setitem__(0, 5), "label at position 0 must be an object, got 5"),
+          (lambda m: m["tasks"].__setitem__(1, ["x"]),
+           "task at position 1 must be an object, got ['x']")]],
     *[Case("task-file", (*RUN, "--epochs", "1"), 3,
            r"^error: stream/task1\.train\.jsonl:1: ", first_record(field, value), STARTED)
       for field, value in [("features", 5), ("answer", [1])]],
