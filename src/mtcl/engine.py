@@ -71,9 +71,12 @@ def encode_question(question: str, vocab: Vocabulary) -> np.ndarray:
 def encode_inputs(dataset: TaskDataset, vocab: Vocabulary, feature_length: int) -> np.ndarray:
     """Design matrix: each sample's features, then its question encoding.
 
-    The split's feature matrix is copied in with one assignment, and
-    each distinct question text is encoded once and gathered into its
-    rows.
+    A split that ``load_task`` read already holds its features in the
+    leading columns of its ``design`` buffer; its question columns are
+    filled in place and the buffer is returned, so a second call refills
+    the same matrix.  Any other split's features are copied into a new
+    matrix with one assignment.  Each distinct question text is encoded
+    once and gathered into its rows.
     """
     features = dataset.features
     if features.shape != (len(features), feature_length):
@@ -83,8 +86,11 @@ def encode_inputs(dataset: TaskDataset, vocab: Vocabulary, feature_length: int) 
         )
     slots = {}
     rows = [slots.setdefault(q, len(slots)) for q in dataset.questions]
-    inputs = np.empty((len(rows), feature_length + len(vocab) + 1), dtype=np.float64)
-    inputs[:, :feature_length] = features
+    width = feature_length + len(vocab) + 1
+    inputs = dataset.design
+    if inputs is None or inputs.shape[1] != width:
+        inputs = np.empty((len(rows), width), dtype=np.float64)
+        inputs[:, :feature_length] = features
     if rows:
         codes = np.stack([encode_question(q, vocab) for q in slots])
         np.take(codes, rows, axis=0, out=inputs[:, feature_length:])

@@ -9,7 +9,8 @@ the one wording ``<name> must be <wanted>, got <value>``; a rule is a
 field's metadata for ``check_settings``.  ``read_input`` and
 ``parse_json`` pick the error for an input file that cannot be read and
 for JSON that cannot be parsed; ``parse_input`` parses a whole input
-file and is the one place that names the file in a parse error, as
+file, and ``parse_stream`` one that its parser reads in pieces; they are
+the one place that names the file in a parse error, as
 ``<what> <path>: <reason>``; ``write_output`` writes every output file
 whole and ``remove_outputs`` removes them, each picking the error for a
 file it cannot write or remove; ``write_csv`` writes every table through
@@ -151,8 +152,27 @@ def parse_input(path, what: str, parse, text: bool = False):
     ``ValueError`` or ``OverflowError`` (``int`` of JSON's 1e400) that it
     is malformed."""
     data = read_input(path, what, text=text)
-    try:
+    with _parse_errors(path, what):
         return parse(data)
+
+
+def parse_stream(path, what: str, parse):
+    """``parse`` of the file at ``path``, open for binary reads, so that
+    it reads the file in pieces instead of whole.  Its errors map as in
+    ``parse_input``, and an ``OSError`` while the file is opened or read
+    says, as ``read_input`` does, that it cannot be read."""
+    try:
+        with open(path, "rb") as file, _parse_errors(path, what):
+            return parse(file)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+@contextmanager
+def _parse_errors(path, what: str):
+    """The error mapping of ``parse_input`` and ``parse_stream``."""
+    try:
+        yield
     except DataError as exc:
         raise DataError(f"{what} {path}: {exc}") from exc
     except struct.error as exc:

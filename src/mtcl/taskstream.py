@@ -10,10 +10,12 @@ A split is a line-delimited JSON file of records (id, question, answer),
 named by the task's ``{split}_file`` key, and a feature block named by
 its ``{split}_features`` key: raw little-endian float64, row-major, one
 row per record, pinned by its byte length and SHA-256.  A loaded split
-is columns: the records' ids, questions and answers (each an index into
-the task's classes), and the block's read-only matrix as read with one
-``frombuffer``, uncopied; ``write_task`` writes the same columns.  A
-``Sample`` is built only for a read through ``TaskDataset.samples``.
+is columns: the records' ids, questions (one string object per distinct
+text) and answers (each an index into the task's classes), and the
+block's read-only matrix.  The block is read in pieces straight into the
+leading columns of the split's design-matrix buffer, so its values are
+held once; ``write_task`` writes the same columns.  A ``Sample`` is
+built only for a read through ``TaskDataset.samples``.
 
 The synthetic generator produces streams with two controllable
 stressors: domain shift (classes new to a task get cluster centers
@@ -28,6 +30,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import re
 from collections import Counter
 from collections.abc import Sequence
@@ -40,7 +43,7 @@ import numpy as np
 from .bridge import Vocabulary, build_vocabulary
 from .errors import UNIT_RULE, ConfigError, DataError, check_settings, checked, integer_rule
 from .errors import integer_setting, is_integer, number_setting, parse_input, parse_json
-from .errors import read_input, setting, sized_by, write_output
+from .errors import parse_stream, read_input, setting, sized_by, write_output
 
 MANIFEST_VERSION = 1
 MANIFEST_NAME = "manifest.json"
@@ -49,6 +52,8 @@ SIDECAR_NAME = "ground_truth.json"
 
 # A feature block holds float64 in this byte order, row-major.
 BLOCK_DTYPE = np.dtype("<f8")
+# A feature block is read in pieces of at most this many bytes.
+PIECE_BYTES = 64 * 1024
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 # The (wanted, valid) pairs of the manifest's file names, arrays and objects.
 _FILE_NAME = ("a file name", lambda v: isinstance(v, str) and v and "\0" not in v)
@@ -76,8 +81,8 @@ class Sample(NamedTuple):
     """One row of a split, as ``TaskDataset.samples`` reads it.
 
     A tuple, so its fields are read-only and it is cheap to build.  Its
-    ``features`` is a row view of the split's matrix, read-only when the
-    split was loaded.
+    ``features`` is a row view of the split's ``features``, read-only
+    when the split was loaded.
     """
 
     id: str
@@ -94,6 +99,11 @@ class TaskDataset:
     ``answers[i]`` is the position in ``classes`` of sample i's class,
     and row i of ``features`` is its feature vector.  ``samples`` reads
     the same split one ``Sample`` at a time.
+
+    ``design`` is set only by ``load_task``: the split's design-matrix
+    buffer, whose leading columns ``features`` views read-only and whose
+    question columns ``engine.encode_inputs`` fills in place.  A split
+    built from a plain matrix has none.
     """
 
     task_index: int
@@ -102,6 +112,7 @@ class TaskDataset:
     questions: list
     answers: np.ndarray
     features: np.ndarray
+    design: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.task_index < 1:
@@ -300,32 +311,71 @@ def _parse_block(index: int, split: str, entry: dict) -> FeatureBlock:
     )
 
 
-def _read_block(root: Path, block: FeatureBlock, rows: int, feature_length: int) -> np.ndarray:
-    """The block's (rows, feature_length) matrix, read-only, after checking
-    its length, digest and shape against the manifest and the records, and
-    that every value is finite.
+def _read_block(root: Path, block: FeatureBlock, rows: int, feature_length: int,
+                width: int) -> tuple:
+    """(features, design): the block read into the leading ``feature_length``
+    columns of ``design``, a new (rows, width) buffer, and ``features``, the
+    read-only view of those columns, after checking the block's length,
+    digest and shape against the manifest and the records, and that every
+    value is finite.
 
-    The file is read whole, so a declared size never sets an allocation.
+    The file's length is checked before anything is allocated, so a
+    declared size never sets an allocation, and the buffer is sized by the
+    records.  The block is read in pieces of at most ``PIECE_BYTES``, each
+    hashed, checked for finite values and copied into its place; a file
+    that grows or shrinks while it is read is a DataError.
     """
 
-    def parse(data: bytes) -> np.ndarray:
-        if len(data) != block.bytes:
-            raise DataError(f"holds {len(data)} bytes, the manifest says {block.bytes}")
-        if hashlib.sha256(data).hexdigest() != block.sha256:
-            raise DataError("does not match its SHA-256 digest")
+    def parse(file) -> tuple:
+        size = os.fstat(file.fileno()).st_size
+        if size != block.bytes:
+            raise DataError(f"holds {size} bytes, the manifest says {block.bytes}")
+        digest = hashlib.sha256()
+        scratch = memoryview(bytearray(min(PIECE_BYTES, size)))
         expected = rows * feature_length * BLOCK_DTYPE.itemsize
-        if block.bytes != expected:
+        if size != expected:
+            while got := file.readinto(scratch):
+                digest.update(scratch[:got])
+            if digest.hexdigest() != block.sha256:
+                raise DataError("does not match its SHA-256 digest")
             raise DataError(
                 f"holds {block.bytes} bytes; {rows} records of "
                 f"{feature_length} float64 features need {expected}"
             )
-        matrix = np.frombuffer(data, dtype=BLOCK_DTYPE).reshape(rows, feature_length)
-        finite = np.isfinite(matrix).all(axis=1)
-        if not finite.all():
-            raise DataError(f"row {int(np.argmin(finite)) + 1} holds a non-finite value")
-        return matrix
+        design = np.zeros((rows, width), dtype=np.float64)
+        features = design[:, :feature_length]
+        finite = True
+        for piece in _pieces(features):
+            view = scratch[:piece.nbytes]
+            if file.readinto(view) != len(view):
+                raise DataError(f"shrank while it was read (it held {size} bytes when opened)")
+            digest.update(view)
+            values = np.frombuffer(view, dtype=BLOCK_DTYPE)
+            finite = finite and bool(np.isfinite(values).all())
+            piece[...] = values.reshape(piece.shape)
+        if file.read(1):
+            raise DataError(f"grew while it was read (it held {size} bytes when opened)")
+        if digest.hexdigest() != block.sha256:
+            raise DataError("does not match its SHA-256 digest")
+        if not finite:
+            rows_finite = np.isfinite(features).all(axis=1)
+            raise DataError(f"row {int(np.argmin(rows_finite)) + 1} holds a non-finite value")
+        features.flags.writeable = False
+        return features, design
 
-    return parse_input(root / block.file, "feature block", parse)
+    return parse_stream(root / block.file, "feature block", parse)
+
+
+def _pieces(matrix: np.ndarray):
+    """Views that cover ``matrix`` in row-major order, each of at most
+    ``PIECE_BYTES``: as many whole rows as fit, or a row in pieces when one
+    row does not."""
+    rows, cols = matrix.shape
+    width = min(cols, PIECE_BYTES // matrix.itemsize)
+    height = PIECE_BYTES // (width * matrix.itemsize)
+    for r in range(0, rows, height):
+        for c in range(0, cols, width):
+            yield matrix[r:r + height, c:c + width]
 
 
 # The C scanner behind ``json.loads``, without the wrapper's whitespace,
@@ -354,7 +404,10 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
     """Read one task split into its columns, checking each record once.
 
     The features are the split's block, one row per record, and the
-    records must not carry any.  A split must hold a record.
+    records must not carry any; they are read into the split's
+    ``design`` buffer, one column per feature, then one per question
+    token slot of the manifest's vocabulary.  Equal question texts share
+    one string.  A split must hold a record.
     """
     if split not in SPLITS:
         raise DataError(f"split must be one of {SPLITS}, got {split!r}")
@@ -364,6 +417,7 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
     by_name = manifest.label_by_name
     declared = {name: i for i, name in enumerate(entry.class_names)}
     ids, questions, answers = [], [], []
+    texts = {}
     lines = read_input(file_path, "task file", text=True).split("\n")
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -397,17 +451,20 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
                 f"for task {t}"
             )
         ids.append(sample_id)
-        questions.append(question)
+        questions.append(texts.setdefault(question, question))
         answers.append(answer)
     if not ids:
         raise DataError(f"task file {file_path}: the {split} split has no records")
+    features, design = _read_block(manifest.root, block, len(ids), manifest.feature_length,
+                                   manifest.feature_length + len(manifest.vocab) + 1)
     return TaskDataset(
         task_index=t,
         classes=[by_name[name] for name in entry.class_names],
         ids=ids,
         questions=questions,
         answers=np.array(answers, dtype=np.int64),
-        features=_read_block(manifest.root, block, len(ids), manifest.feature_length),
+        features=features,
+        design=design,
     )
 
 

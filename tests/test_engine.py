@@ -1,9 +1,11 @@
 """Training engine: model growth, task loop, evaluation, checkpoints."""
 
+import dataclasses
 import gc
 import json
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -29,6 +31,7 @@ from mtcl.engine import (
 from mtcl.errors import ConfigError, DataError, NumericError
 from mtcl.losses import softened_softmax
 from mtcl.taskstream import (
+    SPLITS,
     GeneratorConfig,
     ImbalanceLedger,
     LabelClass,
@@ -111,6 +114,45 @@ class TestEncodeQuestion:
         empty = encode_inputs(dataset_of(1, [], task.classes, mini_stream.feature_length),
                               vocab, mini_stream.feature_length)
         assert empty.shape == (0, mini_stream.feature_length + len(vocab) + 1)
+
+    def test_a_loaded_split_is_encoded_in_the_buffer_its_features_view(self, mini_stream):
+        """``encode_inputs`` fills a loaded split's own design buffer, and
+        gives the bytes that copying its features into a new matrix gives."""
+        vocab, feature_length = mini_stream.vocab, mini_stream.feature_length
+        for entry in mini_stream.tasks:
+            for split in SPLITS:
+                task = load_task(mini_stream, entry.index, split)
+                design = encode_inputs(task, vocab, feature_length)
+                assert design is task.design
+                assert np.shares_memory(design, task.features)
+                copied = dataclasses.replace(task, features=np.array(task.features),
+                                             design=None)
+                allocated = encode_inputs(copied, vocab, feature_length)
+                assert not np.shares_memory(allocated, task.features)
+                assert allocated.tobytes() == design.tobytes()
+
+    def test_a_split_holds_each_question_text_once(self, mini_stream):
+        for entry in mini_stream.tasks:
+            for split in SPLITS:
+                questions = load_task(mini_stream, entry.index, split).questions
+                assert len({id(q) for q in questions}) == len(set(questions)) < len(questions)
+
+    def test_a_loaded_split_holds_its_features_once(self, tmp_path):
+        """Loading and encoding a split with wide features peaks below its
+        block and its design matrix together: the block's values are read
+        straight into the design matrix, not held beside it."""
+        cfg = GeneratorConfig(tasks=1, classes_per_task=3, feature_length=512,
+                              samples_per_task=300)
+        manifest = load_manifest(generate_synthetic_stream(cfg, seed=3, out_dir=tmp_path))
+        _, block = manifest.tasks[0].splits["train"]
+        tracemalloc.start()
+        try:
+            design = encode_inputs(load_task(manifest, 1), manifest.vocab, cfg.feature_length)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.bytes == len(design) * cfg.feature_length * 8
+        assert peak < block.bytes + design.nbytes
 
 
 def toy_label(i, name="c"):

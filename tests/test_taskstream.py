@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 import mtcl
 from mtcl.bridge import build_vocabulary
-from mtcl.errors import ConfigError, DataError
+from mtcl.engine import encode_inputs
+from mtcl.errors import ConfigError, DataError, exit_code_for
 from mtcl.taskstream import (
+    PIECE_BYTES,
     FeatureBlock,
     GeneratorConfig,
     ImbalanceLedger,
@@ -539,7 +541,7 @@ class TestFeatureBlocks:
                     setattr(s, name, None)
         assert np.shares_memory(first, task.samples[-1].features.base)
 
-    def test_features_are_the_block_matrix_uncopied(self, tmp_path, monkeypatch):
+    def test_features_are_the_block_read_into_the_design_buffer(self, tmp_path, monkeypatch):
         read = []
         real = mtcl.taskstream._read_block
 
@@ -548,9 +550,15 @@ class TestFeatureBlocks:
             return read[-1]
 
         monkeypatch.setattr(mtcl.taskstream, "_read_block", kept)
-        task = load_task(load_manifest(write_stream(tmp_path)), 1)
-        assert task.features is read[0]
+        manifest = load_manifest(write_stream(tmp_path))
+        task = load_task(manifest, 1)
+        features, design = read[0]
+        assert task.features is features
         assert not task.features.flags.writeable
+        assert task.design is design
+        assert design.shape == (3, manifest.feature_length + len(manifest.vocab) + 1)
+        assert np.shares_memory(task.features, design)
+        assert task.features.tobytes() == (tmp_path / "task1.train.f64").read_bytes()
 
     def test_generator_writes_a_block_per_split(self, generated):
         out, manifest, _ = generated
@@ -653,6 +661,125 @@ class TestFeatureBlocks:
 
         path = write_stream(tmp_path, inflate)
         assert load_or_data_error(lambda: load_all(load_manifest(path))) is None
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda data: data[:-8], "shrank"),
+        (lambda data: b"", "shrank"),
+        (lambda data: data + bytes(8), "grew"),
+    ], ids=["shrinks", "empties", "grows"])
+    def test_block_that_changes_while_read_rejected(self, tmp_path, monkeypatch, change,
+                                                    message):
+        """A block that changes length after its length was checked is a
+        DataError naming it, never a traceback or a short matrix."""
+        write_stream(tmp_path)
+        path = tmp_path / "task1.train.f64"
+        real = mtcl.taskstream.parse_stream
+
+        class Changing:
+            """The open block, rewritten on disk just before its first read."""
+
+            def __init__(self, file):
+                self.file, self.changed = file, False
+
+            def fileno(self):
+                return self.file.fileno()
+
+            def read(self, n):
+                return self.file.read(n)
+
+            def readinto(self, view):
+                if not self.changed:
+                    path.write_bytes(change(path.read_bytes()))
+                    self.changed = True
+                return self.file.readinto(view)
+
+        monkeypatch.setattr(mtcl.taskstream, "parse_stream",
+                            lambda p, what, parse: real(p, what, lambda f: parse(Changing(f))))
+        with pytest.raises(DataError, match=f"{message} while it was read") as info:
+            load_task(load_manifest(tmp_path / "manifest.json"), 1)
+        assert exit_code_for(info.value) == 3
+        assert f"feature block {path}: " in str(info.value)
+
+
+# float64 values in one piece of a feature block.
+PIECE_VALUES = PIECE_BYTES // 8
+
+
+@st.composite
+def piece_shapes(draw):
+    """(rows, features) of a block around one piece: one row fewer than a
+    piece holds, as many or one more; or up to 3 rows each wider than a piece."""
+    if draw(st.booleans()):
+        return draw(st.integers(1, 3)), draw(st.integers(PIECE_VALUES + 1, PIECE_VALUES + 512))
+    features = draw(st.integers(1, PIECE_VALUES // 2))
+    return PIECE_VALUES // features + draw(st.sampled_from([-1, 0, 1])), features
+
+
+def write_block_split(root, rows: int, features: int, seed: int) -> bytes:
+    """A stream whose task 1 train split has ``rows`` records of ``features``
+    seeded float64 values; returns the split's block."""
+
+    def widen(payload):
+        payload["feature_length"] = features
+
+    write_stream(root, widen)
+    matrix = np.random.default_rng(seed).standard_normal((rows, features))
+    split = TaskDataset(1, toy_classes(("cut", "idle")), [f"t1-{i}" for i in range(rows)],
+                        ["q"] * rows, np.zeros(rows, dtype=np.int64), matrix)
+    write_task(root / "task1.train.jsonl", split, root / "task1.train.f64")
+    data = (root / "task1.train.f64").read_bytes()
+    pin_block(root, 1, "train", data)
+    return data
+
+
+class TestBlockPieces:
+    """A block is read in pieces of at most ``PIECE_BYTES`` into its split's
+    design buffer, and loads as one ``frombuffer`` of the file would."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(shape=piece_shapes(), seed=st.integers(0, 2**32 - 1))
+    @example(shape=(1, PIECE_VALUES), seed=0)
+    @example(shape=(2, PIECE_VALUES + 1), seed=0)
+    def test_loads_bit_identical_around_a_piece(self, tmp_path_factory, shape, seed):
+        rows, features = shape
+        root = tmp_path_factory.mktemp("pieces")
+        data = write_block_split(root, rows, features, seed)
+        pieces = []
+        real = mtcl.taskstream._pieces
+
+        def spied(matrix):
+            for piece in real(matrix):
+                pieces.append(piece.nbytes)
+                yield piece
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mtcl.taskstream, "_pieces", spied)
+            manifest = load_manifest(root / "manifest.json")
+            task = load_task(manifest, 1)
+        assert sum(pieces) == len(data)
+        assert max(pieces) <= min(PIECE_BYTES, len(data))
+        assert task.features.tobytes() == np.frombuffer(data, "<f8").reshape(shape).tobytes()
+        assert not task.features.flags.writeable
+        design = encode_inputs(task, manifest.vocab, features)
+        assert design is task.design
+        assert design[:, :features].tobytes() == data
+
+    @pytest.mark.parametrize("extra_rows, pin_damage, message", [
+        (0, False, "SHA-256"), (1, True, "3 records of 16384"), (1, False, "SHA-256"),
+    ], ids=["digest", "extra-row", "extra-row-and-digest"])
+    def test_block_of_many_pieces_checked_whole(self, tmp_path, extra_rows, pin_damage,
+                                                message):
+        """The digest covers every piece, and is checked before the shape."""
+        data = write_block_split(tmp_path, 3, 2 * PIECE_VALUES, seed=1)
+        damaged = data[:-8] + np.array([9.0]).tobytes() + bytes(extra_rows * len(data) // 3)
+        pin_block(tmp_path, 1, "train", damaged)
+        if not pin_damage:  # the manifest keeps the original block's digest
+            path = tmp_path / "manifest.json"
+            payload = json.loads(path.read_text())
+            payload["tasks"][0]["train_features"]["sha256"] = hashlib.sha256(data).hexdigest()
+            path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=message):
+            load_task(load_manifest(tmp_path / "manifest.json"), 1)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
