@@ -66,7 +66,9 @@ class RunConfig:
                 for key, section in LAYOUT.items()}
 
     def digest(self) -> str:
-        """Hash of everything that affects results (output path excluded)."""
+        """Hash of the resolved settings, output path excluded.  These
+        include the manifest path string (not the stream's content) and
+        a service teacher's ``base_url``, port included."""
         payload = self.resolved_dict()
         payload.pop("output_dir")
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -7,12 +7,15 @@ runs bit-reproducible across repeats and makes the whole loss
 differentiable-by-inspection (the gradient check exercises exactly the
 code the trainer runs).
 
-Per task the loop grows the output head for unseen classes, measures
-both teachers' accuracies on the incoming training data, updates the
-cumulative imbalance ledger, trains under the weighted three-term loss,
-then evaluates on the held-out split of every task seen so far.  The
-student trained at step t is frozen and becomes the previous-model
-teacher at step t+1.
+Per task the loop grows the output head for unseen classes, updates
+the cumulative imbalance ledger, trains, then evaluates on the held-out
+split of every task seen so far.  Training is two steps: ``plan_task``
+is the paper's method (both teachers' accuracies on the incoming
+training data set the weights and targets), and ``fit`` is plain
+mini-batch descent on the weighted three-term loss, which returns each
+epoch's mean loss terms for the run's ``events.jsonl``.  The student
+trained at step t is frozen and becomes the previous-model teacher at
+step t+1.
 
 Baselines are weight presets over this same loop: plain fine-tuning
 pins the weights to (1, 0, 0); single-teacher distillation pins them to
@@ -38,7 +41,7 @@ from .errors import ConfigError, DataError, NumericError, TeacherQueryError, che
 from .errors import checked, integer_rule, integer_setting, is_integer, is_number, number_setting
 from .errors import parse_input, parse_json, remove_outputs, setting, sized_by, write_csv
 from .errors import write_output
-from .losses import batch_loss, softened_softmax
+from .losses import LossBreakdown, batch_loss, softened_softmax
 from .taskstream import ImbalanceLedger, LabelClass, StreamManifest, TaskDataset, load_task
 from .teachers import Teacher
 from .weights import TRACE_COLUMNS, WeightConfig, WeightTriple, WeightTrace, assemble_weights
@@ -292,19 +295,26 @@ class PrevModelTeacher(Teacher):
         return table
 
 
-def train_task(
-    student: StudentModel,
-    prev_teacher,
-    llm_teacher,
-    task: TaskDataset,
-    ledger: ImbalanceLedger,
-    settings: TrainSettings,
-    weight_cfg: WeightConfig,
-    vocab: Vocabulary,
-    trace: WeightTrace,
-    observer=None,
-) -> StudentModel:
-    """Mini-batch gradient descent on the weighted three-term loss.
+@dataclass(frozen=True)
+class TaskPlan:
+    """What ``fit`` trains on for one task.  ``tables`` holds the raw
+    (previous model, general teacher) score tables, which the observer
+    sees, and ``targets`` them softened at the temperature, which the
+    distillation terms take; a table that is not kept is None in both."""
+
+    t: int
+    ids: list
+    inputs: np.ndarray
+    labels: np.ndarray
+    weights: WeightTriple
+    tables: tuple
+    targets: tuple
+
+
+def plan_task(student: StudentModel, prev_teacher, llm_teacher, task: TaskDataset,
+              ledger: ImbalanceLedger, settings: TrainSettings, weight_cfg: WeightConfig,
+              vocab: Vocabulary, trace: WeightTrace) -> TaskPlan:
+    """The paper's weight plan for one task, recorded in ``trace``.
 
     The step is the task's ``task_index``.  The (alpha, beta, chi)
     weights are set once per task: (1, 0, 0) at step 1 and under
@@ -322,16 +332,8 @@ def train_task(
     Its head must be a prefix of the student's: its table of width ``m``
     covers the first ``m`` columns.  The general teacher scores over the
     head's names; its table must have one row per sample and one column
-    per head class (else TeacherQueryError).
-    Each kept table is softened at the temperature once, into the
-    probability rows the distillation terms take; a non-finite table is
-    a NumericError before the first batch.  A teacher failure or a
-    non-finite loss aborts the run; terms are never dropped silently.
-    ``observer``, if given, is called once per batch with a dict of that
-    batch's loss ingredients (for side-by-side recomputation in tests):
-    ``t``, ``epoch``, ``batch``, ``sample_ids``, ``labels``,
-    ``student_logits``, ``prev_logits``, ``llm_logits`` (teacher rows or
-    None), ``weights``, ``temperature`` and ``breakdown``.
+    per head class (else TeacherQueryError).  Each kept table is softened
+    once; a non-finite table is a NumericError, before ``fit`` starts.
     """
     t = task.task_index
     n = len(task.ids)
@@ -377,45 +379,63 @@ def train_task(
         prev_table = prev_table if weights.beta > 0.0 else None
         llm_table = llm_table if weights.chi > 0.0 else None
     trace.record(t, weights, breakdown)
+    tables = (prev_table, llm_table)
     # The teachers are frozen, so each table is softened once per task.
-    prev_probs, llm_probs = (
-        None if table is None else softened_softmax(table, settings.temperature)
-        for table in (prev_table, llm_table)
-    )
+    targets = tuple(None if table is None else softened_softmax(table, settings.temperature)
+                    for table in tables)
+    return TaskPlan(t, task.ids, inputs, labels, weights, tables, targets)
 
-    shuffle_rng = np.random.default_rng([settings.seed, 2, int(t)])
+
+def fit(student: StudentModel, plan: TaskPlan, settings: TrainSettings, observer=None) -> list:
+    """Mini-batch gradient descent on the plan's weighted three-term loss.
+
+    Returns each epoch's mean ``LossBreakdown``: each batch's terms times
+    its row count, summed in batch order, over the split's rows (nan for
+    a term that is off).  A non-finite loss aborts the run; terms are
+    never dropped silently.  ``observer``, if given, is called once per
+    batch with a dict of that batch's loss ingredients (for side-by-side
+    recomputation in tests): ``t``, ``epoch``, ``batch``, ``sample_ids``,
+    ``labels``, ``student_logits``, ``prev_logits``, ``llm_logits``
+    (teacher rows or None), ``weights``, ``temperature`` and ``breakdown``.
+    """
+    n = len(plan.labels)
+    shuffle_rng = np.random.default_rng([settings.seed, 2, int(plan.t)])
+    means = []
     for epoch in range(settings.epochs):
         order = shuffle_rng.permutation(n)
+        batches = []
         for start in range(0, n, settings.batch_size):
             batch_idx = order[start : start + settings.batch_size]
-            y = labels[batch_idx]
-            logits, cache = student.forward(inputs[batch_idx], want_cache=True)
+            y = plan.labels[batch_idx]
+            logits, cache = student.forward(plan.inputs[batch_idx], want_cache=True)
             batch_breakdown, dz = batch_loss(
-                logits, y, weights, settings.temperature,
-                _rows(prev_probs, batch_idx), _rows(llm_probs, batch_idx),
+                logits, y, plan.weights, settings.temperature,
+                *(None if rows is None else rows[batch_idx] for rows in plan.targets),
             )
             student.apply_gradients(student.backward(cache, dz), settings.learning_rate)
+            batches.append((batch_breakdown, len(y)))
             if observer is not None:
-                observer(
-                    {
-                        "t": t,
-                        "epoch": epoch,
-                        "batch": start // settings.batch_size,
-                        "sample_ids": [task.ids[int(i)] for i in batch_idx],
-                        "labels": y.copy(),
-                        "student_logits": logits.copy(),
-                        "prev_logits": _rows(prev_table, batch_idx),
-                        "llm_logits": _rows(llm_table, batch_idx),
-                        "weights": weights,
-                        "temperature": settings.temperature,
-                        "breakdown": batch_breakdown,
-                    }
-                )
-    return student
+                prev_logits, llm_logits = (None if table is None else table[batch_idx]
+                                           for table in plan.tables)
+                observer({"t": plan.t, "epoch": epoch, "batch": start // settings.batch_size,
+                          "sample_ids": [plan.ids[int(i)] for i in batch_idx],
+                          "labels": y.copy(), "student_logits": logits.copy(),
+                          "prev_logits": prev_logits, "llm_logits": llm_logits,
+                          "weights": plan.weights, "temperature": settings.temperature,
+                          "breakdown": batch_breakdown})
+        sums = [0.0] * len(fields(LossBreakdown))
+        for breakdown, rows in batches:
+            sums = [total + value * rows for total, value in zip(sums, vars(breakdown).values())]
+        means.append(LossBreakdown(*(total / n for total in sums)))
+    return means
 
 
-def _rows(table, batch_idx):
-    return None if table is None else table[batch_idx]
+def train_task(student: StudentModel, prev_teacher, llm_teacher, task: TaskDataset,
+               ledger: ImbalanceLedger, settings: TrainSettings, weight_cfg: WeightConfig,
+               vocab: Vocabulary, trace: WeightTrace, observer=None) -> list:
+    """One task's training, as the run calls it: ``fit`` on its ``plan_task``."""
+    return fit(student, plan_task(student, prev_teacher, llm_teacher, task, ledger, settings,
+                                  weight_cfg, vocab, trace), settings, observer)
 
 
 @dataclass(frozen=True)
@@ -492,8 +512,7 @@ def run_continual(
     student = prev_teacher = None
     ledger = ImbalanceLedger()
     trace = WeightTrace()
-    rows = []
-    tests = []
+    rows, events, tests = [], [], []
     for entry in manifest.tasks:
         t = entry.index
         train_split = load_task(manifest, t, "train")
@@ -507,10 +526,14 @@ def run_continual(
                 )
         student.grow_head([c for c in train_split.classes if c not in student.classes])
         ledger.update(train_split)
-        train_task(
+        losses = train_task(
             student, prev_teacher, llm_teacher, train_split, ledger,
             settings, weight_cfg, manifest.vocab, trace,
         )
+        weights = {name: trace.rows[-1][name] for name in ("alpha", "beta", "chi")}
+        events += ({"t": t, "epoch": epoch, "samples": len(train_split.ids), **weights,
+                    **{name: None if math.isnan(v) else v for name, v in vars(terms).items()}}
+                   for epoch, terms in enumerate(losses))
         tests.append((t, *_held_out(manifest, t, student)))
         # Dropped after the held-out split is taken: dropped before, its pages
         # went back to the system and the next task's load faulted them in again.
@@ -523,7 +546,7 @@ def run_continual(
         rows.extend(MetricsRow(t, *score) for score in scores)
         prev_teacher = PrevModelTeacher(student.clone())
         if run_dir is not None:
-            run_dir.write_task(t, student, rows, trace)
+            run_dir.write_task(t, student, rows, trace, events)
     return rows, trace, student
 
 
@@ -546,7 +569,8 @@ class RunDir:
         """Remove the run files an earlier run left, and the ``.tmp`` of one
         that a kill left half written (no other file), then write
         ``resolved_config`` (``RunConfig.resolved_dict()``) and the run info."""
-        names = ("resolved_config.json", "run_info.json", "metrics.csv", "weight_trace.csv")
+        names = ("resolved_config.json", "run_info.json", "metrics.csv", "weight_trace.csv",
+                 "events.jsonl")
         remove_outputs(self.path, lambda name: name.removesuffix(".tmp") in names
                        or re.fullmatch(r"checkpoint_t[0-9]+\.bin(\.tmp)?", name), "run files")
         run_info = {"tool_version": __version__, "seed": resolved_config["seed"],
@@ -555,11 +579,15 @@ class RunDir:
                                     ("run_info.json", "run info", run_info)):
             write_output(self.path / name, json.dumps(payload, indent=2) + "\n", what)
 
-    def write_task(self, t: int, student: StudentModel, rows, trace: WeightTrace) -> None:
-        """The whole metrics table and weight trace, then task ``t``'s
-        checkpoint last, so that task ``t`` is finished iff it exists."""
+    def write_task(self, t: int, student: StudentModel, rows, trace: WeightTrace,
+                   events) -> None:
+        """The whole metrics table, weight trace and event log (one strict
+        JSON line per record of ``events``), then task ``t``'s checkpoint
+        last, so that task ``t`` is finished iff it exists."""
         write_metrics_csv(self.path / "metrics.csv", rows)
         trace.write_csv(self.path / "weight_trace.csv")
+        write_output(self.path / "events.jsonl", "".join(
+            json.dumps(event, allow_nan=False) + "\n" for event in events), "event log")
         save_checkpoint(self.path / f"checkpoint_t{t}.bin", student, t, trace, self.config_digest)
 
 

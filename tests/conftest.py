@@ -86,6 +86,15 @@ def read_metrics_csv(path) -> list:
     return rows
 
 
+def read_events(path) -> list:
+    """The records of an ``events.jsonl``, each line parsed as strict JSON:
+    a NaN or an infinity in it fails the test."""
+    def refuse(constant):
+        raise AssertionError(f"{path} holds {constant}")
+
+    return [json.loads(line, parse_constant=refuse) for line in path.read_text().splitlines()]
+
+
 def interrupt_write(monkeypatch, n: int) -> None:
     """Raise KeyboardInterrupt inside the ``n``th file write from now on,
     after half its bytes are written.  ``errors.write_output`` writes every

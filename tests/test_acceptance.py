@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import classes_up_to, grad_check, read_metrics_csv
+from conftest import classes_up_to, grad_check, read_events, read_metrics_csv
 
 from mtcl.bridge import (
     SCORE_EPS,
@@ -284,7 +284,7 @@ def regression(tmp_path_factory):
         )
         assert code == 0, f"{label} run failed"
         runs[label] = out
-    return {"runs": runs, "wall": time.perf_counter() - started}
+    return {"runs": runs, "wall": time.perf_counter() - started, "manifest": manifest_path}
 
 
 def _metric(rows, t, dataset):
@@ -369,6 +369,41 @@ def test_baseline_outputs_match_their_recorded_digests(regression, label):
     for name, digest in BASELINE_DIGESTS[label].items():
         got = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert got == digest, f"{label} {name}: sha256 {got} != recorded {digest}"
+
+
+@pytest.mark.parametrize("label", ["ours", "lwf", "ft"])
+def test_event_log_terms_are_the_observed_batch_means(regression, tmp_path, monkeypatch, label):
+    """Each loss term of a packaged run's ``events.jsonl`` line is, bit for
+    bit, its (task, epoch)'s batch ``breakdown`` values, each times the
+    batch's row count, summed in batch order and divided by the rows;
+    null where that mean is nan.  The rerun here, with an observer,
+    writes the same bytes as the unobserved run."""
+    seen = []
+
+    def observed(*args, **kwargs):
+        return train_task(*args, **kwargs, observer=lambda ctx: seen.append(
+            (ctx["t"], ctx["epoch"], len(ctx["labels"]), ctx["breakdown"])))
+
+    monkeypatch.setattr("mtcl.engine.train_task", observed)
+    out = tmp_path / label
+    assert cli_main(["run", str(EXPERIMENTS / f"{label}.json"), "--manifest",
+                     str(regression["manifest"]), "--output-dir", str(out)]) == 0
+    assert (out / "events.jsonl").read_bytes() == (
+        regression["runs"][label] / "events.jsonl").read_bytes()
+    sums = {}
+    for t, epoch, rows, breakdown in seen:
+        count, *terms = sums.get((t, epoch), (0, 0.0, 0.0, 0.0, 0.0))
+        values = (breakdown.hard, breakdown.kd_prev, breakdown.kd_llm, breakdown.total)
+        sums[t, epoch] = (count + rows, *(s + v * rows for s, v in zip(terms, values)))
+    events = read_events(out / "events.jsonl")
+    assert [(event["t"], event["epoch"]) for event in events] == list(sums)
+    for event in events:
+        count, *terms = sums[event["t"], event["epoch"]]
+        assert event["samples"] == count
+        for name, total in zip(("hard", "kd_prev", "kd_llm", "total"), terms):
+            expected = None if math.isnan(total / count) else (total / count).hex()
+            got = None if event[name] is None else event[name].hex()
+            assert got == expected, (event, name)
 
 
 @criterion("7: disagreeing teachers still rank the true label first")

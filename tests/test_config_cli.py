@@ -414,10 +414,8 @@ class TestCliRun:
             assert main(
                 ["run", str(cli_workspace / "run.json"), "--output-dir", str(out)]
             ) == 0
-        assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
-        assert (
-            out_a / "weight_trace.csv"
-        ).read_bytes() == (out_b / "weight_trace.csv").read_bytes()
+        for name in ("metrics.csv", "weight_trace.csv", "events.jsonl"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_a_new_run_replaces_an_earlier_runs_files(self, cli_workspace, tmp_path):
         """A 3-task run, then a 2-task run into the same directory, leave
@@ -430,12 +428,13 @@ class TestCliRun:
                "--output-dir", str(out)]
         assert main([*run, "--seed", "7"]) == 0
         fresh = {path.name: path.read_bytes() for path in out.iterdir()}
-        assert len(fresh) == 6
+        assert len(fresh) == 7
         shutil.rmtree(out)
         assert main([*run, "--manifest", str(three)]) == 0
         assert (out / "checkpoint_t3.bin").is_file()
         mine = {"notes.txt": b"mine", "notes.txt.tmp": b"half"}
-        left = {**mine, "checkpoint_t4.bin.tmp": b"half", "metrics.csv.tmp": b"t,"}
+        left = {**mine, "checkpoint_t4.bin.tmp": b"half", "metrics.csv.tmp": b"t,",
+                "events.jsonl.tmp": b"{"}
         for name, data in left.items():
             (out / name).write_bytes(data)
         assert main([*run, "--seed", "7"]) == 0
@@ -546,8 +545,8 @@ class TestCliRun:
         assert f"cannot read fixture file {missing}" in err
         assert "Traceback" not in err
         assert sorted(path.name for path in out.iterdir()) == [
-            "checkpoint_t1.bin", "metrics.csv", "resolved_config.json", "run_info.json",
-            "weight_trace.csv",
+            "checkpoint_t1.bin", "events.jsonl", "metrics.csv", "resolved_config.json",
+            "run_info.json", "weight_trace.csv",
         ]
         assert {row.t for row in read_metrics_csv(out / "metrics.csv")} == {1}
 
@@ -602,8 +601,9 @@ class TestRunInterrupted:
         exits 130 and leaves no ``.tmp``.  The tasks whose
         ``checkpoint_tK.bin`` is there are finished: they are 1..K, and
         their checkpoints, metrics rows and trace rows are the whole
-        run's.  Only task K + 1, which did not finish, has rows past
-        them, and the files written as the run starts are whole."""
+        run's, and so are their event-log lines.  Only task K + 1, which
+        did not finish, has rows or lines past them, and the files written
+        as the run starts are whole."""
         stream = GeneratorConfig(tasks=3, classes_per_task=2, feature_length=4,
                                  samples_per_task=40, imbalance=2.0, shift=2.0)
         config = tmp_path / "run.json"
@@ -618,12 +618,16 @@ class TestRunInterrupted:
         assert main(run) == 0
         full = shutil.copytree(tmp_path / "out", tmp_path / "full")
 
-        def rows(path, k):
-            """The rows of the table at ``path`` (all but its header), and those of tasks <= k."""
-            lines = path.read_text().splitlines()[1:] if path.exists() else []
-            return lines, [line for line in lines if int(line.split(",")[0]) <= k]
+        def step(line):
+            return json.loads(line)["t"] if line.startswith("{") else int(line.split(",")[0])
 
-        writes = 2 + 3 * 3  # the run's two files, then three per task
+        def rows(path, k):
+            """The records of the file at ``path`` (its lines, past a CSV's
+            header), and those of tasks <= k."""
+            lines = path.read_text().splitlines()[path.suffix == ".csv":] if path.exists() else []
+            return lines, [line for line in lines if step(line) <= k]
+
+        writes = 2 + 3 * 4  # the run's two files, then four per task
         for n in range(1, writes + 1):
             with monkeypatch.context() as patch:
                 interrupt_write(patch, n)
@@ -637,10 +641,10 @@ class TestRunInterrupted:
             for name in left:
                 if name.endswith((".bin", ".json")):
                     assert (tmp_path / "out" / name).read_bytes() == (full / name).read_bytes()
-            for name in ("metrics.csv", "weight_trace.csv"):
+            for name in ("metrics.csv", "weight_trace.csv", "events.jsonl"):
                 lines, done = rows(tmp_path / "out" / name, k)
                 assert done == rows(full / name, k)[1], (n, name)
-                assert all(int(line.split(",")[0]) <= k + 1 for line in lines), (n, name)
+                assert all(step(line) <= k + 1 for line in lines), (n, name)
                 assert bool(lines) or not k, (n, name)
 
     def test_ctrl_c_exits_130_without_a_traceback(self, tmp_path):

@@ -10,7 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import classes_up_to, dataset_of, latest_triple, read_metrics_csv
+from conftest import classes_up_to, dataset_of, latest_triple, read_events, read_metrics_csv
 
 from mtcl.bridge import build_vocabulary
 from mtcl.engine import (
@@ -984,15 +984,45 @@ class TestPerClassTables:
 
 
 class TestRunContinual:
-    def run(self, manifest, mode, run_dir=None):
+    def run(self, manifest, mode, run_dir=None, weight_cfg=None, accuracy=0.8):
         settings = TrainSettings(seed=5, mode=mode, **FAST)
-        llm = NoisyOracleTeacher(seed=5, accuracy=0.8)
+        llm = NoisyOracleTeacher(seed=5, accuracy=accuracy)
         return (
             run_continual(
-                manifest, settings, standard_weights(), llm_teacher=llm, run_dir=run_dir,
+                manifest, settings, weight_cfg or standard_weights(), llm_teacher=llm,
+                run_dir=run_dir,
             ),
             llm,
         )
+
+    @pytest.mark.parametrize("mode, weight_cfg, accuracy, later_nulls", [
+        ("ft", None, 0.8, ["kd_prev", "kd_llm"]),
+        ("lwf", None, 0.8, ["kd_llm"]),
+        ("ours", None, 0.8, []),
+        # A general teacher that is always wrong gets chi = theta_ds * 0.
+        ("ours", WeightConfig(alpha=0.2, theta_ds=0.8, theta_di=0.0), 1e-9, ["kd_llm"]),
+    ])
+    def test_event_log_has_a_line_per_task_and_epoch_and_null_for_a_term_that_is_off(
+            self, mini_stream, tmp_path, mode, weight_cfg, accuracy, later_nulls):
+        """A distillation term is null exactly where its weight is 0 (at
+        task 1 both are); the weights are the trace's, and ``samples`` is
+        the train split's row count."""
+        (_, trace, _), _ = self.run(mini_stream, mode, RunDir(tmp_path), weight_cfg, accuracy)
+        events = read_events(tmp_path / "events.jsonl")
+        assert [(event["t"], event["epoch"]) for event in events] == [
+            (t, epoch) for t in (1, 2, 3) for epoch in range(FAST["epochs"])]
+        for event in events:
+            row = trace.rows[event["t"] - 1]
+            assert list(event) == ["t", "epoch", "samples", "alpha", "beta", "chi",
+                                   "hard", "kd_prev", "kd_llm", "total"]
+            assert event["samples"] == len(load_task(mini_stream, event["t"]).ids)
+            assert [event[name] for name in ("alpha", "beta", "chi")] == [
+                row[name] for name in ("alpha", "beta", "chi")]
+            nulls = [name for name in ("hard", "kd_prev", "kd_llm", "total")
+                     if event[name] is None]
+            assert nulls == (["kd_prev", "kd_llm"] if event["t"] == 1 else later_nulls)
+            assert nulls == [name for name, weight in (("kd_prev", "beta"), ("kd_llm", "chi"))
+                             if row[weight] == 0.0]
 
     def test_row_layout_and_average(self, mini_stream):
         (rows, trace, student), _ = self.run(mini_stream, "ours")

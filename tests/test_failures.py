@@ -56,11 +56,12 @@ GENERATE = ("generate", "--out", "out", "--tasks", "2", "--classes-per-task", "3
 INSPECT = ("inspect-weights", "--acc-prev", "0.5", "--acc-llm", "0.5")
 # What a run leaves when it stops before task 1 trains, and after it.
 STARTED = ("out/resolved_config.json", "out/run_info.json")
-TASK1 = (*STARTED, "out/checkpoint_t1.bin", "out/metrics.csv", "out/weight_trace.csv")
+TABLES = ("out/metrics.csv", "out/weight_trace.csv", "out/events.jsonl")
+TASK1 = (*STARTED, *TABLES, "out/checkpoint_t1.bin")
 # What a run leaves when it stops inside its Nth file write: two files as
-# it starts, then metrics, trace and checkpoint per task.
-IN_WRITE = {3: STARTED, 4: (*STARTED, "out/metrics.csv"),
-            5: (*STARTED, "out/metrics.csv", "out/weight_trace.csv"), 6: TASK1, 7: TASK1, 8: TASK1}
+# it starts, then metrics, trace, event log and checkpoint per task.
+IN_WRITE = {3: STARTED, 4: (*STARTED, *TABLES[:1]), 5: (*STARTED, *TABLES[:2]),
+            6: (*STARTED, *TABLES), 7: TASK1, 8: TASK1}
 DEEP = b"[" * 100_000
 
 

@@ -165,7 +165,7 @@ class TestOneReader:
 
 # Substrings of every name a run writes into its output directory.
 RUN_FILES = ("metrics.csv", "weight_trace.csv", "checkpoint_t", "resolved_config.json",
-             "run_info.json")
+             "run_info.json", "events.jsonl")
 
 
 class TestOneRunDir:
