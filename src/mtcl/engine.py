@@ -42,7 +42,8 @@ from .errors import checked, integer_rule, integer_setting, is_integer, is_numbe
 from .errors import parse_input, parse_json, remove_outputs, setting, sized_by, write_csv
 from .errors import write_output
 from .losses import LossBreakdown, batch_loss, softened_softmax
-from .taskstream import ImbalanceLedger, LabelClass, StreamManifest, TaskDataset, load_task
+from .taskstream import PIECE_BYTES, ImbalanceLedger, LabelClass, StreamManifest, TaskDataset
+from .taskstream import load_task
 from .teachers import Teacher
 from .weights import TRACE_COLUMNS, WeightConfig, WeightTriple, WeightTrace, assemble_weights
 from .weights import measure_teacher_accuracy
@@ -72,14 +73,11 @@ def encode_question(question: str, vocab: Vocabulary) -> np.ndarray:
 
 
 def encode_inputs(dataset: TaskDataset, vocab: Vocabulary, feature_length: int) -> np.ndarray:
-    """Design matrix: each sample's features, then its question encoding.
-
-    A split that ``load_task`` read already holds its features in the
-    leading columns of its ``design`` buffer; its question columns are
-    filled in place and the buffer is returned, so a second call refills
-    the same matrix.  Any other split's features are copied into a new
-    matrix with one assignment.  Each distinct question text is encoded
-    once and gathered into its rows.
+    """Design matrix: each sample's features, then its question encoding
+    (``question_slots``, ``design_matrix``).  A loaded train split's
+    ``design`` buffer already holds its features; its question columns
+    are filled in place and it is returned, so a second call refills it.
+    Any other split is assembled into a new matrix.
     """
     features = dataset.features
     if features.shape != (len(features), feature_length):
@@ -87,16 +85,35 @@ def encode_inputs(dataset: TaskDataset, vocab: Vocabulary, feature_length: int) 
             f"task {dataset.task_index} has features of shape {features.shape}, "
             f"expected {feature_length} per sample"
         )
-    slots = {}
-    rows = [slots.setdefault(q, len(slots)) for q in dataset.questions]
-    width = feature_length + len(vocab) + 1
     inputs = dataset.design
-    if inputs is None or inputs.shape[1] != width:
-        inputs = np.empty((len(rows), width), dtype=np.float64)
+    if inputs is not None and inputs.shape[1] != feature_length + len(vocab) + 1:
+        inputs = None
+    return design_matrix(features, *question_slots(dataset.questions, vocab), inputs)
+
+
+def question_slots(questions, vocab: Vocabulary) -> tuple:
+    """(slots, codes): each distinct question text encoded once, a row of
+    ``codes`` in order of first appearance, and each question's row."""
+    slots = {}
+    rows = np.fromiter((slots.setdefault(q, len(slots)) for q in questions), np.intp)
+    codes = np.array([encode_question(q, vocab) for q in slots]).reshape(-1, len(vocab) + 1)
+    return rows, codes
+
+
+def design_matrix(features: np.ndarray, slots: np.ndarray, codes: np.ndarray,
+                  inputs: np.ndarray | None = None) -> np.ndarray:
+    """Each row's features, then its question's encoding ``codes[slots[i]]``,
+    in ``inputs`` (whose leading columns hold ``features``) or a new matrix.
+    The question columns are filled in row pieces of at most ``PIECE_BYTES``:
+    a gather into a column slice goes through a temporary as large as it."""
+    feature_length = features.shape[1]
+    if inputs is None:
+        inputs = np.empty((len(slots), feature_length + codes.shape[1]), dtype=np.float64)
         inputs[:, :feature_length] = features
-    if rows:
-        codes = np.stack([encode_question(q, vocab) for q in slots])
-        np.take(codes, rows, axis=0, out=inputs[:, feature_length:])
+    questions = inputs[:, feature_length:]
+    step = max(1, PIECE_BYTES // (questions.shape[1] * questions.itemsize))
+    for start in range(0, len(slots), step):
+        questions[start : start + step] = codes[slots[start : start + step]]
     return inputs
 
 
@@ -505,9 +522,9 @@ def run_continual(
     A split is held only within its own task.  The train split is
     dropped once that task is trained and its held-out split taken (the
     ledger keeps its class counts).  Of each held-out split, the run
-    keeps for its remaining tasks only what ``evaluate`` reads: its truth
-    and its design matrix, both taken once, when it is loaded
-    (``_held_out``).
+    keeps for its remaining tasks its truth, features, question slots and
+    codes, taken once, when it is loaded (``_held_out``); ``design_matrix``
+    assembles its rows from them for each ``evaluate`` call alone.
     """
     student = prev_teacher = None
     ledger = ImbalanceLedger()
@@ -538,9 +555,8 @@ def run_continual(
         # Dropped after the held-out split is taken: dropped before, its pages
         # went back to the system and the next task's load faulted them in again.
         del train_split
-        scores = [
-            (f"task{i}", *evaluate(student, truth, inputs)) for i, truth, inputs in tests
-        ]
+        scores = [(f"task{i}", *evaluate(student, truth, design_matrix(*held)))
+                  for i, truth, *held in tests]
         _, accuracies, macro_f1s = zip(*scores)
         scores.append((AVG_DATASET, float(np.mean(accuracies)), float(np.mean(macro_f1s))))
         rows.extend(MetricsRow(t, *score) for score in scores)
@@ -551,11 +567,11 @@ def run_continual(
 
 
 def _held_out(manifest: StreamManifest, t: int, student: StudentModel) -> tuple:
-    """(truth, design matrix) of task ``t``'s held-out split, which is
-    not kept: what ``evaluate`` reads of it at every later task."""
+    """(truth, features, slots, codes) of task ``t``'s held-out split, which
+    is not kept: what ``evaluate`` reads of it at every later task."""
     split = load_task(manifest, t, "test")
-    return (student.head_columns(split),
-            encode_inputs(split, manifest.vocab, manifest.feature_length))
+    return (student.head_columns(split), split.features,
+            *question_slots(split.questions, manifest.vocab))
 
 
 @dataclass(frozen=True)

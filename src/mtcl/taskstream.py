@@ -13,9 +13,10 @@ row per record, pinned by its byte length and SHA-256.  A loaded split
 is columns: the records' ids, questions (one string object per distinct
 text) and answers (each an index into the task's classes), and the
 block's read-only matrix.  The block is read in pieces straight into the
-leading columns of the split's design-matrix buffer, so its values are
-held once; ``write_task`` writes the same columns.  A ``Sample`` is
-built only for a read through ``TaskDataset.samples``.
+leading columns of a train split's design-matrix buffer (a test split's
+holds its features alone), so its values are held once; ``write_task``
+writes the same columns.  A ``Sample`` is built only for a read through
+``TaskDataset.samples``.
 
 The synthetic generator produces streams with two controllable
 stressors: domain shift (classes new to a task get cluster centers
@@ -100,10 +101,10 @@ class TaskDataset:
     and row i of ``features`` is its feature vector.  ``samples`` reads
     the same split one ``Sample`` at a time.
 
-    ``design`` is set only by ``load_task``: the split's design-matrix
-    buffer, whose leading columns ``features`` views read-only and whose
-    question columns ``engine.encode_inputs`` fills in place.  A split
-    built from a plain matrix has none.
+    ``design`` is set only by ``load_task``, on a train split: its
+    design-matrix buffer, whose leading columns ``features`` views
+    read-only and whose question columns ``engine.encode_inputs`` fills
+    in place.  A test split, or one built from a plain matrix, has none.
     """
 
     task_index: int
@@ -404,10 +405,11 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
     """Read one task split into its columns, checking each record once.
 
     The features are the split's block, one row per record, and the
-    records must not carry any; they are read into the split's
+    records must not carry any.  A train split's are read into its
     ``design`` buffer, one column per feature, then one per question
-    token slot of the manifest's vocabulary.  Equal question texts share
-    one string.  A split must hold a record.
+    token slot of the manifest's vocabulary; a test split's into a buffer
+    of its features alone, and its ``design`` is None.  Equal question
+    texts share one string.  A split must hold a record.
     """
     if split not in SPLITS:
         raise DataError(f"split must be one of {SPLITS}, got {split!r}")
@@ -455,8 +457,10 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
         answers.append(answer)
     if not ids:
         raise DataError(f"task file {file_path}: the {split} split has no records")
+    # A test split is held for evaluation: its buffer holds its features alone.
+    questions_width = len(manifest.vocab) + 1 if split == "train" else 0
     features, design = _read_block(manifest.root, block, len(ids), manifest.feature_length,
-                                   manifest.feature_length + len(manifest.vocab) + 1)
+                                   manifest.feature_length + questions_width)
     return TaskDataset(
         task_index=t,
         classes=[by_name[name] for name in entry.class_names],
@@ -464,7 +468,7 @@ def load_task(manifest: StreamManifest, t: int, split: str = "train") -> TaskDat
         questions=questions,
         answers=np.array(answers, dtype=np.int64),
         features=features,
-        design=design,
+        design=design if questions_width else None,
     )
 
 

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from mtcl.engine import MetricsRow
+from mtcl import engine
+from mtcl.engine import MetricsRow, encode_inputs
 from mtcl.errors import DataError, NumericError
-from mtcl.taskstream import GeneratorConfig, TaskDataset
+from mtcl.taskstream import GeneratorConfig, TaskDataset, load_task
 from mtcl.weights import WeightTriple
 
 # When a property test fails, hypothesis imports its patch suggester, which
@@ -93,6 +94,43 @@ def read_events(path) -> list:
         raise AssertionError(f"{path} holds {constant}")
 
     return [json.loads(line, parse_constant=refuse) for line in path.read_text().splitlines()]
+
+
+def held_out_against_reload(monkeypatch, manifest) -> list:
+    """Wrap ``engine.evaluate`` so that each held-out evaluation of a run
+    over ``manifest`` is recorded beside the same test split reloaded and
+    encoded by ``encode_inputs``.  Returns the list the run fills: per
+    call, (step, task, the rows ``run_continual`` assembled, the reloaded
+    split's rows, the ``(accuracy, macro_f1)`` of each, as ``float.hex``)."""
+    tasks = [entry.index for entry in manifest.tasks]
+    steps = iter([(t, i) for k, t in enumerate(tasks) for i in tasks[: k + 1]])
+    real, seen = engine.evaluate, []
+
+    def evaluate(model, truth, inputs):
+        t, i = next(steps)
+        split = load_task(manifest, i, "test")
+        reloaded = encode_inputs(split, manifest.vocab, manifest.feature_length)
+        got = real(model, truth, inputs)
+        again = real(model, model.head_columns(split), reloaded)
+        seen.append((t, i, inputs.copy(), reloaded, *([value.hex() for value in scores]
+                                                      for scores in (got, again))))
+        return got
+
+    monkeypatch.setattr(engine, "evaluate", evaluate)
+    return seen
+
+
+def assert_held_out_matches_reload(seen, manifest) -> None:
+    """Each step's held-out rows (``held_out_against_reload``) are, byte
+    for byte, its test split reloaded, and score the same, for every task
+    finished by then."""
+    tasks = [entry.index for entry in manifest.tasks]
+    assert [(t, i) for t, i, *_ in seen] == [
+        (t, i) for k, t in enumerate(tasks) for i in tasks[: k + 1]]
+    for t, i, assembled, reloaded, scores, reloaded_scores in seen:
+        assert assembled.shape == reloaded.shape, (t, i)
+        assert assembled.tobytes() == reloaded.tobytes(), (t, i)
+        assert scores == reloaded_scores, (t, i)
 
 
 def interrupt_write(monkeypatch, n: int) -> None:

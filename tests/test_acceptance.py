@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import classes_up_to, grad_check, read_events, read_metrics_csv
+from conftest import assert_held_out_matches_reload, classes_up_to, grad_check
+from conftest import held_out_against_reload, read_events, read_metrics_csv
 
 from mtcl.bridge import (
     SCORE_EPS,
@@ -404,6 +405,21 @@ def test_event_log_terms_are_the_observed_batch_means(regression, tmp_path, monk
             expected = None if math.isnan(total / count) else (total / count).hex()
             got = None if event[name] is None else event[name].hex()
             assert got == expected, (event, name)
+
+
+def test_held_out_rows_are_the_reloaded_split_encoded(regression, tmp_path, monkeypatch):
+    """In the packaged ``ours`` run, every finished task's held-out rows, as
+    assembled for each evaluation, are byte for byte ``encode_inputs`` of
+    its test split reloaded, and score bit-identically.  The rerun here
+    writes the same ``metrics.csv`` as the fixture's run."""
+    manifest = load_manifest(regression["manifest"])
+    seen = held_out_against_reload(monkeypatch, manifest)
+    out = tmp_path / "ours"
+    assert cli_main(["run", str(EXPERIMENTS / "ours.json"), "--manifest",
+                     str(regression["manifest"]), "--output-dir", str(out)]) == 0
+    assert (out / "metrics.csv").read_bytes() == (
+        regression["runs"]["ours"] / "metrics.csv").read_bytes()
+    assert_held_out_matches_reload(seen, manifest)
 
 
 @criterion("7: disagreeing teachers still rank the true label first")

@@ -10,7 +10,8 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import classes_up_to, dataset_of, latest_triple, read_events, read_metrics_csv
+from conftest import assert_held_out_matches_reload, classes_up_to, dataset_of
+from conftest import held_out_against_reload, latest_triple, read_events, read_metrics_csv
 
 from mtcl.bridge import build_vocabulary
 from mtcl.engine import (
@@ -31,6 +32,7 @@ from mtcl.engine import (
 from mtcl.errors import ConfigError, DataError, NumericError
 from mtcl.losses import softened_softmax
 from mtcl.taskstream import (
+    PIECE_BYTES,
     SPLITS,
     GeneratorConfig,
     ImbalanceLedger,
@@ -116,15 +118,21 @@ class TestEncodeQuestion:
         assert empty.shape == (0, mini_stream.feature_length + len(vocab) + 1)
 
     def test_a_loaded_split_is_encoded_in_the_buffer_its_features_view(self, mini_stream):
-        """``encode_inputs`` fills a loaded split's own design buffer, and
-        gives the bytes that copying its features into a new matrix gives."""
+        """``encode_inputs`` fills a loaded train split's own design buffer,
+        assembles a loaded test split (which has none) into a new matrix,
+        and gives the bytes that copying the features into a new matrix
+        gives."""
         vocab, feature_length = mini_stream.vocab, mini_stream.feature_length
         for entry in mini_stream.tasks:
             for split in SPLITS:
                 task = load_task(mini_stream, entry.index, split)
                 design = encode_inputs(task, vocab, feature_length)
-                assert design is task.design
-                assert np.shares_memory(design, task.features)
+                if split == "train":
+                    assert design is task.design
+                    assert np.shares_memory(design, task.features)
+                else:
+                    assert task.design is None
+                    assert not np.shares_memory(design, task.features)
                 copied = dataclasses.replace(task, features=np.array(task.features),
                                              design=None)
                 allocated = encode_inputs(copied, vocab, feature_length)
@@ -138,21 +146,51 @@ class TestEncodeQuestion:
                 assert len({id(q) for q in questions}) == len(set(questions)) < len(questions)
 
     def test_a_loaded_split_holds_its_features_once(self, tmp_path):
-        """Loading and encoding a split with wide features peaks below its
-        block and its design matrix together: the block's values are read
-        straight into the design matrix, not held beside it."""
+        """Loading and encoding a train split with wide features peaks below
+        its block and its design matrix together: the block's values are
+        read straight into the design matrix, not held beside it.  A test
+        split holds its features alone, read-only, in a buffer no wider
+        than them, and loading it peaks below its block twice over."""
         cfg = GeneratorConfig(tasks=1, classes_per_task=3, feature_length=512,
                               samples_per_task=300)
         manifest = load_manifest(generate_synthetic_stream(cfg, seed=3, out_dir=tmp_path))
         _, block = manifest.tasks[0].splits["train"]
+        _, test_block = manifest.tasks[0].splits["test"]
         tracemalloc.start()
         try:
             design = encode_inputs(load_task(manifest, 1), manifest.vocab, cfg.feature_length)
             peak = tracemalloc.get_traced_memory()[1]
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            test = load_task(manifest, 1, "test")
+            test_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
         assert block.bytes == len(design) * cfg.feature_length * 8
         assert peak < block.bytes + design.nbytes
+        assert test.design is None
+        assert not test.features.flags.writeable
+        assert test.features.nbytes == test.features.base.nbytes == test_block.bytes
+        assert test_peak < 2 * test_block.bytes
+
+    def test_encoding_a_loaded_split_allocates_far_less_than_its_question_columns(
+            self, tmp_path):
+        """The question columns are filled in place without a temporary as
+        large as them: gathered in row pieces of at most ``PIECE_BYTES``."""
+        cfg = GeneratorConfig(tasks=1, classes_per_task=3, feature_length=4,
+                              samples_per_task=12000)
+        manifest = load_manifest(generate_synthetic_stream(cfg, seed=3, out_dir=tmp_path))
+        task = load_task(manifest, 1)
+        columns = len(task.ids) * (len(manifest.vocab) + 1) * 8
+        tracemalloc.start()
+        try:
+            design = encode_inputs(task, manifest.vocab, cfg.feature_length)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert design is task.design
+        assert columns > 8 * PIECE_BYTES
+        assert peak < columns / 4
 
 
 def toy_label(i, name="c"):
@@ -1050,21 +1088,72 @@ class TestRunContinual:
 
     def test_each_split_is_encoded_once(self, mini_stream, monkeypatch):
         # The previous model scores the matrix train_task encoded; nothing
-        # encodes a split a second time for it.
-        encoded = []
-        real = encode_inputs
+        # encodes a split a second time for it.  Each distinct question
+        # text of each split is encoded once: a held-out split's rows are
+        # assembled from its codes at every evaluation, never re-encoded.
+        encoded, texts = [], []
+        real, real_question = encode_inputs, encode_question
 
         def counted(dataset, *args):
             encoded.append(list(dataset.ids))
             return real(dataset, *args)
 
+        def counted_question(question, vocab):
+            texts.append(question)
+            return real_question(question, vocab)
+
         monkeypatch.setattr("mtcl.engine.encode_inputs", counted)
+        monkeypatch.setattr("mtcl.engine.encode_question", counted_question)
         self.run(mini_stream, "ours")
-        assert encoded == [
-            [s.id for s in load_task(mini_stream, t, split).samples]
-            for t in (1, 2, 3)
-            for split in ("train", "test")
+        assert encoded == [load_task(mini_stream, t).ids for t in (1, 2, 3)]
+        assert texts == [
+            text for t in (1, 2, 3) for split in SPLITS
+            for text in dict.fromkeys(load_task(mini_stream, t, split).questions)
         ]
+
+    @pytest.mark.parametrize("mode", ["ft", "lwf", "ours"])
+    def test_held_out_rows_are_the_reloaded_split_encoded(self, mini_stream, monkeypatch,
+                                                          mode):
+        """At every step, each finished task's held-out rows, as assembled
+        for ``evaluate``, are byte for byte ``encode_inputs`` of its test
+        split reloaded, and score bit-identically."""
+        seen = held_out_against_reload(monkeypatch, mini_stream)
+        self.run(mini_stream, mode)
+        assert_held_out_matches_reload(seen, mini_stream)
+
+    def test_a_finished_task_holds_its_features_slots_and_codes(self, tmp_path,
+                                                                monkeypatch):
+        """From one step to the next, the memory a run holds grows by the
+        finished task's held-out truth, features, question slots and codes,
+        and by little else: not by its question columns."""
+        cfg = GeneratorConfig(tasks=4, classes_per_task=3, feature_length=256,
+                              samples_per_task=1500)
+        manifest = load_manifest(generate_synthetic_stream(cfg, seed=7, out_dir=tmp_path))
+        held, real = [], evaluate
+        steps = iter(t for t in range(1, 5) for _ in range(t))
+
+        def measured(model, truth, inputs):
+            if next(steps) == len(held) + 1:  # the first evaluation of a step
+                held.append(tracemalloc.get_traced_memory()[0])
+            return real(model, truth, inputs)
+
+        monkeypatch.setattr("mtcl.engine.evaluate", measured)
+        settings = TrainSettings(seed=5, mode="ft", epochs=1, batch_size=64, hidden1=4,
+                                 hidden2=4)
+        tracemalloc.start()
+        try:
+            run_continual(manifest, settings, standard_weights())
+        finally:
+            tracemalloc.stop()
+        slack = 8 * 1024
+        # Steps 2 to 4 each hold a previous model of the student's size.
+        for t in (3, 4):
+            test = load_task(manifest, t, "test")
+            rows, width = len(test.ids), len(manifest.vocab) + 1
+            truth_and_slots = 2 * rows * 8
+            kept = test.features.nbytes + truth_and_slots + len(set(test.questions)) * width * 8
+            assert rows * width * 8 > 4 * slack
+            assert held[t - 1] - held[t - 2] < kept + slack, (t, held)
 
     @pytest.mark.parametrize("mode", ["ft", "lwf", "ours"])
     def test_a_finished_task_holds_no_split(self, mini_stream, monkeypatch, mode):
